@@ -21,7 +21,9 @@
 # shard-smoke` byte-compares a crash-injected multi-process pipeline run
 # against the in-process baseline (see scripts/shard_smoke.sh); `make
 # shell-test` unit-tests the shared shell polling helper
-# (scripts/poll_test.sh).
+# (scripts/poll_test.sh); `make bench-digests` runs the benchmark module's
+# tests and fails unless the held-out seed's compile workloads reproduce the
+# committed T and weight-assignment digests (benchmark/testdata/expected.json).
 
 GO ?= go
 
@@ -30,7 +32,7 @@ GO ?= go
 FUZZ_TARGETS = FuzzRefVsFsim FuzzEventVsDense FuzzSlabVsDense FuzzShardVsDense FuzzFaultFreeVsSim FuzzWgenVsExpansion FuzzBenchRoundTrip FuzzTransitionVsRef FuzzBridgeVsRef
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fuzz-smoke cover cover-gate bench-json bench-smoke bench-parallel bench-kernel bench-slab bench-shard bench-model bench-check serve-smoke shard-smoke shell-test
+.PHONY: all build test race vet fuzz-smoke cover cover-gate bench-json bench-smoke bench-parallel bench-kernel bench-slab bench-shard bench-model bench-check bench-digests serve-smoke shard-smoke shell-test
 
 all: build test race vet
 
@@ -79,6 +81,18 @@ bench-shard: build
 
 bench-model: build
 	$(GO) run ./cmd/experiments -skip-large modelbench
+
+# run.sh exits 0 even when an output digest differs, so the check reads the
+# "correct" field of each run's closing JSON line.
+bench-digests: build
+	cd benchmark && $(GO) test ./...
+	@for w in compile-stuck compile-models; do \
+		line=$$(bash benchmark/run.sh --workload $$w --seed 2 --seconds 1 --trace 0 | tail -n 1); \
+		case "$$line" in \
+		*'"correct":true'*) echo "$$w: seed 2 digests match" ;; \
+		*) echo "$$w: outputs differ from benchmark/testdata/expected.json: $$line"; exit 1 ;; \
+		esac; \
+	done
 
 serve-smoke: build
 	./scripts/serve_smoke.sh

@@ -50,7 +50,9 @@ type Options struct {
 	// CompactionBlocks lists the block sizes tried during static compaction,
 	// largest first (default {128, 64, 16}). Block sizes that would split the
 	// sequence into more than 48 candidate deletions are skipped to bound the
-	// number of re-simulations.
+	// number of re-simulations. Each candidate deletion [lo,hi) is simulated
+	// only against the faults detected at or after lo, since the unchanged
+	// prefix keeps the earlier detections.
 	CompactionBlocks []int
 	// NoCompaction disables phase 3.
 	NoCompaction bool
@@ -319,20 +321,28 @@ func weightedRandom(rng *randutil.RNG, n, l int) *sim.Sequence {
 // compact removes blocks of vectors whose omission does not lose coverage.
 // Blocks are tried back to front at each block size so that later deletions
 // do not invalidate earlier decisions within a pass.
+//
+// Deleting [lo,hi) leaves the prefix [0,lo) as it was, and every run starts
+// at time 0 from opts.Init, so a target first detected before lo is still
+// detected, at the same time. compact therefore keeps each target's current
+// detection time and simulates a candidate only against the targets detected
+// at or after lo; an accepted deletion takes their new times from that run.
+// The decisions, and so the returned sequence, are the ones a full
+// re-simulation of every target would make, for every fault model.
 func compact(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, opts Options) *sim.Sequence {
 	base := rerun(s, seq, faults, opts)
 	// Only the detected faults need to stay detected; simulating the
 	// undetected ones during compaction would be wasted effort.
 	var targets []fault.Fault
+	var det []int // det[i]: first detection time of targets[i] under seq
 	for i := range faults {
 		if base.Detected[i] {
 			targets = append(targets, faults[i])
+			det = append(det, base.DetTime[i])
 		}
 	}
-	covers := func(cand *sim.Sequence) bool {
-		o := rerun(s, cand, targets, opts)
-		return o.NumDetected == len(targets)
-	}
+	var late []fault.Fault
+	var lateIdx []int
 	for _, block := range opts.CompactionBlocks {
 		if block <= 0 || seq.Len()/block > 48 {
 			continue
@@ -351,9 +361,23 @@ func compact(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, opts Op
 					cand.Append(seq.Vecs[u])
 				}
 			}
-			if cand.Len() > 0 && covers(cand) {
-				seq = cand
+			late, lateIdx = late[:0], lateIdx[:0]
+			for i, t := range det {
+				if t >= lo {
+					late = append(late, targets[i])
+					lateIdx = append(lateIdx, i)
+				}
 			}
+			if len(late) > 0 {
+				o := rerun(s, cand, late, opts)
+				if o.NumDetected != len(late) {
+					continue
+				}
+				for j, i := range lateIdx {
+					det[i] = o.DetTime[j]
+				}
+			}
+			seq = cand
 		}
 	}
 	return seq

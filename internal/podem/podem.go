@@ -58,15 +58,24 @@ func (p pair) divergent() bool {
 
 // searcher holds the per-call state.
 type searcher struct {
-	c      *circuit.Circuit
-	flt    fault.Fault
-	opts   Options
-	gInit  []logic.V
-	fInit  []logic.V
-	pi     [][]logic.V // pi[frame][input]: current assignments (X = free)
-	vals   [][]pair    // vals[frame][node]: last simulation
-	detAt  int         // frame where detection occurred, -1
-	busyBT int
+	c     *circuit.Circuit
+	flt   fault.Fault
+	opts  Options
+	pi    [][]logic.V // pi[frame][input]: current assignments (X = free)
+	vals  [][]pair    // vals[frame][node]: implied values under pi
+	detAt int         // first frame with a divergent primary output, -1
+	// diverged[frame] counts the nodes of vals[frame] whose good and faulty
+	// values differ binarily; the D-frontier search skips frames without.
+	diverged []int
+	// inputIdx maps an Input node to its index in c.Inputs.
+	inputIdx []int
+	// Event-propagation scratch: buckets[level] holds the queued gates of
+	// the frame being processed, queued marks them, and next collects the
+	// flip-flops whose D input changed (re-evaluated in the next frame, from
+	// cur).
+	buckets   [][]circuit.NodeID
+	queued    []bool
+	next, cur []circuit.NodeID
 }
 
 // FindTest searches for an input window of opts.Frames vectors that detects
@@ -81,113 +90,219 @@ func FindTest(c *circuit.Circuit, f fault.Fault, goodInit, faultyInit []logic.V,
 		return nil, fmt.Errorf("podem: state width %d/%d for circuit with %d flip-flops",
 			len(goodInit), len(faultyInit), c.NumDFFs())
 	}
-	s := &searcher{
-		c:     c,
-		flt:   f,
-		opts:  opts,
-		gInit: goodInit,
-		fInit: faultyInit,
-	}
-	s.pi = make([][]logic.V, opts.Frames)
-	for fr := range s.pi {
-		s.pi[fr] = make([]logic.V, c.NumInputs())
-		for i := range s.pi[fr] {
-			s.pi[fr][i] = logic.X
-		}
-	}
-	s.vals = make([][]pair, opts.Frames)
-	for fr := range s.vals {
-		s.vals[fr] = make([]pair, len(c.Nodes))
-	}
+	s := newSearcher(c, f, opts)
+	s.initialise(goodInit, faultyInit)
 	res := &Result{}
 	found := s.search(res)
 	res.Found = found
 	telemetry.Add(telemetry.CtrBacktracks, int64(res.Backtracks))
 	if found {
-		seq := sim.NewSequence(c.NumInputs())
-		vec := make([]logic.V, c.NumInputs())
-		for fr := 0; fr < opts.Frames; fr++ {
-			for i := range vec {
-				v := s.pi[fr][i]
-				if !v.IsBinary() {
-					v = logic.Zero
-				}
-				vec[i] = v
-			}
-			seq.Append(vec)
-		}
-		res.Seq = seq
+		res.Seq = s.window()
 	}
 	return res, nil
 }
 
-// simulate performs good/faulty pair simulation of the whole window under
-// the current assignments and records the detection frame.
-func (s *searcher) simulate() {
+// window returns the current assignments as a sequence, with every
+// unassigned input filled with 0.
+func (s *searcher) window() *sim.Sequence {
+	seq := sim.NewSequence(s.c.NumInputs())
+	vec := make([]logic.V, s.c.NumInputs())
+	for _, assigned := range s.pi {
+		for i, v := range assigned {
+			if !v.IsBinary() {
+				v = logic.Zero
+			}
+			vec[i] = v
+		}
+		seq.Append(vec)
+	}
+	return seq
+}
+
+// newSearcher allocates the per-call state with every input unassigned.
+func newSearcher(c *circuit.Circuit, f fault.Fault, opts Options) *searcher {
+	s := &searcher{
+		c:        c,
+		flt:      f,
+		opts:     opts,
+		pi:       make([][]logic.V, opts.Frames),
+		vals:     make([][]pair, opts.Frames),
+		diverged: make([]int, opts.Frames),
+		inputIdx: make([]int, len(c.Nodes)),
+		buckets:  make([][]circuit.NodeID, c.MaxLevel()+1),
+		queued:   make([]bool, len(c.Nodes)),
+	}
+	for fr := range s.pi {
+		s.pi[fr] = make([]logic.V, c.NumInputs())
+		for i := range s.pi[fr] {
+			s.pi[fr][i] = logic.X
+		}
+		s.vals[fr] = make([]pair, len(c.Nodes))
+	}
+	for k, id := range c.Inputs {
+		s.inputIdx[id] = k
+	}
+	return s
+}
+
+// initialise computes the whole window once, from the given start states
+// under the current assignments. Every later change goes through assign.
+func (s *searcher) initialise(goodInit, faultyInit []logic.V) {
 	c := s.c
-	gState := make([]logic.V, c.NumDFFs())
-	fState := make([]logic.V, c.NumDFFs())
-	copy(gState, s.gInit)
-	copy(fState, s.fInit)
-	s.detAt = -1
-	for fr := 0; fr < s.opts.Frames; fr++ {
-		vals := s.vals[fr]
+	for fr, vals := range s.vals {
 		for k, id := range c.Inputs {
-			vals[id] = s.forced(id, -1, pair{s.pi[fr][k], s.pi[fr][k]})
+			vals[id] = s.forced(id, pair{s.pi[fr][k], s.pi[fr][k]})
 		}
 		for k, id := range c.DFFs {
-			vals[id] = s.forced(id, -1, pair{gState[k], fState[k]})
+			if fr == 0 {
+				vals[id] = s.forced(id, pair{goodInit[k], faultyInit[k]})
+			} else {
+				vals[id] = s.nextState(fr-1, id)
+			}
 		}
-		var in [8]pair
 		for _, id := range c.Order {
-			n := &c.Nodes[id]
-			fan := in[:0]
-			for pin, fid := range n.Fanins {
-				v := vals[fid]
-				if s.flt.Pin == pin && s.flt.Node == id {
-					v.f = logic.V(s.flt.Stuck)
-				}
-				fan = append(fan, v)
-			}
-			vals[id] = s.forced(id, -1, evalPair(n.Type, fan))
+			vals[id] = s.eval(id, vals)
 		}
-		if s.detAt < 0 {
-			for _, id := range c.Outputs {
-				if vals[id].divergent() {
-					s.detAt = fr
-					break
-				}
+		for _, v := range vals {
+			if v.divergent() {
+				s.diverged[fr]++
 			}
 		}
-		for k, id := range c.DFFs {
-			v := vals[c.Nodes[id].Fanins[0]]
-			if s.flt.Pin == 0 && s.flt.Node == id {
-				v.f = logic.V(s.flt.Stuck)
+	}
+	s.detect()
+}
+
+// assign sets input k of frame start to v and propagates the change forward,
+// event-driven: within a frame only the fanout cone of changed nodes is
+// re-evaluated, in level order, and the change crosses into the next frame
+// only through flip-flops whose value actually moves. Frames before start
+// are never touched. Afterwards vals equals a whole-window simulation under
+// the new assignment.
+func (s *searcher) assign(start, k int, v logic.V) {
+	s.pi[start][k] = v
+	id := s.c.Inputs[k]
+	s.set(start, id, s.forced(id, pair{v, v}))
+	for fr := start; ; fr++ {
+		vals := s.vals[fr]
+		for lvl := range s.buckets {
+			for _, id := range s.buckets[lvl] {
+				s.queued[id] = false
+				s.set(fr, id, s.eval(id, vals))
 			}
-			gState[k] = v.g
-			fState[k] = v.f
+			s.buckets[lvl] = s.buckets[lvl][:0]
+		}
+		if len(s.next) == 0 {
+			break // the next state is unchanged: later frames are too
+		}
+		// A flip-flop fed directly by another flip-flop is rescheduled
+		// while the list is walked, so walk a swapped-out copy.
+		s.next, s.cur = s.cur[:0], s.next
+		for _, id := range s.cur {
+			s.set(fr+1, id, s.nextState(fr, id))
+		}
+	}
+	s.detect()
+}
+
+// set stores node id's value in frame fr and, if it changed, schedules its
+// gate fanouts in this frame and its flip-flop fanouts for the next one.
+func (s *searcher) set(fr int, id circuit.NodeID, v pair) {
+	old := s.vals[fr][id]
+	if old == v {
+		return
+	}
+	s.vals[fr][id] = v
+	if old.divergent() {
+		s.diverged[fr]--
+	}
+	if v.divergent() {
+		s.diverged[fr]++
+	}
+	for _, o := range s.c.Nodes[id].Fanouts {
+		n := &s.c.Nodes[o]
+		switch {
+		case n.Type == circuit.DFF:
+			if fr+1 < s.opts.Frames {
+				s.next = append(s.next, o)
+			}
+		case !s.queued[o]:
+			s.queued[o] = true
+			s.buckets[n.Level] = append(s.buckets[n.Level], o)
 		}
 	}
 }
 
+// detect recomputes detAt from the primary outputs.
+func (s *searcher) detect() {
+	s.detAt = -1
+	for fr, vals := range s.vals {
+		for _, id := range s.c.Outputs {
+			if vals[id].divergent() {
+				s.detAt = fr
+				return
+			}
+		}
+	}
+}
+
+// nextState returns flip-flop id's value in frame fr+1: its D input in
+// frame fr, with the pin-0 branch fault and the stem fault applied.
+func (s *searcher) nextState(fr int, id circuit.NodeID) pair {
+	v := s.vals[fr][s.c.Nodes[id].Fanins[0]]
+	if s.flt.Pin == 0 && s.flt.Node == id {
+		v.f = logic.V(s.flt.Stuck)
+	}
+	return s.forced(id, v)
+}
+
 // forced applies the stem fault at node id to the faulty rail.
-func (s *searcher) forced(id circuit.NodeID, _ int, v pair) pair {
+func (s *searcher) forced(id circuit.NodeID, v pair) pair {
 	if s.flt.Pin < 0 && s.flt.Node == id {
 		v.f = logic.V(s.flt.Stuck)
 	}
 	return v
 }
 
-func evalPair(t circuit.GateType, in []pair) pair {
-	var g, f [8]logic.V
-	for i, p := range in {
-		g[i] = p.g
-		f[i] = p.f
+// eval evaluates gate id on both rails from its fanin values in vals, with
+// the branch fault forced on its pin and the stem fault on its output. It
+// folds the fanins one at a time, so any fanin count is accepted.
+func (s *searcher) eval(id circuit.NodeID, vals []pair) pair {
+	n := &s.c.Nodes[id]
+	p := s.fanin(vals, id, 0)
+	switch n.Type {
+	case circuit.Buf, circuit.Not:
+	case circuit.And, circuit.Nand:
+		for pin := 1; pin < len(n.Fanins); pin++ {
+			v := s.fanin(vals, id, pin)
+			p.g, p.f = logic.And(p.g, v.g), logic.And(p.f, v.f)
+		}
+	case circuit.Or, circuit.Nor:
+		for pin := 1; pin < len(n.Fanins); pin++ {
+			v := s.fanin(vals, id, pin)
+			p.g, p.f = logic.Or(p.g, v.g), logic.Or(p.f, v.f)
+		}
+	case circuit.Xor, circuit.Xnor:
+		for pin := 1; pin < len(n.Fanins); pin++ {
+			v := s.fanin(vals, id, pin)
+			p.g, p.f = logic.Xor(p.g, v.g), logic.Xor(p.f, v.f)
+		}
+	default:
+		panic(fmt.Sprintf("podem: eval on non-gate type %v", n.Type))
 	}
-	return pair{
-		g: sim.Eval(t, g[:len(in)]),
-		f: sim.Eval(t, f[:len(in)]),
+	switch n.Type {
+	case circuit.Not, circuit.Nand, circuit.Nor, circuit.Xnor:
+		p.g, p.f = p.g.Not(), p.f.Not()
 	}
+	return s.forced(id, p)
+}
+
+// fanin reads gate id's input pin from vals, with the branch fault applied.
+func (s *searcher) fanin(vals []pair, id circuit.NodeID, pin int) pair {
+	v := vals[s.c.Nodes[id].Fanins[pin]]
+	if s.flt.Pin == pin && s.flt.Node == id {
+		v.f = logic.V(s.flt.Stuck)
+	}
+	return v
 }
 
 // objective returns the next (node, frame, good-value) goal, or ok=false if
@@ -226,6 +341,9 @@ func (s *searcher) objective() (circuit.NodeID, int, logic.V, bool) {
 	// the pin forcing is re-applied here.
 	for fr := 0; fr < s.opts.Frames; fr++ {
 		vals := s.vals[fr]
+		if s.diverged[fr] == 0 && !s.pinDiverged(fr) {
+			continue // no fault effect anywhere in this frame
+		}
 		for _, id := range s.c.Order {
 			if vals[id].g != logic.X && vals[id].f != logic.X {
 				continue
@@ -255,6 +373,16 @@ func (s *searcher) objective() (circuit.NodeID, int, logic.V, bool) {
 	return 0, 0, logic.X, false
 }
 
+// pinDiverged reports whether a branch fault's pin carries a fault effect in
+// frame fr: its driver's good value is the complement of the stuck value.
+func (s *searcher) pinDiverged(fr int) bool {
+	if s.flt.Pin < 0 {
+		return false
+	}
+	g := s.vals[fr][s.c.Nodes[s.flt.Node].Fanins[s.flt.Pin]].g
+	return g.IsBinary() && g != logic.V(s.flt.Stuck)
+}
+
 // nonControlling returns the side-input value that lets a fault effect pass
 // through a gate of type t.
 func nonControlling(t circuit.GateType) logic.V {
@@ -277,15 +405,11 @@ func (s *searcher) backtrace(id circuit.NodeID, fr int, v logic.V) (int, int, lo
 		n := &s.c.Nodes[id]
 		switch n.Type {
 		case circuit.Input:
-			for k, iid := range s.c.Inputs {
-				if iid == id {
-					if s.pi[fr][k] != logic.X {
-						return 0, 0, logic.X, false // already pinned
-					}
-					return k, fr, v, true
-				}
+			k := s.inputIdx[id]
+			if s.pi[fr][k] != logic.X {
+				return 0, 0, logic.X, false // already pinned
 			}
-			return 0, 0, logic.X, false
+			return k, fr, v, true
 		case circuit.DFF:
 			if fr == 0 {
 				return 0, 0, logic.X, false // initial state is fixed
@@ -343,7 +467,6 @@ type decision struct {
 // search runs the PODEM decision loop.
 func (s *searcher) search(res *Result) bool {
 	var stack []decision
-	s.simulate()
 	for {
 		if s.detAt >= 0 {
 			return true
@@ -351,9 +474,8 @@ func (s *searcher) search(res *Result) bool {
 		id, fr, v, ok := s.objective()
 		if ok {
 			if k, pfr, pv, traced := s.backtrace(id, fr, v); traced {
-				s.pi[pfr][k] = pv
 				stack = append(stack, decision{input: k, frame: pfr, value: pv})
-				s.simulate()
+				s.assign(pfr, k, pv)
 				continue
 			}
 		}
@@ -370,12 +492,11 @@ func (s *searcher) search(res *Result) bool {
 			if !d.flipped {
 				d.flipped = true
 				d.value = d.value.Not()
-				s.pi[d.frame][d.input] = d.value
+				s.assign(d.frame, d.input, d.value)
 				break
 			}
-			s.pi[d.frame][d.input] = logic.X
+			s.assign(d.frame, d.input, logic.X)
 			stack = stack[:len(stack)-1]
 		}
-		s.simulate()
 	}
 }

@@ -1,6 +1,8 @@
 package podem
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/circuit"
@@ -8,6 +10,8 @@ import (
 	"repro/internal/fsim"
 	"repro/internal/iscas"
 	"repro/internal/logic"
+	"repro/internal/randutil"
+	"repro/internal/rcg"
 	"repro/internal/sim"
 )
 
@@ -213,4 +217,264 @@ func TestBranchFault(t *testing.T) {
 	}
 }
 
-var _ = sim.NewSequence
+// TestWideGates is a regression test: gates with more than 8 fanins used to
+// overflow the fixed-size fanin buffers of the pair evaluator and panic.
+// The .bench parser and the fault simulator accept any fanin count, so
+// PODEM must too.
+func TestWideGates(t *testing.T) {
+	for _, typ := range []circuit.GateType{circuit.And, circuit.Xor} {
+		for _, width := range []int{9, 16} {
+			b := circuit.NewBuilder("wide")
+			var ins []string
+			for i := 0; i < width; i++ {
+				name := fmt.Sprintf("a%d", i)
+				b.Input(name)
+				ins = append(ins, name)
+			}
+			b.Gate("g", typ, ins...)
+			b.Output("g")
+			c, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, _ := c.Lookup("g")
+			for _, f := range []fault.Fault{
+				{Node: g, Pin: -1, Stuck: 0},
+				{Node: g, Pin: -1, Stuck: 1},
+				{Node: g, Pin: width - 1, Stuck: 0},
+				{Node: g, Pin: width - 1, Stuck: 1},
+			} {
+				res, err := FindTest(c, f, nil, nil, Options{Frames: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				verify(t, c, f, res)
+			}
+		}
+	}
+}
+
+// windowSim is the whole-window good/faulty simulation the searcher used
+// before implication became incremental: every node of every frame is
+// re-evaluated from the start states under s.pi, with sim.Eval on each rail.
+// It is the oracle for assign and for referenceFindTest.
+func windowSim(s *searcher, goodInit, faultyInit []logic.V) ([][]pair, int) {
+	c, flt := s.c, s.flt
+	stem := func(id circuit.NodeID, v pair) pair {
+		if flt.Pin < 0 && flt.Node == id {
+			v.f = logic.V(flt.Stuck)
+		}
+		return v
+	}
+	gState := append([]logic.V(nil), goodInit...)
+	fState := append([]logic.V(nil), faultyInit...)
+	vals := make([][]pair, len(s.pi))
+	detAt := -1
+	for fr := range vals {
+		vals[fr] = make([]pair, len(c.Nodes))
+		v := vals[fr]
+		for k, id := range c.Inputs {
+			v[id] = stem(id, pair{s.pi[fr][k], s.pi[fr][k]})
+		}
+		for k, id := range c.DFFs {
+			v[id] = stem(id, pair{gState[k], fState[k]})
+		}
+		for _, id := range c.Order {
+			n := &c.Nodes[id]
+			var g, f []logic.V
+			for pin, fid := range n.Fanins {
+				p := v[fid]
+				if flt.Pin == pin && flt.Node == id {
+					p.f = logic.V(flt.Stuck)
+				}
+				g = append(g, p.g)
+				f = append(f, p.f)
+			}
+			v[id] = stem(id, pair{sim.Eval(n.Type, g), sim.Eval(n.Type, f)})
+		}
+		if detAt < 0 {
+			for _, id := range c.Outputs {
+				if v[id].divergent() {
+					detAt = fr
+					break
+				}
+			}
+		}
+		for k, id := range c.DFFs {
+			p := v[c.Nodes[id].Fanins[0]]
+			if flt.Pin == 0 && flt.Node == id {
+				p.f = logic.V(flt.Stuck)
+			}
+			gState[k], fState[k] = p.g, p.f
+		}
+	}
+	return vals, detAt
+}
+
+// referenceFindTest is the decision loop as it was before implication
+// became incremental: every decision, flip and release writes s.pi and
+// re-simulates the whole window. Objective selection and backtrace are
+// shared with the production searcher.
+func referenceFindTest(c *circuit.Circuit, f fault.Fault, goodInit, faultyInit []logic.V, opts Options) *Result {
+	opts.fill()
+	s := newSearcher(c, f, opts)
+	simulate := func() {
+		s.vals, s.detAt = windowSim(s, goodInit, faultyInit)
+		s.diverged = divergedCounts(s.vals)
+	}
+	res := &Result{}
+	var stack []decision
+	simulate()
+	for {
+		if s.detAt >= 0 {
+			res.Found = true
+			res.Seq = s.window()
+			return res
+		}
+		id, fr, v, ok := s.objective()
+		if ok {
+			if k, pfr, pv, traced := s.backtrace(id, fr, v); traced {
+				s.pi[pfr][k] = pv
+				stack = append(stack, decision{input: k, frame: pfr, value: pv})
+				simulate()
+				continue
+			}
+		}
+		for {
+			if len(stack) == 0 {
+				return res
+			}
+			res.Backtracks++
+			if res.Backtracks > s.opts.MaxBacktracks {
+				return res
+			}
+			d := &stack[len(stack)-1]
+			if !d.flipped {
+				d.flipped = true
+				d.value = d.value.Not()
+				s.pi[d.frame][d.input] = d.value
+				break
+			}
+			s.pi[d.frame][d.input] = logic.X
+			stack = stack[:len(stack)-1]
+		}
+		simulate()
+	}
+}
+
+// diffCircuits returns the suite circuits s27–s1423 followed by n random
+// rcg circuits (fewer of both under -short).
+func diffCircuits(t *testing.T, n int) []*circuit.Circuit {
+	t.Helper()
+	names := []string{"s27", "s208", "s298", "s344", "s382", "s386", "s400",
+		"s420", "s444", "s526", "s641", "s820", "s1196", "s1423"}
+	if testing.Short() {
+		names, n = names[:6], n/4
+	}
+	var out []*circuit.Circuit
+	for _, name := range names {
+		out = append(out, iscas.MustLoad(name))
+	}
+	for seed := uint64(1); seed <= uint64(n); seed++ {
+		out = append(out, rcg.FromSeed(seed))
+	}
+	return out
+}
+
+// randomStates draws a good start state and a faulty one that agrees with
+// it on most flip-flops, both with X values; every fourth draw is all-X,
+// the state an uninitialised circuit starts from.
+func randomStates(rng *randutil.RNG, n int) (good, faulty []logic.V) {
+	good, faulty = make([]logic.V, n), make([]logic.V, n)
+	if rng.Intn(4) == 0 {
+		for k := range good {
+			good[k], faulty[k] = logic.X, logic.X
+		}
+		return good, faulty
+	}
+	for k := range good {
+		good[k] = logic.V(rng.Intn(3))
+		faulty[k] = good[k]
+		if rng.Intn(4) == 0 {
+			faulty[k] = logic.V(rng.Intn(3)) // diverged (or X on one rail)
+		}
+	}
+	return good, faulty
+}
+
+// divergedCounts counts the fault effects of every frame from scratch.
+func divergedCounts(vals [][]pair) []int {
+	n := make([]int, len(vals))
+	for fr := range vals {
+		for _, v := range vals[fr] {
+			if v.divergent() {
+				n[fr]++
+			}
+		}
+	}
+	return n
+}
+
+// TestAssignMatchesWindowSimulation drives random walks of assign calls —
+// decisions, flips and releases back to X in arbitrary frames — and checks
+// after every call that the incrementally maintained values, detection
+// frame and per-frame fault-effect counts equal a whole-window
+// re-simulation.
+func TestAssignMatchesWindowSimulation(t *testing.T) {
+	rng := randutil.New(12)
+	for _, c := range diffCircuits(t, 200) {
+		universe := fault.Universe(c)
+		for trial := 0; trial < 4; trial++ {
+			f := universe[rng.Intn(len(universe))]
+			good, faulty := randomStates(rng, c.NumDFFs())
+			opts := Options{Frames: 1 + rng.Intn(8)}
+			opts.fill()
+			s := newSearcher(c, f, opts)
+			s.initialise(good, faulty)
+			for step := 0; step < 40; step++ {
+				fr, k := rng.Intn(opts.Frames), rng.Intn(c.NumInputs())
+				s.assign(fr, k, logic.V(rng.Intn(3)))
+				want, detAt := windowSim(s, good, faulty)
+				if !reflect.DeepEqual(s.vals, want) || s.detAt != detAt ||
+					!reflect.DeepEqual(s.diverged, divergedCounts(want)) {
+					t.Fatalf("%s, fault %s, step %d (frame %d input %d): incremental values (detAt %d) differ from window simulation (detAt %d)",
+						c.Name, f.String(c), step, fr, k, s.detAt, detAt)
+				}
+			}
+		}
+	}
+}
+
+// TestFindTestMatchesReference runs the production searcher and the
+// whole-window reference on the same faults and start states and requires
+// identical outcomes: Found, the backtrack count and the window itself.
+func TestFindTestMatchesReference(t *testing.T) {
+	rng := randutil.New(13)
+	searches, found := 0, 0
+	for _, c := range diffCircuits(t, 200) {
+		universe := fault.Universe(c)
+		for trial := 0; trial < 6; trial++ {
+			f := universe[rng.Intn(len(universe))]
+			good, faulty := randomStates(rng, c.NumDFFs())
+			opts := Options{Frames: []int{1, 4, 8}[rng.Intn(3)], MaxBacktracks: 200}
+			got, err := FindTest(c, f, good, faulty, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceFindTest(c, f, good, faulty, opts)
+			name := fmt.Sprintf("%s, fault %s, %d frames", c.Name, f.String(c), opts.Frames)
+			if got.Found != want.Found || got.Backtracks != want.Backtracks {
+				t.Fatalf("%s: found=%v backtracks=%d, reference found=%v backtracks=%d",
+					name, got.Found, got.Backtracks, want.Found, want.Backtracks)
+			}
+			if got.Found && got.Seq.String() != want.Seq.String() {
+				t.Fatalf("%s: window\n%s\nreference window\n%s", name, got.Seq, want.Seq)
+			}
+			searches++
+			if got.Found {
+				found++
+			}
+		}
+	}
+	t.Logf("%d searches, %d found", searches, found)
+}
