@@ -18,25 +18,16 @@ func setFlags(t *testing.T, circuits string) (kernelJSON, slabJSON, benchJSON st
 	kernelJSON = filepath.Join(dir, "kernel.json")
 	slabJSON = filepath.Join(dir, "slab.json")
 	benchJSON = filepath.Join(dir, "bench.json")
-	shardJSON := filepath.Join(dir, "shard.json")
 	modelJSON := filepath.Join(dir, "model.json")
 	oldC, oldK, oldS, oldB := *flagCircuits, *flagKernelJSON, *flagSlabJSON, *flagBenchJSON
-	oldSh, oldM := *flagShardJSON, *flagModelJSON
+	oldM := *flagModelJSON
 	*flagCircuits, *flagKernelJSON, *flagSlabJSON, *flagBenchJSON = circuits, kernelJSON, slabJSON, benchJSON
-	*flagShardJSON, *flagModelJSON = shardJSON, modelJSON
+	*flagModelJSON = modelJSON
 	t.Cleanup(func() {
 		*flagCircuits, *flagKernelJSON, *flagSlabJSON, *flagBenchJSON = oldC, oldK, oldS, oldB
-		*flagShardJSON, *flagModelJSON = oldSh, oldM
+		*flagModelJSON = oldM
 	})
 	return
-}
-
-// TestMain lets the shardbench test's coordinator re-exec this test binary
-// as a shard worker: a child spawned with the worker env set must run the
-// worker loop and exit instead of the test suite.
-func TestMain(m *testing.M) {
-	wbist.MaybeShardWorker()
-	os.Exit(m.Run())
 }
 
 func decodeBench(t *testing.T, path string, v any) {
@@ -150,79 +141,6 @@ func TestSlabBench(t *testing.T) {
 	}
 	if cb.AllocReduction < 1 {
 		t.Fatalf("alloc_reduction = %v", cb.AllocReduction)
-	}
-}
-
-// TestShardBench runs the shardbench section on s298 with a short workload
-// and checks the written file: schema, an in-process reference row plus
-// sharded rows that actually dispatched ranges, and deterministic counters
-// that are identical across every row.
-func TestShardBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses per timed repetition")
-	}
-	setFlags(t, "s298")
-	cfg := wbist.Config{LG: 120, Seed: 1, Workers: 1}
-	if err := shardBench(cfg); err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		Schema   string `json:"schema"`
-		Circuits []struct {
-			Circuit  string `json:"circuit"`
-			Faults   int    `json:"faults"`
-			Groups   int    `json:"groups"`
-			Detected int    `json:"detected"`
-			Rows     []struct {
-				Procs            int   `json:"procs"`
-				WallNS           int64 `json:"wall_ns"`
-				GateEvals        int64 `json:"gate_evals"`
-				Vectors          int64 `json:"vectors"`
-				GroupPasses      int64 `json:"group_passes"`
-				RangesDispatched int64 `json:"ranges_dispatched"`
-				WorkersLost      int64 `json:"workers_lost"`
-			} `json:"rows"`
-			OverheadVsInProcess []float64 `json:"overhead_vs_in_process"`
-		} `json:"circuits"`
-	}
-	decodeBench(t, *flagShardJSON, &out)
-	if out.Schema != "wbist-bench-shard/v1" {
-		t.Fatalf("schema = %q", out.Schema)
-	}
-	if len(out.Circuits) != 1 || out.Circuits[0].Circuit != "s298" {
-		t.Fatalf("circuits = %+v, want exactly s298", out.Circuits)
-	}
-	cb := out.Circuits[0]
-	if cb.Groups <= 1 || cb.Detected <= 0 {
-		t.Fatalf("implausible s298 row: %+v", cb)
-	}
-	if len(cb.Rows) != 3 || cb.Rows[0].Procs != 0 || cb.Rows[1].Procs != 2 || cb.Rows[2].Procs != 4 {
-		t.Fatalf("proc rows = %+v, want [0 2 4]", cb.Rows)
-	}
-	ip := cb.Rows[0]
-	if ip.GateEvals <= 0 || ip.Vectors <= 0 || ip.GroupPasses <= 0 || ip.RangesDispatched != 0 {
-		t.Fatalf("implausible in-process row: %+v", ip)
-	}
-	for _, r := range cb.Rows[1:] {
-		// Sharding is an execution policy: the deterministic counters must
-		// be bit-identical to the in-process reference.
-		if r.GateEvals != ip.GateEvals || r.Vectors != ip.Vectors || r.GroupPasses != ip.GroupPasses {
-			t.Fatalf("procs=%d counters diverge from in-process: %+v vs %+v", r.Procs, r, ip)
-		}
-		if r.RangesDispatched <= 0 {
-			t.Fatalf("procs=%d row dispatched no ranges (silent in-process fallback?): %+v", r.Procs, r)
-		}
-		if r.WorkersLost != 0 {
-			t.Fatalf("procs=%d row lost workers on a healthy bench run: %+v", r.Procs, r)
-		}
-	}
-	if len(cb.OverheadVsInProcess) != 2 {
-		t.Fatalf("overhead column = %v, want one ratio per sharded row", cb.OverheadVsInProcess)
-	}
-	for _, ratio := range cb.OverheadVsInProcess {
-		if ratio <= 0 {
-			t.Fatalf("overhead ratio %v not positive", ratio)
-		}
 	}
 }
 

@@ -38,16 +38,12 @@
 // (fault-simulation gate-evaluation kernel; "auto" honors FSIM_KERNEL and
 // defaults to the event-driven kernel, results are bit-identical for every
 // kernel), -slab-lanes N (the slab kernel's fault-group batch width W; 0
-// picks W adaptively from the netlist size), -shard-procs N (shard eligible
-// fault-simulation runs over N worker subprocesses — the `shard-worker`
-// subcommand is the explicit worker entry point, though the coordinator
-// normally re-execs this binary directly), -fault-model
+// picks W adaptively from the netlist size), -fault-model
 // <stuck-at|transition|bridge> (the fault universe the pipeline targets;
 // unlike the execution flags it changes every result bit and is part of the
-// run's identity), plus the
-// observability flags -metrics <file> (JSON-lines span export), -progress
-// (per-phase progress on stderr) and -pprof <addr> (pprof/expvar server,
-// with Prometheus text exposition under /metrics).
+// run's identity), plus the observability flags -metrics <file> (JSON-lines
+// span export), -progress (per-phase progress on stderr) and -pprof <addr>
+// (pprof/expvar server, with Prometheus text exposition under /metrics).
 package main
 
 import (
@@ -77,7 +73,6 @@ var (
 	flagWorkers   = flag.Int("workers", runtime.GOMAXPROCS(0), "fault-simulation worker goroutines (results are identical for any value)")
 	flagKernel    = flag.String("kernel", "auto", "fault-simulation kernel: auto, event, dense or slab (results are identical for any value)")
 	flagSlabLanes = flag.Int("slab-lanes", 0, "slab kernel fault-group batch width W (0 = adaptive; results are identical for any value)")
-	flagShard     = flag.Int("shard-procs", 0, "shard eligible fault-simulation runs over this many worker subprocesses (0/1 = in-process; results are identical for any value)")
 	flagModel     = flag.String("fault-model", "", "fault model: stuck-at (default), transition or bridge (part of the run's identity, unlike -workers/-kernel)")
 	flagMetrics   = flag.String("metrics", "", "write telemetry span events to this file as JSON lines")
 	flagProgress  = flag.Bool("progress", false, "print per-phase progress to stderr")
@@ -87,15 +82,12 @@ var (
 func usage() {
 	fmt.Fprintln(os.Stderr,
 		"usage: wbist [flags] <info|run|table6|obs|synth|weights|verilog|verilog-gen|"+
-			"selftest|report|faults|testbench|metrics|serve|shard-worker> [circuit ...]")
+			"selftest|report|faults|testbench|metrics|serve> [circuit ...]")
 	flag.PrintDefaults()
 	os.Exit(2)
 }
 
 func main() {
-	// When the coordinator re-execed this binary as a shard worker, serve
-	// frames on stdin/stdout and exit — before flags or signal handling.
-	wbist.MaybeShardWorker()
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
@@ -129,7 +121,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wbist:", err)
 		os.Exit(2)
 	}
-	cfg := wbist.Config{LG: *flagLG, Seed: *flagSeed, RandomWindows: *flagRandom, Workers: *flagWorkers, Kernel: kernel, SlabLanes: *flagSlabLanes, ShardProcs: *flagShard, FaultModel: *flagModel}
+	cfg := wbist.Config{LG: *flagLG, Seed: *flagSeed, RandomWindows: *flagRandom, Workers: *flagWorkers, Kernel: kernel, SlabLanes: *flagSlabLanes, FaultModel: *flagModel}
 	cfg.Ctx = ctx
 	rec, finish, err := setupTelemetry(args[0])
 	if err != nil {
@@ -166,11 +158,6 @@ func main() {
 		err = cmdMetrics(args[1:], cfg)
 	case "serve":
 		err = cmdServe(ctx, args[1:], cfg)
-	case "shard-worker":
-		// Explicit worker entry point (the env-marker re-exec path in
-		// MaybeShardWorker is the usual route): speak the shard protocol
-		// on stdin/stdout until the coordinator closes the stream.
-		err = wbist.RunShardWorker(os.Stdin, os.Stdout)
 	default:
 		usage()
 	}
@@ -217,7 +204,6 @@ func cmdServe(ctx context.Context, args []string, cfg wbist.Config) error {
 		Workers:       cfg.Workers,
 		Kernel:        cfg.Kernel,
 		SlabLanes:     cfg.SlabLanes,
-		ShardProcs:    cfg.ShardProcs,
 	})
 	if err != nil {
 		return err

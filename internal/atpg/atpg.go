@@ -84,10 +84,6 @@ type Options struct {
 	// adaptively; ignored by the other kernels). The generated sequence is
 	// bit-identical for any value.
 	SlabLanes int
-	// ShardProcs, when > 1, shards eligible fault-simulation runs over
-	// that many worker subprocesses (internal/shard). Like Workers, it
-	// leaves every result bit unchanged.
-	ShardProcs int
 	// Span, when non-nil, is the parent telemetry span under which the
 	// generator records its phases ("atpg" with one child per phase).
 	Span *telemetry.Span
@@ -183,7 +179,7 @@ func Generate(c *circuit.Circuit, opts Options) *Result {
 	// Phase 1: one long random sequence, truncated after the last detection.
 	p1 := span.Child("random")
 	seq := sim.RandomSequence(rng, c.NumInputs(), opts.RandomLen)
-	out := s.Run(seq, faults, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, SlabLanes: opts.SlabLanes, ShardProcs: opts.ShardProcs, Ctx: opts.Ctx})
+	out := s.Run(seq, faults, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, SlabLanes: opts.SlabLanes, Ctx: opts.Ctx})
 	last := -1
 	for i := range faults {
 		if out.Detected[i] && out.DetTime[i] > last {
@@ -209,7 +205,7 @@ func Generate(c *circuit.Circuit, opts Options) *Result {
 	for len(remaining) > 0 && accepted < opts.MaxAccepts && budget > 0 && !ctxDone(opts.Ctx) {
 		// The remaining faults are undetected by seq, so this pass detects
 		// nothing and exists purely to capture the end-of-prefix states.
-		base := s.Run(seq, remaining, fsim.Options{Init: opts.Init, SaveStates: true, Workers: opts.Workers, Kernel: opts.Kernel, SlabLanes: opts.SlabLanes, ShardProcs: opts.ShardProcs, Ctx: opts.Ctx})
+		base := s.Run(seq, remaining, fsim.Options{Init: opts.Init, SaveStates: true, Workers: opts.Workers, Kernel: opts.Kernel, SlabLanes: opts.SlabLanes, Ctx: opts.Ctx})
 		if base.Cancelled {
 			break // partial FinalStates are unusable; caller discards the run
 		}
@@ -225,7 +221,6 @@ func Generate(c *circuit.Circuit, opts Options) *Result {
 				Workers:       opts.Workers,
 				Kernel:        opts.Kernel,
 				SlabLanes:     opts.SlabLanes,
-				ShardProcs:    opts.ShardProcs,
 			})
 			if o.NumDetected > 0 {
 				seq.Concat(cand)
@@ -271,7 +266,7 @@ func Generate(c *circuit.Circuit, opts Options) *Result {
 }
 
 func rerun(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, opts Options) *fsim.Outcome {
-	return s.Run(seq, faults, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, SlabLanes: opts.SlabLanes, ShardProcs: opts.ShardProcs, Ctx: opts.Ctx})
+	return s.Run(seq, faults, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, SlabLanes: opts.SlabLanes, Ctx: opts.Ctx})
 }
 
 // ctxDone reports whether a (possibly nil) context has been cancelled.

@@ -79,7 +79,7 @@ func MeasureCoverage(res *Result, omega []Assignment, mode ApplyMode) *CoverageR
 	case Continuous:
 		seq := ConcatSequence(omega, lg)
 		rep.TotalCycles = seq.Len()
-		out := simulator.Run(seq, res.TargetFaults, fsim.Options{Init: res.Options.Init, Workers: res.Options.Workers, Kernel: res.Options.Kernel, SlabLanes: res.Options.SlabLanes, ShardProcs: res.Options.ShardProcs})
+		out := simulator.Run(seq, res.TargetFaults, fsim.Options{Init: res.Options.Init, Workers: res.Options.Workers, Kernel: res.Options.Kernel, SlabLanes: res.Options.SlabLanes})
 		copy(rep.Detected, out.Detected)
 		rep.NumDetected = out.NumDetected
 	default:
@@ -95,7 +95,7 @@ func MeasureCoverage(res *Result, omega []Assignment, mode ApplyMode) *CoverageR
 			if len(fl) == 0 {
 				break
 			}
-			out := simulator.Run(a.GenSequence(lg), fl, fsim.Options{Init: res.Options.Init, Workers: res.Options.Workers, Kernel: res.Options.Kernel, SlabLanes: res.Options.SlabLanes, ShardProcs: res.Options.ShardProcs})
+			out := simulator.Run(a.GenSequence(lg), fl, fsim.Options{Init: res.Options.Init, Workers: res.Options.Workers, Kernel: res.Options.Kernel, SlabLanes: res.Options.SlabLanes})
 			for k := range fl {
 				if out.Detected[k] {
 					rep.Detected[idx[k]] = true

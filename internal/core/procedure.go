@@ -63,10 +63,6 @@ type Options struct {
 	// adaptively; ignored by the other kernels). Like Workers, it leaves
 	// every result bit unchanged.
 	SlabLanes int
-	// ShardProcs, when > 1, shards eligible fault-simulation runs over
-	// that many worker subprocesses (internal/shard). Like Workers, it
-	// leaves every result bit unchanged.
-	ShardProcs int
 	// Ctx, if non-nil, cancels the procedure: it is checked once per
 	// candidate simulation (and threaded into fsim, which stops claiming
 	// fault groups), so Run returns ctx.Err() promptly instead of finishing
@@ -218,7 +214,7 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 					idx = append(idx, i)
 				}
 			}
-			out := simulator.Run(seq, fl, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, SlabLanes: opts.SlabLanes, ShardProcs: opts.ShardProcs, Ctx: opts.Ctx})
+			out := simulator.Run(seq, fl, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, SlabLanes: opts.SlabLanes, Ctx: opts.Ctx})
 			res.SimulatedSequences++
 			telemetry.Add(telemetry.CtrCandidates, 1)
 			for k := range fl {
@@ -266,7 +262,6 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 			Workers:                    opts.Workers,
 			Kernel:                     opts.Kernel,
 			SlabLanes:                  opts.SlabLanes,
-			ShardProcs:                 opts.ShardProcs,
 			Ctx:                        opts.Ctx,
 		})
 		res.SimulatedSequences++

@@ -28,12 +28,6 @@ import (
 	"repro/internal/randutil"
 	"repro/internal/ref"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
-
-	// Installs the fsim multi-process shard runner so CheckShard's
-	// ShardProcs axis exercises real subprocess fan-out. Any test binary
-	// using CheckShard must gate itself with shard.MaybeWorker in TestMain.
-	_ "repro/internal/shard"
 )
 
 // Config selects the differential axes of one triple check.
@@ -353,44 +347,6 @@ func CheckSlab(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg 
 				return fmt.Errorf("slab split continuation, fault %d (%s): merged detected=%v t=%d, dense detected=%v t=%d",
 					i, faults[i].String(c), det, detTime, want.Detected[i], want.DetTime[i])
 			}
-		}
-	}
-	return nil
-}
-
-// CheckShard is the multi-process differential check for one triple: the
-// in-process dense Workers=1 outcome is the baseline, and the same run
-// sharded over ShardProcs ∈ {1, 2, 4} worker subprocesses must reproduce it
-// bit for bit — Detected, DetTime, NumDetected, FinalStates (SaveStates
-// axis) — including StopTime truncation. ShardProcs=1 is the degenerate
-// in-process path by contract; for multi-group fault lists the check also
-// demands that ShardProcs>1 really dispatched ranges to subprocesses (via
-// the shard.ranges_dispatched counter), so a silently broken worker binary
-// cannot turn the sweep vacuous by falling back in-process everywhere.
-func CheckShard(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg Config) error {
-	opts := func(procs int) fsim.Options {
-		return fsim.Options{
-			Init: cfg.Init, StopTime: cfg.StopTime, SaveStates: cfg.SaveStates,
-			Workers: 1, Kernel: fsim.KernelDense, ShardProcs: procs,
-		}
-	}
-	want := fsim.Run(c, seq, faults, opts(0))
-	shardable := len(faults) > fsim.GroupSize
-	for _, procs := range []int{1, 2, 4} {
-		before := telemetry.Counters()
-		got := fsim.Run(c, seq, faults, opts(procs))
-		if err := sameFsimOutcome(want, got); err != nil {
-			return fmt.Errorf("in-process vs ShardProcs=%d: %w", procs, err)
-		}
-		d := telemetry.Counters().Sub(before)
-		dispatched := d.Get(telemetry.CtrShardRangesDispatched)
-		if procs > 1 && shardable && dispatched == 0 {
-			return fmt.Errorf("ShardProcs=%d on %d fault groups dispatched no ranges (silent in-process fallback)",
-				procs, (len(faults)+fsim.GroupSize-1)/fsim.GroupSize)
-		}
-		if (procs <= 1 || !shardable) && dispatched != 0 {
-			return fmt.Errorf("ShardProcs=%d on a single group dispatched %d ranges (must stay in-process)",
-				procs, dispatched)
 		}
 	}
 	return nil

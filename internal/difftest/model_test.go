@@ -14,23 +14,21 @@ import (
 
 // The cross-model differential sweeps: the transition and bridging fault
 // models must agree with the independent scalar oracle (internal/ref) and be
-// bit-identical across kernels, worker counts and process counts, exactly
-// like stuck-at. Each sweep walks random rcg triples and rotates the
-// expensive axes (slab, kernels-reuse, shard fan-out) across triples so
-// every axis is exercised many times without multiplying the runtime by the
-// product of all axes.
+// bit-identical across kernels and worker counts, exactly like stuck-at.
+// Each sweep walks random rcg triples and rotates the expensive axes (slab,
+// kernels-reuse) across triples so every axis is exercised many times
+// without multiplying the runtime by the product of all axes.
 
 // testModelRandom is the shared sweep body: triples random (circuit, fault
 // set, sequence) triples under model m, CheckTriple on every one (ref vs
 // dense vs event, Workers pinned to the {1, 4} axis, split continuation),
-// with CheckKernels/CheckSlab rotating over the triples and CheckShard (real
-// subprocess fan-out, ShardProcs ∈ {1, 2, 4}) on every 10th.
+// with CheckKernels/CheckSlab rotating over the triples.
 func testModelRandom(t *testing.T, m fault.Model, seedBase uint64, triples int) {
 	t.Helper()
 	if testing.Short() {
 		triples = triples / 8
 	}
-	var multiGroup, saved, stopped, split, slab, kernels, shard, shardMulti int
+	var multiGroup, saved, stopped, split, slab, kernels int
 	for i := 0; i < triples; i++ {
 		seed := uint64(i) + seedBase
 		c := rcg.FromSeed(seed)
@@ -72,26 +70,17 @@ func testModelRandom(t *testing.T, m fault.Model, seedBase uint64, triples int) 
 				t.Fatalf("%s triple %d (slab): %v\n%s", m.Name(), i, err, Describe(c, seq, faults, cfg))
 			}
 		}
-		if i%10 == 5 {
-			shard++
-			if len(faults) > fsim.GroupSize {
-				shardMulti++
-			}
-			if err := CheckShard(c, seq, faults, cfg); err != nil {
-				t.Fatalf("%s triple %d (shard): %v\n%s", m.Name(), i, err, Describe(c, seq, faults, cfg))
-			}
-		}
 	}
 	// The split-continuation axis is undefined for transition faults
 	// (Continuable): only demand it where it can run at all.
 	_, isTransition := m.(fault.Transition)
 	if multiGroup == 0 || saved == 0 || stopped == 0 || (split == 0 && !isTransition) ||
-		slab == 0 || kernels == 0 || shard == 0 || shardMulti == 0 {
-		t.Fatalf("sweep too narrow: multiGroup=%d saveStates=%d stopTime=%d split=%d slab=%d kernels=%d shard=%d shardMulti=%d",
-			multiGroup, saved, stopped, split, slab, kernels, shard, shardMulti)
+		slab == 0 || kernels == 0 {
+		t.Fatalf("sweep too narrow: multiGroup=%d saveStates=%d stopTime=%d split=%d slab=%d kernels=%d",
+			multiGroup, saved, stopped, split, slab, kernels)
 	}
-	t.Logf("%s: %d triples: %d multi-group, %d state compare, %d truncated, %d split; %d kernels / %d slab / %d shard (%d multi-group) checks",
-		m.Name(), triples, multiGroup, saved, stopped, split, kernels, slab, shard, shardMulti)
+	t.Logf("%s: %d triples: %d multi-group, %d state compare, %d truncated, %d split; %d kernels / %d slab checks",
+		m.Name(), triples, multiGroup, saved, stopped, split, kernels, slab)
 }
 
 // TestDifferentialTransitionRandom oracle-locks the launch-on-capture
@@ -108,9 +97,9 @@ func TestDifferentialBridgeRandom(t *testing.T) {
 
 // TestDifferentialModelSuiteCircuits runs the full cross-model check stack —
 // ref vs dense vs event (CheckTriple), kernel reuse and Workers axes
-// (CheckKernels), the slab resolution path (CheckSlab) and real subprocess
-// fan-out (CheckShard) — on the experiment circuits with each model's full
-// collapsed universe under both initialisations.
+// (CheckKernels) and the slab resolution path (CheckSlab) — on the
+// experiment circuits with each model's full collapsed universe under both
+// initialisations.
 func TestDifferentialModelSuiteCircuits(t *testing.T) {
 	names := []string{"s27", "s298", "s344"}
 	if testing.Short() {
@@ -138,9 +127,6 @@ func TestDifferentialModelSuiteCircuits(t *testing.T) {
 				}
 				if err := CheckSlab(c, seq, faults, cfg); err != nil {
 					t.Fatalf("%s %s (case %d, slab): %v\n%s", name, m.Name(), k, err, Describe(c, seq, faults, cfg))
-				}
-				if err := CheckShard(c, seq, faults, cfg); err != nil {
-					t.Fatalf("%s %s (case %d, shard): %v\n%s", name, m.Name(), k, err, Describe(c, seq, faults, cfg))
 				}
 			}
 		}

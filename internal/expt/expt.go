@@ -18,7 +18,6 @@ import (
 	"repro/internal/iscas"
 	"repro/internal/logic"
 	"repro/internal/obs"
-	_ "repro/internal/shard" // installs the fsim multi-process shard runner
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/wgen"
@@ -48,7 +47,7 @@ type Config struct {
 	// FaultModel names the fault model the pipeline targets: "" or
 	// "stuck-at" (the paper's model), "transition" (launch-on-capture) or
 	// "bridge" (2-node wired-AND/OR pairs); see fault.ModelByName. Unlike
-	// Workers/Kernel/ShardProcs the model CHANGES every result bit — the
+	// Workers/Kernel/SlabLanes the model CHANGES every result bit — the
 	// fault universe, the targets, the selected assignments — so it IS part
 	// of the memoization key (and of the persistent store identity behind
 	// `wbist serve`).
@@ -77,12 +76,6 @@ type Config struct {
 	// adaptively; ignored by the other kernels). Like Workers it never
 	// changes the outcome, so it is not part of the memoization key.
 	SlabLanes int
-	// ShardProcs, when > 1, shards eligible fault-simulation runs over
-	// that many worker subprocesses (internal/shard, imported below, which
-	// installs the fsim runner). Like Workers it is an execution policy
-	// with a bit-identical outcome, so it is not part of the memoization
-	// key.
-	ShardProcs int
 	// Ctx, if non-nil, cancels the run: it is threaded through every
 	// pipeline stage down to the fault simulator's worker pool, so a
 	// cancelled or timed-out run stops claiming fault groups and RunPipeline
@@ -246,7 +239,6 @@ func RunCircuit(name string, cfg Config) (*Run, error) {
 	k.cfg.Workers = 0
 	k.cfg.Kernel = 0
 	k.cfg.SlabLanes = 0
-	k.cfg.ShardProcs = 0
 	k.cfg.Ctx = nil
 	cacheMu.Lock()
 	e, ok := cache[k]
@@ -314,7 +306,7 @@ func RunPipeline(c *circuit.Circuit, init logic.V, cfg Config) (*Run, error) {
 		r.T = preset
 		faults := fault.CollapsedUniverseFor(c, model)
 		r.TotalFaults = len(faults)
-		out := fsim.Run(c, preset, faults, fsim.Options{Init: init, Workers: cfg.Workers, Kernel: cfg.Kernel, SlabLanes: cfg.SlabLanes, ShardProcs: cfg.ShardProcs, Ctx: cfg.Ctx})
+		out := fsim.Run(c, preset, faults, fsim.Options{Init: init, Workers: cfg.Workers, Kernel: cfg.Kernel, SlabLanes: cfg.SlabLanes, Ctx: cfg.Ctx})
 		for i := range faults {
 			if out.Detected[i] {
 				r.Targets = append(r.Targets, faults[i])
@@ -333,7 +325,6 @@ func RunPipeline(c *circuit.Circuit, init logic.V, cfg Config) (*Run, error) {
 			Workers:              cfg.Workers,
 			Kernel:               cfg.Kernel,
 			SlabLanes:            cfg.SlabLanes,
-			ShardProcs:           cfg.ShardProcs,
 			Span:                 pipe,
 			Ctx:                  cfg.Ctx,
 		})
@@ -364,7 +355,6 @@ func RunPipeline(c *circuit.Circuit, init logic.V, cfg Config) (*Run, error) {
 		Workers:           cfg.Workers,
 		Kernel:            cfg.Kernel,
 		SlabLanes:         cfg.SlabLanes,
-		ShardProcs:        cfg.ShardProcs,
 		Span:              pipe,
 		Ctx:               cfg.Ctx,
 	})

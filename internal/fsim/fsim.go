@@ -111,18 +111,6 @@ type Options struct {
 	// event kernels. Like Workers, it never changes the outcome — only how
 	// the identical result is computed.
 	SlabLanes int
-	// ShardProcs, when > 1, shards the fault groups over that many worker
-	// subprocesses instead of in-process goroutines (see internal/shard,
-	// which installs the runner; Workers is then ignored). Like Workers it
-	// never changes the outcome: the per-group merge is bit-identical by
-	// construction for any process count, and the deterministic work
-	// counters fold back to the exact in-process totals. Runs the shard
-	// path cannot serve bit-identically fall back to the in-process pool:
-	// OutputHook, Trace, ObserveLines, AbortAfterFirstGroupIfNone (the
-	// Section 4.2 screen aborts most runs after one group — the worst case
-	// for process fan-out), single-group fault lists, and any run when no
-	// shard runner is linked in.
-	ShardProcs int
 	// Ctx, if non-nil, cancels the run at fault-group granularity: the
 	// worker pool (and the sequential loop) checks it before claiming each
 	// group, so a cancelled run stops scheduling new passes and returns its
@@ -418,17 +406,6 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 		telemetry.Add(telemetry.CtrGroupsCancelled, int64(numGroups))
 		return out
 	}
-	if opts.ShardProcs > 1 && shardRunner != nil && numGroups > 1 &&
-		opts.OutputHook == nil && opts.Trace == nil && !opts.ObserveLines &&
-		!opts.AbortAfterFirstGroupIfNone {
-		// Multi-process fan-out (internal/shard). A nil error means the
-		// coordinator completed (or cancelled) the run with the exact
-		// in-process result; an error means nothing was dispatched and the
-		// pristine outcome falls through to the in-process paths below.
-		if err := shardRunner(s.c, seq, faults, stop, opts, out); err == nil {
-			return out
-		}
-	}
 	if opts.Kernel == KernelSlab {
 		// The slab kernel shards batches-of-W instead of single groups; its
 		// dispatch (including the abort-first-group path) lives in runSlab.
@@ -512,24 +489,6 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 	}
 	return out
 }
-
-// ShardRunner is the multi-process dispatch hook: it simulates every fault
-// group of the run by sharding contiguous group ranges over worker
-// subprocesses, writing the same disjoint per-group regions of out the
-// in-process pool would (Detected/DetTime per fault, FinalStates and
-// NumDetected per group), with stop already resolved against StopTime. It
-// must either complete the run bit-identically (nil error; cancellation via
-// opts.Ctx included, with the same groups_cancelled accounting) or fail
-// before writing anything, so the caller can fall back in-process.
-type ShardRunner func(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, stop int, opts Options, out *Outcome) error
-
-// shardRunner is installed by internal/shard's init; fsim cannot import it
-// (shard builds on fsim), so linking the shard package into a binary is
-// what enables Options.ShardProcs.
-var shardRunner ShardRunner
-
-// RegisterShardRunner installs the multi-process dispatch hook.
-func RegisterShardRunner(r ShardRunner) { shardRunner = r }
 
 // ctxDone reports whether a (possibly nil) context has been cancelled.
 func ctxDone(ctx context.Context) bool {

@@ -3,6 +3,7 @@ package fsim_test
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -66,7 +67,7 @@ func universeOf(c *circuit.Circuit, m fault.Model) []fault.Fault {
 //   - *-transition / *-bridge: the same circuits and sequences under the
 //     launch-on-capture transition model and the 2-node bridging model (full
 //     collapsed universes), pinning the non-stuck-at injection paths of
-//     every kernel plus the sharded and worker-death rounds.
+//     every kernel.
 func goldenCases(t *testing.T) []goldenCase {
 	t.Helper()
 	table1, err := sim.ParseSequence(iscas.S27TestSequence)
@@ -144,17 +145,44 @@ func TestGoldenOutcomes(t *testing.T) {
 				}
 				return
 			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
-			}
-			var want goldenRecord
-			if err := json.Unmarshal(data, &want); err != nil {
-				t.Fatalf("corrupt golden file %s: %v", path, err)
-			}
-			if !reflect.DeepEqual(got, want) {
+			if want := loadGolden(t, tc.name); !reflect.DeepEqual(got, want) {
 				t.Errorf("outcome drifted from %s:\n got: %+v\nwant: %+v", path, got, want)
 			}
 		})
 	}
+}
+
+// loadGolden reads one committed golden record from testdata/golden.
+func loadGolden(t *testing.T, name string) goldenRecord {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "golden", name+".json"))
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	var want goldenRecord
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("corrupt golden file %s: %v", name, err)
+	}
+	return want
+}
+
+// recordOf reduces an outcome to the golden observable (coverage plus the
+// detection-time histogram) for comparison against a committed pin.
+func recordOf(tc goldenCase, faults int, out *fsim.Outcome) goldenRecord {
+	got := goldenRecord{
+		Circuit:     tc.circuit,
+		Sequence:    tc.seqDesc,
+		Faults:      faults,
+		Detected:    out.NumDetected,
+		DetTimeHist: map[string]int{},
+	}
+	if tc.model != nil {
+		got.Model = tc.model.Name()
+	}
+	for i, d := range out.Detected {
+		if d {
+			got.DetTimeHist[fmt.Sprintf("%d", out.DetTime[i])]++
+		}
+	}
+	return got
 }

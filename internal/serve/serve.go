@@ -73,11 +73,6 @@ type Options struct {
 	// SlabLanes is the slab kernel's fault-group batch width W for all jobs
 	// (0 = pick adaptively; ignored by the other kernels).
 	SlabLanes int
-	// ShardProcs is the server-wide default multi-process shard width for
-	// eligible fault-simulation runs (0/1 = in-process; a job's own
-	// shard_procs overrides it). Execution policy like Workers: it never
-	// changes a result bit or a job's store key.
-	ShardProcs int
 }
 
 func (o Options) withDefaults() Options {
@@ -104,11 +99,6 @@ type SubmitRequest struct {
 	// Config carries the identity-relevant experiment options; zero values
 	// select the paper's defaults.
 	Config JobConfig `json:"config"`
-	// ShardProcs, when > 1, shards this job's eligible fault-simulation
-	// runs over that many worker subprocesses. Execution policy, not
-	// identity: it never changes a result bit, so jobs differing only in
-	// shard_procs share one store key (and one cached artifact set).
-	ShardProcs int `json:"shard_procs,omitempty"`
 }
 
 // JobConfig is the over-the-wire subset of expt.Config: exactly the fields
@@ -179,9 +169,6 @@ type job struct {
 	netlist []byte // canonical .bench bytes
 	init    logic.V
 	cfg     expt.Config // canonical, identity fields only
-	// shardProcs is the job's execution-only shard width (0 = server
-	// default), never part of cfg or the store key.
-	shardProcs int
 
 	cancel context.CancelFunc
 
@@ -392,9 +379,18 @@ func resolveSubmission(req SubmitRequest) (*circuit.Circuit, []byte, logic.V, ex
 	return c, canon.Bytes(), init, cfg, nil
 }
 
+// maxSubmitBytes bounds a submission body. The JSON-encoded .bench source of
+// the largest built-in circuit, s35932, is about 0.5 MB.
+const maxSubmitBytes = 4 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			return
+		}
 		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
@@ -437,18 +433,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.seq++
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j := &job{
-		id:         fmt.Sprintf("job-%04d", s.seq),
-		key:        key,
-		circuit:    c,
-		name:       c.Name,
-		netlist:    netlist,
-		init:       init,
-		cfg:        cfg,
-		shardProcs: req.ShardProcs,
-		cancel:     cancel,
-		state:      StateQueued,
-		submitted:  time.Now(),
-		subs:       make(map[chan Event]struct{}),
+		id:        fmt.Sprintf("job-%04d", s.seq),
+		key:       key,
+		circuit:   c,
+		name:      c.Name,
+		netlist:   netlist,
+		init:      init,
+		cfg:       cfg,
+		cancel:    cancel,
+		state:     StateQueued,
+		submitted: time.Now(),
+		subs:      make(map[chan Event]struct{}),
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
@@ -501,10 +496,6 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		cfg.Workers = s.opts.Workers
 		cfg.Kernel = s.opts.Kernel
 		cfg.SlabLanes = s.opts.SlabLanes
-		cfg.ShardProcs = s.opts.ShardProcs
-		if j.shardProcs > 0 {
-			cfg.ShardProcs = j.shardProcs
-		}
 		cfg.Telemetry = telemetry.New(jobSink{j})
 		r, err := expt.RunPipeline(j.circuit, j.init, cfg)
 		if err != nil {

@@ -42,6 +42,12 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 func submit(t *testing.T, hs *httptest.Server, req SubmitRequest) (JobView, int) {
 	t.Helper()
 	body, _ := json.Marshal(req)
+	return submitBody(t, hs, body)
+}
+
+// submitBody posts a raw submission body.
+func submitBody(t *testing.T, hs *httptest.Server, body []byte) (JobView, int) {
+	t.Helper()
 	resp, err := http.Post(hs.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -141,19 +147,28 @@ func TestSubmitRunFetch(t *testing.T) {
 	}
 
 	// Resubmit: same key, served from the store, byte-identical artifacts.
-	v2, _ := submit(t, hs, req)
-	if v2.Key != v.Key {
-		t.Fatalf("resubmission key %s != %s", v2.Key, v.Key)
-	}
-	done2 := waitTerminal(t, hs, v2.ID)
-	if done2.State != StateDone || !done2.Cached {
-		t.Fatalf("resubmission: state %s cached %v", done2.State, done2.Cached)
-	}
-	for _, name := range wantArtifacts {
-		a := fetchArtifact(t, hs, v.ID, name)
-		b := fetchArtifact(t, hs, v2.ID, name)
-		if !bytes.Equal(a, b) {
-			t.Errorf("artifact %s differs between fetches", name)
+	// The legacy body still carries the retired process-sharding knob,
+	// which the decoder must ignore without touching the key.
+	plain, _ := json.Marshal(req)
+	legacy := []byte(`{"circuit":"s27","config":{"lg":200,"seed":1},"shard_procs":2}`)
+	for _, body := range [][]byte{plain, legacy} {
+		v2, code := submitBody(t, hs, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("resubmission %s: status %d", body, code)
+		}
+		if v2.Key != v.Key {
+			t.Fatalf("resubmission %s: key %s != %s", body, v2.Key, v.Key)
+		}
+		done2 := waitTerminal(t, hs, v2.ID)
+		if done2.State != StateDone || !done2.Cached {
+			t.Fatalf("resubmission %s: state %s cached %v", body, done2.State, done2.Cached)
+		}
+		for _, name := range wantArtifacts {
+			a := fetchArtifact(t, hs, v.ID, name)
+			b := fetchArtifact(t, hs, v2.ID, name)
+			if !bytes.Equal(a, b) {
+				t.Errorf("resubmission %s: artifact %s differs between fetches", body, name)
+			}
 		}
 	}
 }
@@ -187,6 +202,32 @@ func TestSubmitNetlist(t *testing.T) {
 	v2, _ := submit(t, hs, req2)
 	if v2.Key != v.Key {
 		t.Error("netlist formatting fragmented the cache key")
+	}
+}
+
+// TestSubmitBodyLimit: the inline netlist of the largest built-in circuit
+// fits under the submission body limit, and a body past the limit is a 413.
+func TestSubmitBodyLimit(t *testing.T) {
+	_, hs := newTestServer(t)
+	var src bytes.Buffer
+	if err := bench.Write(&src, iscas.MustLoad("s35932")); err != nil {
+		t.Fatal(err)
+	}
+	req := SubmitRequest{Netlist: src.String(), Config: JobConfig{LG: 100, Seed: 1, ATPGNoPodem: true, ATPGNoCompaction: true}}
+	v, code := submit(t, hs, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("s35932 inline submission: status %d, want 202", code)
+	}
+	// Acceptance is the point; don't compile s35932.
+	creq, _ := http.NewRequest(http.MethodDelete, hs.URL+"/api/v1/jobs/"+v.ID, nil)
+	if _, err := http.DefaultClient.Do(creq); err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, hs, v.ID)
+
+	req.Netlist = "# " + strings.Repeat("x", maxSubmitBytes) + "\n" + req.Netlist
+	if _, code := submit(t, hs, req); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize submission: status %d, want 413", code)
 	}
 }
 

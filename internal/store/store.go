@@ -42,10 +42,9 @@ const SchemaVersion = "wbist-store/v2"
 
 // identity is the canonical key header: exactly the configuration fields
 // that are part of a run's identity, in a fixed JSON field order. Fields
-// deliberately absent — Telemetry, Workers, Kernel, ShardProcs, Ctx — do not
+// deliberately absent — Telemetry, Workers, Kernel, SlabLanes, Ctx — do not
 // change any result bit (see expt.Config); TestIdentityCoversConfig enforces
-// that every
-// expt.Config field is classified one way or the other.
+// that every expt.Config field is classified one way or the other.
 type identity struct {
 	Schema            string `json:"schema"`
 	Init              string `json:"init"`
@@ -70,7 +69,7 @@ var (
 		"RandomWindows", "NoSampleFirst", "NoForceFullLength", "NoMatchOrdering",
 		"FaultModel",
 	}
-	excludedFields = []string{"Telemetry", "Workers", "Kernel", "SlabLanes", "ShardProcs", "Ctx"}
+	excludedFields = []string{"Telemetry", "Workers", "Kernel", "SlabLanes", "Ctx"}
 )
 
 // Key computes the content address of a compilation: cfg must already be in
@@ -298,6 +297,12 @@ func (s *Store) Do(key string, compute func() (map[string][]byte, error)) (artif
 			}
 			// The flight published to disk; loop to read it back so every
 			// caller observes the same on-disk bytes.
+			continue
+		}
+		if s.Has(key) {
+			// A flight finished between the Get above and the lock: its
+			// entry reached disk before it left s.flights.
+			s.mu.Unlock()
 			continue
 		}
 		f := &flight{done: make(chan struct{})}

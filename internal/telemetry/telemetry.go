@@ -62,17 +62,6 @@ const (
 	// units a lane kept being evaluated after its own fault group had
 	// already fully detected (the batch runs until every lane is done).
 	CtrSlabLanesIdle
-	// CtrShardRangesDispatched counts fault-group ranges handed to shard
-	// worker subprocesses (first dispatches and re-dispatches alike).
-	CtrShardRangesDispatched
-	// CtrShardRangesReassigned counts ranges requeued after their worker
-	// died or stalled: the unfinished tail of each lost range, handed to a
-	// respawned or surviving worker (or simulated in-process as the last
-	// resort).
-	CtrShardRangesReassigned
-	// CtrShardWorkersLost counts shard worker subprocesses that exited
-	// unexpectedly or were killed after missing the progress deadline.
-	CtrShardWorkersLost
 
 	// NumCounters is the number of defined counters.
 	NumCounters
@@ -92,32 +81,10 @@ var counterNames = [NumCounters]string{
 	CtrSweepFallbacks:  "fsim.sweep_fallbacks",
 	CtrSlabPasses:      "fsim.slab_passes",
 	CtrSlabLanesIdle:   "fsim.slab_lanes_idle",
-
-	CtrShardRangesDispatched: "shard.ranges_dispatched",
-	CtrShardRangesReassigned: "shard.ranges_reassigned",
-	CtrShardWorkersLost:      "shard.workers_lost",
 }
 
 // Name returns the exported name of a counter.
 func (id CounterID) Name() string { return counterNames[id] }
-
-// counterByName inverts counterNames for wire-format folding (a shard
-// coordinator receives worker counter deltas keyed by exported name).
-var counterByName = func() map[string]CounterID {
-	m := make(map[string]CounterID, NumCounters)
-	for id, name := range counterNames {
-		m[name] = CounterID(id)
-	}
-	return m
-}()
-
-// Lookup resolves an exported counter name back to its CounterID. Unknown
-// names report ok=false so wire formats can carry counters from newer (or
-// older) binaries without breaking the reader.
-func Lookup(name string) (CounterID, bool) {
-	id, ok := counterByName[name]
-	return id, ok
-}
 
 var counters [NumCounters]atomic.Int64
 

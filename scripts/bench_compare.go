@@ -3,12 +3,11 @@
 // counters. It is the teeth behind `make bench-check` and the advisory
 // bench-regression CI job.
 //
-// Five baseline schemas are supported, selected by -mode:
+// Four baseline schemas are supported, selected by -mode:
 //
 //	pipeline  wbist-bench-pipeline/v1 (BENCH_pipeline.json, BENCH_parallel.json)
 //	kernel    wbist-bench-kernel/v1   (BENCH_event.json)
 //	slab      wbist-bench-slab/v1     (BENCH_slab.json)
-//	shard     wbist-bench-shard/v1    (BENCH_shard.json)
 //	model     wbist-bench-model/v1    (BENCH_model.json)
 //
 // Only circuits present in both files are compared, so a cheap smoke run
@@ -92,25 +91,6 @@ type slabCircuit struct {
 	} `json:"slab"`
 }
 
-type shardStats struct {
-	Procs            int   `json:"procs"`
-	WallNS           int64 `json:"wall_ns"`
-	GateEvals        int64 `json:"gate_evals"`
-	Vectors          int64 `json:"vectors"`
-	GroupPasses      int64 `json:"group_passes"`
-	RangesDispatched int64 `json:"ranges_dispatched"`
-	RangesReassigned int64 `json:"ranges_reassigned"`
-	WorkersLost      int64 `json:"workers_lost"`
-}
-
-type shardCircuit struct {
-	Circuit  string       `json:"circuit"`
-	Faults   int          `json:"faults"`
-	Groups   int          `json:"groups"`
-	Detected int          `json:"detected"`
-	Rows     []shardStats `json:"rows"`
-}
-
 type modelKernelStats struct {
 	WallNS    int64 `json:"wall_ns"`
 	GateEvals int64 `json:"gate_evals"`
@@ -154,7 +134,7 @@ type row struct {
 }
 
 func main() {
-	mode := flag.String("mode", "pipeline", "baseline schema: pipeline or kernel")
+	mode := flag.String("mode", "pipeline", "baseline schema: pipeline, kernel, slab or model")
 	baseline := flag.String("baseline", "", "committed BENCH_*.json baseline (required)")
 	fresh := flag.String("fresh", "", "freshly measured benchmark file (required)")
 	wallTol := flag.Float64("wall-tol", 0.5, "advisory wall-clock tolerance (fractional, e.g. 0.5 = ±50%)")
@@ -174,12 +154,10 @@ func main() {
 		rows, err = compareKernel(*baseline, *fresh, *wallTol)
 	case "slab":
 		rows, err = compareSlab(*baseline, *fresh, *wallTol)
-	case "shard":
-		rows, err = compareShard(*baseline, *fresh, *wallTol)
 	case "model":
 		rows, err = compareModel(*baseline, *fresh, *wallTol)
 	default:
-		err = fmt.Errorf("unknown -mode %q (want pipeline, kernel, slab, shard or model)", *mode)
+		err = fmt.Errorf("unknown -mode %q (want pipeline, kernel, slab or model)", *mode)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench_compare: %v\n", err)
@@ -399,83 +377,6 @@ func compareSlab(basePath, freshPath string, tol float64) ([]row, error) {
 		rows = wall(rows, f.Circuit, "dense.wall", b.Dense.WallNS, f.Dense.WallNS, tol)
 		rows = wall(rows, f.Circuit, "event.wall", b.Event.WallNS, f.Event.WallNS, tol)
 		rows = wall(rows, f.Circuit, "slab.wall", b.Slab.WallNS, f.Slab.WallNS, tol)
-	}
-	if matched == 0 {
-		return nil, fmt.Errorf("no circuits of %s appear in %s", freshPath, basePath)
-	}
-	return rows, nil
-}
-
-// compareShard gates the multi-process sharding baseline. Sharding is an
-// execution policy, so the deterministic simulation counters (gate_evals,
-// vectors, group_passes) and the detection count must be invariant across
-// the proc rows of the fresh file alone — gated before any baseline
-// comparison — and must match the baseline's in-process row exactly. The
-// shard lifecycle counters (ranges_dispatched per proc row) are exact too:
-// the range partition is deterministic in (groups, procs). Wall-clock is
-// advisory, as everywhere.
-func compareShard(basePath, freshPath string, tol float64) ([]row, error) {
-	var base, fresh []shardCircuit
-	schema, err := load(basePath, &base)
-	if err != nil {
-		return nil, err
-	}
-	if err := wantSchema(basePath, schema, "wbist-bench-shard/v1"); err != nil {
-		return nil, err
-	}
-	if schema, err = load(freshPath, &fresh); err != nil {
-		return nil, err
-	}
-	if err := wantSchema(freshPath, schema, "wbist-bench-shard/v1"); err != nil {
-		return nil, err
-	}
-	byName := map[string]shardCircuit{}
-	for _, c := range base {
-		byName[c.Circuit] = c
-	}
-	var rows []row
-	matched := 0
-	for _, f := range fresh {
-		if len(f.Rows) == 0 {
-			return nil, fmt.Errorf("%s: circuit %s has no proc rows", freshPath, f.Circuit)
-		}
-		// Cross-row invariance within the fresh measurement: every sharded
-		// row must report the in-process row's deterministic counters.
-		ip := f.Rows[0]
-		for _, r := range f.Rows[1:] {
-			label := fmt.Sprintf("procs=%d", r.Procs)
-			rows = exact(rows, f.Circuit, label+".gate_evals (vs in-process)", ip.GateEvals, r.GateEvals)
-			rows = exact(rows, f.Circuit, label+".vectors (vs in-process)", ip.Vectors, r.Vectors)
-			rows = exact(rows, f.Circuit, label+".group_passes (vs in-process)", ip.GroupPasses, r.GroupPasses)
-		}
-		b, ok := byName[f.Circuit]
-		if !ok {
-			rows = append(rows, row{f.Circuit, "(not in baseline)", "-", "-", "info"})
-			continue
-		}
-		matched++
-		rows = exact(rows, f.Circuit, "faults", int64(b.Faults), int64(f.Faults))
-		rows = exact(rows, f.Circuit, "groups", int64(b.Groups), int64(f.Groups))
-		rows = exact(rows, f.Circuit, "detected", int64(b.Detected), int64(f.Detected))
-		for _, r := range f.Rows {
-			label := fmt.Sprintf("procs=%d", r.Procs)
-			br, found := shardStats{}, false
-			for _, cand := range b.Rows {
-				if cand.Procs == r.Procs {
-					br, found = cand, true
-					break
-				}
-			}
-			if !found {
-				rows = append(rows, row{f.Circuit, label + " (not in baseline)", "-", "-", "info"})
-				continue
-			}
-			rows = exact(rows, f.Circuit, label+".gate_evals", br.GateEvals, r.GateEvals)
-			rows = exact(rows, f.Circuit, label+".ranges_dispatched", br.RangesDispatched, r.RangesDispatched)
-			rows = info(rows, f.Circuit, label+".ranges_reassigned", br.RangesReassigned, r.RangesReassigned)
-			rows = info(rows, f.Circuit, label+".workers_lost", br.WorkersLost, r.WorkersLost)
-			rows = wall(rows, f.Circuit, label+".wall", br.WallNS, r.WallNS, tol)
-		}
 	}
 	if matched == 0 {
 		return nil, fmt.Errorf("no circuits of %s appear in %s", freshPath, basePath)

@@ -407,110 +407,7 @@ func TestCompareModel(t *testing.T) {
 		t.Error("no-overlap compare did not error")
 	}
 	if _, err := compareModel(writeFile(t, dir, "wrong.json",
-		`{"schema": "wbist-bench-shard/v1", "circuits": []}`), fresh, 0.5); err == nil {
-		t.Error("schema mismatch did not error")
-	}
-}
-
-const shardBase = `{
-  "schema": "wbist-bench-shard/v1",
-  "circuits": [
-    {"circuit": "s298", "faults": 596, "groups": 5, "detected": 265,
-     "rows": [
-      {"procs": 0, "wall_ns": 1000000, "gate_evals": 50000, "vectors": 4000,
-       "group_passes": 5},
-      {"procs": 2, "wall_ns": 2000000, "gate_evals": 50000, "vectors": 4000,
-       "group_passes": 5, "ranges_dispatched": 5},
-      {"procs": 4, "wall_ns": 2500000, "gate_evals": 50000, "vectors": 4000,
-       "group_passes": 5, "ranges_dispatched": 5}
-     ]}
-  ]
-}`
-
-func TestCompareShard(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", shardBase)
-	// Healthy fresh run: identical deterministic counters, one row records a
-	// lost worker (advisory), procs=4 row missing, an extra procs=8 row, and
-	// a slower wall on the procs=2 row.
-	fresh := writeFile(t, dir, "fresh.json", `{
-  "schema": "wbist-bench-shard/v1",
-  "circuits": [
-    {"circuit": "s298", "faults": 596, "groups": 5, "detected": 265,
-     "rows": [
-      {"procs": 0, "wall_ns": 1100000, "gate_evals": 50000, "vectors": 4000,
-       "group_passes": 5},
-      {"procs": 2, "wall_ns": 4000000, "gate_evals": 50000, "vectors": 4000,
-       "group_passes": 5, "ranges_dispatched": 5, "ranges_reassigned": 1,
-       "workers_lost": 1},
-      {"procs": 8, "wall_ns": 2500000, "gate_evals": 50000, "vectors": 4000,
-       "group_passes": 5, "ranges_dispatched": 5}
-     ]}
-  ]
-}`)
-	rows, err := compareShard(base, fresh, 0.5)
-	if err != nil {
-		t.Fatalf("compareShard: %v", err)
-	}
-	byMetric := map[string]row{}
-	for _, r := range rows {
-		byMetric[r.circuit+"/"+r.metric] = r
-	}
-	for _, m := range []string{"procs=2.gate_evals (vs in-process)",
-		"procs=2.vectors (vs in-process)", "procs=2.group_passes (vs in-process)",
-		"procs=8.gate_evals (vs in-process)", "faults", "groups", "detected",
-		"procs=2.gate_evals", "procs=2.ranges_dispatched"} {
-		if r := byMetric["s298/"+m]; r.status != "ok" {
-			t.Errorf("%s row = %+v", m, r)
-		}
-	}
-	if r := byMetric["s298/procs=2.workers_lost"]; r.status != "info" {
-		t.Errorf("lost-worker row gated: %+v", r)
-	}
-	if r := byMetric["s298/procs=2.wall"]; !strings.HasPrefix(r.status, "slow") {
-		t.Errorf("2x wall row = %+v", r)
-	}
-	if r := byMetric["s298/procs=8 (not in baseline)"]; r.status != "info" {
-		t.Errorf("unknown proc row = %+v", r)
-	}
-	var buf bytes.Buffer
-	if failed := render(&buf, base, fresh, rows); failed != 0 {
-		t.Errorf("render counted %d failures, want 0:\n%s", failed, buf.String())
-	}
-
-	// Cross-row counter drift in the fresh file alone must FAIL: sharding
-	// may never change what was simulated.
-	drifted := writeFile(t, dir, "drifted.json", `{
-  "schema": "wbist-bench-shard/v1",
-  "circuits": [
-    {"circuit": "s298", "faults": 596, "groups": 5, "detected": 265,
-     "rows": [
-      {"procs": 0, "gate_evals": 50000, "vectors": 4000, "group_passes": 5},
-      {"procs": 2, "gate_evals": 49999, "vectors": 4000, "group_passes": 5,
-       "ranges_dispatched": 5}
-     ]}
-  ]
-}`)
-	rows, err = compareShard(base, drifted, 0.5)
-	if err != nil {
-		t.Fatalf("compareShard(drifted): %v", err)
-	}
-	buf.Reset()
-	if failed := render(&buf, base, drifted, rows); failed == 0 {
-		t.Errorf("cross-row eval drift not counted as failure:\n%s", buf.String())
-	}
-
-	// Structural errors: a circuit with no rows, no overlap, wrong schema.
-	if _, err := compareShard(base, writeFile(t, dir, "norows.json",
-		`{"schema": "wbist-bench-shard/v1", "circuits": [{"circuit": "s298", "rows": []}]}`), 0.5); err == nil {
-		t.Error("empty proc rows did not error")
-	}
-	if _, err := compareShard(base, writeFile(t, dir, "none.json",
-		`{"schema": "wbist-bench-shard/v1", "circuits": [{"circuit": "zz", "rows": [{"procs": 0}]}]}`), 0.5); err == nil {
-		t.Error("no-overlap compare did not error")
-	}
-	if _, err := compareShard(base, writeFile(t, dir, "wrong.json",
-		`{"schema": "wbist-bench-slab/v1", "circuits": []}`), 0.5); err == nil {
+		`{"schema": "wbist-bench-slab/v1", "circuits": []}`), fresh, 0.5); err == nil {
 		t.Error("schema mismatch did not error")
 	}
 }

@@ -1,5 +1,5 @@
 # lib_poll.sh — deadline-based polling with exponential backoff, sourced by
-# the smoke scripts (and unit-tested by scripts/poll_test.sh).
+# scripts/serve_smoke.sh (and unit-tested by scripts/poll_test.sh).
 #
 # The fixed-sleep loops this replaces (`for _ in $(seq 100); do ...; sleep
 # 0.1; done`) had two failure modes: the real deadline silently stretched

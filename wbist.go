@@ -43,7 +43,6 @@ import (
 	"repro/internal/ref"
 	"repro/internal/scoap"
 	"repro/internal/serve"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -422,18 +421,3 @@ type ServeOptions = serve.Options
 
 // NewJobServer builds the job service over an artifact store.
 func NewJobServer(opts ServeOptions) (*JobServer, error) { return serve.New(opts) }
-
-// MaybeShardWorker turns the process into a fault-simulation shard worker
-// when it was spawned as one (Config.ShardProcs > 1 re-execs the current
-// binary per worker), and never returns in that case. Any binary built on
-// this package that wants multi-process sharding must call it first thing
-// in main(), before touching flags, stdin or stdout.
-func MaybeShardWorker() { shard.MaybeWorker() }
-
-// RunShardWorker runs the shard-worker protocol loop over the given streams
-// until the coordinator closes the job stream. It is the explicit entry
-// point behind the `wbist shard-worker` subcommand; MaybeShardWorker is the
-// usual (env-marker) route into the same loop.
-func RunShardWorker(stdin io.Reader, stdout io.Writer) error {
-	return shard.WorkerMain(stdin, stdout)
-}
