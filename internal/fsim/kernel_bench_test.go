@@ -21,8 +21,7 @@ import (
 //
 //	go test ./internal/fsim -bench BenchmarkKernel
 //
-// and see BENCH_event.json (make bench-kernel) for the committed suite-wide
-// numbers.
+// and see `bash benchmark/run.sh` for end-to-end numbers on the suite.
 
 // kernelBenchCases is the benchmark menagerie: two synthetic rcg circuits
 // (small/medium) and two suite circuits (the real s27 plus a suite member).

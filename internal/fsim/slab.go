@@ -55,11 +55,10 @@ func (s *Simulator) slabLanesAuto() int {
 	return w
 }
 
-// SlabWidth reports the lane width W the slab kernel will use under opts —
+// slabWidth reports the lane width W the slab kernel will use under opts —
 // the adaptive choice when opts.SlabLanes <= 0 — before the per-run clamp to
-// the number of fault groups. Benchmark harnesses use it to label slab runs;
-// it has no effect on simulation.
-func (s *Simulator) SlabWidth(opts Options) int {
+// the number of fault groups.
+func (s *Simulator) slabWidth(opts Options) int {
 	w := opts.SlabLanes
 	if w <= 0 {
 		w = s.slabLanesAuto()
@@ -246,11 +245,11 @@ func (s *Simulator) buildInjectionSlab(faults []fault.Fault, nl int) {
 // independence makes the merge bit-identical to sequential for any worker
 // count and any W, exactly as for the other kernels.
 func (s *Simulator) runSlab(seq *sim.Sequence, faults []fault.Fault, numGroups, stop int, opts Options, out *Outcome) {
-	// SlabWidth resolves opts.SlabLanes (adaptive when <= 0, clamped to
+	// slabWidth resolves opts.SlabLanes (adaptive when <= 0, clamped to
 	// maxSlabLanes) and drops to W=1 under OutputHook, whose ordering
 	// contract (group 0's whole sequence first, then group 1's, ...) is
 	// incompatible with interleaving groups in one pass.
-	w := s.SlabWidth(opts)
+	w := s.slabWidth(opts)
 	if w > numGroups {
 		w = numGroups
 	}
@@ -647,9 +646,9 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 		tb.lanesIdle += int64(units - sl.laneUnits[l])
 	}
 	// gateEvals stays the dense-equivalent count (lane-cycles × gates), so
-	// effective_evals and evals/vector remain kernel-invariant quantities in
-	// the benchmark gates; the batching win shows up in wall clock and
-	// fsim.slab_passes, the overshoot in fsim.slab_lanes_idle.
+	// effective evals and evals/vector remain kernel-invariant quantities
+	// that the counter pins hold exact; the batching win shows up in wall
+	// clock and fsim.slab_passes, the overshoot in fsim.slab_lanes_idle.
 	tb.gateEvals += laneVec * int64(len(s.gateID))
 	tb.vectors += laneVec
 	tb.passes += int64(nl)

@@ -96,8 +96,8 @@ func TestSlabOutputHook(t *testing.T) {
 	var calls []int
 	hook := func(lo, hi, u int, po []logic.W) { calls = append(calls, lo) }
 	s := New(c)
-	if w := s.SlabWidth(Options{SlabLanes: 8, OutputHook: hook}); w != 1 {
-		t.Fatalf("SlabWidth under OutputHook = %d, want 1", w)
+	if w := s.slabWidth(Options{SlabLanes: 8, OutputHook: hook}); w != 1 {
+		t.Fatalf("slabWidth under OutputHook = %d, want 1", w)
 	}
 	out := s.Run(seq, faults, Options{
 		Init: logic.Zero, Kernel: KernelSlab, SlabLanes: 8, Workers: 8, OutputHook: hook,
@@ -171,14 +171,41 @@ func TestSlabWidthClamps(t *testing.T) {
 	if w := small.slabLanesAuto(); w != maxSlabLanes {
 		t.Fatalf("s27 auto lanes = %d, want cap %d", w, maxSlabLanes)
 	}
-	if w := small.SlabWidth(Options{SlabLanes: 99}); w != maxSlabLanes {
-		t.Fatalf("SlabWidth(99) = %d, want clamp to %d", w, maxSlabLanes)
+	if w := small.slabWidth(Options{SlabLanes: 99}); w != maxSlabLanes {
+		t.Fatalf("slabWidth(99) = %d, want clamp to %d", w, maxSlabLanes)
 	}
-	if w := small.SlabWidth(Options{SlabLanes: 5}); w != 5 {
-		t.Fatalf("SlabWidth(5) = %d, want the explicit value", w)
+	if w := small.slabWidth(Options{SlabLanes: 5}); w != 5 {
+		t.Fatalf("slabWidth(5) = %d, want the explicit value", w)
 	}
 	big := New(iscas.MustLoad("s35932"))
 	if w := big.slabLanesAuto(); w < 1 || w > 2 {
 		t.Fatalf("s35932 auto lanes = %d, want ~1 (L2 budget exhausted)", w)
+	}
+}
+
+// TestSlabWarmArenaAllocs checks that a reused slab Simulator keeps its
+// lane arena across runs: a warm run must allocate fewer objects than the
+// first run of a fresh Simulator, which has to build the arena.
+func TestSlabWarmArenaAllocs(t *testing.T) {
+	c := iscas.MustLoad("s298")
+	faults := fault.CollapsedUniverse(c)
+	seq := sim.RandomSequence(randutil.New(11), c.NumInputs(), 48)
+	opts := Options{Init: logic.Zero, Kernel: KernelSlab, Workers: 1}
+	const runs = 5
+	warmSim := New(c)
+	warm := testing.AllocsPerRun(runs, func() { warmSim.Run(seq, faults, opts) })
+	// AllocsPerRun calls the function once more as a warm-up, so it needs
+	// runs+1 fresh simulators, built outside the measured calls.
+	fresh := make([]*Simulator, runs+1)
+	for i := range fresh {
+		fresh[i] = New(c)
+	}
+	next := 0
+	cold := testing.AllocsPerRun(runs, func() {
+		fresh[next].Run(seq, faults, opts)
+		next++
+	})
+	if warm >= cold {
+		t.Fatalf("warm slab run allocates %.0f objects, fresh run %.0f; want fewer when warm", warm, cold)
 	}
 }

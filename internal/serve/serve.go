@@ -457,6 +457,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.view())
 }
 
+// runPipeline indirects expt.RunPipeline so tests can inject a panicking
+// pipeline.
+var runPipeline = expt.RunPipeline
+
 // runJob executes one job: acquire a run slot, run the pipeline through the
 // store's single-flight, publish the terminal state. The byKey liveness
 // entry is dropped whatever the outcome.
@@ -490,14 +494,22 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	}
 	j.setState(StateRunning, nil)
 
-	artifacts, hit, err := s.st.Do(j.key, func() (map[string][]byte, error) {
+	artifacts, hit, err := s.st.Do(j.key, func() (artifacts map[string][]byte, err error) {
+		// A panic fails this job only. Recovering here, inside compute,
+		// lets Do evict the flight and release its joiners, so later
+		// submissions of the key recompute instead of hanging.
+		defer func() {
+			if p := recover(); p != nil {
+				artifacts, err = nil, fmt.Errorf("pipeline panicked: %v", p)
+			}
+		}()
 		cfg := j.cfg
 		cfg.Ctx = ctx
 		cfg.Workers = s.opts.Workers
 		cfg.Kernel = s.opts.Kernel
 		cfg.SlabLanes = s.opts.SlabLanes
 		cfg.Telemetry = telemetry.New(jobSink{j})
-		r, err := expt.RunPipeline(j.circuit, j.init, cfg)
+		r, err := runPipeline(j.circuit, j.init, cfg)
 		if err != nil {
 			return nil, err
 		}

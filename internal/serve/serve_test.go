@@ -9,12 +9,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/circuit"
 	"repro/internal/expt"
 	"repro/internal/iscas"
+	"repro/internal/logic"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -351,6 +354,53 @@ func TestCancelJob(t *testing.T) {
 	creq2, _ := http.NewRequest(http.MethodDelete, hs.URL+"/api/v1/jobs/"+v2.ID, nil)
 	http.DefaultClient.Do(creq2)
 	waitTerminal(t, hs, v2.ID)
+}
+
+// TestPanickingJobFails injects a pipeline that panics on its first call:
+// that job must end failed, the server must keep serving, a resubmission of
+// the same key must compute afresh (the flight was evicted, not left
+// hanging), and a job on another key must complete.
+func TestPanickingJobFails(t *testing.T) {
+	var calls atomic.Int64
+	runPipeline = func(c *circuit.Circuit, init logic.V, cfg expt.Config) (*expt.Run, error) {
+		if calls.Add(1) == 1 {
+			panic("injected pipeline fault")
+		}
+		return expt.RunPipeline(c, init, cfg)
+	}
+	// Registered before the server's own cleanups, so it runs after the
+	// server has drained.
+	t.Cleanup(func() { runPipeline = expt.RunPipeline })
+	_, hs := newTestServer(t)
+
+	req := SubmitRequest{Circuit: "s27", Config: JobConfig{LG: 100, Seed: 11}}
+	v, code := submit(t, hs, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	failed := waitTerminal(t, hs, v.ID)
+	if failed.State != StateFailed || !strings.Contains(failed.Error, "injected pipeline fault") {
+		t.Fatalf("panicking job: state %s, error %q; want failed with the panic value", failed.State, failed.Error)
+	}
+
+	again, _ := submit(t, hs, req)
+	if again.ID == v.ID || again.Key != v.Key {
+		t.Fatalf("resubmission: id %s key %s, want a new job on key %s", again.ID, again.Key, v.Key)
+	}
+	if done := waitTerminal(t, hs, again.ID); done.State != StateDone || done.Cached {
+		t.Fatalf("resubmission after panic: state %s cached %v, want a fresh done", done.State, done.Cached)
+	}
+
+	other, _ := submit(t, hs, SubmitRequest{Circuit: "s27", Config: JobConfig{LG: 100, Seed: 12}})
+	if other.Key == v.Key {
+		t.Fatal("second request shares the panicking job's key")
+	}
+	if done := waitTerminal(t, hs, other.ID); done.State != StateDone {
+		t.Fatalf("job on another key: state %s (%s), want done", done.State, done.Error)
+	}
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("pipeline ran %d times, want 3 (panic, recompute, other key)", got)
+	}
 }
 
 // TestEventsStream: the JSONL stream replays the full event log and closes
