@@ -648,13 +648,14 @@ func cmdMetrics(args []string, cfg wbist.Config) error {
 		return err
 	}
 	t := tables.New(fmt.Sprintf("pipeline cost for %s", name),
-		"phase", "runs", "wall", "alloc", "gate evals", "vectors")
+		"phase", "runs", "wall", "alloc", "gate evals", "vectors", "repeat exits")
 	for _, p := range r.Metrics {
 		t.Add(p.Span, tables.Int(p.Count),
 			fmt.Sprintf("%.3fs", p.Wall().Seconds()),
 			fmt.Sprintf("%.1fMB", float64(p.AllocBytes)/(1<<20)),
 			tables.Int(int(p.Counters["fsim.gate_evals"])),
-			tables.Int(int(p.Counters["fsim.vectors"])))
+			tables.Int(int(p.Counters["fsim.vectors"])),
+			tables.Int(int(p.Counters["fsim.repeat_exits"])))
 	}
 	if err := t.Render(os.Stdout); err != nil {
 		return err

@@ -177,6 +177,8 @@ func Generate(c *circuit.Circuit, opts Options) *Result {
 	s := fsim.New(c)
 
 	// Phase 1: one long random sequence, truncated after the last detection.
+	// Every detection happens at or before the cut, so phase 1's outcome is
+	// also the outcome of the truncated sequence.
 	p1 := span.Child("random")
 	seq := sim.RandomSequence(rng, c.NumInputs(), opts.RandomLen)
 	out := s.Run(seq, faults, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, SlabLanes: opts.SlabLanes, Ctx: opts.Ctx})
@@ -199,7 +201,7 @@ func Generate(c *circuit.Circuit, opts Options) *Result {
 	// saving; each trial then only pays for its own vectors, continued from
 	// the saved per-group states.
 	p2 := span.Child("directed")
-	remaining := undetectedSubset(faults, rerun(s, seq, faults, opts))
+	remaining := undetectedSubset(faults, out)
 	accepted := 0
 	budget := opts.Rounds * opts.Restarts
 	for len(remaining) > 0 && accepted < opts.MaxAccepts && budget > 0 && !ctxDone(opts.Ctx) {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/randutil"
 	"repro/internal/rcg"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // TestDifferentialRefVsFsim is the acceptance gate of the differential
@@ -23,7 +24,7 @@ func TestDifferentialRefVsFsim(t *testing.T) {
 	if testing.Short() {
 		triples = 150
 	}
-	var multiGroup, parallel, saved, split int
+	var multiGroup, parallel, saved, split, repeated int
 	for i := 0; i < triples; i++ {
 		seed := uint64(i)
 		c := rcg.FromSeed(seed)
@@ -43,18 +44,22 @@ func TestDifferentialRefVsFsim(t *testing.T) {
 		if cfg.SplitContinuation && cfg.StopTime == 0 && seq.Len() >= 2 {
 			split++
 		}
+		before := repeatExits()
 		if err := CheckTriple(c, seq, faults, cfg); err != nil {
 			t.Fatalf("triple %d: %v\n%s", i, err, Describe(c, seq, faults, cfg))
+		}
+		if repeatExits() > before {
+			repeated++
 		}
 	}
 	// The sweep must actually exercise the interesting axes, not just tiny
 	// single-group sequential runs.
-	if multiGroup == 0 || parallel == 0 || saved == 0 || split == 0 {
-		t.Fatalf("sweep too narrow: multiGroup=%d parallel=%d saveStates=%d split=%d",
-			multiGroup, parallel, saved, split)
+	if multiGroup == 0 || parallel == 0 || saved == 0 || split == 0 || repeated == 0 {
+		t.Fatalf("sweep too narrow: multiGroup=%d parallel=%d saveStates=%d split=%d repeatExit=%d",
+			multiGroup, parallel, saved, split, repeated)
 	}
-	t.Logf("%d triples: %d multi-group, %d parallel, %d with state compare, %d split replays",
-		triples, multiGroup, parallel, saved, split)
+	t.Logf("%d triples: %d multi-group, %d parallel, %d with state compare, %d split replays, %d with a repeat exit",
+		triples, multiGroup, parallel, saved, split, repeated)
 }
 
 // TestDifferentialSuiteCircuits runs the oracle against fsim on the real
@@ -91,7 +96,7 @@ func TestDifferentialDenseVsEvent(t *testing.T) {
 	if testing.Short() {
 		triples = 150
 	}
-	var multiGroup, observed, saved, split, stopped int
+	var multiGroup, observed, saved, split, stopped, repeated int
 	for i := 0; i < triples; i++ {
 		seed := uint64(i) + 0xe7e47 // distinct circuits from the ref sweep
 		c := rcg.FromSeed(seed)
@@ -114,16 +119,20 @@ func TestDifferentialDenseVsEvent(t *testing.T) {
 		if cfg.StopTime > 0 {
 			stopped++
 		}
+		before := repeatExits()
 		if err := CheckKernels(c, seq, faults, cfg); err != nil {
 			t.Fatalf("triple %d: %v\n%s", i, err, Describe(c, seq, faults, cfg))
 		}
+		if repeatExits() > before {
+			repeated++
+		}
 	}
-	if multiGroup == 0 || observed == 0 || saved == 0 || split == 0 || stopped == 0 {
-		t.Fatalf("sweep too narrow: multiGroup=%d observe=%d saveStates=%d split=%d stopTime=%d",
-			multiGroup, observed, saved, split, stopped)
+	if multiGroup == 0 || observed == 0 || saved == 0 || split == 0 || stopped == 0 || repeated == 0 {
+		t.Fatalf("sweep too narrow: multiGroup=%d observe=%d saveStates=%d split=%d stopTime=%d repeatExit=%d",
+			multiGroup, observed, saved, split, stopped, repeated)
 	}
-	t.Logf("%d triples: %d multi-group, %d with line observation, %d with state compare, %d split replays, %d truncated",
-		triples, multiGroup, observed, saved, split, stopped)
+	t.Logf("%d triples: %d multi-group, %d with line observation, %d with state compare, %d split replays, %d truncated, %d with a repeat exit",
+		triples, multiGroup, observed, saved, split, stopped, repeated)
 }
 
 // TestDifferentialDenseVsSlab is the acceptance gate of the slab kernel:
@@ -138,7 +147,7 @@ func TestDifferentialDenseVsSlab(t *testing.T) {
 	if testing.Short() {
 		triples = 150
 	}
-	var multiGroup, multiBatch, observed, saved, split, stopped int
+	var multiGroup, multiBatch, observed, saved, split, stopped, repeated int
 	for i := 0; i < triples; i++ {
 		seed := uint64(i) + 0x51ab5 // distinct circuits from the other sweeps
 		c := rcg.FromSeed(seed)
@@ -164,16 +173,20 @@ func TestDifferentialDenseVsSlab(t *testing.T) {
 		if cfg.StopTime > 0 {
 			stopped++
 		}
+		before := repeatExits()
 		if err := CheckSlab(c, seq, faults, cfg); err != nil {
 			t.Fatalf("triple %d: %v\n%s", i, err, Describe(c, seq, faults, cfg))
 		}
+		if repeatExits() > before {
+			repeated++
+		}
 	}
-	if multiGroup == 0 || multiBatch == 0 || observed == 0 || saved == 0 || split == 0 || stopped == 0 {
-		t.Fatalf("sweep too narrow: multiGroup=%d multiBatch=%d observe=%d saveStates=%d split=%d stopTime=%d",
-			multiGroup, multiBatch, observed, saved, split, stopped)
+	if multiGroup == 0 || multiBatch == 0 || observed == 0 || saved == 0 || split == 0 || stopped == 0 || repeated == 0 {
+		t.Fatalf("sweep too narrow: multiGroup=%d multiBatch=%d observe=%d saveStates=%d split=%d stopTime=%d repeatExit=%d",
+			multiGroup, multiBatch, observed, saved, split, stopped, repeated)
 	}
-	t.Logf("%d triples: %d multi-group, %d multi-batch, %d with line observation, %d with state compare, %d split replays, %d truncated",
-		triples, multiGroup, multiBatch, observed, saved, split, stopped)
+	t.Logf("%d triples: %d multi-group, %d multi-batch, %d with line observation, %d with state compare, %d split replays, %d truncated, %d with a repeat exit",
+		triples, multiGroup, multiBatch, observed, saved, split, stopped, repeated)
 }
 
 // TestDifferentialSlabSuiteCircuits repeats the dense-vs-slab check on the
@@ -285,6 +298,10 @@ func TestDifferentialFaultFreeVsSim(t *testing.T) {
 		}
 	}
 }
+
+// repeatExits reads the process-wide fsim.repeat_exits counter, so a sweep
+// can tell which of its checks stopped some group at a repeat exit.
+func repeatExits() int64 { return telemetry.Counters().Get(telemetry.CtrRepeatExits) }
 
 // TestDescribe smoke-checks the failure-reproduction dump: it must carry the
 // run configuration, the stimulus and a parseable netlist so a fuzz failure

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/logic"
@@ -73,10 +74,27 @@ func ConfigFromSeed(seed uint64, seqLen int) Config {
 
 // RandomStimulus derives a random test sequence for n inputs: 1-32 time
 // units, and (half of the time) a sprinkling of X values so the unknown
-// paths of both simulators are exercised.
+// paths of both simulators are exercised. A quarter of the draws (binary,
+// longer than 16 units) instead become a periodic weighted sequence of
+// twice that length: every input repeats its own random 1-4 bit
+// subsequence, the paper's α^r (core.Assignment.GenSequence). The machines
+// of a small circuit soon re-enter an earlier state under such input, which
+// is what fsim's repeat exit detects. The other draws decode exactly as
+// before periodic sequences existed, so older corpus entries keep theirs.
 func RandomStimulus(rng *randutil.RNG, n int) *sim.Sequence {
 	l := 1 + rng.Intn(32)
 	withX := rng.Bool()
+	if !withX && l > 16 {
+		subs := make([]string, n)
+		for i := range subs {
+			bs := make([]byte, 1+rng.Intn(4))
+			for j := range bs {
+				bs[j] = '0' + byte(rng.Intn(2))
+			}
+			subs[i] = string(bs)
+		}
+		return core.Assignment{Subs: subs}.GenSequence(2 * l)
+	}
 	seq := sim.NewSequence(n)
 	vec := make([]logic.V, n)
 	for u := 0; u < l; u++ {

@@ -28,7 +28,7 @@ func testModelRandom(t *testing.T, m fault.Model, seedBase uint64, triples int) 
 	if testing.Short() {
 		triples = triples / 8
 	}
-	var multiGroup, saved, stopped, split, slab, kernels int
+	var multiGroup, saved, stopped, split, slab, kernels, repeated int
 	for i := 0; i < triples; i++ {
 		seed := uint64(i) + seedBase
 		c := rcg.FromSeed(seed)
@@ -55,8 +55,12 @@ func testModelRandom(t *testing.T, m fault.Model, seedBase uint64, triples int) 
 		if cfg.SplitContinuation && cfg.StopTime == 0 && seq.Len() >= 2 && Continuable(faults) {
 			split++
 		}
+		before := repeatExits()
 		if err := CheckTriple(c, seq, faults, cfg); err != nil {
 			t.Fatalf("%s triple %d: %v\n%s", m.Name(), i, err, Describe(c, seq, faults, cfg))
+		}
+		if repeatExits() > before {
+			repeated++
 		}
 		switch i % 3 {
 		case 0:
@@ -75,12 +79,12 @@ func testModelRandom(t *testing.T, m fault.Model, seedBase uint64, triples int) 
 	// (Continuable): only demand it where it can run at all.
 	_, isTransition := m.(fault.Transition)
 	if multiGroup == 0 || saved == 0 || stopped == 0 || (split == 0 && !isTransition) ||
-		slab == 0 || kernels == 0 {
-		t.Fatalf("sweep too narrow: multiGroup=%d saveStates=%d stopTime=%d split=%d slab=%d kernels=%d",
-			multiGroup, saved, stopped, split, slab, kernels)
+		slab == 0 || kernels == 0 || repeated == 0 {
+		t.Fatalf("sweep too narrow: multiGroup=%d saveStates=%d stopTime=%d split=%d slab=%d kernels=%d repeatExit=%d",
+			multiGroup, saved, stopped, split, slab, kernels, repeated)
 	}
-	t.Logf("%s: %d triples: %d multi-group, %d state compare, %d truncated, %d split; %d kernels / %d slab checks",
-		m.Name(), triples, multiGroup, saved, stopped, split, kernels, slab)
+	t.Logf("%s: %d triples: %d multi-group, %d state compare, %d truncated, %d split, %d repeat exit; %d kernels / %d slab checks",
+		m.Name(), triples, multiGroup, saved, stopped, split, repeated, kernels, slab)
 }
 
 // TestDifferentialTransitionRandom oracle-locks the launch-on-capture

@@ -20,10 +20,11 @@ import (
 // package).
 func TestPipelineCountersS298(t *testing.T) {
 	want := map[string]int64{
-		"fsim.gate_evals+fsim.gates_skipped": 16_375_114,
-		"fsim.vectors":                       137_606,
-		"fsim.group_passes":                  465,
-		"fsim.faults_dropped":                4_395,
+		"fsim.gate_evals+fsim.gates_skipped": 11_374_496,
+		"fsim.vectors":                       95_584,
+		"fsim.group_passes":                  457,
+		"fsim.faults_dropped":                3_982,
+		"fsim.repeat_exits":                  28,
 		"core.candidates_scored":             21,
 		"podem.backtracks":                   7_294,
 	}
@@ -42,6 +43,7 @@ func TestPipelineCountersS298(t *testing.T) {
 			"fsim.vectors":                       d.Get(telemetry.CtrVectors),
 			"fsim.group_passes":                  d.Get(telemetry.CtrGroupPasses),
 			"fsim.faults_dropped":                d.Get(telemetry.CtrFaultsDropped),
+			"fsim.repeat_exits":                  d.Get(telemetry.CtrRepeatExits),
 			"core.candidates_scored":             d.Get(telemetry.CtrCandidates),
 			"podem.backtracks":                   d.Get(telemetry.CtrBacktracks),
 		}

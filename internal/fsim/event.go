@@ -502,8 +502,14 @@ func (s *Simulator) runGroupEvent(seq *sim.Sequence, faults []fault.Fault, lo, h
 
 	activeMask := groupMask(hi - lo)
 	observe := opts.ObserveLines
+	eligible := earlyExitEligible(opts)
+	watched := s.repeatSlots(faults[lo:hi])
 
 	for u := 0; u < stop; u++ {
+		if eligible && s.watch.repeats(u, state, 0, 1, s.transSites, activeMask&watched|1, seq, stop) {
+			tb.repeatExits++
+			break // the rest of the pass would replay an earlier stretch
+		}
 		units++
 		es.epoch++
 		if es.epoch == 0 { // uint32 wrap: all marks are stale
@@ -670,7 +676,7 @@ func (s *Simulator) runGroupEvent(seq *sim.Sequence, faults []fault.Fault, lo, h
 				}
 			}
 		}
-		if activeMask == 0 && !opts.ObserveLines && opts.OutputHook == nil && !opts.SaveStates {
+		if activeMask == 0 && eligible {
 			break // every fault in the group already detected
 		}
 		// Clock edge: next state, with DFF D-pin faults applied.

@@ -10,6 +10,14 @@
 // from the fault-free machine; that is the observability information used by
 // the observation-point insertion experiment (Section 5 of the paper).
 //
+// A group pass stops before the end of the sequence at one of two early
+// exits: once every fault of the group is detected, or at a repeat exit,
+// when the fault-free machine and every live faulty machine are back in an
+// earlier state and the input from there on repeats the input that followed
+// that state (the weighted sequences of the paper are periodic, so this is
+// the common case). Neither exit changes any outcome; options that need the
+// whole sequence (SaveStates, ObserveLines, OutputHook) disable both.
+//
 // Fault groups are fully independent (each pass carries its own fault-free
 // machine in slot 0), so Options.Workers > 1 shards them over a worker pool
 // with one scratch simulator per worker and merges the per-group results
@@ -40,7 +48,8 @@ type Options struct {
 	// with a global reset, logic.X for an unknown power-up state).
 	Init logic.V
 	// ObserveLines records, per fault, the set of nodes at which the faulty
-	// machine differs binarily from the fault-free machine at some time unit.
+	// machine differs binarily from the fault-free machine at some time unit
+	// (disabling the early exits so every group sees the full sequence).
 	ObserveLines bool
 	// AbortAfterFirstGroupIfNone stops after the first fault group if that
 	// group produced no detection. Combined with an ordering that puts a
@@ -54,8 +63,8 @@ type Options struct {
 	// fault group with the group's fault range [lo,hi) and the dual-rail
 	// primary-output words (slot 0 = fault-free machine, slot k = machine of
 	// faults[lo+k-1]). Response compactors (package misr) plug in here.
-	// Setting a hook disables the all-detected early exit so every group
-	// sees the full sequence.
+	// Setting a hook disables the early exits (all faults detected, repeat)
+	// so every group sees the full sequence.
 	//
 	// Ordering contract: a hook is always invoked sequentially, in strict
 	// group order (group 0's whole sequence first, then group 1's, ...), on
@@ -79,8 +88,8 @@ type Options struct {
 	// and the outcome may differ from the unsplit run around the boundary.
 	InitialStates [][]logic.W
 	// SaveStates records each group's final flip-flop state in
-	// Outcome.FinalStates (disabling the all-detected early exit so the
-	// state is exact).
+	// Outcome.FinalStates (disabling the early exits so the state is
+	// exact).
 	SaveStates bool
 	// TimeOffset is added to every recorded detection time (undetected
 	// faults stay at -1). A caller continuing a run via InitialStates passes
@@ -272,6 +281,10 @@ type Simulator struct {
 	// only establishes the baseline.
 	actZ, actO []uint64
 	actValid   bool
+
+	// watch is the repeat exit's checkpoint of the dense and event kernels'
+	// current group pass (the slab kernel keeps one per lane).
+	watch repeatWatch
 }
 
 type pinForce struct {
@@ -490,6 +503,14 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 	return out
 }
 
+// earlyExitEligible reports whether a group pass may stop before the end of
+// the sequence: once every fault is detected, or at a repeat exit. A saved
+// final state, internal-line observation and an output hook all need the
+// whole sequence.
+func earlyExitEligible(opts Options) bool {
+	return !opts.ObserveLines && opts.OutputHook == nil && !opts.SaveStates
+}
+
 // ctxDone reports whether a (possibly nil) context has been cancelled.
 func ctxDone(ctx context.Context) bool {
 	if ctx == nil {
@@ -512,6 +533,7 @@ type counterBatch struct {
 	gateEvals, vectors, passes, dropped int64
 	events, skipped, cones, cancelled   int64
 	sweepFB, slabPasses, lanesIdle      int64
+	repeatExits                         int64
 }
 
 func (b *counterBatch) flush() {
@@ -529,6 +551,7 @@ func (b *counterBatch) flush() {
 	telemetry.Add(telemetry.CtrSweepFallbacks, b.sweepFB)
 	telemetry.Add(telemetry.CtrSlabPasses, b.slabPasses)
 	telemetry.Add(telemetry.CtrSlabLanesIdle, b.lanesIdle)
+	telemetry.Add(telemetry.CtrRepeatExits, b.repeatExits)
 	*b = counterBatch{}
 }
 
@@ -550,7 +573,9 @@ func (s *Simulator) runGroup(seq *sim.Sequence, faults []fault.Fault, lo, hi, st
 
 // runGroupDense is the original kernel: one full pass over the levelized
 // netlist per time unit. It is the trusted baseline the event kernel is
-// differentially locked against and stays byte-for-byte unoptimized.
+// differentially locked against, and its time unit stays byte-for-byte
+// unoptimized; only the early exits, which every kernel takes at the same
+// point, shorten its passes.
 func (s *Simulator) runGroupDense(seq *sim.Sequence, faults []fault.Fault, lo, hi, stop int, opts Options, out *Outcome, tb *counterBatch) int {
 	// The dense kernel rebuilds injection without site tracking, so any
 	// event-kernel value snapshot on this scratch simulator is now stale.
@@ -617,8 +642,14 @@ func (s *Simulator) runGroupDense(seq *sim.Sequence, faults []fault.Fault, lo, h
 	vals := s.vals
 
 	activeMask := groupMask(hi - lo) // slots still undetected
+	eligible := earlyExitEligible(opts)
+	watched := s.repeatSlots(faults[lo:hi])
 
 	for u := 0; u < stop; u++ {
+		if eligible && s.watch.repeats(u, state, 0, 1, s.transSites, activeMask&watched|1, seq, stop) {
+			tb.repeatExits++
+			break // the rest of the pass would replay an earlier stretch
+		}
 		units++
 		s.densePass(seq, state, u, false)
 		if s.hasBridge {
@@ -667,7 +698,7 @@ func (s *Simulator) runGroupDense(seq *sim.Sequence, faults []fault.Fault, lo, h
 				}
 			}
 		}
-		if activeMask == 0 && !opts.ObserveLines && opts.OutputHook == nil && !opts.SaveStates {
+		if activeMask == 0 && eligible {
 			break // every fault in the group already detected
 		}
 		// Clock edge: next state, with DFF D-pin faults applied.

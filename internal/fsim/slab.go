@@ -28,9 +28,10 @@ import (
 // kernel's evaluation over that lane's words, and per-lane bookkeeping
 // (activeMask draining, early-exit cycle counts, trace emission order,
 // telemetry totals) mirrors the dense per-group bookkeeping. A lane whose
-// group is fully detected stops counting (laneUnits freezes, matching the
-// dense early exit) but keeps being evaluated until the whole batch is done;
-// those wasted lane-cycles are counted on fsim.slab_lanes_idle.
+// group is fully detected or reaches a repeat exit stops counting (laneUnits
+// freezes, matching the dense early exits) but keeps being evaluated until
+// the whole batch is done; those wasted lane-cycles are counted on
+// fsim.slab_lanes_idle.
 
 // maxSlabLanes caps the automatic lane selection (and keeps user-specified
 // lane counts from exploding the arena): 16 lanes × 64 machines = 1024
@@ -118,6 +119,8 @@ type slabState struct {
 	activeMask []uint64 // undetected slots per lane
 	laneUnits  []int    // dense-equivalent simulated vector count per lane
 	laneDone   []bool   // lane reached its dense early-exit point
+	watched    []uint64 // slots each lane's repeat exit watches
+	watch      []repeatWatch
 	tgs        []*obsv.GroupTrace
 }
 
@@ -152,6 +155,8 @@ func (s *Simulator) slabFor(lanes int) *slabState {
 		sl.activeMask = make([]uint64, lanes)
 		sl.laneUnits = make([]int, lanes)
 		sl.laneDone = make([]bool, lanes)
+		sl.watched = make([]uint64, lanes)
+		sl.watch = make([]repeatWatch, lanes)
 		sl.tgs = make([]*obsv.GroupTrace, lanes)
 	}
 	return sl
@@ -351,6 +356,7 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 		sl.activeMask[l] = groupMask(sl.laneHi[l] - lo)
 		sl.laneUnits[l] = 0
 		sl.laneDone[l] = false
+		sl.watched[l] = s.repeatSlots(faults[lo:sl.laneHi[l]])
 		tg := opts.Trace.Group(g0 + l)
 		tg.SetWorker(s.worker)
 		sl.tgs[l] = tg
@@ -376,15 +382,30 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 		}
 	}
 
-	// Early exit follows the dense rule per lane; the batch itself only
-	// breaks when every lane is done.
-	eligible := !opts.ObserveLines && opts.OutputHook == nil && !opts.SaveStates
+	// Both early exits follow the dense rule per lane; the batch itself
+	// only breaks when every lane is done.
+	eligible := earlyExitEligible(opts)
 	units := 0
 	det := 0
 	active := nl
 	var fan [8]logic.W
 
 	for u := 0; u < stop; u++ {
+		if eligible {
+			for l := 0; l < nl; l++ {
+				if !sl.laneDone[l] && sl.watch[l].repeats(u, state, l, lanes, nil, sl.activeMask[l]&sl.watched[l]|1, seq, stop) {
+					// The lane keeps being evaluated with the batch, but it
+					// can detect nothing more: stop counting and scanning it.
+					sl.laneDone[l] = true
+					sl.activeMask[l] = 0
+					active--
+					tb.repeatExits++
+				}
+			}
+			if active == 0 {
+				break // every lane reached its dense early-exit point
+			}
+		}
 		units++
 		for l := 0; l < nl; l++ {
 			if !sl.laneDone[l] {

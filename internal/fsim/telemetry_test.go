@@ -68,79 +68,6 @@ func TestHotPathCounters(t *testing.T) {
 	}
 }
 
-// TestEarlyExitCountersKernelInvariant runs s298 without SaveStates against
-// the stuck-at faults the sequence detects (as the pipeline does with its
-// targets), so every fault group stops at its last detection, and requires
-// the event and slab kernels to report exactly dense's work counters: the
-// same vectors, group passes and dropped faults, and dense-equivalent
-// evaluations (gate_evals + gates_skipped). On the slab kernel this is lane
-// freezing at work — a lane whose group has finished stops counting even
-// though its batch runs on.
-func TestEarlyExitCountersKernelInvariant(t *testing.T) {
-	checkEarlyExitKernelInvariant(t, "stuck-at")
-}
-
-// TestEarlyExitCountersPerModel repeats the early-exit kernel comparison of
-// TestEarlyExitCountersKernelInvariant for every other fault model, so the
-// transition and bridge fault lists also stop each group at the same vector
-// on every kernel.
-func TestEarlyExitCountersPerModel(t *testing.T) {
-	for _, name := range fault.ModelNames() {
-		if name != "stuck-at" {
-			checkEarlyExitKernelInvariant(t, name)
-		}
-	}
-}
-
-// checkEarlyExitKernelInvariant runs s298 against the faults of the named
-// model that a 200-vector random sequence detects, without SaveStates, and
-// requires every kernel to report dense's vectors, group passes, dropped
-// faults and gate_evals + gates_skipped.
-func checkEarlyExitKernelInvariant(t *testing.T, model string) {
-	t.Helper()
-	c, err := iscas.Load("s298")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := fault.ModelByName(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := sim.RandomSequence(randutil.New(7), c.NumInputs(), 200)
-	universe := fault.CollapsedUniverseFor(c, m)
-	var faults []fault.Fault
-	for i, det := range Run(c, seq, universe, Options{Init: logic.Zero, Kernel: KernelDense}).Detected {
-		if det {
-			faults = append(faults, universe[i])
-		}
-	}
-	type work struct{ vectors, passes, dropped, evals int64 }
-	var dense work
-	for _, kernel := range []Kernel{KernelDense, KernelEvent, KernelSlab} {
-		before := telemetry.Counters()
-		Run(c, seq, faults, Options{Init: logic.Zero, Kernel: kernel})
-		d := telemetry.Counters().Sub(before)
-		got := work{
-			vectors: d.Get(telemetry.CtrVectors),
-			passes:  d.Get(telemetry.CtrGroupPasses),
-			dropped: d.Get(telemetry.CtrFaultsDropped),
-			evals:   d.Get(telemetry.CtrGateEvals) + d.Get(telemetry.CtrGatesSkipped),
-		}
-		if kernel == KernelDense {
-			dense = got
-			// The early exit must actually fire for the case to mean
-			// anything: fewer vectors than passes × sequence length.
-			if got.vectors >= got.passes*int64(seq.Len()) {
-				t.Errorf("%s: no group exited early (%d vectors, %d passes)", model, got.vectors, got.passes)
-			}
-			continue
-		}
-		if got != dense {
-			t.Errorf("%s/%v: counters %+v, dense %+v", model, kernel, got, dense)
-		}
-	}
-}
-
 // BenchmarkRunGroupTelemetryOverhead pins the allocation count of the hot
 // loop with telemetry compiled in but no sink installed: counters are plain
 // atomic adds batched per group pass, so the simulator must not allocate any

@@ -139,7 +139,8 @@ func (g *GroupTrace) Activity(changed int) {
 }
 
 // SetVectors records how many time units the group's pass simulated (groups
-// whose faults are all detected early exit before the sequence ends).
+// whose faults are all detected, or whose machines repeat an earlier state
+// under repeating input, exit before the sequence ends).
 func (g *GroupTrace) SetVectors(n int) {
 	if g != nil {
 		g.vectors = n
@@ -217,8 +218,9 @@ func (t *Trace) Activity() []int {
 }
 
 // GroupVectors returns, per fault group, the number of time units its pass
-// simulated. Groups that early-exit (every fault detected) report fewer
-// vectors; the maximum entries are the run's slowest groups.
+// simulated. Groups that early-exit (every fault detected, or a repeat
+// exit) report fewer vectors; the maximum entries are the run's slowest
+// groups.
 func (t *Trace) GroupVectors() []int {
 	if t == nil {
 		return nil

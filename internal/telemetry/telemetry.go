@@ -60,8 +60,14 @@ const (
 	CtrSlabPasses
 	// CtrSlabLanesIdle counts idle lane-cycles of the slab kernel: time
 	// units a lane kept being evaluated after its own fault group had
-	// already fully detected (the batch runs until every lane is done).
+	// already stopped, fully detected or at a repeat exit (the batch runs
+	// until every lane is done).
 	CtrSlabLanesIdle
+	// CtrRepeatExits counts fault-group passes (on the slab kernel: lanes)
+	// ended by the repeat exit: the fault-free machine and every live
+	// faulty machine re-entered an earlier state under input that repeats
+	// from there on, so no further detection was possible.
+	CtrRepeatExits
 
 	// NumCounters is the number of defined counters.
 	NumCounters
@@ -81,6 +87,7 @@ var counterNames = [NumCounters]string{
 	CtrSweepFallbacks:  "fsim.sweep_fallbacks",
 	CtrSlabPasses:      "fsim.slab_passes",
 	CtrSlabLanesIdle:   "fsim.slab_lanes_idle",
+	CtrRepeatExits:     "fsim.repeat_exits",
 }
 
 // Name returns the exported name of a counter.
