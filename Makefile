@@ -5,8 +5,9 @@
 # every differential fuzz target a bounded run on top of the committed seed
 # corpora; `make cover-gate` fails if total statement coverage drops below
 # the repository baseline; `make bench-digests` runs the benchmark module's
-# tests and fails unless the held-out seed's compile workloads reproduce the
-# committed T and weight-assignment digests (benchmark/testdata/expected.json);
+# tests and fails unless the compile workloads of seed 1 and of the held-out
+# seed 2 reproduce the committed T and weight-assignment digests
+# (benchmark/testdata/expected.json);
 # `make serve-smoke` drives `wbist serve` end to end over HTTP (submit, poll,
 # cache-hit resubmit, SIGTERM drain; see scripts/serve_smoke.sh); `make
 # shell-test` unit-tests the shell polling helper that serve_smoke.sh
@@ -54,12 +55,14 @@ cover-gate:
 # "correct" field of each run's closing JSON line.
 bench-digests: build
 	cd benchmark && $(GO) test ./...
-	@for w in compile-stuck compile-models; do \
-		line=$$(bash benchmark/run.sh --workload $$w --seed 2 --seconds 1 --trace 0 | tail -n 1); \
-		case "$$line" in \
-		*'"correct":true'*) echo "$$w: seed 2 digests match" ;; \
-		*) echo "$$w: outputs differ from benchmark/testdata/expected.json: $$line"; exit 1 ;; \
-		esac; \
+	@for s in 1 2; do \
+		for w in compile-stuck compile-models; do \
+			line=$$(bash benchmark/run.sh --workload $$w --seed $$s --seconds 1 --trace 0 | tail -n 1); \
+			case "$$line" in \
+			*'"correct":true'*) echo "$$w: seed $$s digests match" ;; \
+			*) echo "$$w seed $$s: outputs differ from benchmark/testdata/expected.json: $$line"; exit 1 ;; \
+			esac; \
+		done; \
 	done
 
 serve-smoke: build

@@ -67,11 +67,13 @@ type Options struct {
 	// Model selects the fault model whose collapsed universe the sequence
 	// targets (nil = stuck-at). The random and directed phases work for any
 	// model; the deterministic PODEM phase reasons about stuck-at activation
-	// and propagation only, so it is skipped for other models. Phase-2
-	// directed trials continue from saved flip-flop states, which for
-	// transition faults loses the launch history at the trial boundary (see
-	// fsim.Options.InitialStates) — acceptable for a search heuristic, and
-	// the final reported coverage always comes from an unsplit rerun.
+	// and propagation only, so it is skipped for other models. Every
+	// detection time the generator records comes from an exact simulation
+	// of the sequence, continued from carried machine states. The directed
+	// trials alone keep a search heuristic's shortcut: each trial starts
+	// every transition fault's launch history at X (fsim.States.FlipFlops),
+	// and a fault a trial detects stops being a trial target even if the
+	// exact continuation of the accepted trial does not detect it.
 	Model fault.Model
 	// Workers is the fault-simulation worker count handed to fsim (0 or 1 =
 	// sequential). The generated sequence is bit-identical for any value.
@@ -181,7 +183,7 @@ func Generate(c *circuit.Circuit, opts Options) *Result {
 	// also the outcome of the truncated sequence.
 	p1 := span.Child("random")
 	seq := sim.RandomSequence(rng, c.NumInputs(), opts.RandomLen)
-	out := s.Run(seq, faults, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, SlabLanes: opts.SlabLanes, Ctx: opts.Ctx})
+	out := simulate(s, seq, faults, opts)
 	last := -1
 	for i := range faults {
 		if out.Detected[i] && out.DetTime[i] > last {
@@ -197,39 +199,37 @@ func Generate(c *circuit.Circuit, opts Options) *Result {
 	p1.End()
 
 	// Phase 2: directed weighted-random trials for the remaining faults.
-	// The prefix sequence is simulated once per acceptance with state
-	// saving; each trial then only pays for its own vectors, continued from
-	// the saved per-group states.
+	// The ledger simulates the prefix once, saving the machine state of
+	// every undetected fault; each trial then only pays for its own vectors,
+	// and an accepted trial is re-run once from the exact states to carry
+	// the states and detection times forward.
 	p2 := span.Child("directed")
-	remaining := undetectedSubset(faults, out)
+	l := newLedger(faults, out)
+	if len(l.faults) > 0 && !ctxDone(opts.Ctx) {
+		l.capture(s, seq, opts)
+	}
 	accepted := 0
 	budget := opts.Rounds * opts.Restarts
-	for len(remaining) > 0 && accepted < opts.MaxAccepts && budget > 0 && !ctxDone(opts.Ctx) {
-		// The remaining faults are undetected by seq, so this pass detects
-		// nothing and exists purely to capture the end-of-prefix states.
-		base := s.Run(seq, remaining, fsim.Options{Init: opts.Init, SaveStates: true, Workers: opts.Workers, Kernel: opts.Kernel, SlabLanes: opts.SlabLanes, Ctx: opts.Ctx})
-		if base.Cancelled {
-			break // partial FinalStates are unusable; caller discards the run
-		}
+	for l.numTargets() > 0 && accepted < opts.MaxAccepts && budget > 0 && !ctxDone(opts.Ctx) {
+		remaining, start := l.trialTargets()
 		improved := false
 		for ; budget > 0 && !ctxDone(opts.Ctx); budget-- {
 			cand := weightedRandom(rng, c.NumInputs(), opts.TrialLen)
-			// TimeOffset keeps the continued run's detection times on the
-			// same axis as the full sequence (prefix + trial), should a
-			// future consumer compare them with u_det(f).
-			o := s.Run(cand, remaining, fsim.Options{
-				InitialStates: base.FinalStates,
+			o := s.Run(cand, remaining, opts.fsimOptions(fsim.Options{
+				InitialStates: start,
 				TimeOffset:    seq.Len(),
-				Workers:       opts.Workers,
-				Kernel:        opts.Kernel,
-				SlabLanes:     opts.SlabLanes,
-			})
+			}))
 			if o.NumDetected > 0 {
+				l.dropTargets(o)
+				ext := l.continueWith(s, cand, seq.Len(), opts)
+				if ext == nil {
+					break // cancelled; the caller discards the run
+				}
+				l.commit(ext)
 				seq.Concat(cand)
-				remaining = undetectedSubset(remaining, o)
 				improved = true
 				accepted++
-				break // re-simulate the prefix with the new tail
+				break // the next round starts from the extended states
 			}
 		}
 		if !improved {
@@ -244,31 +244,63 @@ func Generate(c *circuit.Circuit, opts Options) *Result {
 	// reasons about stuck-at activation/propagation, so the phase only runs
 	// under the stuck-at model.
 	_, stuckAt := model.(fault.StuckAt)
-	if !opts.NoDeterministicPhase && stuckAt && len(remaining) > 0 && !ctxDone(opts.Ctx) {
+	if !opts.NoDeterministicPhase && stuckAt && len(l.faults) > 0 && !ctxDone(opts.Ctx) {
 		p25 := span.Child("podem")
-		seq, remaining = deterministicPhase(c, s, seq, remaining, opts)
+		seq = deterministicPhase(c, s, seq, l, opts)
 		p25.End()
 	}
 
-	// Phase 3: restoration-based static compaction.
+	// Phase 3: restoration-based static compaction, starting from the
+	// ledger's detection times.
+	det := l.det
 	if !opts.NoCompaction && !ctxDone(opts.Ctx) {
 		p3 := span.Child("compaction")
-		seq = compact(s, seq, faults, opts)
+		compacted := compact(s, seq, faults, det, opts)
 		p3.End()
+		if compacted != seq {
+			// A deletion changes the sequence, so the faults the ledger
+			// leaves undetected are simulated once more over the result.
+			var rest []fault.Fault
+			var restIdx []int
+			for i, t := range det {
+				if t < 0 {
+					rest = append(rest, faults[i])
+					restIdx = append(restIdx, i)
+				}
+			}
+			o := simulate(s, compacted, rest, opts)
+			for j, i := range restIdx {
+				det[i] = o.DetTime[j]
+			}
+			seq = compacted
+		}
 	}
 
-	final := rerun(s, seq, faults, opts)
-	return &Result{
-		Seq:         seq,
-		Faults:      faults,
-		Detected:    final.Detected,
-		DetTime:     final.DetTime,
-		NumDetected: final.NumDetected,
+	res := &Result{
+		Seq:      seq,
+		Faults:   faults,
+		Detected: make([]bool, len(faults)),
+		DetTime:  det,
 	}
+	for i, t := range det {
+		if t >= 0 {
+			res.Detected[i] = true
+			res.NumDetected++
+		}
+	}
+	return res
 }
 
-func rerun(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, opts Options) *fsim.Outcome {
-	return s.Run(seq, faults, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, SlabLanes: opts.SlabLanes, Ctx: opts.Ctx})
+// simulate fault-simulates seq over faults from time 0 and opts.Init.
+func simulate(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, opts Options) *fsim.Outcome {
+	return s.Run(seq, faults, opts.fsimOptions(fsim.Options{Init: opts.Init, Ctx: opts.Ctx}))
+}
+
+// fsimOptions returns o with the generator's execution settings (Workers,
+// Kernel, SlabLanes), which never change an outcome, filled in.
+func (opts *Options) fsimOptions(o fsim.Options) fsim.Options {
+	o.Workers, o.Kernel, o.SlabLanes = opts.Workers, opts.Kernel, opts.SlabLanes
+	return o
 }
 
 // ctxDone reports whether a (possibly nil) context has been cancelled.
@@ -282,16 +314,6 @@ func ctxDone(ctx context.Context) bool {
 	default:
 		return false
 	}
-}
-
-func undetectedSubset(faults []fault.Fault, out *fsim.Outcome) []fault.Fault {
-	var rem []fault.Fault
-	for i := range faults {
-		if !out.Detected[i] {
-			rem = append(rem, faults[i])
-		}
-	}
-	return rem
 }
 
 // weightedRandom returns a sequence whose inputs are biased with random
@@ -317,7 +339,11 @@ func weightedRandom(rng *randutil.RNG, n, l int) *sim.Sequence {
 
 // compact removes blocks of vectors whose omission does not lose coverage.
 // Blocks are tried back to front at each block size so that later deletions
-// do not invalidate earlier decisions within a pass.
+// do not invalidate earlier decisions within a pass. det holds every fault's
+// first detection time under seq (-1 if undetected); the detected faults are
+// the targets that must stay detected, and compact leaves det holding their
+// times under the returned sequence. It returns seq itself if it deleted
+// nothing.
 //
 // Deleting [lo,hi) leaves the prefix [0,lo) as it was, and every run starts
 // at time 0 from opts.Init, so a target first detected before lo is still
@@ -326,16 +352,11 @@ func weightedRandom(rng *randutil.RNG, n, l int) *sim.Sequence {
 // at or after lo; an accepted deletion takes their new times from that run.
 // The decisions, and so the returned sequence, are the ones a full
 // re-simulation of every target would make, for every fault model.
-func compact(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, opts Options) *sim.Sequence {
-	base := rerun(s, seq, faults, opts)
-	// Only the detected faults need to stay detected; simulating the
-	// undetected ones during compaction would be wasted effort.
-	var targets []fault.Fault
-	var det []int // det[i]: first detection time of targets[i] under seq
-	for i := range faults {
-		if base.Detected[i] {
-			targets = append(targets, faults[i])
-			det = append(det, base.DetTime[i])
+func compact(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, det []int, opts Options) *sim.Sequence {
+	var targets []int // indices of the detected faults
+	for i, t := range det {
+		if t >= 0 {
+			targets = append(targets, i)
 		}
 	}
 	var late []fault.Fault
@@ -359,14 +380,14 @@ func compact(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, opts Op
 				}
 			}
 			late, lateIdx = late[:0], lateIdx[:0]
-			for i, t := range det {
-				if t >= lo {
-					late = append(late, targets[i])
+			for _, i := range targets {
+				if det[i] >= lo {
+					late = append(late, faults[i])
 					lateIdx = append(lateIdx, i)
 				}
 			}
 			if len(late) > 0 {
-				o := rerun(s, cand, late, opts)
+				o := simulate(s, cand, late, opts)
 				if o.NumDetected != len(late) {
 					continue
 				}

@@ -52,7 +52,7 @@ func testModelRandom(t *testing.T, m fault.Model, seedBase uint64, triples int) 
 		if cfg.StopTime > 0 {
 			stopped++
 		}
-		if cfg.SplitContinuation && cfg.StopTime == 0 && seq.Len() >= 2 && Continuable(faults) {
+		if splits(seq, faults, cfg) {
 			split++
 		}
 		before := repeatExits()
@@ -75,10 +75,7 @@ func testModelRandom(t *testing.T, m fault.Model, seedBase uint64, triples int) 
 			}
 		}
 	}
-	// The split-continuation axis is undefined for transition faults
-	// (Continuable): only demand it where it can run at all.
-	_, isTransition := m.(fault.Transition)
-	if multiGroup == 0 || saved == 0 || stopped == 0 || (split == 0 && !isTransition) ||
+	if multiGroup == 0 || saved == 0 || stopped == 0 || split == 0 ||
 		slab == 0 || kernels == 0 || repeated == 0 {
 		t.Fatalf("sweep too narrow: multiGroup=%d saveStates=%d stopTime=%d split=%d slab=%d kernels=%d repeatExit=%d",
 			multiGroup, saved, stopped, split, slab, kernels, repeated)
@@ -175,8 +172,10 @@ func modelCheck(t *testing.T, m fault.Model, circSeed, stimSeed, cfgSeed uint64)
 
 // FuzzTransitionVsRef is the transition-model differential target: for an
 // arbitrary decoded triple carrying launch-on-capture transition faults, the
-// naive scalar oracle and the bit-parallel simulator (dense and event
-// kernels, Workers axis, split continuation) must agree bit for bit.
+// naive scalar oracle and the bit-parallel simulator (every kernel, Workers
+// axis, split continuation) must agree bit for bit. The launch-split corpus
+// entries split their sequence right after a launch, where a continuation
+// that dropped the launch history would diverge.
 func FuzzTransitionVsRef(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint64(3))
 	f.Add(uint64(42), uint64(0), uint64(7))

@@ -20,10 +20,10 @@ import (
 // package).
 func TestPipelineCountersS298(t *testing.T) {
 	want := map[string]int64{
-		"fsim.gate_evals+fsim.gates_skipped": 11_374_496,
-		"fsim.vectors":                       95_584,
-		"fsim.group_passes":                  457,
-		"fsim.faults_dropped":                3_982,
+		"fsim.gate_evals+fsim.gates_skipped": 9_589_496,
+		"fsim.vectors":                       80_584,
+		"fsim.group_passes":                  441,
+		"fsim.faults_dropped":                3_138,
 		"fsim.repeat_exits":                  28,
 		"core.candidates_scored":             21,
 		"podem.backtracks":                   7_294,

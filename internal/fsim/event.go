@@ -166,7 +166,8 @@ func (s *Simulator) invalidateEvent() {
 // uninjected without changing any observable outcome: the fault site reaches
 // no primary output through any sequential path (never detectable, never
 // visible in an output word), internal lines are not being observed, and
-// either final states are not being saved or the effect cannot reach state.
+// either final states are not being saved or the effect cannot reach state
+// (and the fault has no launch history to save).
 // The skipped slot then mirrors the fault-free machine exactly — which is
 // also what the dense kernel computes for it, bit for bit.
 func (s *Simulator) skipFault(f fault.Fault, opts Options) bool {
@@ -177,7 +178,9 @@ func (s *Simulator) skipFault(f fault.Fault, opts Options) bool {
 	if !opts.SaveStates {
 		return true
 	}
-	if cn.FeedsState[f.Node] {
+	// Saved states carry a transition fault's launch history, which only an
+	// injected site tracks.
+	if f.Kind == fault.KindTransition || cn.FeedsState[f.Node] {
 		return false
 	}
 	// A D-pin fault is forced into the saved state directly at the clock
@@ -492,7 +495,8 @@ func (s *Simulator) runGroupEvent(seq *sim.Sequence, faults []fault.Fault, lo, h
 
 	state := s.next
 	if opts.InitialStates != nil {
-		copy(state, opts.InitialStates[lo/GroupSize])
+		copy(state, opts.InitialStates.groups[lo/GroupSize])
+		s.loadHistory(opts.InitialStates, lo)
 	} else {
 		for i := range state {
 			state[i] = logic.Broadcast(opts.Init)
@@ -693,7 +697,8 @@ func (s *Simulator) runGroupEvent(seq *sim.Sequence, faults []fault.Fault, lo, h
 	if opts.SaveStates {
 		saved := make([]logic.W, len(state))
 		copy(saved, state)
-		out.FinalStates[lo/GroupSize] = saved
+		out.FinalStates.groups[lo/GroupSize] = saved
+		s.saveHistory(out.FinalStates, lo)
 	}
 	if units > 0 {
 		// vals is now a consistent snapshot under this group's injection.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/iscas"
 	"repro/internal/logic"
@@ -179,15 +180,14 @@ func TestInitialStatesValidation(t *testing.T) {
 		Run(c, seq, fl, opts)
 	}
 
-	// Group count mismatch: continuing with a truncated fault list.
-	mustPanic("short fault list", "group states",
+	// Fault count mismatch: continuing with a truncated fault list.
+	mustPanic("short fault list", "fault states",
 		Options{InitialStates: pre.FinalStates}, faults[:GroupSize])
 
-	// Per-group width mismatch: one group state narrower than the DFF count.
-	bad := make([][]logic.W, len(pre.FinalStates))
-	copy(bad, pre.FinalStates)
-	bad[1] = bad[1][:len(bad[1])-1]
-	mustPanic("short state", "flip-flops", Options{InitialStates: bad}, faults)
+	// Machine width mismatch: states saved on a different circuit.
+	other := Run(iscas.MustLoad("s27"), sim.RandomSequence(randutil.New(9), 4, 4),
+		fault.CollapsedUniverse(iscas.MustLoad("s27")), Options{SaveStates: true})
+	mustPanic("other circuit", "flip-flops", Options{InitialStates: other.FinalStates}, faults[:other.FinalStates.Len()])
 
 	// The well-shaped continuation still works.
 	post := Run(c, seq, faults, Options{InitialStates: pre.FinalStates})
@@ -263,5 +263,33 @@ func TestWorkerPoolReuse(t *testing.T) {
 	}
 	if len(s.pool) != 3 {
 		t.Fatalf("pool grew to %d, want 3", len(s.pool))
+	}
+}
+
+// TestWorkerPanicReachesCaller injects a fault whose node id is out of
+// range into the second fault group of a Workers=2 run, so the panic
+// happens on a pool goroutine. It must be raised again on the calling
+// goroutine, where it can be recovered, instead of ending the process, on
+// every kernel.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	c := iscas.MustLoad("s298")
+	faults := append([]fault.Fault(nil), fault.CollapsedUniverse(c)[:3*GroupSize]...)
+	faults[GroupSize+5].Node = circuit.NodeID(len(c.Nodes) + 7)
+	seq := sim.RandomSequence(randutil.New(4), c.NumInputs(), 10)
+	for _, k := range []Kernel{KernelDense, KernelEvent, KernelSlab} {
+		func() {
+			defer func() {
+				p := recover()
+				if p == nil {
+					t.Fatalf("%v: Run returned normally over a fault with an out-of-range node", k)
+				}
+				if msg, ok := p.(string); !ok || !strings.Contains(msg, "index out of range") {
+					t.Fatalf("%v: panic %v does not carry the worker's panic", k, p)
+				}
+			}()
+			// SlabLanes 1 gives the slab kernel one batch per group, so it
+			// fans out too.
+			Run(c, seq, faults, Options{Init: logic.Zero, Workers: 2, Kernel: k, SlabLanes: 1})
+		}()
 	}
 }

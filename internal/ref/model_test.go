@@ -95,6 +95,23 @@ func TestTransitionSaveStates(t *testing.T) {
 	if got := out.FinalStates[0]; len(got) != 1 || got[0] != logic.Zero {
 		t.Errorf("faulty final state = %v, want [0]", got)
 	}
+	// The site's last nominal value is the history a continuation resumes
+	// from: 1 here, so a continuation applying 1 again launches nothing.
+	if got := out.LaunchHistory[0]; got != logic.One {
+		t.Errorf("launch history = %v, want 1", got)
+	}
+}
+
+// TestLaunchHistoryNonTransition: a stuck-at fault has no launch history,
+// so the saved value is X.
+func TestLaunchHistoryNonTransition(t *testing.T) {
+	c := pipe(t)
+	seq, _ := sim.ParseSequence("0\n1")
+	inID, _ := c.Lookup("in")
+	out := Run(c, seq, []fault.Fault{{Node: inID, Pin: -1, Stuck: 1}}, Options{Init: logic.Zero, SaveStates: true})
+	if got := out.LaunchHistory[0]; got != logic.X {
+		t.Errorf("stuck-at launch history = %v, want X", got)
+	}
 }
 
 // TestHandComputedBridge traces a wired-OR bridge between the two inverter

@@ -12,7 +12,8 @@
 //
 // The oracle contract (see DESIGN.md): for the same circuit, sequence,
 // fault list and flip-flop initialisation, ref and fsim must report
-// bit-identical Detected, DetTime and final flip-flop states. Features that
+// bit-identical Detected, DetTime and final machine states (flip-flops and
+// transition launch history). Features that
 // exist purely for performance or orchestration (fault grouping, Workers,
 // ObserveLines, OutputHook, AbortAfterFirstGroupIfNone, InitialStates) are
 // deliberately out of ref's scope: the continuation features are instead
@@ -59,6 +60,11 @@ type Outcome struct {
 	// FaultFreeFinal is the fault-free machine's final flip-flop state (only
 	// when SaveStates was set).
 	FaultFreeFinal []logic.V
+	// LaunchHistory[i] is the fault site's nominal value in the last time
+	// unit when faults[i] is a transition fault, and X for every other fault
+	// (only when SaveStates was set): the rest of the machine's state, which
+	// a continuation must carry besides the flip-flops.
+	LaunchHistory []logic.V
 }
 
 // Ternary truth tables, indexed by logic.V (Zero=0, One=1, X=2). These are
@@ -137,6 +143,7 @@ func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Optio
 	}
 	if opts.SaveStates {
 		out.FinalStates = make([][]logic.V, len(faults))
+		out.LaunchHistory = make([]logic.V, len(faults))
 	}
 
 	// Fault-free pass: record the golden primary-output trace (the detection
@@ -150,9 +157,10 @@ func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Optio
 	for i := range faults {
 		var det int
 		var final []logic.V
+		history := logic.X
 		switch faults[i].Kind {
 		case fault.KindTransition:
-			det, final = simulateTransition(c, seq, stop, opts.Init, faults[i], golden, opts.SaveStates)
+			det, final, history = simulateTransition(c, seq, stop, opts.Init, faults[i], golden, opts.SaveStates)
 		case fault.KindBridge:
 			det, final = simulateBridge(c, seq, stop, opts.Init, faults[i], golden, opts.SaveStates)
 		default:
@@ -165,6 +173,7 @@ func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Optio
 		}
 		if opts.SaveStates {
 			out.FinalStates[i] = final
+			out.LaunchHistory[i] = history
 		}
 	}
 	return out

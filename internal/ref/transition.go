@@ -14,9 +14,12 @@ import (
 // value is d (the launch transition), the node is held at the old value for
 // the whole cycle. The previous value starts at X, so time unit 0 never
 // forces. This restates the fsim model hook contract independently — shared
-// code would turn the differential check into a tautology.
+// code would turn the differential check into a tautology. history is the
+// site's nominal value in the last time unit (X after no time unit), the
+// state a continuation would need besides final; like final it is only
+// meaningful when keepGoing applied the whole sequence.
 func simulateTransition(c *circuit.Circuit, seq *sim.Sequence, stop int, init logic.V,
-	f fault.Fault, golden [][]logic.V, keepGoing bool) (detTime int, final []logic.V) {
+	f fault.Fault, golden [][]logic.V, keepGoing bool) (detTime int, final []logic.V, history logic.V) {
 
 	vals := make([]logic.V, len(c.Nodes))
 	state := make([]logic.V, len(c.DFFs))
@@ -65,7 +68,7 @@ func simulateTransition(c *circuit.Circuit, seq *sim.Sequence, stop int, init lo
 				}
 			}
 			if detTime >= 0 && !keepGoing {
-				return detTime, nil
+				return detTime, nil, prev
 			}
 		}
 		// Clock edge (transition faults are stem-only: no D-pin forcing).
@@ -73,5 +76,5 @@ func simulateTransition(c *circuit.Circuit, seq *sim.Sequence, stop int, init lo
 			state[k] = vals[c.Nodes[id].Fanins[0]]
 		}
 	}
-	return detTime, state
+	return detTime, state, prev
 }

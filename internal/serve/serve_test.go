@@ -16,8 +16,12 @@ import (
 	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/expt"
+	"repro/internal/fault"
+	"repro/internal/fsim"
 	"repro/internal/iscas"
 	"repro/internal/logic"
+	"repro/internal/randutil"
+	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -400,6 +404,40 @@ func TestPanickingJobFails(t *testing.T) {
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("pipeline ran %d times, want 3 (panic, recompute, other key)", got)
+	}
+}
+
+// TestPoolPanicFailsJob injects a pipeline whose fault simulation panics on
+// a worker-pool goroutine (a fault with an out-of-range node id in the
+// second fault group of a Workers=2 run): that job must end failed with the
+// worker's panic, the process must survive, and the server must keep
+// serving other jobs.
+func TestPoolPanicFailsJob(t *testing.T) {
+	var calls atomic.Int64
+	runPipeline = func(c *circuit.Circuit, init logic.V, cfg expt.Config) (*expt.Run, error) {
+		if calls.Add(1) == 1 {
+			big := iscas.MustLoad("s298")
+			faults := append([]fault.Fault(nil), fault.CollapsedUniverse(big)[:3*fsim.GroupSize]...)
+			faults[fsim.GroupSize+5].Node = circuit.NodeID(len(big.Nodes) + 7)
+			seq := sim.RandomSequence(randutil.New(4), big.NumInputs(), 10)
+			fsim.Run(big, seq, faults, fsim.Options{Init: logic.Zero, Workers: 2, Kernel: cfg.Kernel, SlabLanes: 1})
+		}
+		return expt.RunPipeline(c, init, cfg)
+	}
+	t.Cleanup(func() { runPipeline = expt.RunPipeline })
+	_, hs := newTestServer(t)
+
+	v, code := submit(t, hs, SubmitRequest{Circuit: "s27", Config: JobConfig{LG: 100, Seed: 13}})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	failed := waitTerminal(t, hs, v.ID)
+	if failed.State != StateFailed || !strings.Contains(failed.Error, "index out of range") {
+		t.Fatalf("job with a panicking fsim worker: state %s, error %q; want failed with the worker's panic", failed.State, failed.Error)
+	}
+	other, _ := submit(t, hs, SubmitRequest{Circuit: "s27", Config: JobConfig{LG: 100, Seed: 14}})
+	if done := waitTerminal(t, hs, other.ID); done.State != StateDone {
+		t.Fatalf("next job: state %s (%s), want done", done.State, done.Error)
 	}
 }
 
