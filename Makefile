@@ -5,21 +5,22 @@
 # every differential fuzz target a bounded run on top of the committed seed
 # corpora; `make cover-gate` fails if total statement coverage drops below
 # the repository baseline; `make bench-digests` runs the benchmark module's
-# tests and fails unless the compile workloads of seed 1 and of the held-out
-# seed 2 reproduce the committed T and weight-assignment digests
-# (benchmark/testdata/expected.json);
+# tests and fails unless the compile workloads and grade-session of seed 1
+# and of the held-out seed 2 reproduce the committed digests (T and weight
+# assignments, detection records; benchmark/testdata/expected.json);
 # `make serve-smoke` drives `wbist serve` end to end over HTTP (submit, poll,
 # cache-hit resubmit, SIGTERM drain; see scripts/serve_smoke.sh); `make
 # shell-test` unit-tests the shell polling helper that serve_smoke.sh
 # sources (scripts/poll_test.sh). Performance numbers come from
 # `bash benchmark/run.sh` (end to end, per layer) and
-# `go test -bench Kernel ./internal/fsim` (kernel against kernel).
+# `go test -bench Kernel ./internal/fsim` (kernel against kernel, per fault
+# model, and the slab lane-width sweep).
 
 GO ?= go
 
 # The differential fuzz targets of internal/difftest (see README
 # "Correctness tooling"). FUZZTIME bounds each target's smoke run.
-FUZZ_TARGETS = FuzzRefVsFsim FuzzEventVsDense FuzzSlabVsDense FuzzFaultFreeVsSim FuzzWgenVsExpansion FuzzBenchRoundTrip FuzzTransitionVsRef FuzzBridgeVsRef
+FUZZ_TARGETS = FuzzRefVsFsim FuzzSlabVsDense FuzzFaultFreeVsSim FuzzWgenVsExpansion FuzzBenchRoundTrip FuzzTransitionVsRef FuzzBridgeVsRef
 FUZZTIME ?= 10s
 
 .PHONY: all build test race vet fuzz-smoke cover cover-gate bench-digests serve-smoke shell-test
@@ -56,7 +57,7 @@ cover-gate:
 bench-digests: build
 	cd benchmark && $(GO) test ./...
 	@for s in 1 2; do \
-		for w in compile-stuck compile-models; do \
+		for w in compile-stuck compile-models grade-session; do \
 			line=$$(bash benchmark/run.sh --workload $$w --seed $$s --seconds 1 --trace 0 | tail -n 1); \
 			case "$$line" in \
 			*'"correct":true'*) echo "$$w: seed $$s digests match" ;; \

@@ -8,7 +8,7 @@
 // from table6 and s5378 from the observation-point tables. -workers shards
 // fault simulation over N goroutines (default GOMAXPROCS; every result is
 // bit-identical for any value) and -kernel selects the fault-simulation
-// kernel (auto/event/dense/slab; also bit-identical). The models section
+// kernel (auto/dense/slab, auto meaning slab; also bit-identical). The models section
 // compiles two suite circuits once per fault model and prints per-model
 // fault counts and coverage columns; -fault-model switches the fault
 // universe the other pipeline sections target. -progress streams per-phase
@@ -39,8 +39,8 @@ var (
 	flagLG        = flag.Int("lg", 0, "per-assignment sequence length (0 = default)")
 	flagSeed      = flag.Uint64("seed", 1, "master seed")
 	flagWorkers   = flag.Int("workers", runtime.GOMAXPROCS(0), "fault-simulation worker goroutines (results are identical for any value)")
-	flagKernel    = flag.String("kernel", "auto", "fault-simulation kernel: auto, event, dense or slab (results are identical for any value)")
-	flagSlabLanes = flag.Int("slab-lanes", 0, "slab kernel fault-group batch width W (0 = adaptive; results are identical for any value)")
+	flagKernel    = flag.String("kernel", "auto", "fault-simulation kernel: auto (slab unless FSIM_KERNEL says otherwise), dense or slab (results are identical for any value)")
+	flagSlabLanes = flag.Int("slab-lanes", 0, "slab kernel fault-group batch width W, at most 16 (0 = 8, capped so every worker gets a batch; results are identical for any value)")
 	flagModel     = flag.String("fault-model", "", "fault model for the pipeline sections: stuck-at (default), transition or bridge (part of the run's identity)")
 	flagProgress  = flag.Bool("progress", false, "print per-phase telemetry progress to stderr")
 	flagMetrics   = flag.String("metrics", "", "write telemetry span events to this file as JSON lines")

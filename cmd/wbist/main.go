@@ -34,11 +34,11 @@
 //
 // Common flags (before the subcommand): -lg, -seed, -random, -misr, -workers
 // (fault-simulation worker goroutines, default GOMAXPROCS; results are
-// bit-identical for any value), -kernel <auto|event|dense|slab>
+// bit-identical for any value), -kernel <auto|dense|slab>
 // (fault-simulation gate-evaluation kernel; "auto" honors FSIM_KERNEL and
-// defaults to the event-driven kernel, results are bit-identical for every
+// defaults to the slab kernel, results are bit-identical for either
 // kernel), -slab-lanes N (the slab kernel's fault-group batch width W; 0
-// picks W adaptively from the netlist size), -fault-model
+// picks 8, capped so every worker gets a batch), -fault-model
 // <stuck-at|transition|bridge> (the fault universe the pipeline targets;
 // unlike the execution flags it changes every result bit and is part of the
 // run's identity), plus the observability flags -metrics <file> (JSON-lines
@@ -71,8 +71,8 @@ var (
 	flagRandom    = flag.Int("random", 0, "pseudo-random LFSR windows before weight selection")
 	flagMISR      = flag.Int("misr", 16, "MISR width for the selftest subcommand")
 	flagWorkers   = flag.Int("workers", runtime.GOMAXPROCS(0), "fault-simulation worker goroutines (results are identical for any value)")
-	flagKernel    = flag.String("kernel", "auto", "fault-simulation kernel: auto, event, dense or slab (results are identical for any value)")
-	flagSlabLanes = flag.Int("slab-lanes", 0, "slab kernel fault-group batch width W (0 = adaptive; results are identical for any value)")
+	flagKernel    = flag.String("kernel", "auto", "fault-simulation kernel: auto (slab unless FSIM_KERNEL says otherwise), dense or slab (results are identical for any value)")
+	flagSlabLanes = flag.Int("slab-lanes", 0, "slab kernel fault-group batch width W, at most 16 (0 = 8, capped so every worker gets a batch; results are identical for any value)")
 	flagModel     = flag.String("fault-model", "", "fault model: stuck-at (default), transition or bridge (part of the run's identity, unlike -workers/-kernel)")
 	flagMetrics   = flag.String("metrics", "", "write telemetry span events to this file as JSON lines")
 	flagProgress  = flag.Bool("progress", false, "print per-phase progress to stderr")

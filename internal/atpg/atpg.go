@@ -78,12 +78,12 @@ type Options struct {
 	// Workers is the fault-simulation worker count handed to fsim (0 or 1 =
 	// sequential). The generated sequence is bit-identical for any value.
 	Workers int
-	// Kernel selects the fsim gate-evaluation kernel (dense, event-driven or
-	// slab; the zero value honors FSIM_KERNEL and defaults to event). The
+	// Kernel selects the fsim gate-evaluation kernel (dense or slab; the
+	// zero value honors FSIM_KERNEL and defaults to slab). The
 	// generated sequence is bit-identical for every kernel.
 	Kernel fsim.Kernel
-	// SlabLanes is the slab kernel's fault-group batch width W (0 = pick
-	// adaptively; ignored by the other kernels). The generated sequence is
+	// SlabLanes is the slab kernel's fault-group batch width W (0 = the
+	// automatic width; ignored by the dense kernel). The generated sequence is
 	// bit-identical for any value.
 	SlabLanes int
 	// Span, when non-nil, is the parent telemetry span under which the

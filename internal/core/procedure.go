@@ -55,12 +55,12 @@ type Options struct {
 	// sequential). Results are bit-identical for any value; it only changes
 	// wall-clock time.
 	Workers int
-	// Kernel selects the fsim gate-evaluation kernel (dense, event-driven or
-	// slab; the zero value honors FSIM_KERNEL and defaults to event). Like
+	// Kernel selects the fsim gate-evaluation kernel (dense or slab; the
+	// zero value honors FSIM_KERNEL and defaults to slab). Like
 	// Workers, it leaves every result bit unchanged.
 	Kernel fsim.Kernel
-	// SlabLanes is the slab kernel's fault-group batch width W (0 = pick
-	// adaptively; ignored by the other kernels). Like Workers, it leaves
+	// SlabLanes is the slab kernel's fault-group batch width W (0 = the
+	// automatic width; ignored by the dense kernel). Like Workers, it leaves
 	// every result bit unchanged.
 	SlabLanes int
 	// Ctx, if non-nil, cancels the procedure: it is checked once per

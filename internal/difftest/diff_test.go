@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,76 +85,33 @@ func TestDifferentialSuiteCircuits(t *testing.T) {
 	}
 }
 
-// TestDifferentialDenseVsEvent is the acceptance gate of the event-driven
-// kernel: over ≥1000 random triples the event kernel must reproduce the
-// dense kernel bit for bit — Detected, DetTime, Lines (ObserveLines axis),
-// FinalStates (SaveStates axis) — sequentially and under Workers ∈ {1, 4},
-// including StopTime truncation, dense→event runs on one reused simulator,
-// back-to-back event warm starts, and split InitialStates/TimeOffset
-// continuation replays.
-func TestDifferentialDenseVsEvent(t *testing.T) {
-	triples := 1000
-	if testing.Short() {
-		triples = 150
-	}
-	var multiGroup, observed, saved, split, stopped, repeated int
-	for i := 0; i < triples; i++ {
-		seed := uint64(i) + 0xe7e47 // distinct circuits from the ref sweep
-		c := rcg.FromSeed(seed)
-		rng := randutil.New(seed ^ 0xd1f7e57).Split()
-		seq := RandomStimulus(rng, c.NumInputs())
-		faults := SampleFaults(rng, fault.CollapsedUniverse(c))
-		cfg := ConfigFromSeed(rng.Uint64(), seq.Len())
-		if len(faults) > fsim.GroupSize {
-			multiGroup++
-		}
-		if cfg.ObserveLines {
-			observed++
-		}
-		if cfg.SaveStates {
-			saved++
-		}
-		if cfg.SplitContinuation && cfg.StopTime == 0 && seq.Len() >= 2 {
-			split++
-		}
-		if cfg.StopTime > 0 {
-			stopped++
-		}
-		before := repeatExits()
-		if err := CheckKernels(c, seq, faults, cfg); err != nil {
-			t.Fatalf("triple %d: %v\n%s", i, err, Describe(c, seq, faults, cfg))
-		}
-		if repeatExits() > before {
-			repeated++
-		}
-	}
-	if multiGroup == 0 || observed == 0 || saved == 0 || split == 0 || stopped == 0 || repeated == 0 {
-		t.Fatalf("sweep too narrow: multiGroup=%d observe=%d saveStates=%d split=%d stopTime=%d repeatExit=%d",
-			multiGroup, observed, saved, split, stopped, repeated)
-	}
-	t.Logf("%d triples: %d multi-group, %d with line observation, %d with state compare, %d split replays, %d truncated, %d with a repeat exit",
-		triples, multiGroup, observed, saved, split, stopped, repeated)
-}
-
 // TestDifferentialDenseVsSlab is the acceptance gate of the slab kernel:
-// over ≥1000 random triples the slab kernel must reproduce the dense kernel
-// bit for bit — Detected, DetTime, Lines (ObserveLines axis), FinalStates
-// (SaveStates axis) — across Workers ∈ {1, 4, 8} × SlabLanes ∈ {1, 2, 8}
-// plus the adaptive width, including StopTime truncation, arena re-strides
-// and event-kernel interleavings on one reused simulator, and split
-// InitialStates/TimeOffset continuation replays.
+// over ≥1000 random triples, rotating over the stuck-at, transition and
+// bridge models, the slab kernel must reproduce the dense kernel bit for
+// bit — Detected, DetTime, Lines (ObserveLines axis), FinalStates and
+// launch history (SaveStates axis) — across Workers ∈ {1, 4, 8} ×
+// SlabLanes ∈ {1, 2, 8} plus the automatic width, including StopTime
+// truncation, arena re-strides and dense interleavings on one reused
+// simulator, and split InitialStates/TimeOffset continuation replays.
 func TestDifferentialDenseVsSlab(t *testing.T) {
 	triples := 1000
 	if testing.Short() {
 		triples = 150
 	}
+	models := []fault.Model{fault.StuckAt{}, fault.Transition{}, fault.Bridging{}}
+	perModel := make([]int, len(models))
 	var multiGroup, multiBatch, observed, saved, split, stopped, repeated int
 	for i := 0; i < triples; i++ {
 		seed := uint64(i) + 0x51ab5 // distinct circuits from the other sweeps
 		c := rcg.FromSeed(seed)
 		rng := randutil.New(seed ^ 0xd1f7e57).Split()
 		seq := RandomStimulus(rng, c.NumInputs())
-		faults := SampleFaults(rng, fault.CollapsedUniverse(c))
+		all := fault.CollapsedUniverseFor(c, models[i%len(models)])
+		if len(all) == 0 {
+			continue // no bridgeable pair in a tiny circuit
+		}
+		perModel[i%len(models)]++
+		faults := SampleFaults(rng, all)
 		cfg := ConfigFromSeed(rng.Uint64(), seq.Len())
 		if len(faults) > fsim.GroupSize {
 			multiGroup++
@@ -181,12 +139,13 @@ func TestDifferentialDenseVsSlab(t *testing.T) {
 			repeated++
 		}
 	}
-	if multiGroup == 0 || multiBatch == 0 || observed == 0 || saved == 0 || split == 0 || stopped == 0 || repeated == 0 {
-		t.Fatalf("sweep too narrow: multiGroup=%d multiBatch=%d observe=%d saveStates=%d split=%d stopTime=%d repeatExit=%d",
-			multiGroup, multiBatch, observed, saved, split, stopped, repeated)
+	if multiGroup == 0 || multiBatch == 0 || observed == 0 || saved == 0 || split == 0 || stopped == 0 || repeated == 0 ||
+		slices.Contains(perModel, 0) {
+		t.Fatalf("sweep too narrow: multiGroup=%d multiBatch=%d observe=%d saveStates=%d split=%d stopTime=%d repeatExit=%d perModel=%v",
+			multiGroup, multiBatch, observed, saved, split, stopped, repeated, perModel)
 	}
-	t.Logf("%d triples: %d multi-group, %d multi-batch, %d with line observation, %d with state compare, %d split replays, %d truncated, %d with a repeat exit",
-		triples, multiGroup, multiBatch, observed, saved, split, stopped, repeated)
+	t.Logf("%d triples (%v per model): %d multi-group, %d multi-batch, %d with line observation, %d with state compare, %d split replays, %d truncated, %d with a repeat exit",
+		triples, perModel, multiGroup, multiBatch, observed, saved, split, stopped, repeated)
 }
 
 // TestDifferentialSlabSuiteCircuits repeats the dense-vs-slab check on the
@@ -212,9 +171,11 @@ func TestDifferentialSlabSuiteCircuits(t *testing.T) {
 	}
 }
 
-// TestDifferentialKernelsSuiteCircuits repeats the dense-vs-event check on
-// the real experiment circuits with the full collapsed fault universe and
-// every differential axis on at once.
+// TestDifferentialKernelsSuiteCircuits holds the two kernels bit-identical
+// on the real experiment circuits under the transition and bridge models,
+// with every differential axis on at once — line observation included,
+// which the model sweeps leave to the random configurations — so the slab
+// kernel's native model lanes meet full multi-group universes.
 func TestDifferentialKernelsSuiteCircuits(t *testing.T) {
 	names := []string{"s27", "s298", "s344"}
 	if testing.Short() {
@@ -222,13 +183,15 @@ func TestDifferentialKernelsSuiteCircuits(t *testing.T) {
 	}
 	for _, name := range names {
 		c := iscas.MustLoad(name)
-		rng := randutil.New(0xeadbe ^ uint64(len(name)))
-		faults := fault.CollapsedUniverse(c)
-		for k, init := range []logic.V{logic.Zero, logic.X} {
-			seq := sim.RandomSequence(rng, c.NumInputs(), 24)
-			cfg := Config{Init: init, SaveStates: true, SplitContinuation: true, ObserveLines: true}
-			if err := CheckKernels(c, seq, faults, cfg); err != nil {
-				t.Fatalf("%s (init case %d): %v\n%s", name, k, err, Describe(c, seq, faults, cfg))
+		for _, m := range []fault.Model{fault.Transition{}, fault.Bridging{}} {
+			rng := randutil.New(0xeadbe ^ uint64(len(name)+len(m.Name())))
+			faults := fault.CollapsedUniverseFor(c, m)
+			for k, init := range []logic.V{logic.Zero, logic.X} {
+				seq := sim.RandomSequence(rng, c.NumInputs(), 24)
+				cfg := Config{Init: init, Workers: 4, SaveStates: true, SplitContinuation: true, ObserveLines: true}
+				if err := CheckSlab(c, seq, faults, cfg); err != nil {
+					t.Fatalf("%s %s (init case %d): %v\n%s", name, m.Name(), k, err, Describe(c, seq, faults, cfg))
+				}
 			}
 		}
 	}

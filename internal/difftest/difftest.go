@@ -5,8 +5,8 @@
 // from the rcg generator, and the fault-free machine against the scalar
 // logic simulator (sim). The deterministic tests and the Go-native fuzz
 // targets in this package are the safety net under which every future
-// simulator optimisation (event-driven evaluation, fault dropping, SIMD)
-// must land.
+// simulator optimisation (multi-group slabs, fault dropping, SIMD) must
+// land.
 //
 // The helpers are exported (within internal/) so tests and fuzz targets
 // share one stimulus decoder and one comparison routine; everything is
@@ -49,8 +49,8 @@ type Config struct {
 	// and demands that the merged outcome matches the unsplit oracle.
 	SplitContinuation bool
 	// ObserveLines turns on internal-line observability recording in the
-	// dense-vs-event kernel cross-check (CheckKernels); the ref oracle does
-	// not model Lines, so CheckTriple ignores it.
+	// dense-vs-slab kernel cross-check (CheckSlab); the ref oracle does not
+	// model Lines, so CheckTriple ignores it.
 	ObserveLines bool
 }
 
@@ -176,51 +176,46 @@ func CompareOutcomes(c *circuit.Circuit, faults []fault.Fault, r *ref.Outcome, f
 
 // CheckTriple runs the full differential check for one (circuit, fault set,
 // sequence) triple under cfg and returns the first divergence found (nil if
-// the oracle, the sequential fsim runs of every kernel, the parallel fsim
-// run and the split continuation replays all agree). The kernels are pinned
-// explicitly — dense as the ref-locked baseline, event and slab sequential
-// against both ref and dense, event for the parallel replay, every kernel
-// for the continuation replays — so the check is invariant to the
-// FSIM_KERNEL environment override.
+// the oracle, the sequential and parallel fsim runs of both kernels and the
+// split continuation replays all agree). The kernels are pinned explicitly
+// — dense as the ref-locked baseline, slab against both ref and dense — so
+// the check is invariant to the FSIM_KERNEL environment override.
 func CheckTriple(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg Config) error {
 	refOut := ref.Run(c, seq, faults, ref.Options{
 		Init: cfg.Init, StopTime: cfg.StopTime, SaveStates: cfg.SaveStates,
 	})
-	seqOut := fsim.Run(c, seq, faults, fsim.Options{
-		Init: cfg.Init, StopTime: cfg.StopTime, SaveStates: cfg.SaveStates,
-		Kernel: fsim.KernelDense,
-	})
+	run := func(k fsim.Kernel, workers int) *fsim.Outcome {
+		return fsim.Run(c, seq, faults, fsim.Options{
+			Init: cfg.Init, StopTime: cfg.StopTime, SaveStates: cfg.SaveStates,
+			Workers: workers, Kernel: k,
+		})
+	}
+	seqOut := run(fsim.KernelDense, 1)
 	if err := CompareOutcomes(c, faults, refOut, seqOut, cfg.SaveStates); err != nil {
 		return fmt.Errorf("ref vs fsim(sequential dense): %w", err)
 	}
-	for _, k := range []fsim.Kernel{fsim.KernelEvent, fsim.KernelSlab} {
-		out := fsim.Run(c, seq, faults, fsim.Options{
-			Init: cfg.Init, StopTime: cfg.StopTime, SaveStates: cfg.SaveStates,
-			Kernel: k,
-		})
-		if err := sameFsimOutcome(seqOut, out); err != nil {
-			return fmt.Errorf("fsim dense vs %v: %w", k, err)
-		}
-		if err := CompareOutcomes(c, faults, refOut, out, cfg.SaveStates); err != nil {
-			return fmt.Errorf("ref vs fsim(sequential %v): %w", k, err)
-		}
-	}
+	workers := []int{1}
 	if cfg.Workers > 1 {
-		parOut := fsim.Run(c, seq, faults, fsim.Options{
-			Init: cfg.Init, StopTime: cfg.StopTime, SaveStates: cfg.SaveStates,
-			Workers: cfg.Workers, Kernel: fsim.KernelEvent,
-		})
-		if err := sameFsimOutcome(seqOut, parOut); err != nil {
-			return fmt.Errorf("fsim sequential vs event Workers=%d: %w", cfg.Workers, err)
-		}
-		if err := CompareOutcomes(c, faults, refOut, parOut, cfg.SaveStates); err != nil {
-			return fmt.Errorf("ref vs fsim(event Workers=%d): %w", cfg.Workers, err)
+		workers = append(workers, cfg.Workers)
+	}
+	for _, k := range []fsim.Kernel{fsim.KernelDense, fsim.KernelSlab} {
+		for _, w := range workers {
+			if k == fsim.KernelDense && w == 1 {
+				continue // the baseline above
+			}
+			out := run(k, w)
+			if err := sameFsimOutcome(seqOut, out); err != nil {
+				return fmt.Errorf("fsim sequential dense vs %v Workers=%d: %w", k, w, err)
+			}
+			if err := CompareOutcomes(c, faults, refOut, out, cfg.SaveStates); err != nil {
+				return fmt.Errorf("ref vs fsim(%v Workers=%d): %w", k, w, err)
+			}
 		}
 	}
 	if splits(seq, faults, cfg) {
 		// The unsplit oracle saw the whole sequence at once, so the merged
 		// detections and the continuation's final states must match it.
-		for _, k := range []fsim.Kernel{fsim.KernelDense, fsim.KernelEvent, fsim.KernelSlab} {
+		for _, k := range []fsim.Kernel{fsim.KernelDense, fsim.KernelSlab} {
 			merged := splitRun(c, seq, faults, cfg, fsim.Options{Kernel: k, Workers: cfg.Workers})
 			if err := CompareOutcomes(c, faults, refOut, merged, cfg.SaveStates); err != nil {
 				return fmt.Errorf("split continuation (%v, Workers=%d): %w", k, cfg.Workers, err)
@@ -273,62 +268,17 @@ func sameSplit(want, merged *fsim.Outcome, saveStates bool) error {
 	return nil
 }
 
-// CheckKernels is the dense-vs-event differential check for one triple: the
-// sequential dense outcome is the baseline, and the event kernel must
-// reproduce it bit for bit — Detected, DetTime, NumDetected, Lines (when
-// cfg.ObserveLines), FinalStates (when cfg.SaveStates) — sequentially, under
-// Workers ∈ {1, 4}, across a dense→event run on one reused simulator (the
-// warm-start invalidation path), across back-to-back event runs on that
-// simulator (the cross-run warm-start path), and through a split
-// InitialStates/TimeOffset continuation replay.
-func CheckKernels(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg Config) error {
-	opts := func(k fsim.Kernel, workers int) fsim.Options {
-		return fsim.Options{
-			Init: cfg.Init, StopTime: cfg.StopTime, SaveStates: cfg.SaveStates,
-			ObserveLines: cfg.ObserveLines, Workers: workers, Kernel: k,
-		}
-	}
-	want := fsim.Run(c, seq, faults, opts(fsim.KernelDense, 1))
-	for _, workers := range []int{1, 4} {
-		got := fsim.Run(c, seq, faults, opts(fsim.KernelEvent, workers))
-		if err := sameFsimOutcome(want, got); err != nil {
-			return fmt.Errorf("dense vs event(Workers=%d): %w", workers, err)
-		}
-	}
-	if err := sameFsimOutcome(want, fsim.Run(c, seq, faults, opts(fsim.KernelDense, 4))); err != nil {
-		return fmt.Errorf("dense sequential vs dense(Workers=4): %w", err)
-	}
-	// One reused simulator: a dense run must invalidate the event kernel's
-	// value snapshot, and a further event run must warm-start off the
-	// previous event run's snapshot — both bit-identically.
-	s := fsim.New(c)
-	s.Run(seq, faults, opts(fsim.KernelDense, 1))
-	for round := 1; round <= 2; round++ {
-		got := s.Run(seq, faults, opts(fsim.KernelEvent, 1))
-		if err := sameFsimOutcome(want, got); err != nil {
-			return fmt.Errorf("reused simulator, event round %d: %w", round, err)
-		}
-	}
-	if splits(seq, faults, cfg) {
-		merged := splitRun(c, seq, faults, cfg, fsim.Options{Kernel: fsim.KernelEvent})
-		if err := sameSplit(want, merged, cfg.SaveStates); err != nil {
-			return fmt.Errorf("event split continuation: %w", err)
-		}
-	}
-	return nil
-}
-
-// CheckSlab is the dense-vs-slab differential check for one triple: the
-// sequential dense outcome is the baseline and the slab kernel must
-// reproduce it bit for bit — Detected, DetTime, NumDetected, Lines (when
-// cfg.ObserveLines), FinalStates (when cfg.SaveStates) — across
-// Workers ∈ {1, 4, 8} × SlabLanes ∈ {1, 2, 8} (multi-group batches,
-// including tail batches narrower than W), under the adaptive W selection
-// (SlabLanes=0), across slab runs of different widths on one reused
-// simulator (the arena re-stride path) interleaved with an event run (the
-// arena-independence path: the slab never touches the event kernel's value
-// snapshot), and through a split InitialStates/TimeOffset continuation
-// replay with both halves on the slab kernel.
+// CheckSlab is the dense-vs-slab differential check for one triple, for
+// faults of any model: the sequential dense outcome is the baseline and the
+// slab kernel must reproduce it bit for bit — Detected, DetTime,
+// NumDetected, Lines (when cfg.ObserveLines), FinalStates with the launch
+// history (when cfg.SaveStates) — across Workers ∈ {1, 4, 8} × SlabLanes ∈
+// {1, 2, 8} (multi-group batches, including tail batches narrower than W),
+// under the automatic width (SlabLanes=0) at Workers ∈ {1, 4}, across slab
+// runs of different widths on one reused simulator (the arena re-stride
+// path) interleaved with a dense run (the shared-scratch path), and through
+// split InitialStates/TimeOffset continuation replays at every tested W,
+// with both halves on the slab kernel.
 func CheckSlab(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg Config) error {
 	opts := func(k fsim.Kernel, workers, lanes int) fsim.Options {
 		return fsim.Options{
@@ -346,12 +296,14 @@ func CheckSlab(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg 
 			}
 		}
 	}
-	if err := sameFsimOutcome(want, fsim.Run(c, seq, faults, opts(fsim.KernelSlab, 1, 0))); err != nil {
-		return fmt.Errorf("dense vs slab(adaptive W): %w", err)
+	for _, workers := range []int{1, 4} {
+		if err := sameFsimOutcome(want, fsim.Run(c, seq, faults, opts(fsim.KernelSlab, workers, 0))); err != nil {
+			return fmt.Errorf("dense vs slab(Workers=%d, automatic W): %w", workers, err)
+		}
 	}
-	// One reused simulator: the arena re-strides between widths, an event
-	// run in the middle must warm-start unharmed (the slab kernel leaves the
-	// event snapshot untouched), and the slab must still match afterwards.
+	// One reused simulator: the arena re-strides between widths, a dense
+	// run in the middle reuses the same simulator's scratch, and the slab
+	// must still match afterwards.
 	s := fsim.New(c)
 	for round, lanes := range []int{2, 8, 2} {
 		got := s.Run(seq, faults, opts(fsim.KernelSlab, 1, lanes))
@@ -359,23 +311,25 @@ func CheckSlab(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg 
 			return fmt.Errorf("reused simulator, slab round %d (W=%d): %w", round, lanes, err)
 		}
 	}
-	if err := sameFsimOutcome(want, s.Run(seq, faults, opts(fsim.KernelEvent, 1, 0))); err != nil {
-		return fmt.Errorf("reused simulator, event after slab: %w", err)
+	if err := sameFsimOutcome(want, s.Run(seq, faults, opts(fsim.KernelDense, 1, 0))); err != nil {
+		return fmt.Errorf("reused simulator, dense after slab: %w", err)
 	}
 	if err := sameFsimOutcome(want, s.Run(seq, faults, opts(fsim.KernelSlab, 1, 4))); err != nil {
-		return fmt.Errorf("reused simulator, slab after event: %w", err)
+		return fmt.Errorf("reused simulator, slab after dense: %w", err)
 	}
 	if splits(seq, faults, cfg) {
-		merged := splitRun(c, seq, faults, cfg, fsim.Options{Kernel: fsim.KernelSlab, SlabLanes: 2})
-		if err := sameSplit(want, merged, cfg.SaveStates); err != nil {
-			return fmt.Errorf("slab split continuation: %w", err)
+		for _, lanes := range []int{1, 2, 8} {
+			merged := splitRun(c, seq, faults, cfg, fsim.Options{Kernel: fsim.KernelSlab, SlabLanes: lanes, Workers: cfg.Workers})
+			if err := sameSplit(want, merged, cfg.SaveStates); err != nil {
+				return fmt.Errorf("slab split continuation (W=%d, Workers=%d): %w", lanes, cfg.Workers, err)
+			}
 		}
 	}
 	return nil
 }
 
 // CheckTrace demands the detection-provenance trace (fsim.Options.Trace) be
-// byte-identical in its canonical form across all three kernels and Workers
+// byte-identical in its canonical form across both kernels and Workers
 // ∈ {1, 4, 8}, and consistent with the (equally bit-identical) outcome: one
 // event per detected fault. This is the determinism contract of
 // obsv.Trace.CanonicalBytes — worker and kernel are annotations only.
@@ -393,7 +347,7 @@ func CheckTrace(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg
 	if n := refTrace.NumDetections(); n != refOut.NumDetected {
 		return fmt.Errorf("trace has %d detection events, outcome detected %d", n, refOut.NumDetected)
 	}
-	for _, k := range []fsim.Kernel{fsim.KernelDense, fsim.KernelEvent, fsim.KernelSlab} {
+	for _, k := range []fsim.Kernel{fsim.KernelDense, fsim.KernelSlab} {
 		for _, workers := range []int{1, 4, 8} {
 			if k == fsim.KernelDense && workers == 1 {
 				continue // the reference run above

@@ -39,47 +39,34 @@ func FuzzRefVsFsim(f *testing.F) {
 	})
 }
 
-// FuzzEventVsDense is the kernel-differential target: for an arbitrary
-// decoded triple, the event-driven kernel must reproduce the dense kernel
-// bit for bit — Detected, DetTime, Lines, FinalStates — sequentially, under
-// Workers ∈ {1, 4}, across reused-simulator dense→event and event→event
-// runs, and through a split InitialStates/TimeOffset continuation replay.
-func FuzzEventVsDense(f *testing.F) {
-	f.Add(uint64(1), uint64(2), uint64(3))
-	f.Add(uint64(42), uint64(0), uint64(7))
-	f.Add(uint64(9001), uint64(17), uint64(5))
-	f.Fuzz(func(t *testing.T, circSeed, stimSeed, cfgSeed uint64) {
-		c := rcg.FromSeed(circSeed)
-		rng := randutil.New(stimSeed)
-		seq := RandomStimulus(rng, c.NumInputs())
-		faults := SampleFaults(rng, fault.CollapsedUniverse(c))
-		cfg := ConfigFromSeed(cfgSeed, seq.Len())
-		if err := CheckKernels(c, seq, faults, cfg); err != nil {
-			t.Fatalf("circSeed=%d stimSeed=%d cfgSeed=%d: %v\n%s",
-				circSeed, stimSeed, cfgSeed, err, Describe(c, seq, faults, cfg))
-		}
-	})
-}
-
 // FuzzSlabVsDense is the slab-kernel differential target: for an arbitrary
 // decoded triple, the multi-group slab kernel must reproduce the dense
-// kernel bit for bit — Detected, DetTime, Lines, FinalStates — across
-// Workers ∈ {1, 4, 8} × SlabLanes ∈ {1, 2, 8} plus the adaptive width,
-// across re-strided and event-interleaved runs on one reused simulator, and
-// through a split InitialStates/TimeOffset continuation replay.
+// kernel bit for bit — Detected, DetTime, Lines, FinalStates and launch
+// history — across Workers ∈ {1, 4, 8} × SlabLanes ∈ {1, 2, 8} plus the
+// automatic width, across re-strided and dense-interleaved runs on one
+// reused simulator, and through split InitialStates/TimeOffset continuation
+// replays. Every input is checked under each fault model, the fault sample
+// drawn from that model's collapsed universe with the same stimulus seed
+// (so the stuck-at half decodes exactly as before models were added).
 func FuzzSlabVsDense(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint64(3))
 	f.Add(uint64(42), uint64(0), uint64(7))
 	f.Add(uint64(9001), uint64(17), uint64(5))
 	f.Fuzz(func(t *testing.T, circSeed, stimSeed, cfgSeed uint64) {
 		c := rcg.FromSeed(circSeed)
-		rng := randutil.New(stimSeed)
-		seq := RandomStimulus(rng, c.NumInputs())
-		faults := SampleFaults(rng, fault.CollapsedUniverse(c))
-		cfg := ConfigFromSeed(cfgSeed, seq.Len())
-		if err := CheckSlab(c, seq, faults, cfg); err != nil {
-			t.Fatalf("circSeed=%d stimSeed=%d cfgSeed=%d: %v\n%s",
-				circSeed, stimSeed, cfgSeed, err, Describe(c, seq, faults, cfg))
+		for _, m := range []fault.Model{fault.StuckAt{}, fault.Transition{}, fault.Bridging{}} {
+			rng := randutil.New(stimSeed)
+			seq := RandomStimulus(rng, c.NumInputs())
+			all := fault.CollapsedUniverseFor(c, m)
+			if len(all) == 0 {
+				continue
+			}
+			faults := SampleFaults(rng, all)
+			cfg := ConfigFromSeed(cfgSeed, seq.Len())
+			if err := CheckSlab(c, seq, faults, cfg); err != nil {
+				t.Fatalf("%s circSeed=%d stimSeed=%d cfgSeed=%d: %v\n%s",
+					m.Name(), circSeed, stimSeed, cfgSeed, err, Describe(c, seq, faults, cfg))
+			}
 		}
 	})
 }

@@ -15,20 +15,20 @@ import (
 // The cross-model differential sweeps: the transition and bridging fault
 // models must agree with the independent scalar oracle (internal/ref) and be
 // bit-identical across kernels and worker counts, exactly like stuck-at.
-// Each sweep walks random rcg triples and rotates the expensive axes (slab,
-// kernels-reuse) across triples so every axis is exercised many times
-// without multiplying the runtime by the product of all axes.
+// Each sweep walks random rcg triples and runs the expensive slab axes on
+// every third triple, so every axis is exercised many times without
+// multiplying the runtime by the product of all axes.
 
 // testModelRandom is the shared sweep body: triples random (circuit, fault
 // set, sequence) triples under model m, CheckTriple on every one (ref vs
-// dense vs event, Workers pinned to the {1, 4} axis, split continuation),
-// with CheckKernels/CheckSlab rotating over the triples.
+// dense vs slab, Workers pinned to the {1, 4} axis, split continuation),
+// with CheckSlab on every third triple.
 func testModelRandom(t *testing.T, m fault.Model, seedBase uint64, triples int) {
 	t.Helper()
 	if testing.Short() {
 		triples = triples / 8
 	}
-	var multiGroup, saved, stopped, split, slab, kernels, repeated int
+	var multiGroup, saved, stopped, split, slab, repeated int
 	for i := 0; i < triples; i++ {
 		seed := uint64(i) + seedBase
 		c := rcg.FromSeed(seed)
@@ -62,26 +62,19 @@ func testModelRandom(t *testing.T, m fault.Model, seedBase uint64, triples int) 
 		if repeatExits() > before {
 			repeated++
 		}
-		switch i % 3 {
-		case 0:
-			kernels++
-			if err := CheckKernels(c, seq, faults, cfg); err != nil {
-				t.Fatalf("%s triple %d (kernels): %v\n%s", m.Name(), i, err, Describe(c, seq, faults, cfg))
-			}
-		case 1:
+		if i%3 == 1 {
 			slab++
 			if err := CheckSlab(c, seq, faults, cfg); err != nil {
 				t.Fatalf("%s triple %d (slab): %v\n%s", m.Name(), i, err, Describe(c, seq, faults, cfg))
 			}
 		}
 	}
-	if multiGroup == 0 || saved == 0 || stopped == 0 || split == 0 ||
-		slab == 0 || kernels == 0 || repeated == 0 {
-		t.Fatalf("sweep too narrow: multiGroup=%d saveStates=%d stopTime=%d split=%d slab=%d kernels=%d repeatExit=%d",
-			multiGroup, saved, stopped, split, slab, kernels, repeated)
+	if multiGroup == 0 || saved == 0 || stopped == 0 || split == 0 || slab == 0 || repeated == 0 {
+		t.Fatalf("sweep too narrow: multiGroup=%d saveStates=%d stopTime=%d split=%d slab=%d repeatExit=%d",
+			multiGroup, saved, stopped, split, slab, repeated)
 	}
-	t.Logf("%s: %d triples: %d multi-group, %d state compare, %d truncated, %d split, %d repeat exit; %d kernels / %d slab checks",
-		m.Name(), triples, multiGroup, saved, stopped, split, repeated, kernels, slab)
+	t.Logf("%s: %d triples: %d multi-group, %d state compare, %d truncated, %d split, %d repeat exit; %d slab checks",
+		m.Name(), triples, multiGroup, saved, stopped, split, repeated, slab)
 }
 
 // TestDifferentialTransitionRandom oracle-locks the launch-on-capture
@@ -97,10 +90,9 @@ func TestDifferentialBridgeRandom(t *testing.T) {
 }
 
 // TestDifferentialModelSuiteCircuits runs the full cross-model check stack —
-// ref vs dense vs event (CheckTriple), kernel reuse and Workers axes
-// (CheckKernels) and the slab resolution path (CheckSlab) — on the
-// experiment circuits with each model's full collapsed universe under both
-// initialisations.
+// ref vs dense vs slab (CheckTriple) and the slab lane, worker, reuse and
+// continuation axes (CheckSlab) — on the experiment circuits with each
+// model's full collapsed universe under both initialisations.
 func TestDifferentialModelSuiteCircuits(t *testing.T) {
 	names := []string{"s27", "s298", "s344"}
 	if testing.Short() {
@@ -123,9 +115,6 @@ func TestDifferentialModelSuiteCircuits(t *testing.T) {
 				if err := CheckTriple(c, seq, faults, cfg); err != nil {
 					t.Fatalf("%s %s (case %d): %v\n%s", name, m.Name(), k, err, Describe(c, seq, faults, cfg))
 				}
-				if err := CheckKernels(c, seq, faults, cfg); err != nil {
-					t.Fatalf("%s %s (case %d, kernels): %v\n%s", name, m.Name(), k, err, Describe(c, seq, faults, cfg))
-				}
 				if err := CheckSlab(c, seq, faults, cfg); err != nil {
 					t.Fatalf("%s %s (case %d, slab): %v\n%s", name, m.Name(), k, err, Describe(c, seq, faults, cfg))
 				}
@@ -135,8 +124,8 @@ func TestDifferentialModelSuiteCircuits(t *testing.T) {
 }
 
 // TestDifferentialModelTraceDeterminism pins the detection-provenance trace
-// contract for the new models: canonical trace bytes identical across all
-// three kernels and Workers ∈ {1, 4, 8}.
+// contract for the new models: canonical trace bytes identical across both
+// kernels and Workers ∈ {1, 4, 8}.
 func TestDifferentialModelTraceDeterminism(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	for _, m := range []fault.Model{fault.Transition{}, fault.Bridging{}} {
@@ -188,8 +177,8 @@ func FuzzTransitionVsRef(f *testing.F) {
 // FuzzBridgeVsRef is the bridging-model differential target: for an
 // arbitrary decoded triple carrying 2-node wired-AND/wired-OR bridge faults,
 // the naive scalar oracle and the bit-parallel simulator must agree bit for
-// bit (the dense two-pass injection and the event kernel's per-group dense
-// delegation are both on this path).
+// bit (the dense two-pass injection and the slab kernel's two-walk batches
+// are both on this path).
 func FuzzBridgeVsRef(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint64(3))
 	f.Add(uint64(42), uint64(0), uint64(7))

@@ -68,12 +68,12 @@ type Config struct {
 	// Workers — like Telemetry — is not part of the memoization key.
 	Workers int
 	// Kernel selects the fsim gate-evaluation kernel threaded through every
-	// pipeline stage (dense, event-driven or slab; the zero value honors
-	// FSIM_KERNEL and defaults to event). All kernels are bit-identical, so
+	// pipeline stage (dense or slab; the zero value honors FSIM_KERNEL and
+	// defaults to slab). Both kernels are bit-identical, so
 	// Kernel — like Workers — is not part of the memoization key.
 	Kernel fsim.Kernel
-	// SlabLanes is the slab kernel's fault-group batch width W (0 = pick
-	// adaptively; ignored by the other kernels). Like Workers it never
+	// SlabLanes is the slab kernel's fault-group batch width W (0 = the
+	// automatic width; ignored by the dense kernel). Like Workers it never
 	// changes the outcome, so it is not part of the memoization key.
 	SlabLanes int
 	// Ctx, if non-nil, cancels the run: it is threaded through every

@@ -104,7 +104,7 @@ func TestTraceRunKernelInvariant(t *testing.T) {
 		return rt
 	}
 	var want *obsv.RunTrace
-	for _, k := range []fsim.Kernel{fsim.KernelDense, fsim.KernelEvent} {
+	for _, k := range []fsim.Kernel{fsim.KernelDense, fsim.KernelSlab} {
 		for _, workers := range []int{1, 4} {
 			rr := *r
 			rr.Config.Kernel = k

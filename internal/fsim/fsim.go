@@ -28,7 +28,9 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"os"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -103,17 +105,17 @@ type Options struct {
 	Workers int
 	// Kernel selects the gate-evaluation strategy. The zero value
 	// (KernelAuto) honors the FSIM_KERNEL environment variable and defaults
-	// to the event-driven kernel; all kernels produce bit-identical
-	// outcomes (the differential suite in internal/difftest enforces this),
-	// so the choice only affects speed and telemetry.
+	// to the slab kernel; both kernels produce bit-identical outcomes for
+	// every fault model (the differential suite in internal/difftest
+	// enforces this), so the choice only affects speed and telemetry.
 	Kernel Kernel
 	// SlabLanes is the number of fault groups the slab kernel batches into
 	// one multi-group pass (W in the slab layout: W×64 machines per gate
-	// visit). 0 picks W adaptively from the netlist size against an L2
-	// cache budget; any positive value is used as-is (clamped to the number
-	// of groups actually available per batch). Ignored by the dense and
-	// event kernels. Like Workers, it never changes the outcome — only how
-	// the identical result is computed.
+	// visit). 0 picks 8 lanes, capped at ceil(groups/Workers) so every
+	// worker gets a batch; a positive value overrides that choice. Either
+	// is clamped to 16 and to the number of groups, and an OutputHook
+	// forces 1. Ignored by the dense kernel. Like Workers, it never changes
+	// the outcome — only how the identical result is computed.
 	SlabLanes int
 	// Ctx, if non-nil, cancels the run at fault-group granularity: the
 	// worker pool (and the sequential loop) checks it before claiming each
@@ -133,6 +135,70 @@ type Options struct {
 	// any Workers count and either kernel. A nil Trace costs one nil check
 	// per group pass and one per detection — nothing on the per-gate paths.
 	Trace *obsv.Trace
+}
+
+// Kernel selects the gate-evaluation strategy of a run.
+type Kernel uint8
+
+const (
+	// KernelAuto resolves to the kernel named by the FSIM_KERNEL environment
+	// variable ("dense" or "slab"), or to KernelSlab when it is unset or
+	// unparsable. It is the zero value, so callers that leave Options.Kernel
+	// alone get the slab kernel (and CI can steer the whole test suite
+	// through either kernel without touching any call site).
+	KernelAuto Kernel = iota
+	// KernelDense is the original kernel: every gate of the levelized
+	// netlist is evaluated on every time unit, one fault group per pass. It
+	// is the trusted baseline the slab kernel is differentially locked
+	// against.
+	KernelDense
+	// KernelSlab is the multi-group slab kernel: up to Options.SlabLanes
+	// fault groups are simulated per pass, with per-gate state held in a
+	// contiguous gate-major slab so one levelized walk advances lanes×64
+	// machines per gate visit (see slab.go). It injects every fault model
+	// natively and is bit-identical to dense by construction.
+	KernelSlab
+)
+
+// String returns "auto", "dense" or "slab".
+func (k Kernel) String() string {
+	switch k {
+	case KernelAuto:
+		return "auto"
+	case KernelDense:
+		return "dense"
+	case KernelSlab:
+		return "slab"
+	default:
+		return fmt.Sprintf("Kernel(%d)", uint8(k))
+	}
+}
+
+// ParseKernel maps a CLI/env spelling to a Kernel ("" and "auto" mean
+// KernelAuto).
+func ParseKernel(s string) (Kernel, error) {
+	switch strings.ToLower(s) {
+	case "", "auto":
+		return KernelAuto, nil
+	case "dense":
+		return KernelDense, nil
+	case "slab":
+		return KernelSlab, nil
+	default:
+		return KernelAuto, fmt.Errorf("fsim: unknown kernel %q (want auto, dense or slab)", s)
+	}
+}
+
+// Resolve maps KernelAuto to a concrete kernel via the FSIM_KERNEL
+// environment variable, defaulting to the slab kernel.
+func (k Kernel) Resolve() Kernel {
+	if k != KernelAuto {
+		return k
+	}
+	if env, err := ParseKernel(os.Getenv("FSIM_KERNEL")); err == nil && env != KernelAuto {
+		return env
+	}
+	return KernelSlab
 }
 
 // Outcome reports the result of a run over a fault list.
@@ -227,44 +293,23 @@ type Simulator struct {
 	transIdx    []int32
 	transNodes  []circuit.NodeID
 	transSites  [][]transSite
-	transGates  []circuit.NodeID // transition sites that are gates (event-kernel per-cycle seeds)
 	bridgeIdx   []int32
 	bridgeNodes []circuit.NodeID
 	bridgeSites [][]bridgeSite
 	special     bool
 	hasBridge   bool
+	// hist is the dense kernel's per-cycle scratch copy of its transition
+	// sites' launch history, one word per site, for the repeat exit.
+	hist []logic.W
 
-	// cone is the immutable static data of the event kernel, built once in
-	// New and shared (like the flattened netlist) by every pooled worker.
-	cone *Cone
-	// ev is the event kernel's mutable per-simulator state (worklists,
-	// cone marks, value-snapshot bookkeeping), allocated on first use.
-	ev *eventState
-	// slab is the slab kernel's scratch arena (multi-group value/state/
-	// injection slabs, per-lane bookkeeping), allocated on first use and
-	// reused across batches and runs. The slab kernel never touches vals or
-	// the per-group injection tables above, so an event-kernel value
-	// snapshot survives interleaved slab runs.
+	// detectable[id] reports whether a fault effect at node id can reach a
+	// primary output (see detectableNodes). It is immutable and shared, like
+	// the flattened netlist, by every pooled worker.
+	detectable []bool
+	// slab is the slab kernel's scratch arena (multi-group value/state
+	// slabs, sparse injection tables, per-lane bookkeeping), allocated on
+	// first use and reused across batches and runs.
 	slab *slabState
-	// event-kernel injection bookkeeping: the stem-fault nodes of the
-	// current group (for targeted clearing), the gate fault sites (worklist
-	// seeds) and every injected site (union-cone roots). stemFlag[id] != 0
-	// mirrors "stemMask0[id]|stemMask1[id] != 0" as a single byte so the
-	// event kernel's gate loops touch one dense byte array instead of two
-	// word arrays for the (overwhelmingly common) uninjected nodes; it is
-	// maintained only by buildInjectionEvent and read only by event-kernel
-	// code, so the dense kernel's own injection build cannot desynchronize
-	// it (an event run after a dense run starts from ready=false and
-	// rebuilds the flags from scratch).
-	stemNodes []circuit.NodeID
-	gateSites []circuit.NodeID
-	coneSites []circuit.NodeID
-	stemFlag  []uint8
-	// siteGatePos is the sorted, deduplicated list of evaluation-order
-	// positions of the injected gates (gateSites). Sweep cycles evaluate
-	// the plain segments between those positions with no injection checks
-	// at all — only the ≤63 boundary gates take the general path.
-	siteGatePos []int32
 
 	// worker is this simulator's index in a parallel run's worker pool
 	// (0 for the receiver). It is a trace annotation only and never part
@@ -277,8 +322,8 @@ type Simulator struct {
 	actZ, actO []uint64
 	actValid   bool
 
-	// watch is the repeat exit's checkpoint of the dense and event kernels'
-	// current group pass (the slab kernel keeps one per lane).
+	// watch is the repeat exit's checkpoint of the dense kernel's current
+	// group pass (the slab kernel keeps one per lane).
 	watch repeatWatch
 }
 
@@ -301,7 +346,7 @@ func New(c *circuit.Circuit) *Simulator {
 		s.faninStart[k+1] = s.faninStart[k] + int32(len(n.Fanins))
 		s.faninList = append(s.faninList, n.Fanins...)
 	}
-	s.cone = BuildCone(c)
+	s.detectable = detectableNodes(c)
 	return s
 }
 
@@ -313,7 +358,6 @@ func newScratch(c *circuit.Circuit) *Simulator {
 		next:      make([]logic.W, len(c.DFFs)),
 		stemMask0: make([]uint64, len(c.Nodes)),
 		stemMask1: make([]uint64, len(c.Nodes)),
-		stemFlag:  make([]uint8, len(c.Nodes)),
 		pinIdx:    make([]int32, len(c.Nodes)),
 		transIdx:  make([]int32, len(c.Nodes)),
 		bridgeIdx: make([]int32, len(c.Nodes)),
@@ -337,7 +381,7 @@ func (s *Simulator) workerSims(n int) []*Simulator {
 		w.gateType = s.gateType
 		w.faninStart = s.faninStart
 		w.faninList = s.faninList
-		w.cone = s.cone
+		w.detectable = s.detectable
 		s.pool = append(s.pool, w)
 	}
 	sims := make([]*Simulator, 0, n)
@@ -357,12 +401,6 @@ func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Optio
 // the result is bit-identical to the sequential run regardless of scheduling.
 func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *Outcome {
 	opts.Kernel = opts.Kernel.Resolve() // resolve env/default exactly once
-	if opts.Kernel == KernelSlab && hasModelFaults(faults) {
-		// The slab arena's injection layout is stuck-at only; a run carrying
-		// transition or bridge faults resolves to the dense kernel (same
-		// outcome by the kernel contract, different speed).
-		opts.Kernel = KernelDense
-	}
 	numGroups := (len(faults) + GroupSize - 1) / GroupSize
 	opts.Trace.Begin(numGroups, opts.Kernel.String())
 	if opts.InitialStates != nil {
@@ -413,7 +451,7 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 		// The Section 4.2 effort reduction: the first group (target fault
 		// plus sample) always runs alone, before any fan-out.
 		var tb counterBatch
-		out.NumDetected = s.runGroup(seq, faults, 0, min(GroupSize, len(faults)), stop, opts, out, &tb)
+		out.NumDetected = s.runGroupDense(seq, faults, 0, min(GroupSize, len(faults)), stop, opts, out, &tb)
 		tb.flush()
 		if out.NumDetected == 0 {
 			// Only a run that actually skipped groups counts as aborted;
@@ -436,7 +474,7 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 				break
 			}
 			lo := g * GroupSize
-			out.NumDetected += s.runGroup(seq, faults, lo, min(lo+GroupSize, len(faults)), stop, opts, out, &tb)
+			out.NumDetected += s.runGroupDense(seq, faults, lo, min(lo+GroupSize, len(faults)), stop, opts, out, &tb)
 		}
 		tb.flush()
 		return out
@@ -449,7 +487,7 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 	claimed := fanOut(opts.Ctx, s.workerSims(workers), numGroups-first, func(ws *Simulator, i int, tb *counterBatch) {
 		g := first + i
 		lo := g * GroupSize
-		detected[g] = ws.runGroup(seq, faults, lo, min(lo+GroupSize, len(faults)), stop, opts, out, tb)
+		detected[g] = ws.runGroupDense(seq, faults, lo, min(lo+GroupSize, len(faults)), stop, opts, out, tb)
 	})
 	for _, n := range detected[first:] {
 		out.NumDetected += n
@@ -534,12 +572,10 @@ func ctxDone(ctx context.Context) bool {
 // counterBatch locally accumulates the hot-path telemetry counters of one
 // worker (or one sequential run) and flushes them with a handful of atomic
 // adds. Totals stay exact under any worker count; only the add frequency
-// changes. The gateEvals of the event kernel count gates actually evaluated
-// (skipped holds the rest), so gateEvals+skipped equals the dense total.
+// changes. Both kernels count dense-equivalent gate evaluations.
 type counterBatch struct {
 	gateEvals, vectors, passes, dropped int64
-	events, skipped, cones, cancelled   int64
-	sweepFB, slabPasses, lanesIdle      int64
+	cancelled, slabPasses, lanesIdle    int64
 	repeatExits                         int64
 }
 
@@ -551,42 +587,24 @@ func (b *counterBatch) flush() {
 	telemetry.Add(telemetry.CtrVectors, b.vectors)
 	telemetry.Add(telemetry.CtrGroupPasses, b.passes)
 	telemetry.Add(telemetry.CtrFaultsDropped, b.dropped)
-	telemetry.Add(telemetry.CtrEventsScheduled, b.events)
-	telemetry.Add(telemetry.CtrGatesSkipped, b.skipped)
-	telemetry.Add(telemetry.CtrConeHits, b.cones)
 	telemetry.Add(telemetry.CtrGroupsCancelled, b.cancelled)
-	telemetry.Add(telemetry.CtrSweepFallbacks, b.sweepFB)
 	telemetry.Add(telemetry.CtrSlabPasses, b.slabPasses)
 	telemetry.Add(telemetry.CtrSlabLanesIdle, b.lanesIdle)
 	telemetry.Add(telemetry.CtrRepeatExits, b.repeatExits)
 	*b = counterBatch{}
 }
 
-// runGroup simulates faults[lo:hi] (at most GroupSize of them) in slots
-// 1..hi-lo alongside the fault-free machine in slot 0, writing only this
-// group's disjoint regions of out (Detected/DetTime/Lines and the saved
-// states of faults[lo:hi]) and returning the number of detections. Never
-// touching shared scalars is what makes the parallel fan-out race-free.
-// Dispatches on the (already resolved) Options.Kernel.
-func (s *Simulator) runGroup(seq *sim.Sequence, faults []fault.Fault, lo, hi, stop int, opts Options, out *Outcome, tb *counterBatch) int {
-	if opts.Kernel == KernelEvent && !groupHasBridge(faults[lo:hi]) {
-		return s.runGroupEvent(seq, faults, lo, hi, stop, opts, out, tb)
-	}
-	// Bridge groups take the dense kernel's two-pass cycle: the event
-	// worklist cannot express a force whose value depends on a possibly
-	// higher-level node resolved within the same time unit.
-	return s.runGroupDense(seq, faults, lo, hi, stop, opts, out, tb)
-}
-
-// runGroupDense is the original kernel: one full pass over the levelized
-// netlist per time unit. It is the trusted baseline the event kernel is
-// differentially locked against, and its time unit stays byte-for-byte
-// unoptimized; only the early exits, which every kernel takes at the same
-// point, shorten its passes.
+// runGroupDense is the dense kernel: it simulates faults[lo:hi] (at most
+// GroupSize of them) in slots 1..hi-lo alongside the fault-free machine in
+// slot 0, with one full pass over the levelized netlist per time unit (two
+// for a group with bridges). It writes only this group's disjoint regions
+// of out (Detected/DetTime/Lines and the saved states of faults[lo:hi]) and
+// returns the number of detections; never touching shared scalars is what
+// makes the parallel fan-out race-free. It is the trusted baseline the slab
+// kernel is differentially locked against, and its time unit stays
+// byte-for-byte unoptimized; only the early exits, which both kernels take
+// at the same point, shorten its passes.
 func (s *Simulator) runGroupDense(seq *sim.Sequence, faults []fault.Fault, lo, hi, stop int, opts Options, out *Outcome, tb *counterBatch) int {
-	// The dense kernel rebuilds injection without site tracking, so any
-	// event-kernel value snapshot on this scratch simulator is now stale.
-	s.invalidateEvent()
 	c := s.c
 	tg := opts.Trace.Group(lo / GroupSize)
 	tg.SetWorker(s.worker)
@@ -654,7 +672,7 @@ func (s *Simulator) runGroupDense(seq *sim.Sequence, faults []fault.Fault, lo, h
 	watched := s.repeatSlots(faults[lo:hi])
 
 	for u := 0; u < stop; u++ {
-		if eligible && s.watch.repeats(u, state, 0, 1, s.transSites, activeMask&watched|1, seq, stop) {
+		if eligible && s.watch.repeats(u, state, s.denseHistory, 0, 1, activeMask&watched|1, seq, stop) {
 			tb.repeatExits++
 			break // the rest of the pass would replay an earlier stretch
 		}

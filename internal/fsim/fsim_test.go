@@ -3,6 +3,7 @@ package fsim
 import (
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -380,7 +381,7 @@ func TestSelectContinuesSubset(t *testing.T) {
 				subset = append(subset, f)
 			}
 		}
-		for _, k := range []Kernel{KernelDense, KernelEvent, KernelSlab} {
+		for _, k := range []Kernel{KernelDense, KernelSlab} {
 			label := m.Name() + "/" + k.String()
 			whole := Run(c, full, subset, Options{Init: logic.Zero, SaveStates: true, Kernel: k})
 			pre := Run(c, prefix, all, Options{Init: logic.Zero, SaveStates: true, Kernel: k})
@@ -403,6 +404,56 @@ func TestSelectContinuesSubset(t *testing.T) {
 			if !reflect.DeepEqual(post.FinalStates, whole.FinalStates) {
 				t.Fatalf("%s: continued final states differ from the unsplit run's", label)
 			}
+		}
+	}
+}
+
+func TestKernelParseAndString(t *testing.T) {
+	cases := []struct {
+		in   string
+		want Kernel
+		ok   bool
+	}{
+		{"", KernelAuto, true},
+		{"auto", KernelAuto, true},
+		{"dense", KernelDense, true},
+		{"Dense", KernelDense, true},
+		{"SLAB", KernelSlab, true},
+		{"event", KernelAuto, false}, // deleted; the error names the kernels left
+		{"fast", KernelAuto, false},
+	}
+	for _, tc := range cases {
+		k, err := ParseKernel(tc.in)
+		if (err == nil) != tc.ok || k != tc.want {
+			t.Errorf("ParseKernel(%q) = %v, %v; want %v, ok=%v", tc.in, k, err, tc.want, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "auto, dense or slab") {
+			t.Errorf("ParseKernel(%q) error %q does not name the kernels", tc.in, err)
+		}
+	}
+	for _, k := range []Kernel{KernelAuto, KernelDense, KernelSlab} {
+		if r, err := ParseKernel(k.String()); err != nil || r != k {
+			t.Errorf("ParseKernel(%v.String()) = %v, %v; want round trip", k, r, err)
+		}
+	}
+}
+
+func TestKernelResolve(t *testing.T) {
+	t.Setenv("FSIM_KERNEL", "")
+	if got := KernelAuto.Resolve(); got != KernelSlab {
+		t.Errorf("Resolve with unset env = %v, want slab", got)
+	}
+	t.Setenv("FSIM_KERNEL", "dense")
+	if got := KernelAuto.Resolve(); got != KernelDense {
+		t.Errorf("Resolve with FSIM_KERNEL=dense = %v, want dense", got)
+	}
+	if got := KernelSlab.Resolve(); got != KernelSlab {
+		t.Errorf("explicit kernel must beat the environment: got %v", got)
+	}
+	for _, env := range []string{"nonsense", "event"} {
+		t.Setenv("FSIM_KERNEL", env)
+		if got := KernelAuto.Resolve(); got != KernelSlab {
+			t.Errorf("Resolve with FSIM_KERNEL=%s = %v, want the slab default", env, got)
 		}
 	}
 }

@@ -105,7 +105,7 @@ func TestGoldenOutcomes(t *testing.T) {
 			ref := fsim.Run(c, tc.seq, faults, fsim.Options{
 				Init: tc.init, Workers: 1, Kernel: fsim.KernelDense,
 			})
-			for _, kernel := range []fsim.Kernel{fsim.KernelDense, fsim.KernelEvent, fsim.KernelSlab} {
+			for _, kernel := range []fsim.Kernel{fsim.KernelDense, fsim.KernelSlab} {
 				for _, workers := range []int{1, 4} {
 					out := fsim.Run(c, tc.seq, faults, fsim.Options{
 						Init: tc.init, Workers: workers, Kernel: kernel,

@@ -2,13 +2,13 @@ package fsim
 
 import (
 	"repro/internal/circuit"
-	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/sim"
 )
 
-// This file holds the per-kernel injection hooks of the non-stuck-at fault
-// models (fault.KindTransition, fault.KindBridge). The semantic contract —
+// This file holds the dense kernel's injection hooks of the non-stuck-at
+// fault models (fault.KindTransition, fault.KindBridge); the slab kernel
+// evaluates the same rules word-parallel (slab.go). The semantic contract —
 // shared with the independent scalar implementations in internal/ref and
 // documented in DESIGN.md ("FaultModel contract") — is:
 //
@@ -57,7 +57,6 @@ func (s *Simulator) clearModelInjection() {
 	}
 	s.transNodes = s.transNodes[:0]
 	s.transSites = s.transSites[:0]
-	s.transGates = s.transGates[:0]
 	for _, n := range s.bridgeNodes {
 		s.bridgeIdx[n] = -1
 	}
@@ -74,9 +73,6 @@ func (s *Simulator) addTransSite(id circuit.NodeID, mask uint64, d uint8) {
 		s.transIdx[id] = idx
 		s.transSites = append(s.transSites, nil)
 		s.transNodes = append(s.transNodes, id)
-		if s.cone.OrderPos[id] >= 0 {
-			s.transGates = append(s.transGates, id)
-		}
 	}
 	s.transSites[idx] = append(s.transSites[idx], transSite{mask: mask, d: d, prev: logic.X})
 	s.special = true
@@ -125,9 +121,7 @@ func (s *Simulator) applyTrans(id circuit.NodeID, w logic.W, replay bool) logic.
 
 // place applies the whole of the current group's injection at node id: stem
 // stuck-at masks always, then the model hooks for special groups. It is the
-// dense kernel's per-node value sink (the event kernel splits the same
-// steps across evalNode and its load loops so its stemFlag fast path
-// survives).
+// dense kernel's per-node value sink.
 func (s *Simulator) place(id circuit.NodeID, w logic.W, replay bool) logic.W {
 	w = s.inject(id, w)
 	if !s.special {
@@ -244,25 +238,4 @@ func oppV(d uint8) logic.V {
 		return logic.One
 	}
 	return logic.Zero
-}
-
-// groupHasBridge reports whether any fault of the group is a bridge fault
-// (such groups take the dense kernel's two-pass path).
-func groupHasBridge(faults []fault.Fault) bool {
-	for _, f := range faults {
-		if f.Kind == fault.KindBridge {
-			return true
-		}
-	}
-	return false
-}
-
-// hasModelFaults reports whether the list carries any non-stuck-at fault.
-func hasModelFaults(faults []fault.Fault) bool {
-	for _, f := range faults {
-		if f.Kind != fault.KindStuckAt {
-			return true
-		}
-	}
-	return false
 }

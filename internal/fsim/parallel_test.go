@@ -43,11 +43,10 @@ func outcomesEqual(t *testing.T, label string, want, got *Outcome) {
 // groups, under both kernels. Run under -race it also proves the fan-out is
 // data-race free.
 //
-// Counter deltas are compared exactly under the dense kernel. The event
-// kernel's evaluated/skipped split (and scheduling tallies) legitimately
-// depends on which scratch simulator ran which group — a warm value snapshot
-// seeds a worklist, a cold one forces a full first sweep — so there only the
-// scheduling-invariant counters and the evals+skipped total are compared.
+// Counter deltas are compared exactly under the dense kernel. The slab
+// kernel's automatic lane width follows the worker count, so its batch
+// tallies (slab passes, idle lanes) legitimately differ between the runs;
+// there only the dense-equivalent work counters are compared.
 func TestParallelMatchesSequential(t *testing.T) {
 	profiles := []iscas.Profile{
 		{Name: "p1", Inputs: 4, Outputs: 3, DFFs: 4, Gates: 40, Seed: 11, Synthetic: true},
@@ -72,7 +71,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		faults := fault.CollapsedUniverse(c)
 		seq := sim.RandomSequence(randutil.New(p.Seed+100), c.NumInputs(), 24)
 		groups := (len(faults) + GroupSize - 1) / GroupSize
-		for _, kernel := range []Kernel{KernelDense, KernelEvent} {
+		for _, kernel := range []Kernel{KernelDense, KernelSlab} {
 			for _, v := range optVariants {
 				opts := v.opts
 				opts.Kernel = kernel
@@ -98,17 +97,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 					}
 					for _, id := range []telemetry.CounterID{
 						telemetry.CtrVectors, telemetry.CtrGroupPasses, telemetry.CtrFaultsDropped,
+						telemetry.CtrGateEvals, telemetry.CtrRepeatExits,
 					} {
 						if seqDelta.Get(id) != parDelta.Get(id) {
 							t.Fatalf("%s workers=%d: %s delta %d vs sequential %d",
 								label, workers, id.Name(), parDelta.Get(id), seqDelta.Get(id))
 						}
-					}
-					seqTotal := seqDelta.Get(telemetry.CtrGateEvals) + seqDelta.Get(telemetry.CtrGatesSkipped)
-					parTotal := parDelta.Get(telemetry.CtrGateEvals) + parDelta.Get(telemetry.CtrGatesSkipped)
-					if seqTotal != parTotal {
-						t.Fatalf("%s workers=%d: evals+skipped %d vs sequential %d",
-							label, workers, parTotal, seqTotal)
 					}
 				}
 			}
@@ -276,7 +270,7 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 	faults := append([]fault.Fault(nil), fault.CollapsedUniverse(c)[:3*GroupSize]...)
 	faults[GroupSize+5].Node = circuit.NodeID(len(c.Nodes) + 7)
 	seq := sim.RandomSequence(randutil.New(4), c.NumInputs(), 10)
-	for _, k := range []Kernel{KernelDense, KernelEvent, KernelSlab} {
+	for _, k := range []Kernel{KernelDense, KernelSlab} {
 		func() {
 			defer func() {
 				p := recover()

@@ -19,7 +19,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-var allKernels = []fsim.Kernel{fsim.KernelDense, fsim.KernelEvent, fsim.KernelSlab}
+var allKernels = []fsim.Kernel{fsim.KernelDense, fsim.KernelSlab}
 
 // periodicSequence is a weighted test sequence of length l (the paper's α^r
 // on every input, Section 3): each input repeats its own random 1-3 bit
@@ -115,10 +115,10 @@ Z = AND(Q0, Q1, Q2)
 
 // TestRepeatExitIgnoresUndetectableFaults pins the kernel invariance of the
 // exit point. E s-a-1 starts a counter that reaches no primary output: the
-// fault can never be detected, and the event kernel does not even inject
-// it. The dense and slab kernels do, and their faulty slot counts while the
-// fault-free machine stands still. Every kernel must stop the group at time
-// unit 1 all the same, where the fault-free state first repeats.
+// fault can never be detected, yet both kernels inject it, and its faulty
+// slot counts while the fault-free machine stands still. Every kernel must
+// stop the group at time unit 1 all the same, where the fault-free state
+// first repeats.
 func TestRepeatExitIgnoresUndetectableFaults(t *testing.T) {
 	const netlist = `
 INPUT(EN)
@@ -184,9 +184,9 @@ func TestRepeatExitNeedsWholeSequence(t *testing.T) {
 }
 
 // TestEarlyExitCountersKernelInvariant runs s298 without SaveStates and
-// requires the event and slab kernels to report exactly dense's work
-// counters: the same vectors, group passes, dropped faults and repeat exits,
-// and dense-equivalent evaluations (gate_evals + gates_skipped). Two cases
+// requires the slab kernel to report exactly dense's work counters: the
+// same vectors, group passes, dropped faults, repeat exits and
+// dense-equivalent gate evaluations. Two cases
 // stop groups early:
 //   - a random sequence against the stuck-at faults it detects (as the
 //     pipeline does with its targets): every group stops at its last
@@ -229,7 +229,7 @@ func checkEarlyExitKernelInvariant(t *testing.T, model string) {
 }
 
 // checkKernelWork requires every kernel to report dense's vectors, group
-// passes, dropped faults, repeat exits and gate_evals + gates_skipped, and
+// passes, dropped faults, repeat exits and gate evaluations, and
 // the dense run to stop some group early (by a repeat exit when repeat is
 // set) so that the comparison means something.
 func checkKernelWork(t *testing.T, name string, c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, repeat bool) {
@@ -245,7 +245,7 @@ func checkKernelWork(t *testing.T, name string, c *circuit.Circuit, seq *sim.Seq
 			passes:  d.Get(telemetry.CtrGroupPasses),
 			dropped: d.Get(telemetry.CtrFaultsDropped),
 			repeats: d.Get(telemetry.CtrRepeatExits),
-			evals:   d.Get(telemetry.CtrGateEvals) + d.Get(telemetry.CtrGatesSkipped),
+			evals:   d.Get(telemetry.CtrGateEvals),
 		}
 		if kernel == fsim.KernelDense {
 			dense = got

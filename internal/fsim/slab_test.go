@@ -96,7 +96,7 @@ func TestSlabOutputHook(t *testing.T) {
 	var calls []int
 	hook := func(lo, hi, u int, po []logic.W) { calls = append(calls, lo) }
 	s := New(c)
-	if w := s.slabWidth(Options{SlabLanes: 8, OutputHook: hook}); w != 1 {
+	if w := slabWidth(Options{SlabLanes: 8, OutputHook: hook}, 10); w != 1 {
 		t.Fatalf("slabWidth under OutputHook = %d, want 1", w)
 	}
 	out := s.Run(seq, faults, Options{
@@ -163,23 +163,42 @@ func TestSlabCancel(t *testing.T) {
 	}
 }
 
-// TestSlabWidthClamps pins the adaptive lane heuristic's bounds: tiny
-// netlists saturate at maxSlabLanes, the explicit option is clamped to the
-// same cap, and a netlist too large for the L2 budget drops to one lane.
+// TestSlabWidthClamps pins the lane-width rule: the automatic width is
+// slabAutoLanes whatever the netlist size (the 17,828-node s35932 included),
+// capped at ceil(groups/workers) so that every worker gets a batch; an
+// explicit SlabLanes overrides the automatic width but not the maxSlabLanes
+// and group-count clamps.
 func TestSlabWidthClamps(t *testing.T) {
-	small := New(iscas.MustLoad("s27"))
-	if w := small.slabLanesAuto(); w != maxSlabLanes {
-		t.Fatalf("s27 auto lanes = %d, want cap %d", w, maxSlabLanes)
+	cases := []struct {
+		label  string
+		opts   Options
+		groups int
+		want   int
+	}{
+		{"auto, sequential", Options{}, 100, slabAutoLanes},
+		{"auto, one worker", Options{Workers: 1}, 100, slabAutoLanes},
+		{"auto, few groups", Options{}, 3, 3},
+		{"auto, many groups over two workers", Options{Workers: 2}, 620, slabAutoLanes},
+		{"auto, capped at ceil(groups/workers)", Options{Workers: 2}, 9, 5},
+		{"auto, one group per worker", Options{Workers: 8}, 5, 1},
+		{"explicit", Options{SlabLanes: 5, Workers: 8}, 100, 5},
+		{"explicit, clamped to the cap", Options{SlabLanes: 99}, 100, maxSlabLanes},
+		{"explicit, clamped to the groups", Options{SlabLanes: 12}, 7, 7},
+		{"output hook", Options{SlabLanes: 8, OutputHook: func(lo, hi, u int, po []logic.W) {}}, 100, 1},
 	}
-	if w := small.slabWidth(Options{SlabLanes: 99}); w != maxSlabLanes {
-		t.Fatalf("slabWidth(99) = %d, want clamp to %d", w, maxSlabLanes)
+	for _, tc := range cases {
+		if got := slabWidth(tc.opts, tc.groups); got != tc.want {
+			t.Errorf("%s: slabWidth(groups=%d) = %d, want %d", tc.label, tc.groups, got, tc.want)
+		}
 	}
-	if w := small.slabWidth(Options{SlabLanes: 5}); w != 5 {
-		t.Fatalf("slabWidth(5) = %d, want the explicit value", w)
-	}
-	big := New(iscas.MustLoad("s35932"))
-	if w := big.slabLanesAuto(); w < 1 || w > 2 {
-		t.Fatalf("s35932 auto lanes = %d, want ~1 (L2 budget exhausted)", w)
+	// The rule does not look at the netlist: s35932 runs 8-lane batches.
+	c := iscas.MustLoad("s35932")
+	faults := fault.CollapsedUniverse(c)[:9*GroupSize]
+	seq := sim.RandomSequence(randutil.New(9), c.NumInputs(), 2)
+	before := telemetry.Counters()
+	Run(c, seq, faults, Options{Init: logic.X, Kernel: KernelSlab, SaveStates: true})
+	if got := telemetry.Counters().Sub(before).Get(telemetry.CtrSlabPasses); got != 2 {
+		t.Errorf("s35932, 9 groups: %d slab passes, want 2 (8 + 1 lanes)", got)
 	}
 }
 

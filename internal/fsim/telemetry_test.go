@@ -12,58 +12,51 @@ import (
 )
 
 // TestHotPathCounters checks that a simulation run advances the process-wide
-// telemetry counters by the expected amounts, for every kernel. The
-// kernel-independent accounting invariant is gate_evals + gates_skipped ==
-// vectors × gates: the dense and slab kernels evaluate everything (skipped
-// 0), the event kernel splits the same total between evaluated and skipped.
+// telemetry counters by the expected amounts, on both kernels and under
+// every fault model: gate_evals == vectors × gates (both kernels count
+// dense-equivalent evaluations), the deleted event kernel's
+// fsim.gates_skipped and fsim.sweep_fallbacks stay at 0, and
+// fsim.slab_passes moves exactly on the slab kernel — for model faults too,
+// so a silent fallback to dense cannot come back.
 func TestHotPathCounters(t *testing.T) {
 	c, err := iscas.Load("s27")
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults := fault.CollapsedUniverse(c)
 	seq := sim.RandomSequence(randutil.New(7), c.NumInputs(), 64)
 
-	for _, kernel := range []Kernel{KernelDense, KernelEvent, KernelSlab} {
-		before := telemetry.Counters()
-		out := Run(c, seq, faults, Options{Init: logic.X, SaveStates: true, Kernel: kernel})
-		d := telemetry.Counters().Sub(before)
+	for _, m := range []fault.Model{fault.StuckAt{}, fault.Transition{}, fault.Bridging{}} {
+		faults := fault.CollapsedUniverseFor(c, m)
+		for _, kernel := range []Kernel{KernelDense, KernelSlab} {
+			label := m.Name() + "/" + kernel.String()
+			before := telemetry.Counters()
+			out := Run(c, seq, faults, Options{Init: logic.X, SaveStates: true, Kernel: kernel})
+			d := telemetry.Counters().Sub(before)
 
-		groups := (len(faults) + GroupSize - 1) / GroupSize
-		if got := d.Get(telemetry.CtrGroupPasses); got != int64(groups) {
-			t.Errorf("%v: group passes delta = %d, want %d", kernel, got, groups)
-		}
-		// SaveStates disables the early exit, so every group simulates the
-		// full sequence and the vector count is exact.
-		wantVecs := int64(groups * seq.Len())
-		if got := d.Get(telemetry.CtrVectors); got != wantVecs {
-			t.Errorf("%v: vectors delta = %d, want %d", kernel, got, wantVecs)
-		}
-		evals := d.Get(telemetry.CtrGateEvals)
-		skipped := d.Get(telemetry.CtrGatesSkipped)
-		if evals+skipped != wantVecs*int64(c.NumGates()) {
-			t.Errorf("%v: gate evals %d + skipped %d = %d, want %d",
-				kernel, evals, skipped, evals+skipped, wantVecs*int64(c.NumGates()))
-		}
-		if got := d.Get(telemetry.CtrFaultsDropped); got != int64(out.NumDetected) {
-			t.Errorf("%v: faults dropped delta = %d, want %d detected", kernel, got, out.NumDetected)
-		}
-		switch kernel {
-		case KernelDense, KernelSlab:
-			for _, id := range []telemetry.CounterID{
-				telemetry.CtrEventsScheduled, telemetry.CtrGatesSkipped, telemetry.CtrConeHits,
-			} {
+			groups := (len(faults) + GroupSize - 1) / GroupSize
+			if got := d.Get(telemetry.CtrGroupPasses); got != int64(groups) {
+				t.Errorf("%s: group passes delta = %d, want %d", label, got, groups)
+			}
+			// SaveStates disables the early exit, so every group simulates
+			// the full sequence and the vector count is exact.
+			wantVecs := int64(groups * seq.Len())
+			if got := d.Get(telemetry.CtrVectors); got != wantVecs {
+				t.Errorf("%s: vectors delta = %d, want %d", label, got, wantVecs)
+			}
+			if got := d.Get(telemetry.CtrGateEvals); got != wantVecs*int64(c.NumGates()) {
+				t.Errorf("%s: gate evals %d, want %d", label, got, wantVecs*int64(c.NumGates()))
+			}
+			if got := d.Get(telemetry.CtrFaultsDropped); got != int64(out.NumDetected) {
+				t.Errorf("%s: faults dropped delta = %d, want %d detected", label, got, out.NumDetected)
+			}
+			for _, id := range []telemetry.CounterID{telemetry.CtrGatesSkipped, telemetry.CtrSweepFallbacks} {
 				if got := d.Get(id); got != 0 {
-					t.Errorf("%v: %s delta = %d, want 0", kernel, id.Name(), got)
+					t.Errorf("%s: %s delta = %d, want 0", label, id.Name(), got)
 				}
 			}
-		case KernelEvent:
-			if sched, hits := d.Get(telemetry.CtrEventsScheduled), d.Get(telemetry.CtrConeHits); hits > sched {
-				t.Errorf("event: cone hits %d exceed events scheduled %d", hits, sched)
+			if got := d.Get(telemetry.CtrSlabPasses); (got > 0) != (kernel == KernelSlab) {
+				t.Errorf("%s: slab passes delta = %d, want > 0 only on the slab kernel", label, got)
 			}
-		}
-		if got := d.Get(telemetry.CtrSlabPasses); (got > 0) != (kernel == KernelSlab) {
-			t.Errorf("%v: slab passes delta = %d, want > 0 only on the slab kernel", kernel, got)
 		}
 	}
 }

@@ -10,13 +10,10 @@ import (
 // group-0 pass: the number of circuit nodes whose *fault-free* (slot 0)
 // value changed between the previous simulated vector and this one.
 //
-// The metric deliberately looks only at slot 0. Whole-word activity is not
-// kernel-invariant — the event kernel leaves provably undetectable faults
-// uninjected (skipFault), so their slots mirror slot 0 there while the dense
-// kernel injects them and lets them toggle internal lines. The fault-free
-// machine, by the kernels' bit-identity guarantee, is the same everywhere,
-// so the sample is deterministic across kernels and worker counts. It is
-// recorded for group 0 only (slot 0 is the same machine in every group).
+// The metric deliberately looks only at slot 0: the fault-free machine is,
+// by the kernels' bit-identity guarantee, the same everywhere, so the
+// sample is deterministic across kernels, lane widths and worker counts. It
+// is recorded for group 0 only (slot 0 is the same machine in every group).
 //
 // Both rails are packed into bitsets (a node counts as changed on any
 // 0/1/X transition) and diffed with XOR+popcount; the O(nodes) cost is paid

@@ -24,7 +24,7 @@ func TestTraceMatchesOutcome(t *testing.T) {
 	rng := randutil.New(0x7ace)
 	seq := sim.RandomSequence(rng, c.NumInputs(), 40)
 	faults := fault.CollapsedUniverse(c)
-	for _, k := range []Kernel{KernelDense, KernelEvent, KernelSlab} {
+	for _, k := range []Kernel{KernelDense, KernelSlab} {
 		tr := obsv.NewTrace()
 		out := Run(c, seq, faults, Options{Init: logic.Zero, Kernel: k, Trace: tr})
 		if tr.Kernel() != k.String() {
@@ -84,7 +84,7 @@ func TestTraceDeterministic(t *testing.T) {
 		faults := fault.CollapsedUniverse(c)
 		var want []byte
 		s := New(c)
-		for _, k := range []Kernel{KernelDense, KernelEvent, KernelSlab} {
+		for _, k := range []Kernel{KernelDense, KernelSlab} {
 			for _, workers := range []int{1, 4, 8} {
 				for pass := 0; pass < 2; pass++ { // second pass: warm scratch
 					tr := obsv.NewTrace()

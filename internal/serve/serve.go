@@ -71,7 +71,7 @@ type Options struct {
 	// Kernel selects the fsim gate-evaluation kernel for all jobs.
 	Kernel fsim.Kernel
 	// SlabLanes is the slab kernel's fault-group batch width W for all jobs
-	// (0 = pick adaptively; ignored by the other kernels).
+	// (0 = the automatic width; ignored by the dense kernel).
 	SlabLanes int
 }
 

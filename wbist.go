@@ -91,19 +91,18 @@ type HardwareStats = core.HardwareStats
 // Kernel selects the fault simulator's gate-evaluation strategy; all
 // kernels produce bit-identical results (the differential suite enforces
 // this), so the choice only affects speed. The zero value honors the
-// FSIM_KERNEL environment variable and defaults to the event-driven kernel.
+// FSIM_KERNEL environment variable and defaults to the slab kernel.
 type Kernel = fsim.Kernel
 
 // The fault-simulation kernels.
 const (
 	KernelAuto  = fsim.KernelAuto
-	KernelEvent = fsim.KernelEvent
 	KernelDense = fsim.KernelDense
 	KernelSlab  = fsim.KernelSlab
 )
 
-// ParseKernel maps a CLI or environment spelling ("auto", "event", "dense",
-// "slab") to a Kernel.
+// ParseKernel maps a CLI or environment spelling ("auto", "dense", "slab")
+// to a Kernel.
 func ParseKernel(s string) (Kernel, error) { return fsim.ParseKernel(s) }
 
 // Value re-exports the ternary logic values.

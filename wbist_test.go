@@ -153,16 +153,18 @@ func TestParseKernelPublic(t *testing.T) {
 	}{
 		{"", KernelAuto},
 		{"auto", KernelAuto},
-		{"event", KernelEvent},
 		{"dense", KernelDense},
+		{"slab", KernelSlab},
 	} {
 		k, err := ParseKernel(tc.in)
 		if err != nil || k != tc.want {
 			t.Errorf("ParseKernel(%q) = %v, %v; want %v", tc.in, k, err, tc.want)
 		}
 	}
-	if _, err := ParseKernel("warp"); err == nil {
-		t.Error("ParseKernel(warp) should fail")
+	for _, bad := range []string{"warp", "event"} {
+		if _, err := ParseKernel(bad); err == nil {
+			t.Errorf("ParseKernel(%s) should fail", bad)
+		}
 	}
 }
 
