@@ -8,7 +8,9 @@
 # tests and fails unless the compile workloads and grade-session of seed 1
 # and of the held-out seed 2 reproduce the committed digests (T and weight
 # assignments, detection records; benchmark/testdata/expected.json);
-# `make serve-smoke` drives `wbist serve` end to end over HTTP (submit, poll,
+# `make serve-digests` does the same for the serve-mix workload, whose jobs
+# run the pipeline through `wbist serve` on more circuits (about 10 s a
+# seed); `make serve-smoke` drives `wbist serve` end to end over HTTP (submit, poll,
 # cache-hit resubmit, SIGTERM drain; see scripts/serve_smoke.sh); `make
 # shell-test` unit-tests the shell polling helper that serve_smoke.sh
 # sources (scripts/poll_test.sh). Performance numbers come from
@@ -23,7 +25,7 @@ GO ?= go
 FUZZ_TARGETS = FuzzRefVsFsim FuzzSlabVsDense FuzzFaultFreeVsSim FuzzWgenVsExpansion FuzzBenchRoundTrip FuzzTransitionVsRef FuzzBridgeVsRef
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fuzz-smoke cover cover-gate bench-digests serve-smoke shell-test
+.PHONY: all build test race vet fuzz-smoke cover cover-gate bench-digests serve-digests serve-smoke shell-test
 
 all: build test race vet
 
@@ -64,6 +66,15 @@ bench-digests: build
 			*) echo "$$w seed $$s: outputs differ from benchmark/testdata/expected.json: $$line"; exit 1 ;; \
 			esac; \
 		done; \
+	done
+
+serve-digests: build
+	@for s in 1 2; do \
+		line=$$(bash benchmark/run.sh --workload serve-mix --seed $$s --seconds 1 --trace 0 | tail -n 1); \
+		case "$$line" in \
+		*'"correct":true'*) echo "serve-mix: seed $$s digests match" ;; \
+		*) echo "serve-mix seed $$s: outputs differ from benchmark/testdata/expected.json: $$line"; exit 1 ;; \
+		esac; \
 	done
 
 serve-smoke: build

@@ -76,7 +76,9 @@ type Options struct {
 	// exact continuation of the accepted trial does not detect it.
 	Model fault.Model
 	// Workers is the fault-simulation worker count handed to fsim (0 or 1 =
-	// sequential). The generated sequence is bit-identical for any value.
+	// sequential), and the number of directed trials or compaction
+	// deletions evaluated at once (fsim.Speculate). The generated sequence
+	// is bit-identical for any value.
 	Workers int
 	// Kernel selects the fsim gate-evaluation kernel (dense or slab; the
 	// zero value honors FSIM_KERNEL and defaults to slab). The
@@ -89,11 +91,12 @@ type Options struct {
 	// Span, when non-nil, is the parent telemetry span under which the
 	// generator records its phases ("atpg" with one child per phase).
 	Span *telemetry.Span
-	// Ctx, if non-nil, cancels generation: it is checked between phases and
-	// between directed trials (and threaded into every fsim run, which stops
-	// claiming fault groups). Generate has no error return, so a cancelled
-	// run hands back whatever partial sequence it had — callers that care
-	// (the pipeline) check ctx.Err() afterwards and discard the result.
+	// Ctx, if non-nil, cancels generation: it is checked between phases,
+	// directed trials and compaction deletions (and threaded into the fsim
+	// runs, which stop claiming fault groups). Generate has no error return,
+	// so a cancelled run hands back whatever partial sequence it had —
+	// callers that care (the pipeline) check ctx.Err() afterwards and
+	// discard the result.
 	Ctx context.Context
 }
 
@@ -170,73 +173,13 @@ func Generate(c *circuit.Circuit, opts Options) *Result {
 	opts.fill(c)
 	span := opts.Span.Child("atpg")
 	defer span.End()
-	rng := randutil.New(opts.Seed)
 	model := opts.Model
 	if model == nil {
 		model = fault.StuckAt{}
 	}
 	faults := fault.CollapsedUniverseFor(c, model)
 	s := fsim.New(c)
-
-	// Phase 1: one long random sequence, truncated after the last detection.
-	// Every detection happens at or before the cut, so phase 1's outcome is
-	// also the outcome of the truncated sequence.
-	p1 := span.Child("random")
-	seq := sim.RandomSequence(rng, c.NumInputs(), opts.RandomLen)
-	out := simulate(s, seq, faults, opts)
-	last := -1
-	for i := range faults {
-		if out.Detected[i] && out.DetTime[i] > last {
-			last = out.DetTime[i]
-		}
-	}
-	if last < 0 {
-		// Nothing detected (degenerate circuit); keep a one-vector sequence.
-		seq = seq.Slice(0, 1)
-	} else {
-		seq = seq.Slice(0, last+1)
-	}
-	p1.End()
-
-	// Phase 2: directed weighted-random trials for the remaining faults.
-	// The ledger simulates the prefix once, saving the machine state of
-	// every undetected fault; each trial then only pays for its own vectors,
-	// and an accepted trial is re-run once from the exact states to carry
-	// the states and detection times forward.
-	p2 := span.Child("directed")
-	l := newLedger(faults, out)
-	if len(l.faults) > 0 && !ctxDone(opts.Ctx) {
-		l.capture(s, seq, opts)
-	}
-	accepted := 0
-	budget := opts.Rounds * opts.Restarts
-	for l.numTargets() > 0 && accepted < opts.MaxAccepts && budget > 0 && !ctxDone(opts.Ctx) {
-		remaining, start := l.trialTargets()
-		improved := false
-		for ; budget > 0 && !ctxDone(opts.Ctx); budget-- {
-			cand := weightedRandom(rng, c.NumInputs(), opts.TrialLen)
-			o := s.Run(cand, remaining, opts.fsimOptions(fsim.Options{
-				InitialStates: start,
-				TimeOffset:    seq.Len(),
-			}))
-			if o.NumDetected > 0 {
-				l.dropTargets(o)
-				ext := l.continueWith(s, cand, seq.Len(), opts)
-				if ext == nil {
-					break // cancelled; the caller discards the run
-				}
-				l.commit(ext)
-				seq.Concat(cand)
-				improved = true
-				accepted++
-				break // the next round starts from the extended states
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	p2.End()
+	seq, l := search(c, s, faults, opts, span)
 
 	// Phase 2.5: deterministic PODEM phase for the faults random search
 	// missed. Each search continues from the good/faulty machine states at
@@ -289,6 +232,109 @@ func Generate(c *circuit.Circuit, opts Options) *Result {
 		}
 	}
 	return res
+}
+
+// search runs the random-search phases of Generate (opts filled in) and
+// returns the sequence they build, with the ledger it leaves.
+func search(c *circuit.Circuit, s *fsim.Simulator, faults []fault.Fault, opts Options, span *telemetry.Span) (*sim.Sequence, *ledger) {
+	rng := randutil.New(opts.Seed)
+
+	// Phase 1: one long random sequence, truncated after the last detection.
+	// Every detection happens at or before the cut, so phase 1's outcome is
+	// also the outcome of the truncated sequence.
+	p1 := span.Child("random")
+	seq := sim.RandomSequence(rng, c.NumInputs(), opts.RandomLen)
+	out := simulate(s, seq, faults, opts)
+	last := -1
+	for i := range faults {
+		if out.Detected[i] && out.DetTime[i] > last {
+			last = out.DetTime[i]
+		}
+	}
+	if last < 0 {
+		// Nothing detected (degenerate circuit); keep a one-vector sequence.
+		seq = seq.Slice(0, 1)
+	} else {
+		seq = seq.Slice(0, last+1)
+	}
+	p1.End()
+
+	// Phase 2: directed weighted-random trials for the remaining faults.
+	// The ledger simulates the prefix once, saving the machine state of
+	// every undetected fault; each trial then only pays for its own vectors,
+	// and an accepted trial is re-run once from the exact states to carry
+	// the states and detection times forward.
+	p2 := span.Child("directed")
+	l := newLedger(faults, out)
+	if len(l.faults) > 0 && !ctxDone(opts.Ctx) {
+		l.capture(s, seq, opts)
+	}
+	directedPhase(s, seq, l, rng, c.NumInputs(), opts)
+	p2.End()
+	return seq, l
+}
+
+// trial is one directed trial and, once simulated, its outcome.
+type trial struct {
+	seq *sim.Sequence
+	out *fsim.Outcome
+}
+
+// directedPhase appends directed weighted-random trials to seq. A round
+// draws trials until one detects a trial target, or until the trial budget
+// of all rounds is spent; the accepted trial is appended and carried into
+// the ledger, and the next round starts from the extended states. Trials
+// are drawn from rng whatever the outcome, and an accepted trial does not
+// use up budget.
+//
+// The trials of a round are evaluated speculatively (fsim.Speculate): a
+// trial drawn after one that is then accepted is not drawn again but
+// evaluated afresh, as the first trial of the next round.
+func directedPhase(s *fsim.Simulator, seq *sim.Sequence, l *ledger, rng *randutil.RNG, numInputs int, opts Options) {
+	accepted := 0
+	budget := opts.Rounds * opts.Restarts
+	var drawn []*sim.Sequence // drawn[k]: the k-th trial not yet committed
+	for l.numTargets() > 0 && accepted < opts.MaxAccepts && budget > 0 && !ctxDone(opts.Ctx) {
+		targets, start := l.trialTargets()
+		offset := seq.Len()
+		improved := false
+		fsim.Speculate(s, opts.Workers,
+			func(ahead int) (*trial, bool) {
+				if improved || budget-ahead <= 0 || ctxDone(opts.Ctx) {
+					return nil, false
+				}
+				for len(drawn) <= ahead {
+					drawn = append(drawn, weightedRandom(rng, numInputs, opts.TrialLen))
+				}
+				return &trial{seq: drawn[ahead]}, true
+			},
+			func(ws *fsim.Simulator, t *trial) {
+				t.out = ws.Run(t.seq, targets, opts.fsimOptions(fsim.Options{
+					InitialStates: start,
+					TimeOffset:    offset,
+				}))
+			},
+			func(t *trial) bool {
+				drawn = drawn[1:]
+				if t.out.NumDetected == 0 {
+					budget--
+					return false
+				}
+				l.dropTargets(t.out)
+				if ext := l.continueWith(s, t.seq, offset, opts); ext != nil {
+					l.commit(ext)
+					seq.Concat(t.seq)
+					accepted++
+					improved = true
+				}
+				// Cancelled otherwise; improved stays false, the phase ends
+				// and the caller discards the run.
+				return true
+			})
+		if !improved {
+			break
+		}
+	}
 }
 
 // simulate fault-simulates seq over faults from time 0 and opts.Init.
@@ -352,6 +398,10 @@ func weightedRandom(rng *randutil.RNG, n, l int) *sim.Sequence {
 // at or after lo; an accepted deletion takes their new times from that run.
 // The decisions, and so the returned sequence, are the ones a full
 // re-simulation of every target would make, for every fault model.
+//
+// The deletions of a block pass are evaluated speculatively
+// (fsim.Speculate); after an accepted deletion, every later candidate is
+// rebuilt from the new sequence and detection times.
 func compact(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, det []int, opts Options) *sim.Sequence {
 	var targets []int // indices of the detected faults
 	for i, t := range det {
@@ -359,44 +409,65 @@ func compact(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, det []i
 			targets = append(targets, i)
 		}
 	}
-	var late []fault.Fault
-	var lateIdx []int
 	for _, block := range opts.CompactionBlocks {
 		if block <= 0 || seq.Len()/block > 48 {
 			continue
 		}
-		for lo := (seq.Len() - 1) / block * block; lo >= 0; lo -= block {
-			hi := lo + block
-			if hi > seq.Len() {
-				hi = seq.Len()
-			}
-			if hi-lo == seq.Len() {
-				continue // never delete everything
-			}
-			cand := sim.NewSequence(seq.NumInputs)
-			for u := 0; u < seq.Len(); u++ {
-				if u < lo || u >= hi {
-					cand.Append(seq.Vecs[u])
+		lo := (seq.Len() - 1) / block * block // the next deletion to try
+		fsim.Speculate(s, opts.Workers,
+			func(int) (*deletion, bool) {
+				for ; lo >= 0 && !ctxDone(opts.Ctx); lo -= block {
+					hi := min(lo+block, seq.Len())
+					if hi-lo == seq.Len() {
+						continue // never delete everything
+					}
+					d := &deletion{from: seq, lo: lo, hi: hi}
+					for _, i := range targets {
+						if det[i] >= lo {
+							d.late = append(d.late, faults[i])
+							d.lateIdx = append(d.lateIdx, i)
+						}
+					}
+					lo -= block
+					return d, true
 				}
-			}
-			late, lateIdx = late[:0], lateIdx[:0]
-			for _, i := range targets {
-				if det[i] >= lo {
-					late = append(late, faults[i])
-					lateIdx = append(lateIdx, i)
+				return nil, false
+			},
+			func(ws *fsim.Simulator, d *deletion) {
+				d.seq = sim.NewSequence(d.from.NumInputs)
+				for u, v := range d.from.Vecs {
+					if u < d.lo || u >= d.hi {
+						d.seq.Append(v)
+					}
 				}
-			}
-			if len(late) > 0 {
-				o := simulate(s, cand, late, opts)
-				if o.NumDetected != len(late) {
-					continue
+				if len(d.late) > 0 {
+					d.out = simulate(ws, d.seq, d.late, opts)
 				}
-				for j, i := range lateIdx {
-					det[i] = o.DetTime[j]
+			},
+			func(d *deletion) bool {
+				if d.out != nil {
+					if d.out.NumDetected != len(d.late) {
+						return false
+					}
+					for j, i := range d.lateIdx {
+						det[i] = d.out.DetTime[j]
+					}
 				}
-			}
-			seq = cand
-		}
+				seq = d.seq
+				lo = d.lo - block
+				return true
+			})
 	}
 	return seq
+}
+
+// deletion is one candidate of compact: the sequence from without the block
+// [lo,hi), simulated against the targets detected at or after lo.
+type deletion struct {
+	from    *sim.Sequence
+	lo, hi  int
+	seq     *sim.Sequence
+	late    []fault.Fault
+	lateIdx []int
+	out     *fsim.Outcome
 }

@@ -16,6 +16,7 @@ import (
 // accepted if and only if that run detects the target; the same run carries
 // the ledger forward.
 func deterministicPhase(c *circuit.Circuit, s *fsim.Simulator, seq *sim.Sequence, l *ledger, opts Options) *sim.Sequence {
+	l.endTrials()
 	tried := make(map[fault.Fault]bool)
 	budget := opts.PodemTargets
 	for budget > 0 && len(l.faults) > 0 && !ctxDone(opts.Ctx) {

@@ -89,6 +89,15 @@ func (l *ledger) dropTargets(o *fsim.Outcome) {
 	}
 }
 
+// endTrials ends the directed trials: no fault is a trial target any more,
+// so commit keeps only the undetected faults in play, and a fault a PODEM
+// window detects leaves play.
+func (l *ledger) endTrials() {
+	for j := range l.target {
+		l.target[j] = false
+	}
+}
+
 // continueWith simulates ext appended to the current sequence (of length
 // offset) over the faults in play, continued from their exact states with
 // SaveStates. The outcome is what the extended sequence adds; commit takes

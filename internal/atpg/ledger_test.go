@@ -70,3 +70,37 @@ func checkLedger(t *testing.T, label string, c *circuit.Circuit, opts Options) {
 	}
 	t.Fatalf("%s: ledger detects %d, rerun %d", label, r.NumDetected, want.NumDetected)
 }
+
+// TestPodemDropsDetected checks the ledger after the PODEM phase: a fault a
+// PODEM window detects leaves play, so no fault in play has a detection
+// time. s382 at seed 2 is a run where PODEM windows detect faults; there a
+// detected fault left in play used up PodemTargets budget and could get a
+// useless window appended.
+func TestPodemDropsDetected(t *testing.T) {
+	cases := []struct {
+		circuit string
+		seed    uint64
+	}{{"s382", 2}, {"s298", 1}, {"s386", 2}}
+	windows := 0
+	for _, tc := range cases {
+		c := iscas.MustLoad(tc.circuit)
+		opts := Options{Seed: tc.seed, Init: logic.Zero, Model: fault.StuckAt{}}
+		opts.fill(c)
+		faults := fault.CollapsedUniverseFor(c, opts.Model)
+		s := fsim.New(c)
+		seq, l := search(c, s, faults, opts, nil)
+		before := seq.Len()
+		seq = deterministicPhase(c, s, seq, l, opts)
+		if seq.Len() > before {
+			windows++
+		}
+		for j, i := range l.idx {
+			if l.det[i] >= 0 {
+				t.Errorf("%s seed %d: fault %v is still in play after the PODEM phase but detected at %d", tc.circuit, tc.seed, l.faults[j], l.det[i])
+			}
+		}
+	}
+	if windows == 0 {
+		t.Fatal("no PODEM window was appended in any case: the check is vacuous")
+	}
+}

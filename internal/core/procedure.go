@@ -52,8 +52,9 @@ type Options struct {
 	// Seed drives the fault sampling.
 	Seed uint64
 	// Workers is the fault-simulation worker count handed to fsim (0 or 1 =
-	// sequential). Results are bit-identical for any value; it only changes
-	// wall-clock time.
+	// sequential), and the number of candidate weight assignments evaluated
+	// at once (fsim.Speculate). Results are bit-identical for any value; it
+	// only changes wall-clock time.
 	Workers int
 	// Kernel selects the fsim gate-evaluation kernel (dense or slab; the
 	// zero value honors FSIM_KERNEL and defaults to slab). Like
@@ -228,11 +229,10 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 		rsp.End()
 	}
 
-	// simulate runs the assignment's sequence against the remaining faults
-	// (target fault first, then a sample, then the rest) and drops
-	// detections. It returns the newly detected faults (ascending target
-	// indices) with their detection times under the candidate sequence.
-	simulate := func(a Assignment, lg, targetIdx int) (newFaults, newTimes []int) {
+	// prepare orders the remaining faults for candidate a (target fault
+	// first, then a random sample, then the rest), drawing the order from
+	// rng.
+	prepare := func(a Assignment, lg, targetIdx int) *candidate {
 		order := make([]int, 0, remaining)
 		order = append(order, targetIdx)
 		var rest []int
@@ -250,13 +250,16 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 		for k, i := range order {
 			fl[k] = targets[i]
 		}
-		seq := a.GenSequence(lg)
-		// With sampleFirst, group 0 (target fault + sample) always runs
-		// alone; only a detecting candidate pays for the fan-out over the
-		// remaining groups. The outcome's Aborted flag is deliberately
-		// unused here: a zero-detection candidate is rejected by the n == 0
-		// check below whether or not later groups were skipped.
-		out := simulator.Run(seq, fl, fsim.Options{
+		return &candidate{a: a, lg: lg, order: order, faults: fl, rng: *rng}
+	}
+
+	// simulate generates a candidate's sequence and runs it against its
+	// fault order. With sampleFirst, group 0 (target fault + sample) always
+	// runs alone; only a detecting candidate pays for the remaining groups.
+	// The outcome's Aborted flag is deliberately unused: a zero-detection
+	// candidate is rejected whether or not later groups were skipped.
+	simulate := func(ws *fsim.Simulator, cd *candidate) {
+		cd.out = ws.Run(cd.a.GenSequence(cd.lg), cd.faults, fsim.Options{
 			Init:                       opts.Init,
 			AbortAfterFirstGroupIfNone: opts.sampleFirst(),
 			Workers:                    opts.Workers,
@@ -264,16 +267,22 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 			SlabLanes:                  opts.SlabLanes,
 			Ctx:                        opts.Ctx,
 		})
+	}
+
+	// drop drops a simulated candidate's detections. It returns the newly
+	// detected faults (ascending target indices) with their detection times
+	// under the candidate sequence.
+	drop := func(cd *candidate) (newFaults, newTimes []int) {
 		res.SimulatedSequences++
 		telemetry.Add(telemetry.CtrCandidates, 1)
-		for k := range fl {
-			if out.Detected[k] {
-				i := order[k]
+		for k := range cd.faults {
+			if cd.out.Detected[k] {
+				i := cd.order[k]
 				if undetected[i] {
 					undetected[i] = false
 					remaining--
 					newFaults = append(newFaults, i)
-					newTimes = append(newTimes, out.DetTime[k])
+					newTimes = append(newTimes, cd.out.DetTime[k])
 				}
 			}
 		}
@@ -305,6 +314,41 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 		return -1
 	}
 
+	// level extends S with the derived subsequences of length ls ending at
+	// u, builds the sets A_i from S and returns them with the bound on the
+	// candidate index j.
+	level := func(u, ls int) ([][]AiEntry, int) {
+		for i := range ti {
+			if alpha, ok := DeriveWeight(ti[i], u, ls); ok {
+				res.S.Add(alpha)
+			}
+		}
+		ai := make([][]AiEntry, len(ti))
+		for i := range ti {
+			ai[i] = BuildAi(res.S.Subs, ti[i], u, ls)
+			if opts.NoMatchOrdering {
+				ai[i] = unsortedAi(res.S.Subs, ti[i], u, ls)
+			}
+		}
+		// Section 4.1 modification: ensure a full-length assignment exists
+		// at some candidate index.
+		if !opts.NoForceFullLength && !fullLengthAligned(ai, ls) {
+			for i := range ai {
+				ai[i] = prependFullLength(ai[i], ls)
+			}
+		}
+		maxJ := 0
+		for i := range ai {
+			if len(ai[i]) > maxJ {
+				maxJ = len(ai[i])
+			}
+		}
+		if opts.MaxAssignmentsPerLength > 0 && maxJ > opts.MaxAssignmentsPerLength {
+			maxJ = opts.MaxAssignmentsPerLength
+		}
+		return ai, maxJ
+	}
+
 	ssp := span.Child("selection")
 	for remaining > 0 {
 		if err := ctxErr(opts.Ctx); err != nil {
@@ -313,84 +357,117 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 		}
 		fIdx := maxDetTime()
 		u := detTime[fIdx]
-		for ls := 1; anyAtTime(u) >= 0; ls++ {
-			if ls > u+1 {
-				// Only reachable with NoForceFullLength: abandon the faults
-				// at this detection time.
-				for i, und := range undetected {
-					if und && detTime[i] == u {
-						undetected[i] = false
-						remaining--
-						res.Unreproduced++
+		// The candidates (ls, j) at detection time u, for ls = 1, 2, ...
+		// while a fault at u is undetected and each j in turn, are one
+		// stream, evaluated speculatively (fsim.Speculate). An accepted
+		// candidate changes the remaining faults, so the stream resumes just
+		// after it and the candidates behind it are prepared afresh: rng goes
+		// back to its state just after the accepted candidate's draw, and S
+		// loses what later lengths added to it.
+		var (
+			ls, j, maxJ int         // the next candidate to prepare is (ls, j)
+			ai          [][]AiEntry // the sets A_i at ls; nil: start length ls+1
+			abandon     bool        // the stream ended at ls > u+1
+			err         error
+		)
+		fsim.Speculate(simulator, opts.Workers,
+			func(int) (*candidate, bool) {
+				for {
+					if ai == nil {
+						ls++
+						if anyAtTime(u) < 0 {
+							return nil, false
+						}
+						if ls > u+1 {
+							// Only reachable with NoForceFullLength.
+							abandon = true
+							return nil, false
+						}
+						ai, maxJ = level(u, ls)
+						j = 0
 					}
+					for ; j < maxJ; j++ {
+						if err = ctxErr(opts.Ctx); err != nil {
+							return nil, false
+						}
+						tIdx := anyAtTime(u)
+						if tIdx < 0 {
+							return nil, false
+						}
+						a, ok := assignmentAt(ai, j)
+						if !ok {
+							break
+						}
+						// Section 4.2: only assignments containing at least
+						// one subsequence of length ls are considered.
+						if !a.HasLen(ls) {
+							continue
+						}
+						lg := opts.LG
+						if lg < u+1 {
+							lg = u + 1
+						}
+						cd := prepare(a, lg, tIdx)
+						cd.ls, cd.j, cd.ai, cd.maxJ, cd.sLen = ls, j, ai, maxJ, res.S.Len()
+						j++
+						return cd, true
+					}
+					ai = nil
 				}
-				break
-			}
-			// Extend S with the derived subsequences of length ls ending at u.
-			for i := range ti {
-				if alpha, ok := DeriveWeight(ti[i], u, ls); ok {
-					res.S.Add(alpha)
+			},
+			simulate,
+			func(cd *candidate) bool {
+				nf, nt := drop(cd)
+				if len(nf) == 0 {
+					return false
 				}
-			}
-			// Build the sets A_i from S.
-			ai := make([][]AiEntry, len(ti))
-			for i := range ti {
-				ai[i] = BuildAi(res.S.Subs, ti[i], u, ls)
-				if opts.NoMatchOrdering {
-					ai[i] = unsortedAi(res.S.Subs, ti[i], u, ls)
-				}
-			}
-			// Section 4.1 modification: ensure a full-length assignment
-			// exists at some candidate index.
-			if !opts.NoForceFullLength && !fullLengthAligned(ai, ls) {
-				for i := range ai {
-					ai[i] = prependFullLength(ai[i], ls)
-				}
-			}
-			maxJ := 0
-			for i := range ai {
-				if len(ai[i]) > maxJ {
-					maxJ = len(ai[i])
-				}
-			}
-			if opts.MaxAssignmentsPerLength > 0 && maxJ > opts.MaxAssignmentsPerLength {
-				maxJ = opts.MaxAssignmentsPerLength
-			}
-			for j := 0; j < maxJ; j++ {
-				if err := ctxErr(opts.Ctx); err != nil {
-					ssp.End()
-					return nil, err
-				}
-				tIdx := anyAtTime(u)
-				if tIdx < 0 {
-					break
-				}
-				a, ok := assignmentAt(ai, j)
-				if !ok {
-					break
-				}
-				// Section 4.2: only assignments containing at least one
-				// subsequence of length ls are considered.
-				if !a.HasLen(ls) {
-					continue
-				}
-				lg := opts.LG
-				if lg < u+1 {
-					lg = u + 1
-				}
-				nf, nt := simulate(a, lg, tIdx)
-				if len(nf) > 0 {
-					res.Omega = append(res.Omega, a)
-					res.Traces = append(res.Traces, Trace{
-						U: u, LS: ls, J: j, Assignment: a, NewlyDetected: len(nf),
-						NewFaults: nf, NewDetTimes: nt,
-					})
+				res.Omega = append(res.Omega, cd.a)
+				res.Traces = append(res.Traces, Trace{
+					U: u, LS: cd.ls, J: cd.j, Assignment: cd.a, NewlyDetected: len(nf),
+					NewFaults: nf, NewDetTimes: nt,
+				})
+				*rng = cd.rng
+				ls, j, ai, maxJ = cd.ls, cd.j+1, cd.ai, cd.maxJ
+				res.S.truncate(cd.sLen)
+				abandon = false
+				return true
+			})
+		if err != nil {
+			ssp.End()
+			return nil, err
+		}
+		if abandon {
+			// Abandon the faults at this detection time.
+			for i, und := range undetected {
+				if und && detTime[i] == u {
+					undetected[i] = false
+					remaining--
+					res.Unreproduced++
 				}
 			}
 		}
 	}
 	ssp.End()
 	return res, nil
+}
+
+// candidate is one weight assignment a of the selection stream at a
+// detection time, prepared against the remaining faults. It records where
+// the stream stood when it was prepared: its subsequence length ls and
+// index j, the sets A_i at ls with the bound maxJ, the size of S, and the
+// state of the procedure's rng just after drawing the fault order (order[k]
+// is the target index of faults[k]). lg is its sequence length; out is its
+// outcome once simulated.
+type candidate struct {
+	a           Assignment
+	ls, j, maxJ int
+	ai          [][]AiEntry
+	sLen        int
+	lg          int
+	order       []int
+	faults      []fault.Fault
+	rng         randutil.RNG
+	out         *fsim.Outcome
 }
 
 // ctxErr returns the cancellation error of a (possibly nil) context.

@@ -209,6 +209,15 @@ func (w *WeightSet) Add(alpha string) int {
 	return i
 }
 
+// truncate keeps the first n subsequences, undoing the Adds that came
+// after them.
+func (w *WeightSet) truncate(n int) {
+	for _, alpha := range w.Subs[n:] {
+		delete(w.index, alpha)
+	}
+	w.Subs = w.Subs[:n]
+}
+
 // Contains reports whether α is in the set.
 func (w *WeightSet) Contains(alpha string) bool {
 	_, ok := w.index[alpha]

@@ -21,7 +21,9 @@
 // Fault groups are fully independent (each pass carries its own fault-free
 // machine in slot 0), so Options.Workers > 1 shards them over a worker pool
 // with one scratch simulator per worker and merges the per-group results
-// deterministically: the outcome is bit-identical to a sequential run.
+// deterministically: the outcome is bit-identical to a sequential run. Above
+// the group level, Speculate evaluates a caller's accept-or-discard
+// candidates several at once and commits them in order.
 package fsim
 
 import (
@@ -266,6 +268,13 @@ type Simulator struct {
 	// demand and reused across runs. They share the receiver's immutable
 	// flattened netlist and own only scratch state.
 	pool []*Simulator
+	// slots are Speculate's per-candidate simulators, built like pool and
+	// kept warm across calls. held is set on a slot only: it collects the
+	// counters of the slot's current call, which Speculate then counts as
+	// committed work or as discarded speculation, and it makes every call
+	// on the slot sequential (Workers is ignored).
+	slots []*Simulator
+	held  *counterBatch
 
 	// Flattened netlist (hot-loop friendly): for gate k in evaluation order,
 	// gateID[k] is its node id, gateType[k] its type, and its fanins are
@@ -311,9 +320,9 @@ type Simulator struct {
 	// first use and reused across batches and runs.
 	slab *slabState
 
-	// worker is this simulator's index in a parallel run's worker pool
-	// (0 for the receiver). It is a trace annotation only and never part
-	// of any canonical output.
+	// worker is this simulator's index in a parallel run's worker pool or
+	// among Speculate's slots (0 for the receiver). It is a trace and panic
+	// annotation only and never part of any canonical output.
 	worker int
 	// Activity-trace scratch (see traceActivity): the packed fault-free
 	// slot-0 bits of every node as of the previous traced cycle. actValid
@@ -375,18 +384,37 @@ func newScratch(c *circuit.Circuit) *Simulator {
 // The pool grows on demand and is reused across runs.
 func (s *Simulator) workerSims(n int) []*Simulator {
 	for len(s.pool) < n-1 {
-		w := newScratch(s.c)
+		w := s.sibling()
 		w.worker = len(s.pool) + 1
-		w.gateID = s.gateID
-		w.gateType = s.gateType
-		w.faninStart = s.faninStart
-		w.faninList = s.faninList
-		w.detectable = s.detectable
 		s.pool = append(s.pool, w)
 	}
 	sims := make([]*Simulator, 0, n)
 	sims = append(sims, s)
 	return append(sims, s.pool[:n-1]...)
+}
+
+// slotSims returns Speculate's first n speculation slots, growing them on
+// demand.
+func (s *Simulator) slotSims(n int) []*Simulator {
+	for len(s.slots) < n {
+		w := s.sibling()
+		w.worker = len(s.slots) + 1
+		w.held = new(counterBatch)
+		s.slots = append(s.slots, w)
+	}
+	return s.slots[:n]
+}
+
+// sibling returns a simulator with its own scratch state that shares the
+// receiver's immutable flattened netlist.
+func (s *Simulator) sibling() *Simulator {
+	w := newScratch(s.c)
+	w.gateID = s.gateID
+	w.gateType = s.gateType
+	w.faninStart = s.faninStart
+	w.faninList = s.faninList
+	w.detectable = s.detectable
+	return w
 }
 
 // Run fault-simulates seq against faults and returns the outcome.
@@ -401,6 +429,9 @@ func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Optio
 // the result is bit-identical to the sequential run regardless of scheduling.
 func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *Outcome {
 	opts.Kernel = opts.Kernel.Resolve() // resolve env/default exactly once
+	if s.held != nil {
+		opts.Workers = 1 // a speculation slot runs one candidate's call alone
+	}
 	numGroups := (len(faults) + GroupSize - 1) / GroupSize
 	opts.Trace.Begin(numGroups, opts.Kernel.String())
 	if opts.InitialStates != nil {
@@ -438,7 +469,7 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 	first := 0
 	if ctxDone(opts.Ctx) {
 		out.Cancelled = true
-		telemetry.Add(telemetry.CtrGroupsCancelled, int64(numGroups))
+		s.flush(&counterBatch{cancelled: int64(numGroups)})
 		return out
 	}
 	if opts.Kernel == KernelSlab {
@@ -452,7 +483,7 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 		// plus sample) always runs alone, before any fan-out.
 		var tb counterBatch
 		out.NumDetected = s.runGroupDense(seq, faults, 0, min(GroupSize, len(faults)), stop, opts, out, &tb)
-		tb.flush()
+		s.flush(&tb)
 		if out.NumDetected == 0 {
 			// Only a run that actually skipped groups counts as aborted;
 			// a fully simulated single-group run is a complete result.
@@ -476,7 +507,7 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 			lo := g * GroupSize
 			out.NumDetected += s.runGroupDense(seq, faults, lo, min(lo+GroupSize, len(faults)), stop, opts, out, &tb)
 		}
-		tb.flush()
+		s.flush(&tb)
 		return out
 	}
 
@@ -548,6 +579,136 @@ func fanOut(ctx context.Context, sims []*Simulator, n int, work func(ws *Simulat
 	return min(int(cursor.Load()), n)
 }
 
+// Speculate runs an in-order candidate loop, the accept-or-discard loop of
+// directed search, compaction and weight selection: next prepares the next
+// candidate against the committed state (false: no more candidates), eval
+// fault-simulates it, and commit consumes the evaluations in candidate order
+// and reports whether it accepted one. The loop ends once next has no
+// candidate and every prepared one has been committed.
+//
+// With workers <= 1 it is exactly that loop, one candidate at a time on the
+// caller's goroutine and simulator. With more, up to workers candidates are
+// evaluated at once, each on a speculation slot of its own: a simulator kept
+// warm across calls that runs every call at Workers=1. (A candidate with no
+// other prepared behind it has nothing to overlap, so it still runs on the
+// caller's simulator, at the caller's Workers.) A candidate is evaluated on
+// the bet that the candidates before it are rejected: next is called with
+// ahead earlier candidates still uncommitted and must prepare the candidate
+// the sequential loop would reach once they are all rejected.
+// A candidate is committed only once every earlier one has been committed
+// and rejected. The first acceptance discards every later candidate in
+// flight; commit must leave the state from which next, called again,
+// prepares them afresh (and next is called again even if it had reported no
+// candidate). The commits are therefore the sequential loop's, for any
+// workers.
+//
+// A committed evaluation's counters count as any call's do; a discarded
+// evaluation adds only its vectors to fsim.speculative_vectors, and nothing
+// to any other counter. next and commit run on the caller's goroutine;
+// eval must touch only its candidate and the simulator it is given. A panic
+// in eval is raised again on the caller's goroutine once every slot has
+// stopped, as fanOut does. Cancellation is the callers': next should stop
+// preparing candidates once their context is cancelled.
+func Speculate[C any](s *Simulator, workers int, next func(ahead int) (C, bool), eval func(ws *Simulator, c C), commit func(c C) bool) {
+	if workers <= 1 {
+		for {
+			c, ok := next(0)
+			if !ok {
+				return
+			}
+			eval(s, c)
+			commit(c)
+		}
+	}
+	type job struct {
+		c    C
+		tb   counterBatch  // the evaluation's counters, held back
+		done chan struct{} // closed once eval has returned or panicked
+	}
+	jobs := make(chan *job)
+	var wg sync.WaitGroup
+	var failed atomic.Bool
+	var once sync.Once
+	var msg string
+	for _, ws := range s.slotSims(workers) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							once.Do(func() { msg = fmt.Sprintf("fsim: speculation slot %d panicked: %v\n%s", ws.worker, p, debug.Stack()) })
+							failed.Store(true)
+						}
+						j.tb, *ws.held = *ws.held, counterBatch{}
+						close(j.done)
+					}()
+					eval(ws, j.c)
+				}()
+			}
+		}()
+	}
+	stopped := false
+	stop := func() {
+		if !stopped {
+			stopped = true
+			close(jobs)
+			wg.Wait()
+		}
+	}
+	defer stop() // a panic in next or commit still stops the slots
+
+	var queue, discarded []*job
+	more := true
+	for !failed.Load() {
+		for more && len(queue) < workers {
+			c, ok := next(len(queue))
+			if !ok {
+				more = false
+				break
+			}
+			queue = append(queue, &job{c: c})
+		}
+		if len(queue) == 0 {
+			break
+		}
+		if len(queue) == 1 && queue[0].done == nil {
+			c := queue[0].c
+			queue = nil
+			eval(s, c)
+			more = commit(c)
+			continue
+		}
+		for _, j := range queue {
+			if j.done == nil {
+				j.done = make(chan struct{})
+				jobs <- j // waits for a free slot
+			}
+		}
+		head := queue[0]
+		queue = queue[1:]
+		<-head.done
+		if failed.Load() {
+			break
+		}
+		head.tb.flush()
+		if commit(head.c) {
+			discarded = append(discarded, queue...)
+			queue, more = nil, true
+		}
+	}
+	stop()
+	if failed.Load() {
+		panic(msg)
+	}
+	var wasted int64
+	for _, j := range discarded {
+		wasted += j.tb.vectors
+	}
+	telemetry.Add(telemetry.CtrSpeculativeVectors, wasted)
+}
+
 // earlyExitEligible reports whether a group pass may stop before the end of
 // the sequence: once every fault is detected, or at a repeat exit. A saved
 // final state, internal-line observation and an output hook all need the
@@ -577,6 +738,29 @@ type counterBatch struct {
 	gateEvals, vectors, passes, dropped int64
 	cancelled, slabPasses, lanesIdle    int64
 	repeatExits                         int64
+}
+
+// add accumulates o into b.
+func (b *counterBatch) add(o *counterBatch) {
+	b.gateEvals += o.gateEvals
+	b.vectors += o.vectors
+	b.passes += o.passes
+	b.dropped += o.dropped
+	b.cancelled += o.cancelled
+	b.slabPasses += o.slabPasses
+	b.lanesIdle += o.lanesIdle
+	b.repeatExits += o.repeatExits
+}
+
+// flush hands a sequential run's counter batch to telemetry or, on a
+// speculation slot, to the slot's held batch.
+func (s *Simulator) flush(b *counterBatch) {
+	if s.held != nil {
+		s.held.add(b)
+		*b = counterBatch{}
+		return
+	}
+	b.flush()
 }
 
 func (b *counterBatch) flush() {

@@ -418,7 +418,7 @@ func (s *Simulator) runSlab(seq *sim.Sequence, faults []fault.Fault, numGroups, 
 		// lane) so the abort decision sees exactly the dense kernel's view.
 		var tb counterBatch
 		out.NumDetected = s.runSlabBatch(seq, faults, 0, 1, 1, stop, opts, out, &tb)
-		tb.flush()
+		s.flush(&tb)
 		if out.NumDetected == 0 {
 			out.Aborted = numGroups > 1
 			return
@@ -451,7 +451,7 @@ func (s *Simulator) runSlab(seq *sim.Sequence, faults []fault.Fault, numGroups, 
 			g0 := first + b*w
 			out.NumDetected += s.runSlabBatch(seq, faults, g0, min(w, numGroups-g0), w, stop, opts, out, &tb)
 		}
-		tb.flush()
+		s.flush(&tb)
 		return
 	}
 

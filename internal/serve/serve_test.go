@@ -407,35 +407,57 @@ func TestPanickingJobFails(t *testing.T) {
 	}
 }
 
-// TestPoolPanicFailsJob injects a pipeline whose fault simulation panics on
-// a worker-pool goroutine (a fault with an out-of-range node id in the
-// second fault group of a Workers=2 run): that job must end failed with the
-// worker's panic, the process must survive, and the server must keep
+// TestPoolPanicFailsJob injects pipelines whose fault simulation panics off
+// the job's goroutine: once on a worker-pool goroutine (a fault with an
+// out-of-range node id in the second fault group of a Workers=2 run), once
+// on a speculation slot (the same fault in a candidate that fsim.Speculate
+// evaluates ahead of an uncommitted earlier one). Each job must end failed
+// with the panic, the process must survive, and the server must keep
 // serving other jobs.
 func TestPoolPanicFailsJob(t *testing.T) {
+	big := iscas.MustLoad("s298")
+	faults := append([]fault.Fault(nil), fault.CollapsedUniverse(big)[:3*fsim.GroupSize]...)
+	faults[fsim.GroupSize+5].Node = circuit.NodeID(len(big.Nodes) + 7)
+	seq := sim.RandomSequence(randutil.New(4), big.NumInputs(), 10)
+	injections := []func(cfg expt.Config){
+		func(cfg expt.Config) {
+			fsim.Run(big, seq, faults, fsim.Options{Init: logic.Zero, Workers: 2, Kernel: cfg.Kernel, SlabLanes: 1})
+		},
+		func(cfg expt.Config) {
+			n := 0
+			fsim.Speculate(fsim.New(big), 2,
+				func(int) (int, bool) { n++; return n - 1, n <= 3 },
+				func(ws *fsim.Simulator, k int) {
+					fl := faults[:fsim.GroupSize] // the first group: all valid
+					if k == 1 {
+						fl = faults[fsim.GroupSize:]
+					}
+					ws.Run(seq, fl, fsim.Options{Init: logic.Zero, Kernel: cfg.Kernel})
+				},
+				func(int) bool { return false })
+		},
+	}
 	var calls atomic.Int64
 	runPipeline = func(c *circuit.Circuit, init logic.V, cfg expt.Config) (*expt.Run, error) {
-		if calls.Add(1) == 1 {
-			big := iscas.MustLoad("s298")
-			faults := append([]fault.Fault(nil), fault.CollapsedUniverse(big)[:3*fsim.GroupSize]...)
-			faults[fsim.GroupSize+5].Node = circuit.NodeID(len(big.Nodes) + 7)
-			seq := sim.RandomSequence(randutil.New(4), big.NumInputs(), 10)
-			fsim.Run(big, seq, faults, fsim.Options{Init: logic.Zero, Workers: 2, Kernel: cfg.Kernel, SlabLanes: 1})
+		if n := int(calls.Add(1)); n <= len(injections) {
+			injections[n-1](cfg)
 		}
 		return expt.RunPipeline(c, init, cfg)
 	}
 	t.Cleanup(func() { runPipeline = expt.RunPipeline })
 	_, hs := newTestServer(t)
 
-	v, code := submit(t, hs, SubmitRequest{Circuit: "s27", Config: JobConfig{LG: 100, Seed: 13}})
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
+	for i, where := range []string{"fsim worker", "speculation slot"} {
+		v, code := submit(t, hs, SubmitRequest{Circuit: "s27", Config: JobConfig{LG: 100, Seed: uint64(13 + i)}})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit status %d", code)
+		}
+		failed := waitTerminal(t, hs, v.ID)
+		if failed.State != StateFailed || !strings.Contains(failed.Error, "index out of range") {
+			t.Fatalf("job with a panicking %s: state %s, error %q; want failed with the panic", where, failed.State, failed.Error)
+		}
 	}
-	failed := waitTerminal(t, hs, v.ID)
-	if failed.State != StateFailed || !strings.Contains(failed.Error, "index out of range") {
-		t.Fatalf("job with a panicking fsim worker: state %s, error %q; want failed with the worker's panic", failed.State, failed.Error)
-	}
-	other, _ := submit(t, hs, SubmitRequest{Circuit: "s27", Config: JobConfig{LG: 100, Seed: 14}})
+	other, _ := submit(t, hs, SubmitRequest{Circuit: "s27", Config: JobConfig{LG: 100, Seed: 15}})
 	if done := waitTerminal(t, hs, other.ID); done.State != StateDone {
 		t.Fatalf("next job: state %s (%s), want done", done.State, done.Error)
 	}

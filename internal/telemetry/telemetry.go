@@ -62,24 +62,30 @@ const (
 	// faulty machine re-entered an earlier state under input that repeats
 	// from there on, so no further detection was possible.
 	CtrRepeatExits
+	// CtrSpeculativeVectors counts the vectors of discarded speculative
+	// fault simulations: candidates fsim.Speculate evaluated ahead of an
+	// earlier candidate that was then accepted. It is the waste of
+	// speculation; every other fsim counter counts committed work only.
+	CtrSpeculativeVectors
 
 	// NumCounters is the number of defined counters.
 	NumCounters
 )
 
 var counterNames = [NumCounters]string{
-	CtrGateEvals:       "fsim.gate_evals",
-	CtrVectors:         "fsim.vectors",
-	CtrGroupPasses:     "fsim.group_passes",
-	CtrFaultsDropped:   "fsim.faults_dropped",
-	CtrCandidates:      "core.candidates_scored",
-	CtrBacktracks:      "podem.backtracks",
-	CtrGatesSkipped:    "fsim.gates_skipped",
-	CtrGroupsCancelled: "fsim.groups_cancelled",
-	CtrSweepFallbacks:  "fsim.sweep_fallbacks",
-	CtrSlabPasses:      "fsim.slab_passes",
-	CtrSlabLanesIdle:   "fsim.slab_lanes_idle",
-	CtrRepeatExits:     "fsim.repeat_exits",
+	CtrGateEvals:          "fsim.gate_evals",
+	CtrVectors:            "fsim.vectors",
+	CtrGroupPasses:        "fsim.group_passes",
+	CtrFaultsDropped:      "fsim.faults_dropped",
+	CtrCandidates:         "core.candidates_scored",
+	CtrBacktracks:         "podem.backtracks",
+	CtrGatesSkipped:       "fsim.gates_skipped",
+	CtrGroupsCancelled:    "fsim.groups_cancelled",
+	CtrSweepFallbacks:     "fsim.sweep_fallbacks",
+	CtrSlabPasses:         "fsim.slab_passes",
+	CtrSlabLanesIdle:      "fsim.slab_lanes_idle",
+	CtrRepeatExits:        "fsim.repeat_exits",
+	CtrSpeculativeVectors: "fsim.speculative_vectors",
 }
 
 // Name returns the exported name of a counter.
