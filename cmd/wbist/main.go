@@ -34,16 +34,14 @@
 //
 // Common flags (before the subcommand): -lg, -seed, -random, -misr, -workers
 // (fault-simulation worker goroutines, default GOMAXPROCS; results are
-// bit-identical for any value), -kernel <auto|dense|slab>
-// (fault-simulation gate-evaluation kernel; "auto" honors FSIM_KERNEL and
-// defaults to the slab kernel, results are bit-identical for either
-// kernel), -slab-lanes N (the slab kernel's fault-group batch width W; 0
-// picks 8, capped so every worker gets a batch), -fault-model
-// <stuck-at|transition|bridge> (the fault universe the pipeline targets;
-// unlike the execution flags it changes every result bit and is part of the
-// run's identity), plus the observability flags -metrics <file> (JSON-lines
-// span export), -progress (per-phase progress on stderr) and -pprof <addr>
-// (pprof/expvar server, with Prometheus text exposition under /metrics).
+// bit-identical for any value), -fault-model <stuck-at|transition|bridge>
+// (the fault universe the pipeline targets; unlike -workers it changes every
+// result bit and is part of the run's identity), plus the observability
+// flags -metrics <file> (JSON-lines span export), -progress (per-phase
+// progress on stderr) and -pprof <addr> (pprof/expvar server, with
+// Prometheus text exposition under /metrics). No flag picks the
+// fault-simulation kernel: fsim decides (FSIM_KERNEL=dense forces the
+// reference kernel, for testing).
 package main
 
 import (
@@ -66,17 +64,15 @@ import (
 )
 
 var (
-	flagLG        = flag.Int("lg", 0, "per-assignment sequence length L_G (0 = paper default 2000)")
-	flagSeed      = flag.Uint64("seed", 1, "master random seed")
-	flagRandom    = flag.Int("random", 0, "pseudo-random LFSR windows before weight selection")
-	flagMISR      = flag.Int("misr", 16, "MISR width for the selftest subcommand")
-	flagWorkers   = flag.Int("workers", runtime.GOMAXPROCS(0), "fault-simulation worker goroutines (results are identical for any value)")
-	flagKernel    = flag.String("kernel", "auto", "fault-simulation kernel: auto (slab unless FSIM_KERNEL says otherwise), dense or slab (results are identical for any value)")
-	flagSlabLanes = flag.Int("slab-lanes", 0, "slab kernel fault-group batch width W, at most 16 (0 = 8, capped so every worker gets a batch; results are identical for any value)")
-	flagModel     = flag.String("fault-model", "", "fault model: stuck-at (default), transition or bridge (part of the run's identity, unlike -workers/-kernel)")
-	flagMetrics   = flag.String("metrics", "", "write telemetry span events to this file as JSON lines")
-	flagProgress  = flag.Bool("progress", false, "print per-phase progress to stderr")
-	flagPprof     = flag.String("pprof", "", "serve net/http/pprof, expvar and Prometheus /metrics on this address")
+	flagLG       = flag.Int("lg", 0, "per-assignment sequence length L_G (0 = paper default 2000)")
+	flagSeed     = flag.Uint64("seed", 1, "master random seed")
+	flagRandom   = flag.Int("random", 0, "pseudo-random LFSR windows before weight selection")
+	flagMISR     = flag.Int("misr", 16, "MISR width for the selftest subcommand")
+	flagWorkers  = flag.Int("workers", runtime.GOMAXPROCS(0), "fault-simulation worker goroutines (results are identical for any value)")
+	flagModel    = flag.String("fault-model", "", "fault model: stuck-at (default), transition or bridge (part of the run's identity, unlike -workers)")
+	flagMetrics  = flag.String("metrics", "", "write telemetry span events to this file as JSON lines")
+	flagProgress = flag.Bool("progress", false, "print per-phase progress to stderr")
+	flagPprof    = flag.String("pprof", "", "serve net/http/pprof, expvar and Prometheus /metrics on this address")
 )
 
 func usage() {
@@ -116,12 +112,7 @@ func main() {
 			}
 		}()
 	}
-	kernel, err := wbist.ParseKernel(*flagKernel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wbist:", err)
-		os.Exit(2)
-	}
-	cfg := wbist.Config{LG: *flagLG, Seed: *flagSeed, RandomWindows: *flagRandom, Workers: *flagWorkers, Kernel: kernel, SlabLanes: *flagSlabLanes, FaultModel: *flagModel}
+	cfg := wbist.Config{LG: *flagLG, Seed: *flagSeed, RandomWindows: *flagRandom, Workers: *flagWorkers, FaultModel: *flagModel}
 	cfg.Ctx = ctx
 	rec, finish, err := setupTelemetry(args[0])
 	if err != nil {
@@ -202,8 +193,6 @@ func cmdServe(ctx context.Context, args []string, cfg wbist.Config) error {
 		MaxConcurrent: *jobs,
 		QueueDepth:    *queue,
 		Workers:       cfg.Workers,
-		Kernel:        cfg.Kernel,
-		SlabLanes:     cfg.SlabLanes,
 	})
 	if err != nil {
 		return err

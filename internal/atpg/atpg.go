@@ -80,14 +80,6 @@ type Options struct {
 	// deletions evaluated at once (fsim.Speculate). The generated sequence
 	// is bit-identical for any value.
 	Workers int
-	// Kernel selects the fsim gate-evaluation kernel (dense or slab; the
-	// zero value honors FSIM_KERNEL and defaults to slab). The
-	// generated sequence is bit-identical for every kernel.
-	Kernel fsim.Kernel
-	// SlabLanes is the slab kernel's fault-group batch width W (0 = the
-	// automatic width; ignored by the dense kernel). The generated sequence is
-	// bit-identical for any value.
-	SlabLanes int
 	// Span, when non-nil, is the parent telemetry span under which the
 	// generator records its phases ("atpg" with one child per phase).
 	Span *telemetry.Span
@@ -309,10 +301,11 @@ func directedPhase(s *fsim.Simulator, seq *sim.Sequence, l *ledger, rng *randuti
 				return &trial{seq: drawn[ahead]}, true
 			},
 			func(ws *fsim.Simulator, t *trial) {
-				t.out = ws.Run(t.seq, targets, opts.fsimOptions(fsim.Options{
+				t.out = ws.Run(t.seq, targets, fsim.Options{
 					InitialStates: start,
 					TimeOffset:    offset,
-				}))
+					Workers:       opts.Workers,
+				})
 			},
 			func(t *trial) bool {
 				drawn = drawn[1:]
@@ -339,14 +332,7 @@ func directedPhase(s *fsim.Simulator, seq *sim.Sequence, l *ledger, rng *randuti
 
 // simulate fault-simulates seq over faults from time 0 and opts.Init.
 func simulate(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, opts Options) *fsim.Outcome {
-	return s.Run(seq, faults, opts.fsimOptions(fsim.Options{Init: opts.Init, Ctx: opts.Ctx}))
-}
-
-// fsimOptions returns o with the generator's execution settings (Workers,
-// Kernel, SlabLanes), which never change an outcome, filled in.
-func (opts *Options) fsimOptions(o fsim.Options) fsim.Options {
-	o.Workers, o.Kernel, o.SlabLanes = opts.Workers, opts.Kernel, opts.SlabLanes
-	return o
+	return s.Run(seq, faults, fsim.Options{Init: opts.Init, Workers: opts.Workers, Ctx: opts.Ctx})
 }
 
 // ctxDone reports whether a (possibly nil) context has been cancelled.

@@ -46,7 +46,7 @@ func newLedger(faults []fault.Fault, out *fsim.Outcome) *ledger {
 // simulation of the generator; on cancellation the ledger has no states and
 // the caller discards the run.
 func (l *ledger) capture(s *fsim.Simulator, seq *sim.Sequence, opts Options) {
-	o := s.Run(seq, l.faults, opts.fsimOptions(fsim.Options{Init: opts.Init, SaveStates: true, Ctx: opts.Ctx}))
+	o := s.Run(seq, l.faults, fsim.Options{Init: opts.Init, SaveStates: true, Workers: opts.Workers, Ctx: opts.Ctx})
 	if !o.Cancelled {
 		l.st = o.FinalStates
 	}
@@ -103,12 +103,13 @@ func (l *ledger) endTrials() {
 // SaveStates. The outcome is what the extended sequence adds; commit takes
 // it over. It returns nil if the run was cancelled.
 func (l *ledger) continueWith(s *fsim.Simulator, ext *sim.Sequence, offset int, opts Options) *fsim.Outcome {
-	o := s.Run(ext, l.faults, opts.fsimOptions(fsim.Options{
+	o := s.Run(ext, l.faults, fsim.Options{
 		InitialStates: l.st,
 		SaveStates:    true,
 		TimeOffset:    offset,
+		Workers:       opts.Workers,
 		Ctx:           opts.Ctx,
-	}))
+	})
 	if o.Cancelled {
 		return nil
 	}

@@ -56,14 +56,6 @@ type Options struct {
 	// at once (fsim.Speculate). Results are bit-identical for any value; it
 	// only changes wall-clock time.
 	Workers int
-	// Kernel selects the fsim gate-evaluation kernel (dense or slab; the
-	// zero value honors FSIM_KERNEL and defaults to slab). Like
-	// Workers, it leaves every result bit unchanged.
-	Kernel fsim.Kernel
-	// SlabLanes is the slab kernel's fault-group batch width W (0 = the
-	// automatic width; ignored by the dense kernel). Like Workers, it leaves
-	// every result bit unchanged.
-	SlabLanes int
 	// Ctx, if non-nil, cancels the procedure: it is checked once per
 	// candidate simulation (and threaded into fsim, which stops claiming
 	// fault groups), so Run returns ctx.Err() promptly instead of finishing
@@ -215,7 +207,7 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 					idx = append(idx, i)
 				}
 			}
-			out := simulator.Run(seq, fl, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, SlabLanes: opts.SlabLanes, Ctx: opts.Ctx})
+			out := simulator.Run(seq, fl, fsim.Options{Init: opts.Init, Workers: opts.Workers, Ctx: opts.Ctx})
 			res.SimulatedSequences++
 			telemetry.Add(telemetry.CtrCandidates, 1)
 			for k := range fl {
@@ -263,8 +255,6 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 			Init:                       opts.Init,
 			AbortAfterFirstGroupIfNone: opts.sampleFirst(),
 			Workers:                    opts.Workers,
-			Kernel:                     opts.Kernel,
-			SlabLanes:                  opts.SlabLanes,
 			Ctx:                        opts.Ctx,
 		})
 	}

@@ -46,7 +46,7 @@ func ReverseOrderCompact(r *Result) []Assignment {
 			}
 		}
 		seq := r.Omega[j].GenSequence(lg)
-		out := simulator.Run(seq, fl, fsim.Options{Init: r.Options.Init, Workers: r.Options.Workers, Kernel: r.Options.Kernel, SlabLanes: r.Options.SlabLanes})
+		out := simulator.Run(seq, fl, fsim.Options{Init: r.Options.Init, Workers: r.Options.Workers})
 		n := 0
 		for k := range fl {
 			if out.Detected[k] {
@@ -90,7 +90,7 @@ func DetectionSets(r *Result) []fsim.Bitset {
 	sets := make([]fsim.Bitset, len(r.Omega))
 	for j := range r.Omega {
 		seq := r.Omega[j].GenSequence(lg)
-		out := simulator.Run(seq, r.TargetFaults, fsim.Options{Init: r.Options.Init, Workers: r.Options.Workers, Kernel: r.Options.Kernel, SlabLanes: r.Options.SlabLanes})
+		out := simulator.Run(seq, r.TargetFaults, fsim.Options{Init: r.Options.Init, Workers: r.Options.Workers})
 		b := fsim.NewBitset(len(r.TargetFaults))
 		for i := range r.TargetFaults {
 			if out.Detected[i] {

@@ -10,7 +10,8 @@ import (
 
 // TestPipelineCountersS298 pins the exact deterministic work counters of
 // the s298 stuck-at pipeline at its defaults (Seed 1, InitFor, L_G 2000)
-// on both kernels at Workers 1 and 2. The counters depend only on the
+// on both kernels (steered through FSIM_KERNEL, as every production caller
+// leaves fsim.Options.Kernel at auto) at Workers 1 and 2. The counters depend only on the
 // algorithm, never on the worker count or the kernel (both kernels report
 // dense-equivalent evaluations; gates_skipped, once the deleted event
 // kernel's share of them, stays 0 and keeps the sum kernel-invariant). A
@@ -31,13 +32,14 @@ func TestPipelineCountersS298(t *testing.T) {
 		"podem.backtracks":                   7_294,
 	}
 	for _, kernel := range []fsim.Kernel{fsim.KernelDense, fsim.KernelSlab} {
+		t.Setenv("FSIM_KERNEL", kernel.String())
 		for _, workers := range []int{1, 2} {
 			c, err := iscas.Load("s298")
 			if err != nil {
 				t.Fatal(err)
 			}
 			before := telemetry.Counters()
-			if _, err := RunPipeline(c, InitFor("s298"), Config{Seed: 1, Workers: workers, Kernel: kernel}); err != nil {
+			if _, err := RunPipeline(c, InitFor("s298"), Config{Seed: 1, Workers: workers}); err != nil {
 				t.Fatal(err)
 			}
 			d := telemetry.Counters().Sub(before)

@@ -47,7 +47,7 @@ type Config struct {
 	// FaultModel names the fault model the pipeline targets: "" or
 	// "stuck-at" (the paper's model), "transition" (launch-on-capture) or
 	// "bridge" (2-node wired-AND/OR pairs); see fault.ModelByName. Unlike
-	// Workers/Kernel/SlabLanes the model CHANGES every result bit — the
+	// Workers the model CHANGES every result bit — the
 	// fault universe, the targets, the selected assignments — so it IS part
 	// of the memoization key (and of the persistent store identity behind
 	// `wbist serve`).
@@ -67,15 +67,6 @@ type Config struct {
 	// deterministic merge makes results bit-identical for any value, so
 	// Workers — like Telemetry — is not part of the memoization key.
 	Workers int
-	// Kernel selects the fsim gate-evaluation kernel threaded through every
-	// pipeline stage (dense or slab; the zero value honors FSIM_KERNEL and
-	// defaults to slab). Both kernels are bit-identical, so
-	// Kernel — like Workers — is not part of the memoization key.
-	Kernel fsim.Kernel
-	// SlabLanes is the slab kernel's fault-group batch width W (0 = the
-	// automatic width; ignored by the dense kernel). Like Workers it never
-	// changes the outcome, so it is not part of the memoization key.
-	SlabLanes int
 	// Ctx, if non-nil, cancels the run: it is threaded through every
 	// pipeline stage down to the fault simulator's worker pool, so a
 	// cancelled or timed-out run stops claiming fault groups and RunPipeline
@@ -231,14 +222,11 @@ func CanonicalConfig(name string, cfg Config) Config {
 func RunCircuit(name string, cfg Config) (*Run, error) {
 	cfg = CanonicalConfig(name, cfg)
 	k := key{name: name, cfg: cfg}
-	// Neither the recorder, the worker count, the kernel (and its slab lane
-	// width) nor the context is part of the identity of a run: none of them
-	// changes any result bit. FaultModel, by contrast, stays in the key —
+	// Neither the recorder, the worker count nor the context is part of the
+	// identity of a run: none of them changes any result bit. FaultModel, by contrast, stays in the key —
 	// each model has its own fault universe and hence its own results.
 	k.cfg.Telemetry = nil
 	k.cfg.Workers = 0
-	k.cfg.Kernel = 0
-	k.cfg.SlabLanes = 0
 	k.cfg.Ctx = nil
 	cacheMu.Lock()
 	e, ok := cache[k]
@@ -306,7 +294,7 @@ func RunPipeline(c *circuit.Circuit, init logic.V, cfg Config) (*Run, error) {
 		r.T = preset
 		faults := fault.CollapsedUniverseFor(c, model)
 		r.TotalFaults = len(faults)
-		out := fsim.Run(c, preset, faults, fsim.Options{Init: init, Workers: cfg.Workers, Kernel: cfg.Kernel, SlabLanes: cfg.SlabLanes, Ctx: cfg.Ctx})
+		out := fsim.Run(c, preset, faults, fsim.Options{Init: init, Workers: cfg.Workers, Ctx: cfg.Ctx})
 		for i := range faults {
 			if out.Detected[i] {
 				r.Targets = append(r.Targets, faults[i])
@@ -323,8 +311,6 @@ func RunPipeline(c *circuit.Circuit, init logic.V, cfg Config) (*Run, error) {
 			NoCompaction:         cfg.ATPGNoCompaction,
 			NoDeterministicPhase: cfg.ATPGNoPodem,
 			Workers:              cfg.Workers,
-			Kernel:               cfg.Kernel,
-			SlabLanes:            cfg.SlabLanes,
 			Span:                 pipe,
 			Ctx:                  cfg.Ctx,
 		})
@@ -353,8 +339,6 @@ func RunPipeline(c *circuit.Circuit, init logic.V, cfg Config) (*Run, error) {
 		NoForceFullLength: cfg.NoForceFullLength,
 		NoMatchOrdering:   cfg.NoMatchOrdering,
 		Workers:           cfg.Workers,
-		Kernel:            cfg.Kernel,
-		SlabLanes:         cfg.SlabLanes,
 		Span:              pipe,
 		Ctx:               cfg.Ctx,
 	})

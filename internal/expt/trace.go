@@ -13,17 +13,18 @@ import (
 // result is the data behind `wbist report` — which assignment detects which
 // fault, when, and at which output.
 //
-// The re-simulation reuses the run's configuration (Init, LG, Workers,
-// Kernel), so by the simulator's determinism guarantee the outcome matches
-// the original run bit for bit regardless of worker count or kernel; the
-// trace costs one extra simulation of T plus one per compacted assignment.
+// The re-simulation reuses the run's configuration (Init, LG, Workers), so
+// by the simulator's determinism guarantee the outcome matches the original
+// run bit for bit regardless of worker count or kernel; the trace costs one
+// extra simulation of T plus one per compacted assignment. The recorded
+// kernel is the one fsim resolves by default (FSIM_KERNEL, else slab).
 func TraceRun(r *Run) (*obsv.RunTrace, error) {
 	c := r.Circuit
 	cfg := r.Config
 	rt := &obsv.RunTrace{
 		Schema:  obsv.TraceSchema,
 		Circuit: r.Name,
-		Kernel:  cfg.Kernel.Resolve().String(),
+		Kernel:  fsim.KernelAuto.Resolve().String(),
 		Targets: len(r.Targets),
 		TLen:    r.T.Len(),
 	}
@@ -42,8 +43,7 @@ func TraceRun(r *Run) (*obsv.RunTrace, error) {
 	rt.TotalFaults = len(universe)
 	tr := obsv.NewTrace()
 	out := simulator.Run(r.T, universe, fsim.Options{
-		Init: r.Init, Workers: cfg.Workers, Kernel: cfg.Kernel,
-		SlabLanes: cfg.SlabLanes, Trace: tr,
+		Init: r.Init, Workers: cfg.Workers, Trace: tr,
 	})
 	rt.Segments = append(rt.Segments, tr.Segment(r.T.Len(), len(universe), out.NumDetected))
 
@@ -79,8 +79,7 @@ func TraceRun(r *Run) (*obsv.RunTrace, error) {
 		tr.Assignment = j
 		seq := a.GenSequence(lg)
 		out := simulator.Run(seq, fl, fsim.Options{
-			Init: r.Init, Workers: cfg.Workers, Kernel: cfg.Kernel,
-			SlabLanes: cfg.SlabLanes, Trace: tr,
+			Init: r.Init, Workers: cfg.Workers, Trace: tr,
 		})
 		det := 0
 		for k := range fl {

@@ -87,7 +87,8 @@ func TestTraceRunProvenance(t *testing.T) {
 }
 
 // TestTraceRunKernelInvariant pins the cross-kernel determinism of the
-// whole-run trace (events and bookkeeping, not annotations).
+// whole-run trace (events and bookkeeping, not annotations). The kernel is
+// steered through FSIM_KERNEL, which every fsim call of TraceRun honors.
 func TestTraceRunKernelInvariant(t *testing.T) {
 	r, err := RunCircuit("s298", Config{LG: 300, Seed: 3})
 	if err != nil {
@@ -105,13 +106,16 @@ func TestTraceRunKernelInvariant(t *testing.T) {
 	}
 	var want *obsv.RunTrace
 	for _, k := range []fsim.Kernel{fsim.KernelDense, fsim.KernelSlab} {
+		t.Setenv("FSIM_KERNEL", k.String())
 		for _, workers := range []int{1, 4} {
 			rr := *r
-			rr.Config.Kernel = k
 			rr.Config.Workers = workers
 			rt, err := TraceRun(&rr)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if rt.Kernel != k.String() {
+				t.Fatalf("trace records kernel %q under FSIM_KERNEL=%v", rt.Kernel, k)
 			}
 			got := strip(rt)
 			if want == nil {

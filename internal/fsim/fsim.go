@@ -105,19 +105,23 @@ type Options struct {
 	// AbortAfterFirstGroupIfNone always simulates group 0 alone, before any
 	// fan-out, to preserve the Section 4.2 effort reduction.
 	Workers int
-	// Kernel selects the gate-evaluation strategy. The zero value
-	// (KernelAuto) honors the FSIM_KERNEL environment variable and defaults
-	// to the slab kernel; both kernels produce bit-identical outcomes for
-	// every fault model (the differential suite in internal/difftest
-	// enforces this), so the choice only affects speed and telemetry.
+	// Kernel selects the gate-evaluation strategy. It is test-facing only:
+	// every production caller leaves it at the zero value (KernelAuto),
+	// which honors the FSIM_KERNEL environment variable and defaults to the
+	// slab kernel. Tests set KernelDense to get the trusted reference that
+	// difftest, the golden pins and the fuzz targets compare slab against;
+	// both kernels produce bit-identical outcomes for every fault model, so
+	// the choice only affects speed and telemetry.
 	Kernel Kernel
 	// SlabLanes is the number of fault groups the slab kernel batches into
 	// one multi-group pass (W in the slab layout: W×64 machines per gate
-	// visit). 0 picks 8 lanes, capped at ceil(groups/Workers) so every
-	// worker gets a batch; a positive value overrides that choice. Either
-	// is clamped to 16 and to the number of groups, and an OutputHook
-	// forces 1. Ignored by the dense kernel. Like Workers, it never changes
-	// the outcome — only how the identical result is computed.
+	// visit). It is test-facing only: production callers leave it 0, which
+	// picks 8 lanes, capped at ceil(groups/Workers) so every worker gets a
+	// batch. A positive value overrides that choice for the lane-invariance
+	// sweeps of difftest and the kernel benchmarks. Either is clamped to 16
+	// and to the number of groups, and an OutputHook forces 1. Ignored by
+	// the dense kernel. Like Workers, it never changes the outcome — only
+	// how the identical result is computed.
 	SlabLanes int
 	// Ctx, if non-nil, cancels the run at fault-group granularity: the
 	// worker pool (and the sequential loop) checks it before claiming each
@@ -145,9 +149,11 @@ type Kernel uint8
 const (
 	// KernelAuto resolves to the kernel named by the FSIM_KERNEL environment
 	// variable ("dense" or "slab"), or to KernelSlab when it is unset or
-	// unparsable. It is the zero value, so callers that leave Options.Kernel
-	// alone get the slab kernel (and CI can steer the whole test suite
-	// through either kernel without touching any call site).
+	// unparsable. It is the zero value and the only kernel production code
+	// asks for: no command or config layer above fsim picks a kernel, so
+	// FSIM_KERNEL alone steers the whole test suite (CI's dense row) through
+	// either kernel, and benchmark and trace code read KernelAuto.Resolve()
+	// to record which one ran.
 	KernelAuto Kernel = iota
 	// KernelDense is the original kernel: every gate of the levelized
 	// netlist is evaluated on every time unit, one fault group per pass. It
@@ -176,7 +182,7 @@ func (k Kernel) String() string {
 	}
 }
 
-// ParseKernel maps a CLI/env spelling to a Kernel ("" and "auto" mean
+// ParseKernel maps an FSIM_KERNEL spelling to a Kernel ("" and "auto" mean
 // KernelAuto).
 func ParseKernel(s string) (Kernel, error) {
 	switch strings.ToLower(s) {

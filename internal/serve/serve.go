@@ -33,7 +33,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/expt"
 	"repro/internal/fault"
-	"repro/internal/fsim"
 	"repro/internal/iscas"
 	"repro/internal/logic"
 	"repro/internal/store"
@@ -68,11 +67,6 @@ type Options struct {
 	QueueDepth int
 	// Workers is the per-job fault-simulation worker count (0 = sequential).
 	Workers int
-	// Kernel selects the fsim gate-evaluation kernel for all jobs.
-	Kernel fsim.Kernel
-	// SlabLanes is the slab kernel's fault-group batch width W for all jobs
-	// (0 = the automatic width; ignored by the dense kernel).
-	SlabLanes int
 }
 
 func (o Options) withDefaults() Options {
@@ -506,8 +500,6 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		cfg := j.cfg
 		cfg.Ctx = ctx
 		cfg.Workers = s.opts.Workers
-		cfg.Kernel = s.opts.Kernel
-		cfg.SlabLanes = s.opts.SlabLanes
 		cfg.Telemetry = telemetry.New(jobSink{j})
 		r, err := runPipeline(j.circuit, j.init, cfg)
 		if err != nil {
@@ -691,6 +683,10 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	data, ok, err := s.st.GetArtifact(j.key, name)
+	if errors.Is(err, store.ErrInvalidName) {
+		writeErr(w, http.StatusBadRequest, "invalid artifact name %q", name)
+		return
+	}
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return

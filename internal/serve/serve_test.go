@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -419,11 +420,11 @@ func TestPoolPanicFailsJob(t *testing.T) {
 	faults := append([]fault.Fault(nil), fault.CollapsedUniverse(big)[:3*fsim.GroupSize]...)
 	faults[fsim.GroupSize+5].Node = circuit.NodeID(len(big.Nodes) + 7)
 	seq := sim.RandomSequence(randutil.New(4), big.NumInputs(), 10)
-	injections := []func(cfg expt.Config){
-		func(cfg expt.Config) {
-			fsim.Run(big, seq, faults, fsim.Options{Init: logic.Zero, Workers: 2, Kernel: cfg.Kernel, SlabLanes: 1})
+	injections := []func(){
+		func() {
+			fsim.Run(big, seq, faults, fsim.Options{Init: logic.Zero, Workers: 2, Kernel: fsim.KernelSlab, SlabLanes: 1})
 		},
-		func(cfg expt.Config) {
+		func() {
 			n := 0
 			fsim.Speculate(fsim.New(big), 2,
 				func(int) (int, bool) { n++; return n - 1, n <= 3 },
@@ -432,7 +433,7 @@ func TestPoolPanicFailsJob(t *testing.T) {
 					if k == 1 {
 						fl = faults[fsim.GroupSize:]
 					}
-					ws.Run(seq, fl, fsim.Options{Init: logic.Zero, Kernel: cfg.Kernel})
+					ws.Run(seq, fl, fsim.Options{Init: logic.Zero, Kernel: fsim.KernelSlab})
 				},
 				func(int) bool { return false })
 		},
@@ -440,7 +441,7 @@ func TestPoolPanicFailsJob(t *testing.T) {
 	var calls atomic.Int64
 	runPipeline = func(c *circuit.Circuit, init logic.V, cfg expt.Config) (*expt.Run, error) {
 		if n := int(calls.Add(1)); n <= len(injections) {
-			injections[n-1](cfg)
+			injections[n-1]()
 		}
 		return expt.RunPipeline(c, init, cfg)
 	}
@@ -588,10 +589,10 @@ func TestResultMatchesDirectRun(t *testing.T) {
 }
 
 // TestMiscEndpoints covers the small read-only endpoints and their error
-// paths: health, job listing, store inventory, 404s, and the artifact
-// conflict on an unfinished job.
+// paths: health, job listing, store inventory, 404s, the artifact
+// conflict on an unfinished job, and escaped "." / ".." artifact names.
 func TestMiscEndpoints(t *testing.T) {
-	_, hs := newTestServer(t)
+	srv, hs := newTestServer(t)
 
 	resp, err := http.Get(hs.URL + "/api/v1/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {
@@ -641,6 +642,23 @@ func TestMiscEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown artifact: status %d", resp.StatusCode)
+	}
+	// Escaped dot names reach the handler as "." and ".."; they name the
+	// store's own directories, so they must be refused without echoing a
+	// filesystem path.
+	for _, name := range []string{"%2e", "%2e%2e", "%2E", "%2E%2E"} {
+		resp, err := http.Get(hs.URL + "/api/v1/jobs/" + v.ID + "/artifacts/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Errorf("artifact %s: status %d, want 4xx", name, resp.StatusCode)
+		}
+		if strings.Contains(string(body), srv.opts.Store.Dir()) {
+			t.Errorf("artifact %s: body leaks the store path: %s", name, body)
+		}
 	}
 
 	// Job listing includes the job, in submission order.

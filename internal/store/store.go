@@ -4,8 +4,8 @@
 // expt.Config fields that influence result bits, followed by the circuit
 // netlist re-serialized into its canonical .bench form. Two submissions that
 // differ only in whitespace, gate ordering produced by the same writer, or
-// non-identity options (workers, kernel, telemetry, context) therefore map
-// to the same key, while any option that changes a result bit changes it.
+// non-identity options (workers, telemetry, context) therefore map to the
+// same key, while any option that changes a result bit changes it.
 //
 // Artifacts are published atomically: a compilation writes its files into a
 // temporary directory next to the final location and renames it into place,
@@ -22,6 +22,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -42,9 +43,9 @@ const SchemaVersion = "wbist-store/v2"
 
 // identity is the canonical key header: exactly the configuration fields
 // that are part of a run's identity, in a fixed JSON field order. Fields
-// deliberately absent — Telemetry, Workers, Kernel, SlabLanes, Ctx — do not
-// change any result bit (see expt.Config); TestIdentityCoversConfig enforces
-// that every expt.Config field is classified one way or the other.
+// deliberately absent — Telemetry, Workers, Ctx — do not change any result
+// bit (see expt.Config); TestIdentityCoversConfig enforces that every
+// expt.Config field is classified one way or the other.
 type identity struct {
 	Schema            string `json:"schema"`
 	Init              string `json:"init"`
@@ -69,7 +70,7 @@ var (
 		"RandomWindows", "NoSampleFirst", "NoForceFullLength", "NoMatchOrdering",
 		"FaultModel",
 	}
-	excludedFields = []string{"Telemetry", "Workers", "Kernel", "SlabLanes", "Ctx"}
+	excludedFields = []string{"Telemetry", "Workers", "Ctx"}
 )
 
 // Key computes the content address of a compilation: cfg must already be in
@@ -153,6 +154,19 @@ func validKey(key string) error {
 	return nil
 }
 
+// ErrInvalidName is wrapped by every error about an artifact name that is
+// not a non-empty plain file name without a leading dot.
+var ErrInvalidName = errors.New("store: invalid artifact name")
+
+// validName applies the artifact naming rule: a non-empty plain base name
+// with no leading dot, which also rules out "." and "..".
+func validName(name string) error {
+	if name == "" || name != filepath.Base(name) || strings.HasPrefix(name, ".") {
+		return fmt.Errorf("%w %q", ErrInvalidName, name)
+	}
+	return nil
+}
+
 // Has reports whether a complete entry for key exists on disk.
 func (s *Store) Has(key string) bool {
 	if validKey(key) != nil {
@@ -170,8 +184,8 @@ func (s *Store) Put(key string, artifacts map[string][]byte) error {
 		return err
 	}
 	for name := range artifacts {
-		if name == "" || name != filepath.Base(name) || strings.HasPrefix(name, ".") {
-			return fmt.Errorf("store: invalid artifact name %q", name)
+		if err := validName(name); err != nil {
+			return err
 		}
 	}
 	final := s.entryDir(key)
@@ -229,13 +243,15 @@ func (s *Store) Get(key string) (map[string][]byte, bool, error) {
 	return out, true, nil
 }
 
-// GetArtifact reads a single artifact of an entry.
+// GetArtifact reads a single artifact of an entry. A name Put would reject
+// (including "." and "..") fails with ErrInvalidName before the disk is
+// touched.
 func (s *Store) GetArtifact(key, name string) ([]byte, bool, error) {
 	if err := validKey(key); err != nil {
 		return nil, false, err
 	}
-	if name != filepath.Base(name) {
-		return nil, false, fmt.Errorf("store: invalid artifact name %q", name)
+	if err := validName(name); err != nil {
+		return nil, false, err
 	}
 	data, err := os.ReadFile(filepath.Join(s.entryDir(key), name))
 	if os.IsNotExist(err) {

@@ -33,7 +33,7 @@ func s27Bench(t *testing.T) []byte {
 
 // TestKeyIdentity is the cache-identity contract: submitting the same
 // netlist with equivalent configurations (same identity fields, any
-// Workers/Kernel/Telemetry) yields the same key, and every identity field
+// Workers/Telemetry) yields the same key, and every identity field
 // changes it.
 func TestKeyIdentity(t *testing.T) {
 	netlist := s27Bench(t)
@@ -46,9 +46,8 @@ func TestKeyIdentity(t *testing.T) {
 	// Non-identity fields: same key.
 	equiv := base
 	equiv.Workers = 8
-	equiv.Kernel = 2
 	if k, _ := Key(netlist, logic.X, equiv); k != k0 {
-		t.Error("Workers/Kernel changed the key")
+		t.Error("Workers changed the key")
 	}
 
 	// Formatting of the netlist: same key (comments, blank lines).
@@ -100,6 +99,22 @@ func TestKeyIdentity(t *testing.T) {
 	}
 	if k, _ := Key(other.Bytes(), logic.X, base); k == k0 {
 		t.Error("different netlist produced the same key")
+	}
+}
+
+// TestKeyPinned pins the key of the canonical s27 compilation to the hex
+// the store computed before expt.Config lost its Kernel and SlabLanes
+// fields. Neither was hashed, so existing artifact stores stay valid
+// without a SchemaVersion bump; a change to this literal means every
+// stored entry is orphaned, which must come with a bump instead.
+func TestKeyPinned(t *testing.T) {
+	const want = "3b81e4d87a62813a35444bc39c8b18d3719da646f895abe8bd499ae886d1c8c4"
+	k, err := Key(s27Bench(t), expt.InitFor("s27"), expt.CanonicalConfig("s27", expt.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k != want {
+		t.Errorf("canonical s27 key = %s, want %s", k, want)
 	}
 }
 
@@ -181,6 +196,11 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if _, ok, _ := s.GetArtifact(key, "absent.txt"); ok {
 		t.Error("absent artifact reported present")
+	}
+	for _, name := range []string{"", ".", "..", "../escape", "a/b", ".hidden"} {
+		if _, _, err := s.GetArtifact(key, name); !errors.Is(err, ErrInvalidName) {
+			t.Errorf("GetArtifact(%q): err = %v, want ErrInvalidName", name, err)
+		}
 	}
 
 	keys, err := s.List()

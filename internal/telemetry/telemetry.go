@@ -50,7 +50,8 @@ const (
 	// the readers of the fsim.sweep_fallback_ratio metric.
 	CtrSweepFallbacks
 	// CtrSlabPasses counts multi-group slab passes of the slab kernel (one
-	// per batch of up to SlabLanes fault groups walked in a single pass).
+	// per batch of up to W fault groups walked in a single pass, W being
+	// the lane width fsim picks).
 	CtrSlabPasses
 	// CtrSlabLanesIdle counts idle lane-cycles of the slab kernel: time
 	// units a lane kept being evaluated after its own fault group had

@@ -146,28 +146,6 @@ func TestSynthesizeFSMPublic(t *testing.T) {
 	}
 }
 
-func TestParseKernelPublic(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Kernel
-	}{
-		{"", KernelAuto},
-		{"auto", KernelAuto},
-		{"dense", KernelDense},
-		{"slab", KernelSlab},
-	} {
-		k, err := ParseKernel(tc.in)
-		if err != nil || k != tc.want {
-			t.Errorf("ParseKernel(%q) = %v, %v; want %v", tc.in, k, err, tc.want)
-		}
-	}
-	for _, bad := range []string{"warp", "event"} {
-		if _, err := ParseKernel(bad); err == nil {
-			t.Errorf("ParseKernel(%s) should fail", bad)
-		}
-	}
-}
-
 func TestFaultsForModels(t *testing.T) {
 	c, err := LoadCircuit("s27")
 	if err != nil {
