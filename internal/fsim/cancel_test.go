@@ -2,6 +2,8 @@ package fsim
 
 import (
 	"context"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/fault"
@@ -138,5 +140,94 @@ func TestNilCtxUnaffected(t *testing.T) {
 	}
 	if got := d.Get(telemetry.CtrGroupsCancelled); got != 0 {
 		t.Errorf("groups_cancelled delta = %d, want 0", got)
+	}
+}
+
+// cutCtx is a context whose Done channel reads as closed from its k-th call
+// onward (k >= 1), which cuts a run at a deterministic cancellation check.
+type cutCtx struct {
+	context.Context
+	k     int64
+	calls atomic.Int64
+}
+
+var closedDone = func() chan struct{} { ch := make(chan struct{}); close(ch); return ch }()
+
+func (c *cutCtx) Done() <-chan struct{} {
+	if c.calls.Add(1) >= c.k {
+		return closedDone
+	}
+	return nil
+}
+
+// TestCancelAccounting cuts runs at the k-th cancellation check, for both
+// kernels, slab lane widths 1 and 4, Workers 1 and 4, with and without the
+// Section 4.2 group-0 pass. Every fault group must be counted exactly once,
+// as a pass that ran or as a cancelled group, and Cancelled must say whether
+// any group was skipped. At Workers=1 the cut is exact: Run checks once on
+// entry and then once before each batch of w groups, after the group-0 pass
+// when it runs first.
+func TestCancelAccounting(t *testing.T) {
+	c, err := iscas.Load("s298")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := fault.CollapsedUniverse(c)
+	groups := (len(faults) + GroupSize - 1) / GroupSize
+	if groups < 3 {
+		t.Fatalf("need >= 3 fault groups, have %d", groups)
+	}
+	seq := sim.RandomSequence(randutil.New(7), c.NumInputs(), 32)
+
+	kernels := []struct {
+		name   string
+		kernel Kernel
+		lanes  int
+		w      int // groups per batch
+	}{
+		{"dense", KernelDense, 0, 1},
+		{"slab-w1", KernelSlab, 1, 1},
+		{"slab-w4", KernelSlab, 4, 4},
+	}
+	for _, kc := range kernels {
+		for _, workers := range []int{1, 4} {
+			for _, abort := range []bool{false, true} {
+				for k := int64(1); k <= int64(groups)+2; k++ {
+					ctx := &cutCtx{Context: context.Background(), k: k}
+					before := telemetry.Counters()
+					out := Run(c, seq, faults, Options{
+						Init: logic.Zero, Kernel: kc.kernel, SlabLanes: kc.lanes,
+						Workers: workers, AbortAfterFirstGroupIfNone: abort, Ctx: ctx,
+					})
+					d := telemetry.Counters().Sub(before)
+					ran := d.Get(telemetry.CtrGroupPasses)
+					skipped := d.Get(telemetry.CtrGroupsCancelled)
+					name := fmt.Sprintf("%s workers=%d abort=%v k=%d", kc.name, workers, abort, k)
+					if out.Aborted {
+						t.Fatalf("%s: group 0 detected nothing; the accounting needs a run that goes on", name)
+					}
+					if ran+skipped != int64(groups) {
+						t.Errorf("%s: ran %d + cancelled %d != %d groups", name, ran, skipped, groups)
+					}
+					if out.Cancelled != (skipped > 0) {
+						t.Errorf("%s: Cancelled = %v with %d groups cancelled", name, out.Cancelled, skipped)
+					}
+					if workers != 1 {
+						continue
+					}
+					want := int64(0)
+					if k > 1 {
+						first := 0
+						if abort {
+							first = 1
+						}
+						want = int64(first + min(int(k-2)*kc.w, groups-first))
+					}
+					if ran != want {
+						t.Errorf("%s: %d passes ran, want %d", name, ran, want)
+					}
+				}
+			}
+		}
 	}
 }
