@@ -38,8 +38,10 @@ test: build
 race:
 	$(GO) test -race -short -count=1 ./internal/...
 
+# vet also fails if any Go file is not gofmt-formatted.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 fuzz-smoke: build
 	@for t in $(FUZZ_TARGETS); do \

@@ -27,6 +27,35 @@ import (
 	"repro/internal/telemetry"
 )
 
+// Fixed budgets of the directed, deterministic and compaction phases.
+const (
+	// trialsPerRound is the number of directed weighted-random trials per
+	// round, and directedRounds bounds the directed phase to that many
+	// rounds.
+	trialsPerRound = 24
+	directedRounds = 6
+	// trialLen is the length of one directed trial.
+	trialLen = 48
+	// maxAccepts bounds the number of directed trials appended to the
+	// sequence, keeping its length (and hence simulation cost) bounded.
+	maxAccepts = 10
+	// podemTargets bounds how many still-undetected faults the
+	// deterministic PODEM phase attacks.
+	podemTargets = 24
+	// podemFrames is the time-frame window of each PODEM search.
+	podemFrames = 8
+	// maxDeletions skips a compaction block size that would split the
+	// sequence into more candidate deletions than this, to bound the number
+	// of re-simulations.
+	maxDeletions = 48
+)
+
+// compactionBlocks lists the block sizes tried during static compaction,
+// largest first. Each candidate deletion [lo,hi) is simulated only against
+// the faults detected at or after lo, since the unchanged prefix keeps the
+// earlier detections.
+var compactionBlocks = [...]int{128, 64, 16}
+
 // Options tune sequence generation. The zero value selects sensible defaults.
 type Options struct {
 	// Seed drives all pseudo-random choices.
@@ -36,32 +65,8 @@ type Options struct {
 	// RandomLen is the length of the phase-1 random sequence
 	// (default max(256, 2×gates), capped at 4096).
 	RandomLen int
-	// Restarts is the number of directed weighted-random trials per round
-	// (default 24).
-	Restarts int
-	// TrialLen is the length of one directed trial (default 48).
-	TrialLen int
-	// Rounds bounds the directed phase (default 6).
-	Rounds int
-	// MaxAccepts bounds the number of directed trials appended to the
-	// sequence, keeping its length (and hence simulation cost) bounded
-	// (default 10).
-	MaxAccepts int
-	// CompactionBlocks lists the block sizes tried during static compaction,
-	// largest first (default {128, 64, 16}). Block sizes that would split the
-	// sequence into more than 48 candidate deletions are skipped to bound the
-	// number of re-simulations. Each candidate deletion [lo,hi) is simulated
-	// only against the faults detected at or after lo, since the unchanged
-	// prefix keeps the earlier detections.
-	CompactionBlocks []int
 	// NoCompaction disables phase 3.
 	NoCompaction bool
-	// PodemTargets bounds how many still-undetected faults the deterministic
-	// PODEM phase attacks (default 24; 0 keeps the default, use
-	// NoDeterministicPhase to disable).
-	PodemTargets int
-	// PodemFrames is the time-frame window of each PODEM search (default 8).
-	PodemFrames int
 	// NoDeterministicPhase disables the PODEM phase.
 	NoDeterministicPhase bool
 	// Model selects the fault model whose collapsed universe the sequence
@@ -94,34 +99,7 @@ type Options struct {
 
 func (o *Options) fill(c *circuit.Circuit) {
 	if o.RandomLen == 0 {
-		o.RandomLen = 2 * c.NumGates()
-		if o.RandomLen < 256 {
-			o.RandomLen = 256
-		}
-		if o.RandomLen > 4096 {
-			o.RandomLen = 4096
-		}
-	}
-	if o.Restarts == 0 {
-		o.Restarts = 24
-	}
-	if o.TrialLen == 0 {
-		o.TrialLen = 48
-	}
-	if o.Rounds == 0 {
-		o.Rounds = 6
-	}
-	if o.MaxAccepts == 0 {
-		o.MaxAccepts = 10
-	}
-	if len(o.CompactionBlocks) == 0 {
-		o.CompactionBlocks = []int{128, 64, 16}
-	}
-	if o.PodemTargets == 0 {
-		o.PodemTargets = 24
-	}
-	if o.PodemFrames == 0 {
-		o.PodemFrames = 8
+		o.RandomLen = min(max(2*c.NumGates(), 256), 4096)
 	}
 }
 
@@ -284,9 +262,9 @@ type trial struct {
 // evaluated afresh, as the first trial of the next round.
 func directedPhase(s *fsim.Simulator, seq *sim.Sequence, l *ledger, rng *randutil.RNG, numInputs int, opts Options) {
 	accepted := 0
-	budget := opts.Rounds * opts.Restarts
+	budget := directedRounds * trialsPerRound
 	var drawn []*sim.Sequence // drawn[k]: the k-th trial not yet committed
-	for l.numTargets() > 0 && accepted < opts.MaxAccepts && budget > 0 && !ctxDone(opts.Ctx) {
+	for l.numTargets() > 0 && accepted < maxAccepts && budget > 0 && !ctxDone(opts.Ctx) {
 		targets, start := l.trialTargets()
 		offset := seq.Len()
 		improved := false
@@ -296,7 +274,7 @@ func directedPhase(s *fsim.Simulator, seq *sim.Sequence, l *ledger, rng *randuti
 					return nil, false
 				}
 				for len(drawn) <= ahead {
-					drawn = append(drawn, weightedRandom(rng, numInputs, opts.TrialLen))
+					drawn = append(drawn, weightedRandom(rng, numInputs, trialLen))
 				}
 				return &trial{seq: drawn[ahead]}, true
 			},
@@ -395,8 +373,8 @@ func compact(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, det []i
 			targets = append(targets, i)
 		}
 	}
-	for _, block := range opts.CompactionBlocks {
-		if block <= 0 || seq.Len()/block > 48 {
+	for _, block := range compactionBlocks {
+		if seq.Len()/block > maxDeletions {
 			continue
 		}
 		lo := (seq.Len() - 1) / block * block // the next deletion to try

@@ -18,7 +18,7 @@ import (
 func deterministicPhase(c *circuit.Circuit, s *fsim.Simulator, seq *sim.Sequence, l *ledger, opts Options) *sim.Sequence {
 	l.endTrials()
 	tried := make(map[fault.Fault]bool)
-	budget := opts.PodemTargets
+	budget := podemTargets
 	for budget > 0 && len(l.faults) > 0 && !ctxDone(opts.Ctx) {
 		progressed := false
 		for j, f := range l.faults {
@@ -28,7 +28,7 @@ func deterministicPhase(c *circuit.Circuit, s *fsim.Simulator, seq *sim.Sequence
 			tried[f] = true
 			budget--
 			res, err := podem.FindTest(c, f, l.st.Good(j), l.st.Faulty(j), podem.Options{
-				Frames: opts.PodemFrames,
+				Frames: podemFrames,
 			})
 			if err != nil || !res.Found {
 				continue

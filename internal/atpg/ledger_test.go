@@ -74,7 +74,7 @@ func checkLedger(t *testing.T, label string, c *circuit.Circuit, opts Options) {
 // TestPodemDropsDetected checks the ledger after the PODEM phase: a fault a
 // PODEM window detects leaves play, so no fault in play has a detection
 // time. s382 at seed 2 is a run where PODEM windows detect faults; there a
-// detected fault left in play used up PodemTargets budget and could get a
+// detected fault left in play used up podemTargets budget and could get a
 // useless window appended.
 func TestPodemDropsDetected(t *testing.T) {
 	cases := []struct {

@@ -24,13 +24,12 @@ type Options struct {
 	LG int
 	// Init is the initial flip-flop value used during fault simulation.
 	Init logic.V
-	// SampleFirst enables the simulation-effort reduction of Section 4.2:
-	// each candidate sequence first simulates one fault group holding the
-	// target fault plus a random sample; if nothing in that group is
-	// detected, the remaining groups are skipped.
-	SampleFirst bool
-	// NoSampleFirst disables SampleFirst (kept separate so the zero value
-	// means "paper configuration").
+	// NoSampleFirst disables the simulation-effort reduction of Section
+	// 4.2, which is on by default: each candidate sequence first simulates
+	// one fault group holding the target fault plus a random sample; if
+	// nothing in that group is detected, the remaining groups are skipped.
+	// (Ablation; a negative switch so the zero value is the paper's
+	// configuration.)
 	NoSampleFirst bool
 	// NoForceFullLength disables the Section 4.1 modification that prepends
 	// a full-length subsequence to each A_i when no full-length assignment
@@ -40,9 +39,6 @@ type Options struct {
 	// NoMatchOrdering disables sorting A_i by n_m (ablation): entries stay in
 	// weight-set order.
 	NoMatchOrdering bool
-	// MaxAssignmentsPerLength caps the candidate index j per (u, L_S) pair,
-	// 0 = no cap beyond the natural size of the A_i sets.
-	MaxAssignmentsPerLength int
 	// RandomWindows applies this many L_G-cycle windows of pure pseudo-random
 	// patterns (from an on-chip-realisable XNOR LFSR reset to zero) before
 	// the weight selection, dropping the faults they detect. This is the
@@ -73,8 +69,6 @@ func (o *Options) fill() {
 		o.LG = 2000
 	}
 }
-
-func (o *Options) sampleFirst() bool { return !o.NoSampleFirst }
 
 // Trace records one accepted weight assignment for reporting.
 type Trace struct {
@@ -253,7 +247,7 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 	simulate := func(ws *fsim.Simulator, cd *candidate) {
 		cd.out = ws.Run(cd.a.GenSequence(cd.lg), cd.faults, fsim.Options{
 			Init:                       opts.Init,
-			AbortAfterFirstGroupIfNone: opts.sampleFirst(),
+			AbortAfterFirstGroupIfNone: !opts.NoSampleFirst,
 			Workers:                    opts.Workers,
 			Ctx:                        opts.Ctx,
 		})
@@ -332,9 +326,6 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 			if len(ai[i]) > maxJ {
 				maxJ = len(ai[i])
 			}
-		}
-		if opts.MaxAssignmentsPerLength > 0 && maxJ > opts.MaxAssignmentsPerLength {
-			maxJ = opts.MaxAssignmentsPerLength
 		}
 		return ai, maxJ
 	}

@@ -52,8 +52,11 @@ type Config struct {
 	// of the memoization key (and of the persistent store identity behind
 	// `wbist serve`).
 	FaultModel string
-	// CoreOptions overrides fields of the core options other than LG, Init
-	// and Seed (ablation switches).
+	// NoSampleFirst, NoForceFullLength and NoMatchOrdering are the
+	// ablation switches of the weight selection, passed to the core options
+	// of the same names: they turn off the Section 4.2 sample-first effort
+	// reduction, the Section 4.1 full-length prepend and the n_m ordering of
+	// A_i. Each changes results, so each is part of the memoization key.
 	NoSampleFirst     bool
 	NoForceFullLength bool
 	NoMatchOrdering   bool
@@ -118,9 +121,11 @@ func presetFor(name string, cfg Config) Config {
 		if cfg.ATPGRandomLen == 0 {
 			cfg.ATPGRandomLen = 1024
 		}
-		// Restoration-based compaction re-simulates the whole fault list per
-		// candidate deletion, which dominates runtime at this size without
-		// changing any conclusion.
+		// Restoration-based compaction would try 36 candidate deletions
+		// here, each simulating every target detected at or after its start
+		// to the end of the sequence; on seed 1 it accepts none of them and
+		// adds about 12 s to a 26 s pipeline (2-vCPU host), so skipping it
+		// saves that time without changing T.
 		cfg.ATPGNoCompaction = true
 	case "s35932":
 		if cfg.ATPGRandomLen == 0 {

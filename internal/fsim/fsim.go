@@ -430,9 +430,12 @@ func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Optio
 
 // Run fault-simulates seq against faults and returns the outcome.
 //
-// With Options.Workers > 1 the independent fault groups are sharded over a
-// worker pool; each group writes a disjoint slice region of the outcome, so
-// the result is bit-identical to the sequential run regardless of scheduling.
+// Run alone decides how fault groups are dispatched, for both kernels: the
+// kernel only simulates a batch of consecutive groups in one pass (one group
+// for dense, up to slabWidth for slab). With Options.Workers > 1 the batches
+// are sharded over a worker pool; each batch writes a disjoint slice region
+// of the outcome, so the result is bit-identical to the sequential run
+// regardless of scheduling.
 func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *Outcome {
 	opts.Kernel = opts.Kernel.Resolve() // resolve env/default exactly once
 	if s.held != nil {
@@ -467,28 +470,31 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 		return out
 	}
 
-	workers := opts.Workers
-	if workers < 1 || opts.OutputHook != nil {
-		workers = 1 // the hook's ordering contract requires sequential runs
-	}
-
-	first := 0
 	if ctxDone(opts.Ctx) {
 		out.Cancelled = true
 		s.flush(&counterBatch{cancelled: int64(numGroups)})
 		return out
 	}
-	if opts.Kernel == KernelSlab {
-		// The slab kernel shards batches-of-W instead of single groups; its
-		// dispatch (including the abort-first-group path) lives in runSlab.
-		s.runSlab(seq, faults, numGroups, stop, opts, out)
-		return out
+	// pass simulates the nl groups from g0 in one pass of a w-lane batch:
+	// the dense kernel's batch is always one group, the slab kernel's up to
+	// w groups, one per lane.
+	pass := func(ws *Simulator, g0, nl, w int, tb *counterBatch) int {
+		lo := g0 * GroupSize
+		return ws.runGroupDense(seq, faults, lo, min(lo+GroupSize, len(faults)), stop, opts, out, tb)
 	}
+	if opts.Kernel == KernelSlab {
+		pass = func(ws *Simulator, g0, nl, w int, tb *counterBatch) int {
+			return ws.runSlabBatch(seq, faults, g0, nl, w, stop, opts, out, tb)
+		}
+	}
+
+	first := 0
 	if opts.AbortAfterFirstGroupIfNone {
 		// The Section 4.2 effort reduction: the first group (target fault
-		// plus sample) always runs alone, before any fan-out.
+		// plus sample) always runs alone, in a one-lane pass before any
+		// fan-out, so the abort decision is the same for every kernel.
 		var tb counterBatch
-		out.NumDetected = s.runGroupDense(seq, faults, 0, min(GroupSize, len(faults)), stop, opts, out, &tb)
+		out.NumDetected = pass(s, 0, 1, 1, &tb)
 		s.flush(&tb)
 		if out.NumDetected == 0 {
 			// Only a run that actually skipped groups counts as aborted;
@@ -498,42 +504,53 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 		}
 		first = 1
 	}
-	if rem := numGroups - first; workers > rem {
-		workers = rem
+	rem := numGroups - first
+	w := 1
+	if opts.Kernel == KernelSlab {
+		w = slabWidth(opts, rem)
+	}
+	numBatches := (rem + w - 1) / w
+	batch := func(ws *Simulator, b int, tb *counterBatch) int {
+		g0 := first + b*w
+		return pass(ws, g0, min(w, numGroups-g0), w, tb)
+	}
+
+	workers := min(opts.Workers, numBatches)
+	if opts.OutputHook != nil {
+		workers = 1 // the hook's ordering contract requires sequential runs
 	}
 
 	if workers <= 1 {
 		var tb counterBatch
-		for g := first; g < numGroups; g++ {
+		for b := 0; b < numBatches; b++ {
 			if ctxDone(opts.Ctx) {
 				out.Cancelled = true
-				tb.cancelled += int64(numGroups - g)
+				tb.cancelled += int64(rem - b*w)
 				break
 			}
-			lo := g * GroupSize
-			out.NumDetected += s.runGroupDense(seq, faults, lo, min(lo+GroupSize, len(faults)), stop, opts, out, &tb)
+			out.NumDetected += batch(s, b, &tb)
 		}
 		s.flush(&tb)
 		return out
 	}
 
-	// Parallel fan-out: each group writes a disjoint region of the outcome;
-	// per-group detection counts are merged in group order afterwards, so
-	// the sum (and everything else) is independent of scheduling.
-	detected := make([]int, numGroups)
-	claimed := fanOut(opts.Ctx, s.workerSims(workers), numGroups-first, func(ws *Simulator, i int, tb *counterBatch) {
-		g := first + i
-		lo := g * GroupSize
-		detected[g] = ws.runGroupDense(seq, faults, lo, min(lo+GroupSize, len(faults)), stop, opts, out, tb)
+	// Parallel fan-out over batch indices: each batch writes the disjoint
+	// outcome regions of its own groups; per-batch detection counts are
+	// merged in batch order afterwards, so the sum (and everything else) is
+	// independent of scheduling.
+	detected := make([]int, numBatches)
+	claimed := fanOut(opts.Ctx, s.workerSims(workers), numBatches, func(ws *Simulator, b int, tb *counterBatch) {
+		detected[b] = batch(ws, b, tb)
 	})
-	for _, n := range detected[first:] {
+	for _, n := range detected {
 		out.NumDetected += n
 	}
-	// Every claimed group ran to completion; the rest were skipped due to
-	// cancellation.
-	if skipped := numGroups - first - claimed; skipped > 0 {
+	// Every claimed batch ran to completion; the rest were skipped due to
+	// cancellation. Unclaimed batches before the tail are full-width, so the
+	// skipped group count is exact.
+	if claimed < numBatches {
 		out.Cancelled = true
-		telemetry.Add(telemetry.CtrGroupsCancelled, int64(skipped))
+		telemetry.Add(telemetry.CtrGroupsCancelled, int64(rem-claimed*w))
 	}
 	return out
 }
@@ -876,7 +893,7 @@ func (s *Simulator) runGroupDense(seq *sim.Sequence, faults []fault.Fault, lo, h
 			s.densePass(seq, state, u, true)
 		}
 		if tg != nil && lo == 0 {
-			s.traceActivity(tg)
+			s.traceActivity(tg, s.vals, 1)
 		}
 		// Detection at primary outputs.
 		for poi, id := range c.Outputs {

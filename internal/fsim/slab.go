@@ -8,7 +8,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/obsv"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // The slab kernel simulates W fault groups per pass. Per-node state is a
@@ -407,74 +406,6 @@ func slabDiff(w logic.W) uint64 {
 	return (w.Zeros & -(w.Ones & 1)) | (w.Ones & -(w.Zeros & 1))
 }
 
-// runSlab is the slab kernel's counterpart of Run's dispatch body: it shards
-// batches-of-W (instead of single groups) over the worker pool. Group
-// independence makes the merge bit-identical to sequential for any worker
-// count and any W, exactly as for the dense kernel.
-func (s *Simulator) runSlab(seq *sim.Sequence, faults []fault.Fault, numGroups, stop int, opts Options, out *Outcome) {
-	first := 0
-	if opts.AbortAfterFirstGroupIfNone {
-		// The Section 4.2 effort reduction: group 0 runs alone (one active
-		// lane) so the abort decision sees exactly the dense kernel's view.
-		var tb counterBatch
-		out.NumDetected = s.runSlabBatch(seq, faults, 0, 1, 1, stop, opts, out, &tb)
-		s.flush(&tb)
-		if out.NumDetected == 0 {
-			out.Aborted = numGroups > 1
-			return
-		}
-		first = 1
-	}
-	rem := numGroups - first
-	if rem == 0 {
-		return
-	}
-	w := slabWidth(opts, rem)
-	numBatches := (rem + w - 1) / w
-
-	workers := opts.Workers
-	if workers < 1 || opts.OutputHook != nil {
-		workers = 1
-	}
-	if workers > numBatches {
-		workers = numBatches
-	}
-
-	if workers <= 1 {
-		var tb counterBatch
-		for b := 0; b < numBatches; b++ {
-			if ctxDone(opts.Ctx) {
-				out.Cancelled = true
-				tb.cancelled += int64(numGroups - (first + b*w))
-				break
-			}
-			g0 := first + b*w
-			out.NumDetected += s.runSlabBatch(seq, faults, g0, min(w, numGroups-g0), w, stop, opts, out, &tb)
-		}
-		s.flush(&tb)
-		return
-	}
-
-	// Parallel fan-out over batch indices: each batch writes the disjoint
-	// outcome regions of its own groups, per-batch detection counts merge in
-	// batch order afterwards.
-	detected := make([]int, numBatches)
-	claimed := fanOut(opts.Ctx, s.workerSims(workers), numBatches, func(ws *Simulator, b int, tb *counterBatch) {
-		g0 := first + b*w
-		detected[b] = ws.runSlabBatch(seq, faults, g0, min(w, numGroups-g0), w, stop, opts, out, tb)
-	})
-	for _, n := range detected {
-		out.NumDetected += n
-	}
-	// Every claimed batch ran to completion; the rest were skipped due to
-	// cancellation. Unclaimed batches before the tail are full-width, so the
-	// skipped group count is exact.
-	if claimed < numBatches {
-		out.Cancelled = true
-		telemetry.Add(telemetry.CtrGroupsCancelled, int64(numGroups-first-claimed*w))
-	}
-}
-
 // runSlabBatch simulates the nl fault groups g0..g0+nl-1 in lanes 0..nl-1 of
 // a stride-wide slab, writing only those groups' disjoint regions of out and
 // returning the number of detections. One time unit is one levelized walk
@@ -556,7 +487,7 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 			s.slabWalk(seq, u, nl, true)
 		}
 		if traceAct && !sl.laneDone[0] {
-			s.traceActivitySlab(sl.tgs[0], lanes)
+			s.traceActivity(sl.tgs[0], vals, lanes)
 		}
 		// Detection: word-parallel diff over each output's lane words. For a
 		// fixed lane the emission order (time, then PO index, then slot) is
@@ -883,43 +814,4 @@ func (s *Simulator) slabWalk(seq *sim.Sequence, u, nl int, replay bool) {
 		}
 		sl.place(id, ov, replay)
 	}
-}
-
-// traceActivitySlab is traceActivity reading slot-0 bits through the slab's
-// gate-major stride (lane 0 of node i lives at i*lanes). Group 0 is always
-// lane 0 of batch 0, and tracing follows lane 0's counted cycles, so the
-// sample stream matches the dense kernel's cycle for cycle.
-func (s *Simulator) traceActivitySlab(tg *obsv.GroupTrace, lanes int) {
-	n := len(s.c.Nodes)
-	words := (n + 63) / 64
-	if len(s.actZ) < words {
-		s.actZ = make([]uint64, words)
-		s.actO = make([]uint64, words)
-	}
-	chg := 0
-	var z, o uint64
-	wi := 0
-	for i := 0; i < n; i++ {
-		w := s.slab.vals[i*lanes]
-		z |= (w.Zeros & 1) << (uint(i) & 63)
-		o |= (w.Ones & 1) << (uint(i) & 63)
-		if i&63 == 63 {
-			if s.actValid {
-				chg += bits.OnesCount64((z ^ s.actZ[wi]) | (o ^ s.actO[wi]))
-			}
-			s.actZ[wi], s.actO[wi] = z, o
-			z, o = 0, 0
-			wi++
-		}
-	}
-	if n&63 != 0 {
-		if s.actValid {
-			chg += bits.OnesCount64((z ^ s.actZ[wi]) | (o ^ s.actO[wi]))
-		}
-		s.actZ[wi], s.actO[wi] = z, o
-	}
-	if s.actValid {
-		tg.Activity(chg)
-	}
-	s.actValid = true
 }

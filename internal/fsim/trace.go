@@ -3,6 +3,7 @@ package fsim
 import (
 	"math/bits"
 
+	"repro/internal/logic"
 	"repro/internal/obsv"
 )
 
@@ -19,8 +20,13 @@ import (
 // 0/1/X transition) and diffed with XOR+popcount; the O(nodes) cost is paid
 // per cycle only when a trace is attached, leaving the untraced hot loops
 // untouched.
-func (s *Simulator) traceActivity(tg *obsv.GroupTrace) {
-	n := len(s.vals)
+//
+// vals holds the node values at a stride: slot 0 of node i is bit 0 of
+// vals[i*stride]. The dense kernel passes its one-word-per-node array with
+// stride 1, the slab kernel its gate-major slab with stride lanes (lane 0
+// of batch 0 is group 0).
+func (s *Simulator) traceActivity(tg *obsv.GroupTrace, vals []logic.W, stride int) {
+	n := len(s.c.Nodes)
 	words := (n + 63) / 64
 	if len(s.actZ) < words {
 		s.actZ = make([]uint64, words)
@@ -29,7 +35,8 @@ func (s *Simulator) traceActivity(tg *obsv.GroupTrace) {
 	chg := 0
 	var z, o uint64
 	wi := 0
-	for i, w := range s.vals {
+	for i := 0; i < n; i++ {
+		w := vals[i*stride]
 		z |= (w.Zeros & 1) << (uint(i) & 63)
 		o |= (w.Ones & 1) << (uint(i) & 63)
 		if i&63 == 63 {

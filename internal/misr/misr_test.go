@@ -384,9 +384,9 @@ func TestWordTaintIsPerSlot(t *testing.T) {
 	for u := 0; u < 4; u++ {
 		w := logic.AllZero
 		if u == 1 {
-			w = w.Set(3, logic.X)    // slot 3: unknown response
-			w = w.Set(5, logic.One)  // slot 5: real difference, then tainted below
-			w = w.Set(6, logic.One)  // slot 6: clean difference
+			w = w.Set(3, logic.X)   // slot 3: unknown response
+			w = w.Set(5, logic.One) // slot 5: real difference, then tainted below
+			w = w.Set(6, logic.One) // slot 6: clean difference
 		}
 		if u == 2 {
 			w = w.Set(5, logic.X)
