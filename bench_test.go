@@ -261,7 +261,7 @@ func BenchmarkFigure1_GeneratorSynthesis(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := wgen.Synthesize("bench_gen", r.Compacted, r.Config.LG)
+		g, err := wgen.Synthesize("bench_gen", r.Compacted, r.Core.WindowLen())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func BenchmarkFigure1_GeneratorVerification(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := wgen.Synthesize("bench_gen", r.Compacted, r.Config.LG)
+	g, err := wgen.Synthesize("bench_gen", r.Compacted, r.Core.WindowLen())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func BenchmarkBaselineLFSR(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	budget := r.Config.LG * len(r.Compacted)
+	budget := r.Core.WindowLen() * len(r.Compacted)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src, err := lfsr.New(23, 0xBEEF)
@@ -415,7 +415,7 @@ func BenchmarkBaselineThreeWeight(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	budget := r.Config.LG * len(r.Compacted)
+	budget := r.Core.WindowLen() * len(r.Compacted)
 	as, err := threeweight.Derive(r.T, r.DetTimes, 8, len(r.Compacted))
 	if err != nil {
 		b.Fatal(err)
@@ -441,7 +441,7 @@ func BenchmarkBaselineCrossoverHardCircuit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	budget := r.Config.LG * len(r.Compacted)
+	budget := r.Core.WindowLen() * len(r.Compacted)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src, err := lfsr.New(23, 0xBEEF)

@@ -336,8 +336,9 @@ func baselines(cfg wbist.Config) error {
 		if err != nil {
 			return err
 		}
-		lg := r.Config.LG
-		budget := lg * len(r.Compacted) // equal pattern budget for baselines
+		// Equal pattern budget for the baselines: the weighted session's
+		// length.
+		budget := r.Core.WindowLen() * len(r.Compacted)
 		// Pure pseudo-random.
 		src, err := lfsr.New(23, 0xBEEF)
 		if err != nil {
@@ -398,7 +399,7 @@ func randomExtension(cfg wbist.Config) error {
 	if err := t.Render(os.Stdout); err != nil {
 		return err
 	}
-	fmt.Println("(2 LFSR windows of L_G cycles each; base = paper configuration)")
+	fmt.Println("(2 LFSR windows, each as long as a weight assignment's window; base = paper configuration)")
 	return nil
 }
 

@@ -53,7 +53,7 @@ func compare(name string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	budget := run.Config.LG * len(run.Compacted)
+	budget := run.Core.WindowLen() * len(run.Compacted)
 
 	// Pure pseudo-random: one LFSR sequence of the whole budget.
 	src, err := lfsr.New(23, 0xBEEF)

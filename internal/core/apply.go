@@ -21,89 +21,57 @@ func ConcatSequence(omega []Assignment, lg int) *sim.Sequence {
 	return out
 }
 
-// ApplyMode selects how the weighted sequences are applied to the circuit.
-type ApplyMode int
-
-const (
-	// PerWindowReset fault-simulates each assignment's sequence from the
-	// initial state (the mode used during weight selection, matching the
-	// paper's per-sequence fault simulation).
-	PerWindowReset ApplyMode = iota
-	// Continuous fault-simulates the concatenation of all windows without
-	// intermediate resets (the mode the free-running hardware of Figure 1
-	// realises when the circuit is only reset once, at the start of the
-	// session).
-	Continuous
-)
-
-// CoverageReport compares what a set of weight assignments detects.
-type CoverageReport struct {
-	// Mode is the application mode measured.
-	Mode ApplyMode
-	// Detected[i] reports detection of targets[i].
-	Detected []bool
-	// NumDetected counts detections.
-	NumDetected int
-	// TotalCycles is the number of test cycles applied.
-	TotalCycles int
+// Pending tracks which of a list of target faults are still undetected
+// while windows are applied one after another, each dropping the faults it
+// detects.
+type Pending struct {
+	targets    []fault.Fault
+	undetected []bool
+	remaining  int
 }
 
-// Coverage returns the detected fraction.
-func (r *CoverageReport) Coverage() float64 {
-	if len(r.Detected) == 0 {
-		return 1
+// NewPending returns a Pending with every target undetected.
+func NewPending(targets []fault.Fault) *Pending {
+	p := &Pending{targets: targets, undetected: make([]bool, len(targets)), remaining: len(targets)}
+	for i := range p.undetected {
+		p.undetected[i] = true
 	}
-	return float64(r.NumDetected) / float64(len(r.Detected))
+	return p
 }
 
-// MeasureCoverage fault-simulates omega's sequences against the target
-// faults in the given application mode. In PerWindowReset mode faults are
-// dropped across windows; in Continuous mode the whole session is one
-// simulation.
-func MeasureCoverage(res *Result, omega []Assignment, mode ApplyMode) *CoverageReport {
-	lg := res.Options.LG
-	if lg == 0 {
-		lg = 2000
+// Remaining is the number of undetected targets.
+func (p *Pending) Remaining() int { return p.remaining }
+
+// Undetected is the live mask of undetected targets, indexed like the
+// targets; callers read it and change it only through Drop.
+func (p *Pending) Undetected() []bool { return p.undetected }
+
+// Drop marks target i detected and reports whether it was undetected.
+func (p *Pending) Drop(i int) bool {
+	if !p.undetected[i] {
+		return false
 	}
-	for _, dt := range res.DetTime {
-		if dt+1 > lg {
-			lg = dt + 1
+	p.undetected[i] = false
+	p.remaining--
+	return true
+}
+
+// Simulate runs seq against the undetected targets and drops the ones it
+// detects. out is indexed like idx, the ascending target indices of the
+// faults simulated; n is the number dropped.
+func (p *Pending) Simulate(s *fsim.Simulator, seq *sim.Sequence, opts fsim.Options) (out *fsim.Outcome, idx []int, n int) {
+	var fl []fault.Fault
+	for i, u := range p.undetected {
+		if u {
+			fl = append(fl, p.targets[i])
+			idx = append(idx, i)
 		}
 	}
-	rep := &CoverageReport{
-		Mode:     mode,
-		Detected: make([]bool, len(res.TargetFaults)),
-	}
-	simulator := fsim.New(res.Circuit)
-	switch mode {
-	case Continuous:
-		seq := ConcatSequence(omega, lg)
-		rep.TotalCycles = seq.Len()
-		out := simulator.Run(seq, res.TargetFaults, fsim.Options{Init: res.Options.Init, Workers: res.Options.Workers})
-		copy(rep.Detected, out.Detected)
-		rep.NumDetected = out.NumDetected
-	default:
-		for _, a := range omega {
-			var fl []fault.Fault
-			var idx []int
-			for i, d := range rep.Detected {
-				if !d {
-					fl = append(fl, res.TargetFaults[i])
-					idx = append(idx, i)
-				}
-			}
-			if len(fl) == 0 {
-				break
-			}
-			out := simulator.Run(a.GenSequence(lg), fl, fsim.Options{Init: res.Options.Init, Workers: res.Options.Workers})
-			for k := range fl {
-				if out.Detected[k] {
-					rep.Detected[idx[k]] = true
-					rep.NumDetected++
-				}
-			}
-			rep.TotalCycles += lg
+	out = s.Run(seq, fl, opts)
+	for k, i := range idx {
+		if out.Detected[k] && p.Drop(i) {
+			n++
 		}
 	}
-	return rep
+	return out, idx, n
 }

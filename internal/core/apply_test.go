@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/fsim"
 	"repro/internal/logic"
 )
 
@@ -32,34 +33,26 @@ func TestConcatSequenceEmpty(t *testing.T) {
 	}
 }
 
-func TestMeasureCoverageModes(t *testing.T) {
+func TestPending(t *testing.T) {
 	r := runS27(t, Options{LG: 100, Init: logic.X, Seed: 1})
-	perWin := MeasureCoverage(r, r.Omega, PerWindowReset)
-	if perWin.Coverage() != 1.0 {
-		t.Fatalf("per-window coverage %.3f, want 1.0 (the procedure's guarantee)", perWin.Coverage())
+	p := NewPending(r.TargetFaults)
+	if p.Remaining() != len(r.TargetFaults) {
+		t.Fatalf("remaining %d of %d", p.Remaining(), len(r.TargetFaults))
 	}
-	cont := MeasureCoverage(r, r.Omega, Continuous)
-	// Continuous application can only help or match on circuits where the
-	// initial state is reachable... in general it may differ; what must hold
-	// is that the *first window* faults stay detected, so coverage is
-	// nonzero, and the cycle counts line up.
-	if cont.NumDetected == 0 {
-		t.Fatal("continuous application detected nothing")
+	if !p.Drop(0) || p.Drop(0) || p.Remaining() != len(r.TargetFaults)-1 {
+		t.Fatal("Drop must report and count a target once")
 	}
-	if cont.TotalCycles != perWin.TotalCycles {
-		t.Fatalf("cycle counts differ: %d vs %d", cont.TotalCycles, perWin.TotalCycles)
+	// T detects every target, and the simulation skips the dropped one.
+	out, idx, n := p.Simulate(fsim.New(r.Circuit), r.T, fsim.Options{Init: r.Options.Init})
+	if len(idx) != len(r.TargetFaults)-1 || idx[0] != 1 || len(out.Detected) != len(idx) {
+		t.Fatalf("simulated indices %v", idx)
 	}
-	if len(cont.Detected) != len(r.TargetFaults) {
-		t.Fatal("wrong detected length")
+	if n != len(idx) || p.Remaining() != 0 {
+		t.Fatalf("T dropped %d of %d, %d remain", n, len(idx), p.Remaining())
 	}
-}
-
-func TestMeasureCoverageEmptyTargets(t *testing.T) {
-	r := &Result{Options: Options{LG: 10, Init: logic.Zero}}
-	c := runS27(t, Options{LG: 100, Init: logic.X, Seed: 1})
-	r.Circuit = c.Circuit
-	rep := MeasureCoverage(r, nil, PerWindowReset)
-	if rep.Coverage() != 1.0 || rep.NumDetected != 0 {
-		t.Fatal("empty target handling wrong")
+	for i, u := range p.Undetected() {
+		if u {
+			t.Fatalf("target %d still undetected", i)
+		}
 	}
 }

@@ -20,7 +20,8 @@ import (
 type Options struct {
 	// LG is the length of the test sequence generated per weight assignment
 	// (the paper uses 2000). It is raised internally to u+1 when targeting a
-	// fault detected at time u, so the reproduction guarantee always holds.
+	// fault detected at time u, so the reproduction guarantee always holds;
+	// Result.WindowLen is the window length every later stage applies.
 	LG int
 	// Init is the initial flip-flop value used during fault simulation.
 	Init logic.V
@@ -39,11 +40,12 @@ type Options struct {
 	// NoMatchOrdering disables sorting A_i by n_m (ablation): entries stay in
 	// weight-set order.
 	NoMatchOrdering bool
-	// RandomWindows applies this many L_G-cycle windows of pure pseudo-random
+	// RandomWindows applies this many windows of pure pseudo-random
 	// patterns (from an on-chip-realisable XNOR LFSR reset to zero) before
 	// the weight selection, dropping the faults they detect. This is the
 	// extension named as future work in the paper's conclusion: random
 	// windows soak up the easy faults so fewer subsequences need generating.
+	// Each window is Result.WindowLen cycles long, as in the generator.
 	RandomWindows int
 	// Seed drives the fault sampling.
 	Seed uint64
@@ -121,6 +123,25 @@ type Result struct {
 	SimulatedSequences int
 	// Options echoes the configuration used.
 	Options Options
+
+	windowLen int
+}
+
+// WindowLen is the number of cycles each weight assignment (and each
+// pseudo-random window) is applied for: Options.LG, raised to the latest
+// target's detection time + 1. Every stage after the selection — reverse-order
+// pruning, the observation-point experiment, the BIST session, the traces and
+// the synthesized generator — applies windows of this length, so that what
+// they verify is what the hardware applies.
+func (r *Result) WindowLen() int { return r.windowLen }
+
+// windowLen is the length of a window that reaches every detection time in
+// us: lg, raised to the latest u + 1.
+func windowLen(lg int, us ...int) int {
+	for _, u := range us {
+		lg = max(lg, u+1)
+	}
+	return lg
 }
 
 // Coverage returns the fraction of target faults detected by Omega's
@@ -158,6 +179,7 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 		DetTime:      detTime,
 		S:            NewWeightSet(),
 		Options:      opts,
+		windowLen:    windowLen(opts.LG, detTime...),
 	}
 	span := opts.Span.Child("core")
 	defer span.End()
@@ -170,47 +192,29 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 		ti[i] = t.Input(i)
 	}
 
-	// undetected[i] tracks the remaining target faults.
-	undetected := make([]bool, len(targets))
-	remaining := len(targets)
-	for i := range undetected {
-		undetected[i] = true
-	}
+	pend := NewPending(targets)
+	undetected := pend.Undetected()
 
 	// Optional pseudo-random phase (the paper's stated future-work
 	// extension): free-running XNOR-LFSR windows drop the random-testable
 	// faults before any weights are selected.
-	if opts.RandomWindows > 0 && remaining > 0 {
+	if opts.RandomWindows > 0 && pend.Remaining() > 0 {
 		rsp := span.Child("random-windows")
 		res.RandomSourceWidth = lfsr.RandomSourceWidth(c.NumInputs())
 		src, err := lfsr.NewXNOR(res.RandomSourceWidth)
 		if err != nil {
 			return nil, err
 		}
-		for w := 0; w < opts.RandomWindows && remaining > 0; w++ {
+		for w := 0; w < opts.RandomWindows && pend.Remaining() > 0; w++ {
 			if err := ctxErr(opts.Ctx); err != nil {
 				rsp.End()
 				return nil, err
 			}
-			seq := src.ParallelSequence(c.NumInputs(), opts.LG)
-			var fl []fault.Fault
-			var idx []int
-			for i, und := range undetected {
-				if und {
-					fl = append(fl, targets[i])
-					idx = append(idx, i)
-				}
-			}
-			out := simulator.Run(seq, fl, fsim.Options{Init: opts.Init, Workers: opts.Workers, Ctx: opts.Ctx})
+			seq := src.ParallelSequence(c.NumInputs(), res.windowLen)
+			_, _, n := pend.Simulate(simulator, seq, fsim.Options{Init: opts.Init, Workers: opts.Workers, Ctx: opts.Ctx})
 			res.SimulatedSequences++
 			telemetry.Add(telemetry.CtrCandidates, 1)
-			for k := range fl {
-				if out.Detected[k] {
-					undetected[idx[k]] = false
-					remaining--
-					res.RandomDetected++
-				}
-			}
+			res.RandomDetected += n
 		}
 		rsp.End()
 	}
@@ -219,7 +223,7 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 	// first, then a random sample, then the rest), drawing the order from
 	// rng.
 	prepare := func(a Assignment, lg, targetIdx int) *candidate {
-		order := make([]int, 0, remaining)
+		order := make([]int, 0, pend.Remaining())
 		order = append(order, targetIdx)
 		var rest []int
 		for i, u := range undetected {
@@ -260,14 +264,9 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 		res.SimulatedSequences++
 		telemetry.Add(telemetry.CtrCandidates, 1)
 		for k := range cd.faults {
-			if cd.out.Detected[k] {
-				i := cd.order[k]
-				if undetected[i] {
-					undetected[i] = false
-					remaining--
-					newFaults = append(newFaults, i)
-					newTimes = append(newTimes, cd.out.DetTime[k])
-				}
+			if cd.out.Detected[k] && pend.Drop(cd.order[k]) {
+				newFaults = append(newFaults, cd.order[k])
+				newTimes = append(newTimes, cd.out.DetTime[k])
 			}
 		}
 		// The scan above follows the shuffled simulation order; reports want
@@ -331,7 +330,7 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 	}
 
 	ssp := span.Child("selection")
-	for remaining > 0 {
+	for pend.Remaining() > 0 {
 		if err := ctxErr(opts.Ctx); err != nil {
 			ssp.End()
 			return nil, err
@@ -384,11 +383,7 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 						if !a.HasLen(ls) {
 							continue
 						}
-						lg := opts.LG
-						if lg < u+1 {
-							lg = u + 1
-						}
-						cd := prepare(a, lg, tIdx)
+						cd := prepare(a, windowLen(opts.LG, u), tIdx)
 						cd.ls, cd.j, cd.ai, cd.maxJ, cd.sLen = ls, j, ai, maxJ, res.S.Len()
 						j++
 						return cd, true
@@ -419,10 +414,8 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 		}
 		if abandon {
 			// Abandon the faults at this detection time.
-			for i, und := range undetected {
-				if und && detTime[i] == u {
-					undetected[i] = false
-					remaining--
+			for i, dt := range detTime {
+				if dt == u && pend.Drop(i) {
 					res.Unreproduced++
 				}
 			}

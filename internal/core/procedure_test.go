@@ -43,13 +43,13 @@ func runS27(t *testing.T, opts Options) *Result {
 // faults of r.
 func verifyCoverage(t *testing.T, r *Result, omega []Assignment) {
 	t.Helper()
-	lg := r.Options.LG
-	if lg == 0 {
-		lg = 2000
+	lg := r.WindowLen()
+	if lg < r.Options.LG {
+		t.Fatalf("window length %d below L_G %d", lg, r.Options.LG)
 	}
-	for _, dt := range r.DetTime {
-		if dt+1 > lg {
-			lg = dt + 1
+	for i, dt := range r.DetTime {
+		if dt >= lg {
+			t.Fatalf("target %d detected at %d, past the %d-cycle window", i, dt, lg)
 		}
 	}
 	undet := make([]bool, len(r.TargetFaults))
@@ -94,6 +94,24 @@ func TestProcedureS27CompleteCoverage(t *testing.T) {
 			t.Errorf("Omega[%d] recorded with 0 new detections", j)
 		}
 	}
+}
+
+func TestWindowLen(t *testing.T) {
+	// s27's T is 10 long: an L_G of 100 stands, an L_G of 3 is raised to the
+	// latest detection time + 1.
+	if r := runS27(t, Options{LG: 100, Init: logic.X, Seed: 1}); r.WindowLen() != 100 {
+		t.Fatalf("window length %d at L_G 100", r.WindowLen())
+	}
+	r := runS27(t, Options{LG: 3, Init: logic.X, Seed: 1})
+	maxU := 0
+	for _, dt := range r.DetTime {
+		maxU = max(maxU, dt)
+	}
+	if maxU+1 <= 3 || r.WindowLen() != maxU+1 {
+		t.Fatalf("window length %d at L_G 3, latest detection time %d", r.WindowLen(), maxU)
+	}
+	verifyCoverage(t, r, r.Omega)
+	verifyCoverage(t, r, ReverseOrderCompact(r))
 }
 
 func TestProcedureMaxSubseqLenShorterThanT(t *testing.T) {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/fault"
-	"repro/internal/fsim"
-)
+import "repro/internal/fsim"
 
 // ReverseOrderCompact implements the postprocessing of Section 4.3: the
 // weight assignments in omega are fault-simulated in reverse order of
@@ -12,52 +9,16 @@ import (
 // generated after it). The surviving assignments are returned in their
 // original relative order.
 //
-// detTime must hold the detection time of each target under T; it is used to
-// size each assignment's sequence exactly as during generation (LG raised to
-// u+1 for the latest target).
+// Each assignment's sequence is r.WindowLen() cycles long, so every window
+// reaches the detection time of the latest target.
 func ReverseOrderCompact(r *Result) []Assignment {
-	lg := r.Options.LG
-	if lg == 0 {
-		lg = 2000
-	}
-	maxU := 0
-	for _, dt := range r.DetTime {
-		if dt > maxU {
-			maxU = dt
-		}
-	}
-	if lg < maxU+1 {
-		lg = maxU + 1
-	}
 	simulator := fsim.New(r.Circuit)
-	undetected := make([]bool, len(r.TargetFaults))
-	for i := range undetected {
-		undetected[i] = true
-	}
-	remaining := len(r.TargetFaults)
+	pend := NewPending(r.TargetFaults)
 	keep := make([]bool, len(r.Omega))
-	for j := len(r.Omega) - 1; j >= 0 && remaining > 0; j-- {
-		var fl []fault.Fault
-		var idx []int
-		for i, u := range undetected {
-			if u {
-				fl = append(fl, r.TargetFaults[i])
-				idx = append(idx, i)
-			}
-		}
-		seq := r.Omega[j].GenSequence(lg)
-		out := simulator.Run(seq, fl, fsim.Options{Init: r.Options.Init, Workers: r.Options.Workers})
-		n := 0
-		for k := range fl {
-			if out.Detected[k] {
-				undetected[idx[k]] = false
-				remaining--
-				n++
-			}
-		}
-		if n > 0 {
-			keep[j] = true
-		}
+	for j := len(r.Omega) - 1; j >= 0 && pend.Remaining() > 0; j-- {
+		seq := r.Omega[j].GenSequence(r.windowLen)
+		_, _, n := pend.Simulate(simulator, seq, fsim.Options{Init: r.Options.Init, Workers: r.Options.Workers})
+		keep[j] = n > 0
 	}
 	var out []Assignment
 	for j, k := range keep {
@@ -73,23 +34,10 @@ func ReverseOrderCompact(r *Result) []Assignment {
 // assignment, the bitset of detected target-fault indices. This is the input
 // to the observation-point experiment's greedy selection (Section 5).
 func DetectionSets(r *Result) []fsim.Bitset {
-	lg := r.Options.LG
-	if lg == 0 {
-		lg = 2000
-	}
-	maxU := 0
-	for _, dt := range r.DetTime {
-		if dt > maxU {
-			maxU = dt
-		}
-	}
-	if lg < maxU+1 {
-		lg = maxU + 1
-	}
 	simulator := fsim.New(r.Circuit)
 	sets := make([]fsim.Bitset, len(r.Omega))
 	for j := range r.Omega {
-		seq := r.Omega[j].GenSequence(lg)
+		seq := r.Omega[j].GenSequence(r.windowLen)
 		out := simulator.Run(seq, r.TargetFaults, fsim.Options{Init: r.Options.Init, Workers: r.Options.Workers})
 		b := fsim.NewBitset(len(r.TargetFaults))
 		for i := range r.TargetFaults {

@@ -399,12 +399,13 @@ func ObsExperiment(r *Run) *obs.Result {
 
 // SynthesizeGenerator builds the Figure 1 hardware for a run's compacted Ω
 // (including the leading LFSR windows when the run used them) and reports
-// its cost.
+// its cost. Its windows are r.Core.WindowLen() cycles long, the length the
+// selection and the reverse-order pruning verified.
 func SynthesizeGenerator(r *Run) (*wgen.Generator, error) {
 	if len(r.Compacted) == 0 {
 		return nil, fmt.Errorf("expt: run %s has no weight assignments", r.Name)
 	}
-	return wgen.SynthesizeSchedule(r.Name+"_gen", r.Config.RandomWindows, r.Compacted, r.Config.LG)
+	return wgen.SynthesizeSchedule(r.Name+"_gen", r.Config.RandomWindows, r.Compacted, r.Core.WindowLen())
 }
 
 // ClearCache drops all memoized runs (tests use this to force fresh runs).

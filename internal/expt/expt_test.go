@@ -132,12 +132,7 @@ func TestPipelineSyntheticWithGenerator(t *testing.T) {
 		t.Fatalf("procedure coverage %.3f", r.Core.Coverage())
 	}
 	// Verify the compacted omega covers all targets end to end.
-	lg := r.Config.LG
-	for _, dt := range r.DetTimes {
-		if dt+1 > lg {
-			lg = dt + 1
-		}
-	}
+	lg := r.Core.WindowLen()
 	undet := make([]bool, len(r.Targets))
 	for i := range undet {
 		undet[i] = true
@@ -252,5 +247,8 @@ func TestConfigWithRandomWindows(t *testing.T) {
 	}
 	if g.RandomWindows != 1 || g.LFSRWidth == 0 {
 		t.Fatalf("generator lacks the LFSR window: %+v", g)
+	}
+	if g.LG != r.Core.WindowLen() {
+		t.Fatalf("generator windows are %d cycles, the procedure's %d", g.LG, r.Core.WindowLen())
 	}
 }

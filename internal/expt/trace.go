@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/obsv"
@@ -13,7 +14,7 @@ import (
 // result is the data behind `wbist report` — which assignment detects which
 // fault, when, and at which output.
 //
-// The re-simulation reuses the run's configuration (Init, LG, Workers), so
+// The re-simulation reuses the run's Init, window length and Workers, so
 // by the simulator's determinism guarantee the outcome matches the original
 // run bit for bit regardless of worker count or kernel; the trace costs one
 // extra simulation of T plus one per compacted assignment. The recorded
@@ -49,46 +50,16 @@ func TraceRun(r *Run) (*obsv.RunTrace, error) {
 
 	// One segment per compacted assignment, in schedule order, against the
 	// targets still undetected when it runs — the same fault-dropping walk
-	// the generated hardware performs. Windows are sized exactly like the
-	// generation and reverse-order phases (LG raised to the latest target's
-	// detection time + 1).
-	lg := cfg.LG
-	maxU := 0
-	for _, dt := range r.DetTimes {
-		if dt > maxU {
-			maxU = dt
-		}
-	}
-	if lg < maxU+1 {
-		lg = maxU + 1
-	}
-	undetected := make([]bool, len(r.Targets))
-	for i := range undetected {
-		undetected[i] = true
-	}
+	// the generated hardware performs, over windows of the same length.
+	lg := r.Core.WindowLen()
+	pend := core.NewPending(r.Targets)
 	for j, a := range r.Compacted {
-		var fl []fault.Fault
-		var idx []int
-		for i, und := range undetected {
-			if und {
-				fl = append(fl, r.Targets[i])
-				idx = append(idx, i)
-			}
-		}
 		tr := obsv.NewTrace()
 		tr.Assignment = j
-		seq := a.GenSequence(lg)
-		out := simulator.Run(seq, fl, fsim.Options{
+		_, idx, det := pend.Simulate(simulator, a.GenSequence(lg), fsim.Options{
 			Init: r.Init, Workers: cfg.Workers, Trace: tr,
 		})
-		det := 0
-		for k := range fl {
-			if out.Detected[k] {
-				undetected[idx[k]] = false
-				det++
-			}
-		}
-		seg := tr.Segment(lg, len(fl), det)
+		seg := tr.Segment(lg, len(idx), det)
 		// Remap the window's local fault indices to target indices so every
 		// assignment segment speaks the same fault space.
 		for k := range seg.Events {

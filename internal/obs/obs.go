@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/fsim"
 )
 
@@ -156,15 +155,6 @@ func Experiment(r *core.Result) *Result {
 func ExperimentWithCover(r *core.Result, coverFn CoverFunc) *Result {
 	sp := r.Options.Span.Child("obs")
 	defer sp.End()
-	lg := r.Options.LG
-	if lg == 0 {
-		lg = 2000
-	}
-	for _, dt := range r.DetTime {
-		if dt+1 > lg {
-			lg = dt + 1
-		}
-	}
 	detSets := core.DetectionSets(r)
 	nTargets := len(r.TargetFaults)
 	order := greedyOrder(detSets, nTargets)
@@ -175,12 +165,8 @@ func ExperimentWithCover(r *core.Result, coverFn CoverFunc) *Result {
 	}
 
 	simulator := fsim.New(r.Circuit)
-	// undetected faults under the current prefix
-	undet := make([]bool, nTargets)
-	for i := range undet {
-		undet[i] = true
-	}
-	remaining := nTargets
+	// The faults undetected under the current prefix.
+	pend := core.NewPending(r.TargetFaults)
 	// opSets[i] accumulates OP(f) lines for undetected fault i across the
 	// prefix's assignments.
 	opSets := make([]fsim.Bitset, nTargets)
@@ -190,25 +176,15 @@ func ExperimentWithCover(r *core.Result, coverFn CoverFunc) *Result {
 		chosen = append(chosen, r.Omega[j])
 		// Faults newly detected by assignment j leave the undetected set.
 		for i := 0; i < nTargets; i++ {
-			if undet[i] && detSets[j].Get(i) {
-				undet[i] = false
+			if detSets[j].Get(i) && pend.Drop(i) {
 				opSets[i] = nil
-				remaining--
 			}
 		}
 		// Assignment j contributes observability lines for the still
-		// undetected faults.
-		if remaining > 0 {
-			var fl []fault.Fault
-			var idx []int
-			for i := 0; i < nTargets; i++ {
-				if undet[i] {
-					fl = append(fl, r.TargetFaults[i])
-					idx = append(idx, i)
-				}
-			}
-			seq := r.Omega[j].GenSequence(lg)
-			out := simulator.Run(seq, fl, fsim.Options{Init: r.Options.Init, ObserveLines: true, Workers: r.Options.Workers})
+		// undetected faults (it detects none of them).
+		if pend.Remaining() > 0 {
+			seq := r.Omega[j].GenSequence(r.WindowLen())
+			out, idx, _ := pend.Simulate(simulator, seq, fsim.Options{Init: r.Options.Init, ObserveLines: true, Workers: r.Options.Workers})
 			for k, i := range idx {
 				if opSets[i] == nil {
 					opSets[i] = fsim.NewBitset(len(r.Circuit.Nodes))
@@ -217,9 +193,10 @@ func ExperimentWithCover(r *core.Result, coverFn CoverFunc) *Result {
 			}
 		}
 		// Cover the detectable undetected faults with observation points.
-		lines, covered := coverFn(opSets, undet, len(r.Circuit.Nodes))
-		fe := 100 * float64(nTargets-remaining) / float64(nTargets)
-		feObs := 100 * float64(nTargets-remaining+covered) / float64(nTargets)
+		lines, covered := coverFn(opSets, pend.Undetected(), len(r.Circuit.Nodes))
+		detected := nTargets - pend.Remaining()
+		fe := 100 * float64(detected) / float64(nTargets)
+		feObs := 100 * float64(detected+covered) / float64(nTargets)
 		sub := core.Accounting(chosen)
 		res.Rows = append(res.Rows, Row{
 			Seq:   len(chosen),
@@ -230,7 +207,7 @@ func ExperimentWithCover(r *core.Result, coverFn CoverFunc) *Result {
 			FEObs: feObs,
 		})
 		res.ObsLines = append(res.ObsLines, lines)
-		if remaining == 0 {
+		if pend.Remaining() == 0 {
 			break
 		}
 	}

@@ -81,12 +81,7 @@ func TestObservationPointsActuallyDetect(t *testing.T) {
 	// checking each covered fault differs at a chosen line.
 	r := coreResultS27(t)
 	res := Experiment(r)
-	lg := 100
-	for _, dt := range r.DetTime {
-		if dt+1 > lg {
-			lg = dt + 1
-		}
-	}
+	lg := r.WindowLen()
 	detSets := core.DetectionSets(r)
 	for k, row := range res.Rows {
 		if row.FEObs < 100 {

@@ -39,7 +39,10 @@ import (
 // stored artifact changes (pipeline semantics, artifact formats), which
 // invalidates every prior entry without touching the disk.
 // v2: the key identity gained the fault model (expt.Config.FaultModel).
-const SchemaVersion = "wbist-store/v2"
+// v3: the generator and the pseudo-random windows are core's WindowLen
+// long, not L_G, which changes generator.v and result.json wherever
+// |T| > L_G.
+const SchemaVersion = "wbist-store/v3"
 
 // identity is the canonical key header: exactly the configuration fields
 // that are part of a run's identity, in a fixed JSON field order. Fields

@@ -102,13 +102,11 @@ func TestKeyIdentity(t *testing.T) {
 	}
 }
 
-// TestKeyPinned pins the key of the canonical s27 compilation to the hex
-// the store computed before expt.Config lost its Kernel and SlabLanes
-// fields. Neither was hashed, so existing artifact stores stay valid
-// without a SchemaVersion bump; a change to this literal means every
-// stored entry is orphaned, which must come with a bump instead.
+// TestKeyPinned pins the key of the canonical s27 compilation under
+// SchemaVersion wbist-store/v3. A change to this literal means every stored
+// entry is orphaned, which must come with a SchemaVersion bump.
 func TestKeyPinned(t *testing.T) {
-	const want = "3b81e4d87a62813a35444bc39c8b18d3719da646f895abe8bd499ae886d1c8c4"
+	const want = "ebfc3e6f42708c8804f7d474c9ea8183fdee43e589fa299ec73a881c766e7502"
 	k, err := Key(s27Bench(t), expt.InitFor("s27"), expt.CanonicalConfig("s27", expt.Config{}))
 	if err != nil {
 		t.Fatal(err)

@@ -278,8 +278,9 @@ type Generator struct {
 }
 
 // Synthesize builds the Figure 1 generator for the weight assignments omega
-// and window length lg: a cycle counter advances every clock and wraps every
-// lg cycles; the wrap clears all weight-FSM counters (each assignment window
+// and window length lg (core.Result.WindowLen for a pipeline's Ω, the length
+// its selection verified): a cycle counter advances every clock and wraps
+// every lg cycles; the wrap clears all weight-FSM counters (each assignment window
 // restarts every FSM, matching core.Assignment.GenSequence) and advances the
 // assignment counter whose bits steer the per-input multiplexer trees.
 func Synthesize(name string, omega []core.Assignment, lg int) (*Generator, error) {

@@ -66,7 +66,9 @@ func TestShapeClaims(t *testing.T) {
 
 // TestGeneratorMatchesSoftwareModelAcrossSuite verifies the Figure 1
 // hardware of several circuits cycle-by-cycle (the strongest end-to-end
-// check: netlist == algorithm).
+// check: netlist == algorithm), and that the windows it applies detect
+// every target. At L_G 100, s298's |T| exceeds L_G, so its windows must be
+// longer than L_G.
 func TestGeneratorMatchesSoftwareModelAcrossSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow; skipped in -short mode")
@@ -88,6 +90,23 @@ func TestGeneratorMatchesSoftwareModelAcrossSuite(t *testing.T) {
 					t.Fatalf("%s: generator diverges at t=%d input %d", name, u, i)
 				}
 			}
+		}
+		// Each g.LG-cycle window, simulated from reset, drops what it
+		// detects; together they must detect every target.
+		undetected := len(r.Targets)
+		detected := make([]bool, len(r.Targets))
+		for _, a := range r.Compacted {
+			det, _ := Simulate(r.Circuit, a.GenSequence(g.LG), r.Targets, r.Init)
+			for i, d := range det {
+				if d && !detected[i] {
+					detected[i] = true
+					undetected--
+				}
+			}
+		}
+		if undetected > 0 {
+			t.Errorf("%s: the generator's %d-cycle windows leave %d of %d targets undetected",
+				name, g.LG, undetected, len(r.Targets))
 		}
 	}
 }
