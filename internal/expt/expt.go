@@ -7,6 +7,7 @@ package expt
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -25,59 +26,95 @@ import (
 
 // Config parameterises a pipeline run. The zero value reproduces the paper's
 // setup (L_G = 2000).
+//
+// The json tags are the one place that classifies a field: a named tag makes
+// it part of a run's identity (it changes result bits), `json:"-"` makes it
+// execution policy (results are bit-identical across its values). The
+// encoding is at once the `wbist serve` job wire format, the config echo in
+// its result.json, the persistent store key (internal/store) and the
+// in-process memo key, so a new result-defining field needs a tag here and
+// nothing else.
 type Config struct {
 	// LG is the per-assignment sequence length (paper: 2000).
-	LG int
+	LG int `json:"lg,omitempty"`
 	// Seed drives the deterministic-sequence generator and fault sampling.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// ATPGRandomLen overrides the phase-1 random sequence length (0 = auto).
-	ATPGRandomLen int
+	ATPGRandomLen int `json:"atpg_random_len,omitempty"`
 	// ATPGNoCompaction disables static compaction of the deterministic
 	// sequence (used for the largest circuit, where compaction dominates
 	// runtime without changing any conclusion).
-	ATPGNoCompaction bool
+	ATPGNoCompaction bool `json:"atpg_no_compaction,omitempty"`
 	// ATPGNoPodem disables the deterministic PODEM phase of sequence
 	// generation (used for the largest circuit, where the scalar searches
 	// dominate runtime).
-	ATPGNoPodem bool
+	ATPGNoPodem bool `json:"atpg_no_podem,omitempty"`
 	// RandomWindows prepends this many pseudo-random LFSR windows to the
 	// schedule (the paper's future-work extension); faults they detect need
 	// no weight assignments.
-	RandomWindows int
-	// FaultModel names the fault model the pipeline targets: "" or
-	// "stuck-at" (the paper's model), "transition" (launch-on-capture) or
-	// "bridge" (2-node wired-AND/OR pairs); see fault.ModelByName. Unlike
-	// Workers the model CHANGES every result bit — the
-	// fault universe, the targets, the selected assignments — so it IS part
-	// of the memoization key (and of the persistent store identity behind
-	// `wbist serve`).
-	FaultModel string
+	RandomWindows int `json:"random_windows,omitempty"`
 	// NoSampleFirst, NoForceFullLength and NoMatchOrdering are the
 	// ablation switches of the weight selection, passed to the core options
 	// of the same names: they turn off the Section 4.2 sample-first effort
 	// reduction, the Section 4.1 full-length prepend and the n_m ordering of
-	// A_i. Each changes results, so each is part of the memoization key.
-	NoSampleFirst     bool
-	NoForceFullLength bool
-	NoMatchOrdering   bool
+	// A_i. Each changes results.
+	NoSampleFirst     bool `json:"no_sample_first,omitempty"`
+	NoForceFullLength bool `json:"no_force_full_length,omitempty"`
+	NoMatchOrdering   bool `json:"no_match_ordering,omitempty"`
+	// FaultModel names the fault model the pipeline targets: "" or
+	// "stuck-at" (the paper's model), "transition" (launch-on-capture) or
+	// "bridge" (2-node wired-AND/OR pairs); see fault.ModelByName. Unlike
+	// Workers the model changes every result bit — the fault universe, the
+	// targets, the selected assignments.
+	FaultModel string `json:"fault_model,omitempty"`
 	// Telemetry, when non-nil, records phase spans and hot-path counters for
-	// the run (see internal/telemetry). It is ignored by the memoization key,
-	// so runs differing only in their recorder share one computation — and a
-	// cache hit records nothing.
-	Telemetry *telemetry.Recorder
+	// the run (see internal/telemetry). Runs differing only in their
+	// recorder share one computation — and a cache hit records nothing.
+	Telemetry *telemetry.Recorder `json:"-"`
 	// Workers is the fault-simulation worker count threaded through every
 	// pipeline stage (atpg, core, obs; 0 or 1 = sequential). The simulator's
-	// deterministic merge makes results bit-identical for any value, so
-	// Workers — like Telemetry — is not part of the memoization key.
-	Workers int
+	// deterministic merge makes results bit-identical for any value.
+	Workers int `json:"-"`
 	// Ctx, if non-nil, cancels the run: it is threaded through every
 	// pipeline stage down to the fault simulator's worker pool, so a
 	// cancelled or timed-out run stops claiming fault groups and RunPipeline
-	// returns ctx.Err() promptly. Like Telemetry, Ctx is not part of the
-	// memoization key — and since errors (including cancellations) evict
-	// their memo entry, a later identical call recomputes instead of
+	// returns ctx.Err() promptly. Since errors (including cancellations)
+	// evict their memo entry, a later identical call recomputes instead of
 	// inheriting the cancellation.
-	Ctx context.Context
+	Ctx context.Context `json:"-"`
+}
+
+// Upper bounds of Validate. They sit far above every configuration the
+// paper, the examples and the benchmarks use (L_G 2000, a 4096-vector random
+// phase, 2 random windows) and keep one request from asking for a sequence
+// whose allocation would exhaust memory, which no recover can catch.
+const (
+	maxLG            = 1 << 16
+	maxATPGRandomLen = 1 << 16
+	maxRandomWindows = 1 << 6
+)
+
+// Validate reports whether the configuration can run: the fault model is
+// known and the lengths and counts are neither negative nor above fixed
+// caps. RunPipeline calls it before any work; `wbist serve` calls it to
+// answer an out-of-range submission with 400 instead of a failed job.
+func (c Config) Validate() error {
+	if _, err := fault.ModelByName(c.FaultModel); err != nil {
+		return err
+	}
+	for _, f := range []struct {
+		name     string
+		val, max int
+	}{
+		{"lg", c.LG, maxLG},
+		{"atpg_random_len", c.ATPGRandomLen, maxATPGRandomLen},
+		{"random_windows", c.RandomWindows, maxRandomWindows},
+	} {
+		if f.val < 0 || f.val > f.max {
+			return fmt.Errorf("expt: %s = %d is out of range [0, %d]", f.name, f.val, f.max)
+		}
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -86,8 +123,7 @@ func (c Config) withDefaults() Config {
 	}
 	// Canonicalise the model name so the default, an explicit "stuck-at"
 	// and an alias like "stuck" all share one memo entry and one store
-	// identity. Unknown names pass through untouched and fail in
-	// RunPipeline, where the error can be reported.
+	// identity. Unknown names pass through untouched and fail Validate.
 	if m, err := fault.ModelByName(c.FaultModel); err == nil {
 		c.FaultModel = m.Name()
 	}
@@ -145,10 +181,11 @@ func presetFor(name string, cfg Config) Config {
 	return cfg
 }
 
-// key is the memoization key.
+// key is the memoization key: the circuit name and the JSON encoding of
+// its canonical Config, which carries exactly the identity fields.
 type key struct {
 	name string
-	cfg  Config
+	cfg  string
 }
 
 // Run is the complete result of one circuit's pipeline.
@@ -226,13 +263,11 @@ func CanonicalConfig(name string, cfg Config) Config {
 // replaying a stale (possibly transient) failure forever.
 func RunCircuit(name string, cfg Config) (*Run, error) {
 	cfg = CanonicalConfig(name, cfg)
-	k := key{name: name, cfg: cfg}
-	// Neither the recorder, the worker count nor the context is part of the
-	// identity of a run: none of them changes any result bit. FaultModel, by contrast, stays in the key —
-	// each model has its own fault universe and hence its own results.
-	k.cfg.Telemetry = nil
-	k.cfg.Workers = 0
-	k.cfg.Ctx = nil
+	id, err := json.Marshal(cfg)
+	if err != nil {
+		return nil, err
+	}
+	k := key{name: name, cfg: string(id)}
 	cacheMu.Lock()
 	e, ok := cache[k]
 	if !ok {
@@ -284,10 +319,10 @@ func RunPipeline(c *circuit.Circuit, init logic.V, cfg Config) (*Run, error) {
 	if err := ctxErr(cfg.Ctx); err != nil {
 		return nil, err
 	}
-	model, err := fault.ModelByName(cfg.FaultModel)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	model, _ := fault.ModelByName(cfg.FaultModel) // Validate checked the name
 	r := &Run{Name: c.Name, Circuit: c, Config: cfg, Init: init}
 	pipe := cfg.Telemetry.StartSpan("pipeline")
 

@@ -252,3 +252,37 @@ func TestConfigWithRandomWindows(t *testing.T) {
 		t.Fatalf("generator windows are %d cycles, the procedure's %d", g.LG, r.Core.WindowLen())
 	}
 }
+
+// TestConfigJSONTags: every Config field carries an explicit json tag, so
+// each one is classified on purpose — a named tag puts it in a run's
+// identity (the serve wire format, the store key, the memo key), "-" marks
+// it as policy. A new field fails here until it is classified.
+func TestConfigJSONTags(t *testing.T) {
+	ct := reflect.TypeOf(Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		if _, ok := f.Tag.Lookup("json"); !ok {
+			t.Errorf("Config.%s has no json tag: decide whether it changes result bits", f.Name)
+		}
+	}
+}
+
+// TestConfigValidate: the caps of Validate admit every configuration the
+// repository runs and its own maxima, and RunPipeline reports an
+// out-of-range configuration as an error before any work — without the
+// check, ATPGRandomLen -1 panics in atpg with an index out of range. The
+// rejected values are enumerated by serve's TestSubmitValidation.
+func TestConfigValidate(t *testing.T) {
+	for _, ok := range []Config{
+		{},
+		{LG: 2000, ATPGRandomLen: 4096, RandomWindows: 2, FaultModel: "bridge"},
+		{LG: maxLG, ATPGRandomLen: maxATPGRandomLen, RandomWindows: maxRandomWindows},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v: %v", ok, err)
+		}
+	}
+	if _, err := RunPipeline(iscas.MustLoad("s298"), logic.Zero, Config{ATPGRandomLen: -1}); err == nil {
+		t.Error("RunPipeline accepted ATPGRandomLen -1")
+	}
+}

@@ -32,7 +32,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/expt"
-	"repro/internal/fault"
 	"repro/internal/iscas"
 	"repro/internal/logic"
 	"repro/internal/store"
@@ -90,44 +89,16 @@ type SubmitRequest struct {
 	// Empty selects the circuit's conventional value (x for the verbatim
 	// s27, 0 otherwise).
 	Init string `json:"init,omitempty"`
-	// Config carries the identity-relevant experiment options; zero values
-	// select the paper's defaults.
-	Config JobConfig `json:"config"`
+	// Config carries the experiment options in expt.Config's JSON
+	// encoding, which names exactly the identity fields; zero values select
+	// the paper's defaults. Workers, telemetry and the context are server
+	// policy and cannot be set from the wire.
+	Config expt.Config `json:"config"`
 }
 
-// JobConfig is the over-the-wire subset of expt.Config: exactly the fields
-// that are part of a run's identity (workers/kernel/telemetry are server
-// policy, not job identity).
-type JobConfig struct {
-	LG                int    `json:"lg,omitempty"`
-	Seed              uint64 `json:"seed,omitempty"`
-	ATPGRandomLen     int    `json:"atpg_random_len,omitempty"`
-	ATPGNoCompaction  bool   `json:"atpg_no_compaction,omitempty"`
-	ATPGNoPodem       bool   `json:"atpg_no_podem,omitempty"`
-	RandomWindows     int    `json:"random_windows,omitempty"`
-	NoSampleFirst     bool   `json:"no_sample_first,omitempty"`
-	NoForceFullLength bool   `json:"no_force_full_length,omitempty"`
-	NoMatchOrdering   bool   `json:"no_match_ordering,omitempty"`
-	// FaultModel selects the fault universe the pipeline targets:
-	// "stuck-at" (the default), "transition", or "bridge". Identity, not
-	// policy: jobs differing only in fault model get distinct store keys.
-	FaultModel string `json:"fault_model,omitempty"`
-}
-
-func (jc JobConfig) toConfig() expt.Config {
-	return expt.Config{
-		LG:                jc.LG,
-		Seed:              jc.Seed,
-		ATPGRandomLen:     jc.ATPGRandomLen,
-		ATPGNoCompaction:  jc.ATPGNoCompaction,
-		ATPGNoPodem:       jc.ATPGNoPodem,
-		RandomWindows:     jc.RandomWindows,
-		NoSampleFirst:     jc.NoSampleFirst,
-		NoForceFullLength: jc.NoForceFullLength,
-		NoMatchOrdering:   jc.NoMatchOrdering,
-		FaultModel:        jc.FaultModel,
-	}
-}
+// JobConfig names SubmitRequest.Config's type for clients that build
+// requests in Go; it is expt.Config itself.
+type JobConfig = expt.Config
 
 // Event is one entry of a job's progress log, delivered by polling and by
 // the JSONL stream. Type "state" marks lifecycle transitions; type "span"
@@ -366,8 +337,8 @@ func resolveSubmission(req SubmitRequest) (*circuit.Circuit, []byte, logic.V, ex
 	default:
 		return nil, nil, 0, expt.Config{}, fmt.Errorf("init must be %q or %q, got %q", "0", "x", req.Init)
 	}
-	cfg := expt.CanonicalConfig(req.Circuit, req.Config.toConfig())
-	if _, err := fault.ModelByName(cfg.FaultModel); err != nil {
+	cfg := expt.CanonicalConfig(req.Circuit, req.Config)
+	if err := cfg.Validate(); err != nil {
 		return nil, nil, 0, expt.Config{}, err
 	}
 	return c, canon.Bytes(), init, cfg, nil
@@ -406,8 +377,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// An identical live submission is the same job: return it instead of
-	// queuing a duplicate (the store's single-flight would serialize them
-	// anyway, but sharing the job also shares its progress stream).
+	// queuing a duplicate. This is the server's only per-key de-duplication:
+	// the job computes its key at most once and shares its progress stream.
 	if live, ok := s.byKey[key]; ok {
 		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, live.view())
@@ -455,9 +426,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // pipeline.
 var runPipeline = expt.RunPipeline
 
-// runJob executes one job: acquire a run slot, run the pipeline through the
-// store's single-flight, publish the terminal state. The byKey liveness
-// entry is dropped whatever the outcome.
+// runJob executes one job: acquire a run slot, run the pipeline, publish its
+// artifacts to the store and the terminal state. byKey keeps every other
+// submission of the key off the pipeline meanwhile; its entry is dropped
+// whatever the outcome.
 func (s *Server) runJob(ctx context.Context, j *job) {
 	defer s.wg.Done()
 	defer func() {
@@ -488,33 +460,38 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	}
 	j.setState(StateRunning, nil)
 
-	artifacts, hit, err := s.st.Do(j.key, func() (artifacts map[string][]byte, err error) {
-		// A panic fails this job only. Recovering here, inside compute,
-		// lets Do evict the flight and release its joiners, so later
-		// submissions of the key recompute instead of hanging.
-		defer func() {
-			if p := recover(); p != nil {
-				artifacts, err = nil, fmt.Errorf("pipeline panicked: %v", p)
-			}
-		}()
-		cfg := j.cfg
-		cfg.Ctx = ctx
-		cfg.Workers = s.opts.Workers
-		cfg.Telemetry = telemetry.New(jobSink{j})
-		r, err := runPipeline(j.circuit, j.init, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return buildArtifacts(r, j.netlist)
-	})
+	artifacts, err := s.compile(ctx, j)
+	if err == nil {
+		err = s.st.Put(j.key, artifacts)
+	}
 	switch {
 	case err == nil:
-		j.finishFromArtifacts(artifacts, hit)
+		j.finishFromArtifacts(artifacts, false)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.setState(StateCancelled, err)
 	default:
 		j.setState(StateFailed, err)
 	}
+}
+
+// compile runs the job's pipeline and renders its artifacts. A panic fails
+// this job only: nothing reaches the store, so a later submission of the
+// key recomputes.
+func (s *Server) compile(ctx context.Context, j *job) (artifacts map[string][]byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			artifacts, err = nil, fmt.Errorf("pipeline panicked: %v", p)
+		}
+	}()
+	cfg := j.cfg
+	cfg.Ctx = ctx
+	cfg.Workers = s.opts.Workers
+	cfg.Telemetry = telemetry.New(jobSink{j})
+	r, err := runPipeline(j.circuit, j.init, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return buildArtifacts(r, j.netlist)
 }
 
 func (j *job) finishFromArtifacts(artifacts map[string][]byte, cached bool) {
@@ -535,7 +512,7 @@ func (j *job) finishFromArtifacts(artifacts map[string][]byte, cached bool) {
 type Result struct {
 	Circuit   string         `json:"circuit"`
 	Init      string         `json:"init"`
-	Config    JobConfig      `json:"config"`
+	Config    expt.Config    `json:"config"`
 	Table6    expt.Table6Row `json:"table6"`
 	Generator struct {
 		Gates       int `json:"gates"`
@@ -559,19 +536,8 @@ func buildArtifacts(r *expt.Run, netlist []byte) (map[string][]byte, error) {
 	res := Result{
 		Circuit: r.Name,
 		Init:    r.Init.String(),
-		Config: JobConfig{
-			LG:                r.Config.LG,
-			Seed:              r.Config.Seed,
-			ATPGRandomLen:     r.Config.ATPGRandomLen,
-			ATPGNoCompaction:  r.Config.ATPGNoCompaction,
-			ATPGNoPodem:       r.Config.ATPGNoPodem,
-			RandomWindows:     r.Config.RandomWindows,
-			NoSampleFirst:     r.Config.NoSampleFirst,
-			NoForceFullLength: r.Config.NoForceFullLength,
-			NoMatchOrdering:   r.Config.NoMatchOrdering,
-			FaultModel:        r.Config.FaultModel,
-		},
-		Table6: expt.Table6(r),
+		Config:  r.Config,
+		Table6:  expt.Table6(r),
 	}
 	res.Generator.Gates = g.NumGates
 	res.Generator.DFFs = g.NumDFFs

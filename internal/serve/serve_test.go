@@ -239,16 +239,24 @@ func TestSubmitBodyLimit(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation: malformed submissions are 400s.
+// TestSubmitValidation: malformed submissions are 400s, out-of-range
+// configurations included — they are refused before any job exists, not
+// run under a key of their own or failed mid-pipeline.
 func TestSubmitValidation(t *testing.T) {
 	_, hs := newTestServer(t)
 	for name, req := range map[string]SubmitRequest{
-		"empty":       {},
-		"both":        {Circuit: "s27", Netlist: "INPUT(a)"},
-		"unknown":     {Circuit: "sX"},
-		"bad netlist": {Netlist: "not a bench file"},
-		"bad init":    {Circuit: "s27", Init: "q"},
-		"bad model":   {Circuit: "s27", Config: JobConfig{FaultModel: "delay"}},
+		"empty":               {},
+		"both":                {Circuit: "s27", Netlist: "INPUT(a)"},
+		"unknown":             {Circuit: "sX"},
+		"bad netlist":         {Netlist: "not a bench file"},
+		"bad init":            {Circuit: "s27", Init: "q"},
+		"bad model":           {Circuit: "s27", Config: JobConfig{FaultModel: "delay"}},
+		"negative lg":         {Circuit: "s27", Config: JobConfig{LG: -5}},
+		"huge lg":             {Circuit: "s27", Config: JobConfig{LG: 1 << 30}},
+		"negative random len": {Circuit: "s298", Config: JobConfig{ATPGRandomLen: -1}},
+		"huge random len":     {Circuit: "s298", Config: JobConfig{ATPGRandomLen: 1 << 30}},
+		"negative windows":    {Circuit: "s27", Config: JobConfig{RandomWindows: -1}},
+		"huge windows":        {Circuit: "s27", Config: JobConfig{RandomWindows: 1 << 30}},
 	} {
 		if _, code := submit(t, hs, req); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, code)
@@ -297,19 +305,27 @@ func TestSubmitFaultModel(t *testing.T) {
 }
 
 // TestDuplicateLiveSubmission: an identical submission while the first job
-// is still live returns the same job instead of queuing a duplicate.
+// is still live returns the same job (200) instead of queuing a duplicate.
+// This is the server's only per-key de-duplication, so the first job is one
+// that cannot finish in between (the long s1423 compile of TestCancelJob).
 func TestDuplicateLiveSubmission(t *testing.T) {
 	_, hs := newTestServer(t)
-	req := SubmitRequest{Circuit: "s298", Config: JobConfig{LG: 300, Seed: 5}}
-	v1, _ := submit(t, hs, req)
-	v2, code := submit(t, hs, req)
-	if v2.ID != v1.ID {
-		// Unless the first finished in between, which polling confirms.
-		if !getJob(t, hs, v1.ID).State.terminal() {
-			t.Fatalf("duplicate live submission got new job %s (status %d)", v2.ID, code)
-		}
+	req := SubmitRequest{Circuit: "s1423", Config: JobConfig{LG: 2000, Seed: 1}}
+	v1, code := submit(t, hs, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("first submission: status %d, want 202", code)
 	}
-	waitTerminal(t, hs, v1.ID)
+	v2, code := submit(t, hs, req)
+	if code != http.StatusOK || v2.ID != v1.ID {
+		t.Fatalf("duplicate live submission: job %s status %d, want job %s status 200", v2.ID, code, v1.ID)
+	}
+	creq, _ := http.NewRequest(http.MethodDelete, hs.URL+"/api/v1/jobs/"+v1.ID, nil)
+	if _, err := http.DefaultClient.Do(creq); err != nil {
+		t.Fatal(err)
+	}
+	if done := waitTerminal(t, hs, v1.ID); done.State != StateCancelled {
+		t.Fatalf("job state %s, want cancelled", done.State)
+	}
 }
 
 // TestCancelJob cancels an in-flight compilation and checks the workers
@@ -363,8 +379,8 @@ func TestCancelJob(t *testing.T) {
 
 // TestPanickingJobFails injects a pipeline that panics on its first call:
 // that job must end failed, the server must keep serving, a resubmission of
-// the same key must compute afresh (the flight was evicted, not left
-// hanging), and a job on another key must complete.
+// the same key must compute afresh (nothing was stored for the failed job),
+// and a job on another key must complete.
 func TestPanickingJobFails(t *testing.T) {
 	var calls atomic.Int64
 	runPipeline = func(c *circuit.Circuit, init logic.V, cfg expt.Config) (*expt.Run, error) {
@@ -564,7 +580,8 @@ func TestShutdownDeadlineCancels(t *testing.T) {
 
 // TestResultMatchesDirectRun: the service's result.json reports the same
 // Table 6 row as running the pipeline directly — the HTTP layer adds no
-// nondeterminism.
+// nondeterminism — and echoes the canonical config in expt.Config's JSON
+// encoding, byte for byte (identity fields only, zero values omitted).
 func TestResultMatchesDirectRun(t *testing.T) {
 	_, hs := newTestServer(t)
 	cfg := expt.Config{LG: 200, Seed: 1}
@@ -579,12 +596,26 @@ func TestResultMatchesDirectRun(t *testing.T) {
 	if done.State != StateDone {
 		t.Fatalf("job state %s (err %q)", done.State, done.Error)
 	}
+	raw := fetchArtifact(t, hs, v.ID, "result.json")
 	var res Result
-	if err := json.Unmarshal(fetchArtifact(t, hs, v.ID, "result.json"), &res); err != nil {
+	if err := json.Unmarshal(raw, &res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Table6 != want {
 		t.Errorf("served Table6 %+v != direct %+v", res.Table6, want)
+	}
+	var echo struct {
+		Config json.RawMessage `json:"config"`
+	}
+	if err := json.Unmarshal(raw, &echo); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := json.Compact(&got, echo.Config); err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"lg":200,"seed":1,"fault_model":"stuck-at"}`; got.String() != want {
+		t.Errorf("result.json config = %s, want %s", got.String(), want)
 	}
 }
 

@@ -1,20 +1,20 @@
 // Package store is a content-addressed, persistent artifact cache for
 // compiled BIST generators. A cache key is the SHA-256 of a canonical
-// description of a compilation: a versioned JSON header listing exactly the
-// expt.Config fields that influence result bits, followed by the circuit
-// netlist re-serialized into its canonical .bench form. Two submissions that
-// differ only in whitespace, gate ordering produced by the same writer, or
-// non-identity options (workers, telemetry, context) therefore map to the
-// same key, while any option that changes a result bit changes it.
+// description of a compilation: a versioned JSON header holding the schema,
+// the flip-flop init and the JSON encoding of the canonical expt.Config
+// (whose tags carry exactly the fields that influence result bits),
+// followed by the circuit netlist re-serialized into its canonical .bench
+// form. Two submissions that differ only in whitespace, gate ordering
+// produced by the same writer, or non-identity options (workers, telemetry,
+// context) therefore map to the same key, while any option that changes a
+// result bit changes it.
 //
 // Artifacts are published atomically: a compilation writes its files into a
 // temporary directory next to the final location and renames it into place,
 // so readers only ever observe complete entries, and concurrent publishers
 // of the same key are harmless (first rename wins, the loser discards).
-//
-// Do provides single-flight in-process de-duplication on top of the on-disk
-// store, with the same eviction-on-error contract as the expt memo: a failed
-// or cancelled compilation never poisons its key.
+// Nothing is stored for a failed or cancelled compilation, so it never
+// poisons its key.
 package store
 
 import (
@@ -28,7 +28,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/expt"
@@ -42,39 +41,9 @@ import (
 // v3: the generator and the pseudo-random windows are core's WindowLen
 // long, not L_G, which changes generator.v and result.json wherever
 // |T| > L_G.
-const SchemaVersion = "wbist-store/v3"
-
-// identity is the canonical key header: exactly the configuration fields
-// that are part of a run's identity, in a fixed JSON field order. Fields
-// deliberately absent — Telemetry, Workers, Ctx — do not change any result
-// bit (see expt.Config); TestIdentityCoversConfig enforces that every
-// expt.Config field is classified one way or the other.
-type identity struct {
-	Schema            string `json:"schema"`
-	Init              string `json:"init"`
-	LG                int    `json:"lg"`
-	Seed              uint64 `json:"seed"`
-	ATPGRandomLen     int    `json:"atpg_random_len"`
-	ATPGNoCompaction  bool   `json:"atpg_no_compaction"`
-	ATPGNoPodem       bool   `json:"atpg_no_podem"`
-	RandomWindows     int    `json:"random_windows"`
-	NoSampleFirst     bool   `json:"no_sample_first"`
-	NoForceFullLength bool   `json:"no_force_full_length"`
-	NoMatchOrdering   bool   `json:"no_match_ordering"`
-	FaultModel        string `json:"fault_model"`
-}
-
-// identityFields and excludedFields classify every expt.Config field. A new
-// Config field must be added to one of the two lists (and, if identity, to
-// the identity struct and Key), which TestIdentityCoversConfig enforces.
-var (
-	identityFields = []string{
-		"LG", "Seed", "ATPGRandomLen", "ATPGNoCompaction", "ATPGNoPodem",
-		"RandomWindows", "NoSampleFirst", "NoForceFullLength", "NoMatchOrdering",
-		"FaultModel",
-	}
-	excludedFields = []string{"Telemetry", "Workers", "Ctx"}
-)
+// v4: the header embeds expt.Config's own JSON encoding, which omits zero
+// fields (no stored artifact changed meaning, but every key moved).
+const SchemaVersion = "wbist-store/v4"
 
 // Key computes the content address of a compilation: cfg must already be in
 // canonical form (expt.CanonicalConfig), netlist is the raw .bench source.
@@ -89,20 +58,11 @@ func Key(netlist []byte, init logic.V, cfg expt.Config) (string, error) {
 	if err := bench.Write(&canon, c); err != nil {
 		return "", fmt.Errorf("store: re-serializing netlist: %w", err)
 	}
-	hdr, err := json.Marshal(identity{
-		Schema:            SchemaVersion,
-		Init:              init.String(),
-		LG:                cfg.LG,
-		Seed:              cfg.Seed,
-		ATPGRandomLen:     cfg.ATPGRandomLen,
-		ATPGNoCompaction:  cfg.ATPGNoCompaction,
-		ATPGNoPodem:       cfg.ATPGNoPodem,
-		RandomWindows:     cfg.RandomWindows,
-		NoSampleFirst:     cfg.NoSampleFirst,
-		NoForceFullLength: cfg.NoForceFullLength,
-		NoMatchOrdering:   cfg.NoMatchOrdering,
-		FaultModel:        cfg.FaultModel,
-	})
+	hdr, err := json.Marshal(struct {
+		Schema string      `json:"schema"`
+		Init   string      `json:"init"`
+		Config expt.Config `json:"config"`
+	}{SchemaVersion, init.String(), cfg})
 	if err != nil {
 		return "", err
 	}
@@ -113,21 +73,12 @@ func Key(netlist []byte, init logic.V, cfg expt.Config) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// flight is one in-process single-flight computation for a key.
-type flight struct {
-	done chan struct{}
-	err  error
-}
-
 // Store is a content-addressed artifact cache rooted at a directory.
 // Entries live at dir/<key[:2]>/<key>/<artifact files>; the two-character
 // fan-out keeps any single directory small. All methods are safe for
 // concurrent use.
 type Store struct {
 	dir string
-
-	mu      sync.Mutex
-	flights map[string]*flight
 }
 
 // Open creates (if needed) and opens a store rooted at dir.
@@ -135,7 +86,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &Store{dir: dir, flights: make(map[string]*flight)}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's root directory.
@@ -289,57 +240,4 @@ func (s *Store) List() ([]string, error) {
 	}
 	sort.Strings(keys)
 	return keys, nil
-}
-
-// Do returns the artifacts for key, computing and publishing them at most
-// once per key across concurrent callers. hit reports whether the result
-// came from the store (disk or a concurrent flight) rather than this
-// caller's compute. Like the expt memo, a failed flight is evicted before
-// its joiners are released, so a transient error — including a cancelled
-// context inside compute — never poisons the key.
-func (s *Store) Do(key string, compute func() (map[string][]byte, error)) (artifacts map[string][]byte, hit bool, err error) {
-	if err := validKey(key); err != nil {
-		return nil, false, err
-	}
-	for {
-		if got, ok, err := s.Get(key); err != nil {
-			return nil, false, err
-		} else if ok {
-			return got, true, nil
-		}
-		s.mu.Lock()
-		if f, ok := s.flights[key]; ok {
-			s.mu.Unlock()
-			<-f.done
-			if f.err != nil {
-				return nil, false, f.err
-			}
-			// The flight published to disk; loop to read it back so every
-			// caller observes the same on-disk bytes.
-			continue
-		}
-		if s.Has(key) {
-			// A flight finished between the Get above and the lock: its
-			// entry reached disk before it left s.flights.
-			s.mu.Unlock()
-			continue
-		}
-		f := &flight{done: make(chan struct{})}
-		s.flights[key] = f
-		s.mu.Unlock()
-
-		artifacts, err := compute()
-		if err == nil {
-			err = s.Put(key, artifacts)
-		}
-		f.err = err
-		s.mu.Lock()
-		delete(s.flights, key) // evict: success is on disk, failure must retry
-		s.mu.Unlock()
-		close(f.done)
-		if err != nil {
-			return nil, false, err
-		}
-		return artifacts, false, nil
-	}
 }

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of `wbist serve` (the CI serve-smoke job and
-# `make serve-smoke`): start the service, submit s27, poll the job to
-# completion, fetch an artifact, resubmit and demand a cache hit with
-# byte-identical artifacts, then SIGTERM the server and demand a clean,
-# prompt exit. Needs curl and a go toolchain; everything runs on a random
-# free port against a throwaway store directory.
+# `make serve-smoke`): start the service, demand HTTP 400 for an
+# out-of-range config, submit s27, poll the job to completion, fetch an
+# artifact, resubmit and demand a cache hit with byte-identical artifacts,
+# then SIGTERM the server and demand a clean, prompt exit. Needs curl and
+# a go toolchain; everything runs on a random free port against a
+# throwaway store directory.
 set -euo pipefail
 
 workdir="$(mktemp -d)"
@@ -52,6 +53,11 @@ submit() {
 json_field() { # json_field <json> <key> -> bare string value
     printf '%s' "$1" | sed -n "s/.*\"$2\": *\"\([^\"]*\)\".*/\1/p" | head -1
 }
+
+echo "serve_smoke: submitting an out-of-range config (expect 400)"
+code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$addr/api/v1/jobs" \
+    -d '{"circuit":"s27","config":{"lg":-1}}')"
+[[ "$code" == 400 ]] || fail "config lg -1 got HTTP $code, want 400"
 
 echo "serve_smoke: submitting s27"
 resp="$(submit)" || fail "submission rejected"

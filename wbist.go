@@ -375,8 +375,9 @@ func ReferenceSimulate(c *Circuit, seq *Sequence, faults []Fault, init Value) (d
 }
 
 // ArtifactStore is a content-addressed, persistent cache of compiled BIST
-// artifacts, keyed by canonical netlist bytes plus the identity-relevant
-// configuration fields (see internal/store).
+// artifacts, keyed by canonical netlist bytes plus the JSON encoding of the
+// canonical Config, whose json tags name its identity fields (see
+// internal/store).
 type ArtifactStore = store.Store
 
 // OpenStore creates (if needed) and opens an artifact store rooted at dir.
