@@ -162,9 +162,10 @@ const (
 	KernelDense
 	// KernelSlab is the multi-group slab kernel: up to Options.SlabLanes
 	// fault groups are simulated per pass, with per-gate state held in a
-	// contiguous gate-major slab so one levelized walk advances lanes×64
-	// machines per gate visit (see slab.go). It injects every fault model
-	// natively and is bit-identical to dense by construction.
+	// contiguous row-major slab so one levelized walk advances lanes×64
+	// machines per gate visit, and the live faults of a batch are repacked
+	// into fewer lanes as they thin out (see slab.go). It injects every
+	// fault model natively and is bit-identical to dense by construction.
 	KernelSlab
 )
 
@@ -321,9 +322,12 @@ type Simulator struct {
 	// primary output (see detectableNodes). It is immutable and shared, like
 	// the flattened netlist, by every pooled worker.
 	detectable []bool
-	// slab is the slab kernel's scratch arena (multi-group value/state
-	// slabs, sparse injection tables, per-lane bookkeeping), allocated on
-	// first use and reused across batches and runs.
+	// lay is the slab kernel's walk-order row layout, immutable and shared
+	// like the flattened netlist. slab is the slab kernel's scratch arena
+	// (multi-group value/state slabs, sparse injection tables, per-lane and
+	// per-group bookkeeping), allocated on first use and reused across
+	// batches and runs.
+	lay  *slabLayout
 	slab *slabState
 
 	// worker is this simulator's index in a parallel run's worker pool or
@@ -362,6 +366,7 @@ func New(c *circuit.Circuit) *Simulator {
 		s.faninList = append(s.faninList, n.Fanins...)
 	}
 	s.detectable = detectableNodes(c)
+	s.lay = newSlabLayout(c)
 	return s
 }
 
@@ -420,6 +425,7 @@ func (s *Simulator) sibling() *Simulator {
 	w.faninStart = s.faninStart
 	w.faninList = s.faninList
 	w.detectable = s.detectable
+	w.lay = s.lay
 	return w
 }
 
@@ -475,16 +481,16 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 		s.flush(&counterBatch{cancelled: int64(numGroups)})
 		return out
 	}
-	// pass simulates the nl groups from g0 in one pass of a w-lane batch:
-	// the dense kernel's batch is always one group, the slab kernel's up to
-	// w groups, one per lane.
-	pass := func(ws *Simulator, g0, nl, w int, tb *counterBatch) int {
+	// pass simulates the nl groups from g0 in one pass: the dense kernel's
+	// batch is always one group, the slab kernel's up to slabWidth groups,
+	// one per lane.
+	pass := func(ws *Simulator, g0, nl int, tb *counterBatch) int {
 		lo := g0 * GroupSize
 		return ws.runGroupDense(seq, faults, lo, min(lo+GroupSize, len(faults)), stop, opts, out, tb)
 	}
 	if opts.Kernel == KernelSlab {
-		pass = func(ws *Simulator, g0, nl, w int, tb *counterBatch) int {
-			return ws.runSlabBatch(seq, faults, g0, nl, w, stop, opts, out, tb)
+		pass = func(ws *Simulator, g0, nl int, tb *counterBatch) int {
+			return ws.runSlabBatch(seq, faults, g0, nl, stop, opts, out, tb)
 		}
 	}
 
@@ -494,7 +500,7 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 		// plus sample) always runs alone, in a one-lane pass before any
 		// fan-out, so the abort decision is the same for every kernel.
 		var tb counterBatch
-		out.NumDetected = pass(s, 0, 1, 1, &tb)
+		out.NumDetected = pass(s, 0, 1, &tb)
 		s.flush(&tb)
 		if out.NumDetected == 0 {
 			// Only a run that actually skipped groups counts as aborted;
@@ -512,7 +518,7 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 	numBatches := (rem + w - 1) / w
 	batch := func(ws *Simulator, b int, tb *counterBatch) int {
 		g0 := first + b*w
-		return pass(ws, g0, min(w, numGroups-g0), w, tb)
+		return pass(ws, g0, min(w, numGroups-g0), tb)
 	}
 
 	workers := min(opts.Workers, numBatches)
@@ -760,7 +766,7 @@ func ctxDone(ctx context.Context) bool {
 type counterBatch struct {
 	gateEvals, vectors, passes, dropped int64
 	cancelled, slabPasses, lanesIdle    int64
-	repeatExits                         int64
+	repeatExits, laneCycles             int64
 }
 
 // add accumulates o into b.
@@ -773,6 +779,7 @@ func (b *counterBatch) add(o *counterBatch) {
 	b.slabPasses += o.slabPasses
 	b.lanesIdle += o.lanesIdle
 	b.repeatExits += o.repeatExits
+	b.laneCycles += o.laneCycles
 }
 
 // flush hands a sequential run's counter batch to telemetry or, on a
@@ -798,6 +805,7 @@ func (b *counterBatch) flush() {
 	telemetry.Add(telemetry.CtrSlabPasses, b.slabPasses)
 	telemetry.Add(telemetry.CtrSlabLanesIdle, b.lanesIdle)
 	telemetry.Add(telemetry.CtrRepeatExits, b.repeatExits)
+	telemetry.Add(telemetry.CtrSlabLaneCycles, b.laneCycles)
 	*b = counterBatch{}
 }
 

@@ -9,14 +9,15 @@ import (
 	"repro/internal/sim"
 )
 
-// repeatWatch implements the repeat exit of one fault-group pass (one slab
-// lane). Every slot of a group is an independent deterministic machine, so
-// once the fault-free machine and every live faulty machine are back in the
-// state they had at an earlier time unit c, and the input vectors from the
-// current time unit u on repeat those from c on, the rest of the pass
-// replays [c, u) over and over. A live fault was not detected in [c, u), so
-// it is never detected later either, and the pass can stop at the top of u
-// with every detection already recorded.
+// repeatWatch implements the repeat exit of one dense fault-group pass; the
+// slab kernel evaluates the same rule per group against one checkpoint of
+// its whole slab (slabRepeatExits). Every slot of a group is an independent
+// deterministic machine, so once the fault-free machine and every live
+// faulty machine are back in the state they had at an earlier time unit c,
+// and the input vectors from the current time unit u on repeat those from
+// c on, the rest of the pass replays [c, u) over and over. A live fault was
+// not detected in [c, u), so it is never detected later either, and the
+// pass can stop at the top of u with every detection already recorded.
 //
 // The checkpoint c follows Brent's schedule: it moves to u whenever u-c
 // reaches a power of two, so a repetition with any lead-in and any period is

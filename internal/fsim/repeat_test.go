@@ -262,3 +262,86 @@ func checkKernelWork(t *testing.T, name string, c *circuit.Circuit, seq *sim.Seq
 		}
 	}
 }
+
+// TestPackedLanesPerModel pins live-fault packing under every fault model
+// at Workers=2, where the automatic width splits each fault universe into
+// at least two batches: once detections thin the lanes out, the slab kernel
+// repacks the live faults into fewer lanes. Two cases run per model:
+//   - a periodic weighted sequence over the whole universe, chosen per
+//     model so that some group takes its repeat exit against a checkpoint
+//     taken before a repack moved its faults: a repack that left the
+//     checkpoint's flip-flop or launch-history words behind moves that
+//     group's exit point and with it fsim.vectors;
+//   - the second half of a random sequence on s344 continued from the
+//     first half's saved states (InitialStates, TimeOffset), so the
+//     continued flip-flop words and launch histories are what the repack
+//     moves.
+//
+// In both, the slab outcome must equal dense's and so must every
+// dense-equivalent counter (checkKernelWork's), while fsim.slab_lane_cycles
+// must fall below dense's lane-cycles, its vector count: the test fails if
+// packing never fires.
+func TestPackedLanesPerModel(t *testing.T) {
+	periodic := map[string]struct {
+		circuit string
+		seed    uint64
+	}{"stuck-at": {"s386", 3}, "transition": {"s820", 1}, "bridge": {"s820", 7}}
+	s344 := iscas.MustLoad("s344")
+	random := sim.RandomSequence(randutil.New(8), s344.NumInputs(), 160)
+	half := random.Len() / 2
+	for _, model := range fault.ModelNames() {
+		p := periodic[model]
+		c := iscas.MustLoad(p.circuit)
+		seq := periodicSequence(randutil.New(p.seed), c.NumInputs(), 200)
+		checkPacked(t, model+"/periodic", c, seq, modelUniverse(t, c, model), fsim.Options{}, true)
+
+		universe := modelUniverse(t, s344, model)
+		pre := fsim.Run(s344, random.Slice(0, half), universe, fsim.Options{Init: logic.Zero, Kernel: fsim.KernelDense, SaveStates: true})
+		cont := fsim.Options{InitialStates: pre.FinalStates, TimeOffset: half}
+		checkPacked(t, model+"/continued", s344, random.Slice(half, random.Len()), universe, cont, false)
+	}
+}
+
+// checkPacked runs seq on both kernels under opts at Workers=2 and requires equal
+// outcomes and dense-equivalent counters, at least two slab batches, a
+// repeat exit when repeat is set, and fewer slab lane-cycles than dense
+// vectors.
+func checkPacked(t *testing.T, name string, c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts fsim.Options, repeat bool) {
+	t.Helper()
+	type work struct{ vectors, passes, dropped, repeats, evals int64 }
+	var want *fsim.Outcome
+	var dense work
+	for _, kernel := range allKernels {
+		opts := opts
+		opts.Init, opts.Kernel, opts.Workers = logic.Zero, kernel, 2
+		before := telemetry.Counters()
+		got := fsim.Run(c, seq, faults, opts)
+		d := telemetry.Counters().Sub(before)
+		w := work{
+			vectors: d.Get(telemetry.CtrVectors),
+			passes:  d.Get(telemetry.CtrGroupPasses),
+			dropped: d.Get(telemetry.CtrFaultsDropped),
+			repeats: d.Get(telemetry.CtrRepeatExits),
+			evals:   d.Get(telemetry.CtrGateEvals),
+		}
+		if kernel == fsim.KernelDense {
+			want, dense = got, w
+			if repeat && w.repeats == 0 {
+				t.Errorf("%s: no repeat exit fired", name)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: slab outcome differs from dense", name)
+		}
+		if w != dense {
+			t.Errorf("%s: slab counters %+v, dense %+v", name, w, dense)
+		}
+		if n := d.Get(telemetry.CtrSlabPasses); n < 2 {
+			t.Errorf("%s: %d slab batches, want at least 2", name, n)
+		}
+		if lc := d.Get(telemetry.CtrSlabLaneCycles); lc >= dense.vectors {
+			t.Errorf("%s: slab walked %d lane-cycles, dense %d: no live-fault packing", name, lc, dense.vectors)
+		}
+	}
+}

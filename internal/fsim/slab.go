@@ -1,7 +1,9 @@
 package fsim
 
 import (
+	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/fault"
@@ -11,19 +13,28 @@ import (
 )
 
 // The slab kernel simulates W fault groups per pass. Per-node state is a
-// contiguous gate-major slab of W dual-rail words — vals[int(id)*W + lane] —
-// so one levelized walk advances W×64 machines per gate visit: the W words
-// of a gate and of its fanins are adjacent, and the per-gate dispatch (type,
-// fanin count, injection check) is paid once for all W lanes. Detection
-// scans are word-parallel diffs (slabDiff) over the W lane words of each
-// primary output.
+// contiguous row-major slab of W dual-rail words — vals[row*W + lane] — so
+// one levelized walk advances W×64 machines per gate visit: the W words of a
+// gate and of its fanins are adjacent, and the dispatch (type, fanin count)
+// is paid once per run of gates for all W lanes. Detection scans are
+// word-parallel diffs (slabDiff) over the W lane words of each primary
+// output.
 //
-// Fault injection is sparse. A per-node mark byte says which kinds of fault
+// Rows are numbered in walk order (slabLayout): primary inputs, then
+// flip-flops, then the gates level by level, each level split into runs of
+// one (fanin count, type). Output stores land on consecutive rows, the
+// flip-flop rows load with one copy of the state slab, fanin rows are
+// precomputed, and the inner loop of a run has no per-gate switch. Gates of
+// one level never read each other, so any order within a level computes
+// the same words.
+//
+// Fault injection is sparse. A per-row mark byte says which kinds of fault
 // site a node carries in the current batch, and per-kind indexes point into
-// compact tables holding one entry per (site node, lane): the uninjected
-// common path pays one byte load per gate, and the arena holds values and
-// state, not nodes×lanes injection masks. Every model is injected
-// word-parallel within a lane:
+// compact tables holding one entry per (site node, lane). The marked rows
+// are kept sorted and visited on a side path after their run, so the walk
+// over unmarked gates never looks at injection state, and the arena holds
+// values and state, not nodes×lanes injection masks. Every model is
+// injected word-parallel within a lane:
 //
 //   - stuck-at: the stem masks force their slots (ForceMask), pin forces
 //     re-evaluate only the owning lanes of a gate;
@@ -38,15 +49,30 @@ import (
 //     replay walk forces that word at both stems over the pair's slot mask
 //     while replaying, not re-deciding, the transition forces.
 //
-// Bit-identity with the dense kernel holds by construction: lanes never
-// interact (each lane carries its own fault-free machine in slot 0 and its
-// own injection tables), every lane's gate evaluation is exactly the dense
-// kernel's evaluation over that lane's words, and per-lane bookkeeping
-// (activeMask draining, early-exit cycle counts, trace emission order,
-// telemetry totals) mirrors the dense per-group bookkeeping. A lane whose
-// group is fully detected or reaches a repeat exit stops counting (laneUnits
-// freezes, matching the dense early exits) but keeps being evaluated until
-// the whole batch is done; those wasted lane-cycles are counted on
+// Bit-identity with the dense kernel holds by construction: slots never
+// interact (each lane carries the fault-free machine in slot 0 and its own
+// injection tables), every slot's gate evaluation is exactly the dense
+// kernel's evaluation of that machine, and the bookkeeping of each fault
+// group (undetected mask, early exits, trace emission order, telemetry) is
+// the dense pass's, kept per group rather than per lane.
+//
+// Live-fault packing. A batch starts with group g0+l in lane l. Where the
+// early exits apply (earlyExitEligible), a group stops counting at its dense
+// exit point: once all its faults are detected, or at the repeat exit,
+// which is evaluated on the group's own machines wherever they sit. Its
+// lane words then carry nothing live, and detected faults leave holes in
+// every lane. Once the live faults (undetected, detectable, of unfinished
+// groups) fit in fewer lanes and the walks the move saves outweigh its cost
+// (maybeRepack), repack moves them in fault order into the first lanes of a
+// narrower slab: each fault's flip-flop bits, launch history and repeat
+// checkpoint move with it, the fault-free slot 0 is shared (lanes merge
+// only when their slot-0 states agree now and at the checkpoint), and the
+// injection tables are rebuilt for the new layout. On grade-session's
+// seed-1 s5378 session (the kernel benchmark's session/s5378 cases) the
+// stuck-at, transition and bridge universes walk 25,379, 15,309 and 3,266
+// lane-cycles packed, against 50,114, 25,627 and 9,513 dense-equivalent
+// ones. Lane-cycles walked are counted on fsim.slab_lane_cycles, walked
+// lane-cycles that held no machine of an unfinished group on
 // fsim.slab_lanes_idle.
 
 // maxSlabLanes caps the lane width, explicit or automatic: 16 lanes × 64
@@ -54,13 +80,15 @@ import (
 // uint32 lane sets.
 const maxSlabLanes = 16
 
-// slabAutoLanes is the automatic lane width. The win of a wide batch is
-// that each gate visit's dispatch is shared by W words, not that the slab
-// fits a cache: on the seed-1 grade-session inputs (Workers=2, shared
-// 2-vCPU host), W = 1/2/4/8/16 took 2.17/1.18/0.73/0.61/0.72 s on the
-// s35932 (17,828 nodes) stuck-at faults and 1.45/0.89/0.64/0.52/0.53 s on
-// s5378's. 8 was the best width, or within noise of it, for both circuits
-// under all three fault models.
+// slabAutoLanes is the automatic lane width. A wide batch shares each gate
+// visit's dispatch among W words, and packing narrows it again as its
+// faults are detected. On the kernel benchmark's grade-session cases
+// (BenchmarkKernelSlabLanes, Workers=1, shared 2-vCPU host, go1.24, the
+// fastest of three runs) W = 1/2/4/8/16 took 1.63/0.92/0.86/0.69/0.55 s on
+// s5378's stuck-at universe and 1.31/1.21/1.31/1.31/1.05 s on s35932's,
+// whose 17,828-node slab outgrows the caches as W grows. In two more
+// rounds of W=8 against W=16 on all six session cases, 8 was faster in 9
+// of 12, and 16 doubles the slab's memory, so the width stays 8.
 const slabAutoLanes = 8
 
 // slabWidth reports the lane width W the slab kernel uses for a run with
@@ -84,7 +112,103 @@ func slabWidth(opts Options, groups int) int {
 	return max(1, min(w, maxSlabLanes, groups))
 }
 
-// Site kinds of the per-node mark byte.
+// slabLayout is the slab kernel's row order of one netlist, built once in
+// New and shared, like the flattened netlist, by every sibling simulator.
+type slabLayout struct {
+	row   []int32          // row[id]: the slab row of node id
+	node  []circuit.NodeID // node[r]: the node at row r
+	gate0 int32            // first gate row: the inputs and flip-flops come first
+	runs  []slabRun
+	fanin []int32 // fanin rows of every gate, gate by gate in row order
+	po    []int32 // rows of the primary outputs, in output order
+	d     []int32 // d[k]: row of flip-flop k's D input
+}
+
+// slabRun is a run of gates of one level, type and fanin count on rows
+// [lo, hi); the fanins of row r are fanin[f0+(r-lo)*nfan:][:nfan], and inv
+// says the type inverts (Not, Nand, Nor, Xnor).
+type slabRun struct {
+	typ        circuit.GateType
+	inv        bool
+	nfan       int32
+	lo, hi, f0 int32
+}
+
+// newSlabLayout numbers the rows of c in walk order in O(nodes + levels ×
+// classes), each level's gates grouped into runs of one class.
+func newSlabLayout(c *circuit.Circuit) *slabLayout {
+	n := len(c.Nodes)
+	lay := &slabLayout{row: make([]int32, n), node: make([]circuit.NodeID, 0, n)}
+	lay.node = append(lay.node, c.Inputs...)
+	lay.node = append(lay.node, c.DFFs...)
+	lay.gate0 = int32(len(lay.node))
+
+	// One stable counting sort of the topological gate order by (level,
+	// class), the classes being the (fanin count, type) pairs numbered in
+	// order of first appearance.
+	type class struct {
+		nfan int
+		typ  circuit.GateType
+	}
+	ids := map[class]int{}
+	nfanin := 0
+	for _, id := range c.Order {
+		nd := &c.Nodes[id]
+		nfanin += len(nd.Fanins)
+		if key := (class{len(nd.Fanins), nd.Type}); ids[key] == 0 {
+			ids[key] = len(ids) + 1
+		}
+	}
+	nc := len(ids)
+	bucket := func(id circuit.NodeID) int {
+		nd := &c.Nodes[id]
+		return int(nd.Level)*nc + ids[class{len(nd.Fanins), nd.Type}] - 1
+	}
+	start := make([]int32, (int(c.MaxLevel())+1)*nc+1)
+	for _, id := range c.Order {
+		start[bucket(id)+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	if int(lay.gate0)+len(c.Order) != n {
+		panic(fmt.Sprintf("fsim: circuit %s has %d nodes, but %d inputs, flip-flops and gates", c.Name, n, int(lay.gate0)+len(c.Order)))
+	}
+	lay.node = lay.node[:n]
+	for _, id := range c.Order {
+		b := bucket(id)
+		lay.node[lay.gate0+start[b]] = id
+		start[b]++
+	}
+	for r, id := range lay.node {
+		lay.row[id] = int32(r)
+	}
+	lay.fanin = make([]int32, 0, nfanin)
+	for r := int(lay.gate0); r < n; r++ {
+		nd := &c.Nodes[lay.node[r]]
+		nf := int32(len(nd.Fanins))
+		if m := len(lay.runs); m == 0 || lay.runs[m-1].typ != nd.Type || lay.runs[m-1].nfan != nf ||
+			c.Nodes[lay.node[lay.runs[m-1].lo]].Level != nd.Level {
+			inv := nd.Type == circuit.Not || nd.Type == circuit.Nand || nd.Type == circuit.Nor || nd.Type == circuit.Xnor
+			lay.runs = append(lay.runs, slabRun{typ: nd.Type, inv: inv, nfan: nf, lo: int32(r), f0: int32(len(lay.fanin))})
+		}
+		lay.runs[len(lay.runs)-1].hi = int32(r + 1)
+		for _, f := range nd.Fanins {
+			lay.fanin = append(lay.fanin, lay.row[f])
+		}
+	}
+	lay.po = make([]int32, len(c.Outputs))
+	for i, id := range c.Outputs {
+		lay.po[i] = lay.row[id]
+	}
+	lay.d = make([]int32, len(c.DFFs))
+	for k, id := range c.DFFs {
+		lay.d[k] = lay.row[c.Nodes[id].Fanins[0]]
+	}
+	return lay
+}
+
+// Site kinds of the per-row mark byte.
 const (
 	markStem uint8 = 1 << iota
 	markPin
@@ -96,7 +220,7 @@ const (
 type slabStem struct{ m0, m1 uint64 }
 
 // slabPinForce is one pin-fault force of a slab batch: lane selects the
-// fault group, mask/bit the slot force within that lane's word.
+// lane, mask/bit the slot force within that lane's word.
 type slabPinForce struct {
 	lane int32
 	pin  int32
@@ -118,33 +242,58 @@ type slabBridgeNode struct {
 	val  logic.W
 }
 
-// slabPair is one bridged pair (a, b) in one lane: the wired-AND and
-// wired-OR slots of that pair and its stems' bridge entries.
+// slabPair is one bridged pair of stem rows (a, b) in one lane: the
+// wired-AND and wired-OR slots of that pair and its stems' bridge entries.
 type slabPair struct {
-	a, b    circuit.NodeID
+	a, b    int32
 	lane    int32
 	ka, kb  int32
 	and, or uint64
 }
 
+// slabSeg is the part of a fault group that sits in one lane: the lane and
+// the slots of that lane holding the group's faults. A group occupies one
+// lane until the first repack and at most two after it (63 faults in fault
+// order span at most two lanes); the first segment's lane is also the one
+// whose slot 0 the group's repeat exit watches.
+type slabSeg struct {
+	lane int
+	own  uint64
+}
+
+// slabMove moves the slots mask of lane src, shifted by shift, into lane dst
+// of a repacked slab.
+type slabMove struct {
+	src, dst, shift int
+	mask            uint64
+}
+
+// slabHistMove carries one transition fault's launch history, now and at
+// the checkpoint, across a repack to slot slot of lane lane.
+type slabHistMove struct {
+	fi, lane, slot int
+	cur, ck        logic.V
+}
+
 // slabState is the arena of the slab kernel: every scratch buffer a batch
-// needs, owned by one Simulator, grown on demand and reused across batches
-// and runs so steady-state slab passes allocate nothing. Values and state
-// are gate-major with stride `lanes`; a tail batch with fewer active groups
-// than the stride leaves the upper lanes unused.
+// needs, owned by one Simulator, grown on demand and reused across batches,
+// repacks and runs so steady-state slab passes allocate nothing. Values,
+// state and injection tables are row-major with stride lanes, the number of
+// lanes the walk evaluates.
 type slabState struct {
 	lanes int // stride W
+	g0    int // first fault group of the batch
 
-	vals  []logic.W // len(nodes)*lanes: vals[int(id)*lanes+l]
+	vals  []logic.W // rows*lanes: vals[r*lanes+l]
 	state []logic.W // len(DFFs)*lanes: state[k*lanes+l]
 
-	// mark[id] holds the site kinds at node id; for each kind set, the
-	// kind's index at id is the node's entry k in that kind's tables, whose
+	// mark[r] holds the site kinds at row r; for each kind set, the kind's
+	// index at r is the node's entry k in that kind's tables, whose
 	// (node, lane) rows live at k*lanes+l. The index of a kind not marked
-	// at id is stale and never read. marked lists the marked nodes, for
-	// targeted clearing.
+	// at r is stale and never read. marked lists the marked rows in
+	// ascending order.
 	mark   []uint8
-	marked []circuit.NodeID
+	marked []int32
 
 	stemIdx   []int32
 	stemLanes []uint32 // per entry: lanes with a mask (only those are forced)
@@ -164,22 +313,37 @@ type slabState struct {
 	bridges     []slabBridgeNode
 	pairs       []slabPair
 
-	// per-lane batch bookkeeping
-	laneLo     []int // fault range [laneLo, laneHi) of each lane's group
-	laneHi     []int
-	activeMask []uint64 // undetected slots per lane
-	laneUnits  []int    // dense-equivalent simulated vector count per lane
-	laneDone   []bool   // lane reached its dense early-exit point
-	watched    []uint64 // slots each lane's repeat exit watches
-	watch      []repeatWatch
-	tgs        []*obsv.GroupTrace
+	// The repeat exit's checkpoint (see repeatWatch): the time unit at, the
+	// Brent span, and the flip-flop and launch-history words of every slot
+	// at that time unit, in the layout of state and transPrev.
+	ckAt, ckSpan int
+	ck, ckPrev   []logic.W
+
+	// per-lane layout
+	faultAt    []int32  // faultAt[l*64+slot]: the fault in that slot, -1 if none
+	activeMask []uint64 // undetected slots of unfinished groups per lane
+	watched    []uint64 // slots per lane whose faults can be detected at all
+
+	// per fault group j of the batch (group g0+j)
+	gActive []uint64 // undetected faults, slot k-lo+1 for fault k (dense's mask)
+	gUnits  []int    // dense-equivalent simulated vector count
+	gDone   []bool   // the group reached its dense early-exit point
+	seg     []slabSeg
+	tgs     []*obsv.GroupTrace
+
+	// repack scratch; mixed records that this batch's lanes were found
+	// running different fault-free machines, which rules out merging them.
+	faultSpare []int32
+	moves      []slabMove
+	histMoves  []slabHistMove
+	mixed      bool
 }
 
-// slabFor returns the simulator's slab arena set to stride lanes. The
-// buffers keep their capacity across strides, so a run whose width follows
-// its group count re-allocates only when it grows past the widest earlier
-// batch; every value a walk reads it has written first.
-func (s *Simulator) slabFor(lanes int) *slabState {
+// slabFor returns the simulator's slab arena set up for a batch of nl
+// groups in nl lanes. The buffers keep their capacity across batches, so a
+// run re-allocates only when a batch grows past the widest earlier one;
+// every value a walk reads it has written first.
+func (s *Simulator) slabFor(nl int) *slabState {
 	sl := s.slab
 	if sl == nil {
 		n := len(s.c.Nodes)
@@ -192,19 +356,17 @@ func (s *Simulator) slabFor(lanes int) *slabState {
 		}
 		s.slab = sl
 	}
-	if sl.lanes != lanes {
-		sl.lanes = lanes
-		sl.vals = resize(sl.vals, len(s.c.Nodes)*lanes)
-		sl.state = resize(sl.state, len(s.c.DFFs)*lanes)
-		sl.laneLo = resize(sl.laneLo, lanes)
-		sl.laneHi = resize(sl.laneHi, lanes)
-		sl.activeMask = resize(sl.activeMask, lanes)
-		sl.laneUnits = resize(sl.laneUnits, lanes)
-		sl.laneDone = resize(sl.laneDone, lanes)
-		sl.watched = resize(sl.watched, lanes)
-		sl.watch = resize(sl.watch, lanes)
-		sl.tgs = resize(sl.tgs, lanes)
-	}
+	sl.lanes = nl
+	sl.vals = resize(sl.vals, len(s.c.Nodes)*nl)
+	sl.state = resize(sl.state, len(s.c.DFFs)*nl)
+	sl.faultAt = resize(sl.faultAt, nl*64)
+	sl.activeMask = resize(sl.activeMask, nl)
+	sl.watched = resize(sl.watched, nl)
+	sl.gActive = resize(sl.gActive, nl)
+	sl.gUnits = resize(sl.gUnits, nl)
+	sl.gDone = resize(sl.gDone, nl)
+	sl.seg = resize(sl.seg, 2*nl)
+	sl.tgs = resize(sl.tgs, nl)
 	return sl
 }
 
@@ -217,39 +379,42 @@ func resize[T any](b []T, n int) []T {
 	return make([]T, n)
 }
 
-// entry returns node id's entry in the table of kind, appending a fresh one
-// (index n, the table's current entry count) when the node does not carry
+// entry returns row r's entry in the table of kind, appending a fresh one
+// (index n, the table's current entry count) when the row does not carry
 // that kind yet; fresh reports the append.
-func (sl *slabState) entry(id circuit.NodeID, kind uint8, idx []int32, n int) (k int, fresh bool) {
-	if sl.mark[id]&kind != 0 {
-		return int(idx[id]), false
+func (sl *slabState) entry(r int32, kind uint8, idx []int32, n int) (k int, fresh bool) {
+	if sl.mark[r]&kind != 0 {
+		return int(idx[r]), false
 	}
-	if sl.mark[id] == 0 {
-		sl.marked = append(sl.marked, id)
+	if sl.mark[r] == 0 {
+		sl.marked = append(sl.marked, r)
 	}
-	sl.mark[id] |= kind
-	idx[id] = int32(n)
+	sl.mark[r] |= kind
+	idx[r] = int32(n)
 	return n, true
 }
 
-// buildInjectionSlab rebuilds the injection tables for the nl groups of a
-// batch. Only the nodes the previous batch marked are cleared, so a batch
-// pays O(sites), not O(nodes×lanes); the tables keep their capacity, which
-// makes the rebuild allocation-free once warm.
-func (s *Simulator) buildInjectionSlab(faults []fault.Fault, nl int) {
+// buildInjectionSlab rebuilds the injection tables for the faults the
+// lanes hold (faultAt). Only the rows the previous build marked are
+// cleared, so a build pays O(sites), not O(nodes×lanes); the tables keep
+// their capacity, which makes the rebuild allocation-free once warm. Every
+// launch history starts at X.
+func (s *Simulator) buildInjectionSlab(faults []fault.Fault) {
 	sl := s.slab
+	row := s.lay.row
 	lanes := sl.lanes
-	for _, n := range sl.marked {
-		sl.mark[n] = 0
+	for _, r := range sl.marked {
+		sl.mark[r] = 0
 	}
 	sl.marked = sl.marked[:0]
 	sl.stemLanes, sl.stems = sl.stemLanes[:0], sl.stems[:0]
 	sl.pinLanes, sl.pinForces = sl.pinLanes[:0], sl.pinForces[:0]
 	sl.transLanes, sl.trans, sl.transPrev = sl.transLanes[:0], sl.trans[:0], sl.transPrev[:0]
 	sl.bridgeLanes, sl.bridges, sl.pairs = sl.bridgeLanes[:0], sl.bridges[:0], sl.pairs[:0]
-	// bridgeAt returns the row of stem id in lane l, adding slots to its mask.
-	bridgeAt := func(id circuit.NodeID, l int, slots uint64) int32 {
-		k, fresh := sl.entry(id, markBridge, sl.bridgeIdx, len(sl.bridgeLanes))
+	// bridgeAt returns the entry of stem row r in lane l, adding slots to
+	// its mask.
+	bridgeAt := func(r int32, l int, slots uint64) int32 {
+		k, fresh := sl.entry(r, markBridge, sl.bridgeIdx, len(sl.bridgeLanes))
 		if fresh {
 			sl.bridgeLanes = append(sl.bridgeLanes, 0)
 			sl.bridges = append(sl.bridges, make([]slabBridgeNode, lanes)...)
@@ -258,14 +423,17 @@ func (s *Simulator) buildInjectionSlab(faults []fault.Fault, nl int) {
 		sl.bridges[k*lanes+l].mask |= slots
 		return int32(k)
 	}
-	for l := 0; l < nl; l++ {
-		lo, hi := sl.laneLo[l], sl.laneHi[l]
-		for k := lo; k < hi; k++ {
-			f := faults[k]
-			slot := uint64(1) << uint(k-lo+1)
+	for l := 0; l < lanes; l++ {
+		for sn, fi := range sl.faultAt[l*64+1 : l*64+64] {
+			if fi < 0 {
+				continue
+			}
+			f := faults[fi]
+			slot := uint64(1) << uint(sn+1)
+			r := row[f.Node]
 			switch {
 			case f.Kind == fault.KindTransition:
-				e, fresh := sl.entry(f.Node, markTrans, sl.transIdx, len(sl.transLanes))
+				e, fresh := sl.entry(r, markTrans, sl.transIdx, len(sl.transLanes))
 				if fresh {
 					sl.transLanes = append(sl.transLanes, 0)
 					sl.trans = append(sl.trans, make([]slabTrans, lanes)...)
@@ -281,14 +449,15 @@ func (s *Simulator) buildInjectionSlab(faults []fault.Fault, nl int) {
 				// The collapsed universe lists a pair's wired-AND and
 				// wired-OR faults next to each other, so merging with the
 				// previous pair of the lane resolves both in one step.
+				r2 := row[f.Node2]
 				var p *slabPair
 				if n := len(sl.pairs); n > 0 {
-					if q := &sl.pairs[n-1]; q.a == f.Node && q.b == f.Node2 && int(q.lane) == l {
+					if q := &sl.pairs[n-1]; q.a == r && q.b == r2 && int(q.lane) == l {
 						p = q
 					}
 				}
 				if p == nil {
-					sl.pairs = append(sl.pairs, slabPair{a: f.Node, b: f.Node2, lane: int32(l)})
+					sl.pairs = append(sl.pairs, slabPair{a: r, b: r2, lane: int32(l)})
 					p = &sl.pairs[len(sl.pairs)-1]
 				}
 				if f.Stuck == 1 {
@@ -296,10 +465,10 @@ func (s *Simulator) buildInjectionSlab(faults []fault.Fault, nl int) {
 				} else {
 					p.and |= slot
 				}
-				p.ka = bridgeAt(f.Node, l, slot)
-				p.kb = bridgeAt(f.Node2, l, slot)
+				p.ka = bridgeAt(r, l, slot)
+				p.kb = bridgeAt(r2, l, slot)
 			case f.Pin < 0:
-				e, fresh := sl.entry(f.Node, markStem, sl.stemIdx, len(sl.stemLanes))
+				e, fresh := sl.entry(r, markStem, sl.stemIdx, len(sl.stemLanes))
 				if fresh {
 					sl.stemLanes = append(sl.stemLanes, 0)
 					sl.stems = append(sl.stems, make([]slabStem, lanes)...)
@@ -311,7 +480,7 @@ func (s *Simulator) buildInjectionSlab(faults []fault.Fault, nl int) {
 					sl.stems[e*lanes+l].m1 |= slot
 				}
 			default:
-				e, fresh := sl.entry(f.Node, markPin, sl.pinIdx, len(sl.pinLanes))
+				e, fresh := sl.entry(r, markPin, sl.pinIdx, len(sl.pinLanes))
 				if fresh {
 					sl.pinLanes = append(sl.pinLanes, 0)
 					if cap(sl.pinForces) > e {
@@ -327,17 +496,18 @@ func (s *Simulator) buildInjectionSlab(faults []fault.Fault, nl int) {
 			}
 		}
 	}
+	slices.Sort(sl.marked)
 }
 
 // place applies the batch's stem, transition and (on the replay walk)
-// bridge injection at node id to the lane words ov = vals[id*lanes:][:nl].
+// bridge injection at row r to the lane words ov = vals[r*lanes:][:lanes].
 // Transition sites decide their forces from the launch history and advance
 // it on a first walk, and re-apply the recorded decision on the replay walk.
-func (sl *slabState) place(id circuit.NodeID, ov []logic.W, replay bool) {
-	m := sl.mark[id]
+func (sl *slabState) place(r int32, ov []logic.W, replay bool) {
+	m := sl.mark[r]
 	lanes := sl.lanes
 	if m&markStem != 0 {
-		k := int(sl.stemIdx[id])
+		k := int(sl.stemIdx[r])
 		for ls := sl.stemLanes[k]; ls != 0; ls &= ls - 1 {
 			l := bits.TrailingZeros32(ls)
 			st := &sl.stems[k*lanes+l]
@@ -345,7 +515,7 @@ func (sl *slabState) place(id circuit.NodeID, ov []logic.W, replay bool) {
 		}
 	}
 	if m&markTrans != 0 {
-		k := int(sl.transIdx[id])
+		k := int(sl.transIdx[r])
 		for ls := sl.transLanes[k]; ls != 0; ls &= ls - 1 {
 			l := bits.TrailingZeros32(ls)
 			i := k*lanes + l
@@ -365,7 +535,7 @@ func (sl *slabState) place(id circuit.NodeID, ov []logic.W, replay bool) {
 		}
 	}
 	if replay && m&markBridge != 0 {
-		k := int(sl.bridgeIdx[id])
+		k := int(sl.bridgeIdx[r])
 		for ls := sl.bridgeLanes[k]; ls != 0; ls &= ls - 1 {
 			l := bits.TrailingZeros32(ls)
 			b := &sl.bridges[k*lanes+l]
@@ -406,44 +576,51 @@ func slabDiff(w logic.W) uint64 {
 	return (w.Zeros & -(w.Ones & 1)) | (w.Ones & -(w.Zeros & 1))
 }
 
-// runSlabBatch simulates the nl fault groups g0..g0+nl-1 in lanes 0..nl-1 of
-// a stride-wide slab, writing only those groups' disjoint regions of out and
-// returning the number of detections. One time unit is one levelized walk
-// evaluating all nl lanes of every gate, two for a batch with bridges.
-func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl, stride, stop int, opts Options, out *Outcome, tb *counterBatch) int {
+// runSlabBatch simulates the nl fault groups g0..g0+nl-1, group g0+l
+// starting in lane l, writing only those groups' disjoint regions of out
+// and returning the number of detections. One time unit is one levelized
+// walk over the slab's lanes, two for a batch with bridges; where the early
+// exits apply, a repack may narrow the slab between time units.
+func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl, stop int, opts Options, out *Outcome, tb *counterBatch) int {
 	c := s.c
-	sl := s.slabFor(stride)
-	lanes := sl.lanes
-	for l := 0; l < nl; l++ {
-		lo := (g0 + l) * GroupSize
-		sl.laneLo[l] = lo
-		sl.laneHi[l] = min(lo+GroupSize, len(faults))
-		sl.activeMask[l] = groupMask(sl.laneHi[l] - lo)
-		sl.laneUnits[l] = 0
-		sl.laneDone[l] = false
-		sl.watched[l] = s.repeatSlots(faults[lo:sl.laneHi[l]])
-		tg := opts.Trace.Group(g0 + l)
+	lay := s.lay
+	sl := s.slabFor(nl)
+	sl.g0, sl.mixed = g0, false
+	for j := 0; j < nl; j++ {
+		lo := (g0 + j) * GroupSize
+		hi := min(lo+GroupSize, len(faults))
+		all := groupMask(hi - lo)
+		sl.gActive[j], sl.gUnits[j], sl.gDone[j] = all, 0, false
+		sl.seg[2*j], sl.seg[2*j+1] = slabSeg{lane: j, own: all}, slabSeg{}
+		sl.activeMask[j] = all
+		sl.watched[j] = s.repeatSlots(faults[lo:hi])
+		fa := sl.faultAt[j*64 : j*64+64]
+		for slot := range fa {
+			fa[slot] = -1
+			if fi := lo + slot - 1; slot > 0 && fi < hi {
+				fa[slot] = int32(fi)
+			}
+		}
+		tg := opts.Trace.Group(g0 + j)
 		tg.SetWorker(s.worker)
-		sl.tgs[l] = tg
+		sl.tgs[j] = tg
 	}
 	traceAct := g0 == 0 && sl.tgs[0] != nil
 	if traceAct {
 		s.actValid = false // activity baseline starts with this pass
 	}
-	s.buildInjectionSlab(faults, nl)
-	hasBridge := len(sl.pairs) > 0
+	s.buildInjectionSlab(faults)
 
-	vals, state := sl.vals, sl.state
-	for l := 0; l < nl; l++ {
+	state := sl.state
+	for j := 0; j < nl; j++ {
 		if opts.InitialStates != nil {
-			st := opts.InitialStates.groups[g0+l]
-			for k := range c.DFFs {
-				state[k*lanes+l] = st[k]
+			for k, w := range opts.InitialStates.groups[g0+j] {
+				state[k*nl+j] = w
 			}
 		} else {
 			wv := logic.Broadcast(opts.Init)
 			for k := range c.DFFs {
-				state[k*lanes+l] = wv
+				state[k*nl+j] = wv
 			}
 		}
 	}
@@ -451,51 +628,53 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 		s.slabHistory(opts.InitialStates, true)
 	}
 
-	// Both early exits follow the dense rule per lane; the batch itself
-	// only breaks when every lane is done.
+	// Both early exits follow the dense rule per group; the batch itself
+	// only breaks when every group is done.
 	eligible := earlyExitEligible(opts)
-	units := 0
-	det := 0
 	active := nl
-	hist := func() []logic.W { return sl.transPrev }
-
+	det := 0
+	var laneCycles, idle int64
 	for u := 0; u < stop; u++ {
 		if eligible {
-			for l := 0; l < nl; l++ {
-				if !sl.laneDone[l] && sl.watch[l].repeats(u, state, hist, l, lanes, sl.activeMask[l]&sl.watched[l]|1, seq, stop) {
-					// The lane keeps being evaluated with the batch, but it
-					// can detect nothing more: stop counting and scanning it.
-					sl.laneDone[l] = true
-					sl.activeMask[l] = 0
-					active--
-					tb.repeatExits++
-				}
-			}
+			active -= s.slabRepeatExits(seq, u, stop, tb)
 			if active == 0 {
-				break // every lane reached its dense early-exit point
+				break // every group reached its dense early-exit point
+			}
+			s.maybeRepack(faults, u, stop)
+		}
+		lanes := sl.lanes
+		var busy uint32 // lanes holding a machine of an unfinished group
+		for j := 0; j < nl; j++ {
+			if !sl.gDone[j] {
+				sl.gUnits[j]++
+				busy |= 1 << uint(sl.seg[2*j].lane)
 			}
 		}
-		units++
-		for l := 0; l < nl; l++ {
-			if !sl.laneDone[l] {
-				sl.laneUnits[l]++
+		for l := 0; l < lanes; l++ {
+			if sl.activeMask[l] != 0 {
+				busy |= 1 << uint(l)
 			}
 		}
-		s.slabWalk(seq, u, nl, false)
-		if hasBridge {
+		laneCycles += int64(lanes)
+		idle += int64(lanes - bits.OnesCount32(busy))
+
+		s.slabWalk(seq, u, false)
+		if len(sl.pairs) > 0 {
 			sl.resolveBridges()
-			s.slabWalk(seq, u, nl, true)
+			s.slabWalk(seq, u, true)
 		}
-		if traceAct && !sl.laneDone[0] {
+		vals := sl.vals
+		if traceAct && !sl.gDone[0] {
 			s.traceActivity(sl.tgs[0], vals, lanes)
 		}
-		// Detection: word-parallel diff over each output's lane words. For a
-		// fixed lane the emission order (time, then PO index, then slot) is
-		// exactly the dense kernel's, so per-group trace streams and
-		// DetTime/Detected are bit-identical.
-		for poi, id := range c.Outputs {
-			base := int(id) * lanes
-			for l := 0; l < nl; l++ {
+		// Detection: word-parallel diff over each output's lane words. A
+		// group's faults sit in fault order across at most two ascending
+		// lanes, so for every group the emission order (time, then PO
+		// index, then fault) is exactly the dense kernel's, and per-group
+		// trace streams and DetTime/Detected are bit-identical.
+		for poi, r := range lay.po {
+			base := int(r) * lanes
+			for l := 0; l < lanes; l++ {
 				am := sl.activeMask[l]
 				if am == 0 {
 					continue
@@ -503,13 +682,15 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 				d := slabDiff(vals[base+l]) & am
 				for ; d != 0; d &= d - 1 {
 					slot := trailingZeros(d)
-					fi := sl.laneLo[l] + slot - 1
+					fi := int(sl.faultAt[l*64+slot])
 					out.Detected[fi] = true
 					out.DetTime[fi] = u + opts.TimeOffset
 					det++
 					am &^= 1 << uint(slot)
-					if sl.tgs[l] != nil {
-						sl.tgs[l].Detect(fi, u+opts.TimeOffset, poi)
+					j := fi/GroupSize - g0
+					sl.gActive[j] &^= 1 << uint(fi%GroupSize+1)
+					if tg := sl.tgs[j]; tg != nil {
+						tg.Detect(fi, u+opts.TimeOffset, poi)
 					}
 				}
 				sl.activeMask[l] = am
@@ -518,89 +699,326 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 		if opts.OutputHook != nil {
 			// OutputHook forces a 1-lane batch, so lane 0 is the whole group.
 			po := s.poScratch[:0]
-			for _, id := range c.Outputs {
-				po = append(po, vals[int(id)*lanes])
+			for _, r := range lay.po {
+				po = append(po, vals[int(r)*lanes])
 			}
 			s.poScratch = po
-			opts.OutputHook(sl.laneLo[0], sl.laneHi[0], u, po)
+			lo := g0 * GroupSize
+			opts.OutputHook(lo, min(lo+GroupSize, len(faults)), u, po)
 		}
 		if opts.ObserveLines {
-			for id := 0; id < len(c.Nodes); id++ {
-				base := id * lanes
-				for l := 0; l < nl; l++ {
-					d := slabDiff(vals[base+l])
-					for ; d != 0; d &= d - 1 {
-						slot := trailingZeros(d)
-						if slot == 0 {
-							continue
+			for r, id := range lay.node {
+				base := r * lanes
+				for l := 0; l < lanes; l++ {
+					for d := slabDiff(vals[base+l]) &^ 1; d != 0; d &= d - 1 {
+						if fi := sl.faultAt[l*64+trailingZeros(d)]; fi >= 0 {
+							out.Lines[fi].Set(int(id))
 						}
-						out.Lines[sl.laneLo[l]+slot-1].Set(id)
 					}
 				}
 			}
 		}
 		if eligible {
-			for l := 0; l < nl; l++ {
-				if !sl.laneDone[l] && sl.activeMask[l] == 0 {
-					sl.laneDone[l] = true
+			for j := 0; j < nl; j++ {
+				if !sl.gDone[j] && sl.gActive[j] == 0 {
+					sl.gDone[j] = true
 					active--
 				}
 			}
 			if active == 0 {
-				break // every lane reached its dense early-exit point
+				break // every group reached its dense early-exit point
 			}
 		}
-		// Clock edge: next state per lane, with DFF D-pin faults applied.
-		for k, id := range c.DFFs {
-			f0 := int(c.Nodes[id].Fanins[0]) * lanes
-			sbase := k * lanes
-			sv, dv := state[sbase:sbase+nl], vals[f0:f0+nl]
-			for l := range sv {
-				sv[l] = dv[l]
+		s.slabClock()
+	}
+	if opts.SaveStates {
+		// No repack ran (SaveStates rules out the early exits): lane j
+		// still holds group g0+j.
+		for j := 0; j < nl; j++ {
+			saved := make([]logic.W, len(c.DFFs))
+			for k := range saved {
+				saved[k] = sl.state[k*nl+j]
 			}
-			if sl.mark[id]&markPin != 0 {
-				e := sl.pinIdx[id]
-				forces := sl.pinForces[e]
-				for m := sl.pinLanes[e]; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros32(m)
-					wv := vals[f0+l]
-					for _, p := range forces {
-						if int(p.lane) == l {
-							wv = wv.ForceMask(p.mask, p.bit)
-						}
-					}
-					state[sbase+l] = wv
+			out.FinalStates.groups[g0+j] = saved
+		}
+		s.slabHistory(out.FinalStates, false)
+	}
+	var vec int64
+	for j := 0; j < nl; j++ {
+		sl.tgs[j].SetVectors(sl.gUnits[j])
+		sl.tgs[j] = nil
+		vec += int64(sl.gUnits[j])
+	}
+	// gateEvals stays the dense-equivalent count (group vectors × gates), so
+	// effective evals and evals/vector remain kernel-invariant quantities
+	// that the counter pins hold exact; the batching and packing win shows
+	// up in wall clock and fsim.slab_lane_cycles, the walks that held no
+	// live machine in fsim.slab_lanes_idle.
+	tb.gateEvals += vec * int64(len(s.gateID))
+	tb.vectors += vec
+	tb.passes += int64(nl)
+	tb.dropped += int64(det)
+	tb.slabPasses++
+	tb.laneCycles += laneCycles
+	tb.lanesIdle += idle
+	return det
+}
+
+// slabRepeatExits applies the repeat exit at the top of time unit u to
+// every unfinished group of the batch and returns the number it finished.
+// It evaluates repeatWatch's rule on each group's own machines, wherever a
+// repack put them: slot 0 of the group's first lane and the group's live
+// watched slots must hold the flip-flop and launch-history words of the
+// checkpoint, and the input from u on must repeat the input from the
+// checkpoint on. The checkpoint then moves on Brent's schedule, which
+// depends on u alone, so one checkpoint of the whole slab serves every
+// group.
+func (s *Simulator) slabRepeatExits(seq *sim.Sequence, u, stop int, tb *counterBatch) int {
+	sl := s.slab
+	if u == 0 {
+		sl.ckAt, sl.ckSpan = 0, 1
+		sl.checkpoint()
+		return 0
+	}
+	n := 0
+	suffix := 0 // 0: not yet compared, 1: the input repeats, -1: it does not
+	for j, done := range sl.gDone {
+		if done || !sl.groupRepeats(j) {
+			continue
+		}
+		if suffix == 0 {
+			suffix = -1
+			if suffixRepeats(seq, sl.ckAt, u, stop) {
+				suffix = 1
+			}
+		}
+		if suffix < 0 {
+			break // no group can exit at u
+		}
+		// The group can detect nothing more: stop counting and scanning it.
+		sl.gDone[j] = true
+		for _, sg := range sl.seg[2*j : 2*j+2] {
+			sl.activeMask[sg.lane] &^= sg.own
+		}
+		tb.repeatExits++
+		n++
+	}
+	if u-sl.ckAt == sl.ckSpan {
+		sl.ckAt, sl.ckSpan = u, 2*sl.ckSpan
+		sl.checkpoint()
+	}
+	return n
+}
+
+// checkpoint records every slot's flip-flop and launch-history words.
+func (sl *slabState) checkpoint() {
+	sl.ck = append(sl.ck[:0], sl.state...)
+	sl.ckPrev = append(sl.ckPrev[:0], sl.transPrev...)
+}
+
+// groupRepeats reports whether group j's machines hold their checkpoint
+// words: slot 0 and the live watched slots of its first lane, and the live
+// watched slots of its second.
+func (sl *slabState) groupRepeats(j int) bool {
+	s0, s1 := sl.seg[2*j], sl.seg[2*j+1]
+	m0 := sl.activeMask[s0.lane]&sl.watched[s0.lane]&s0.own | 1
+	m1 := sl.activeMask[s1.lane] & sl.watched[s1.lane] & s1.own
+	return sameSlots(sl.state, sl.ck, sl.lanes, s0.lane, m0, s1.lane, m1) &&
+		sameSlots(sl.transPrev, sl.ckPrev, sl.lanes, s0.lane, m0, s1.lane, m1)
+}
+
+// sameSlots reports whether the row-major words cur and ck (stride lanes)
+// agree in the slots m0 of lane l0 and m1 of lane l1 on every row.
+func sameSlots(cur, ck []logic.W, lanes, l0 int, m0 uint64, l1 int, m1 uint64) bool {
+	for i := 0; i < len(cur); i += lanes {
+		a, b := cur[i+l0], ck[i+l0]
+		c, d := cur[i+l1], ck[i+l1]
+		if ((a.Zeros^b.Zeros)|(a.Ones^b.Ones))&m0|((c.Zeros^d.Zeros)|(c.Ones^d.Ones))&m1 != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// repackWeight is the number of walked lane-rows a repack must save per
+// word it moves before it runs: moving one flip-flop row of a move costs a
+// handful of word operations on two words (now and at the checkpoint),
+// about what evaluating a lane-row costs.
+const repackWeight = 4
+
+// maybeRepack narrows the slab at the top of time unit u when the live
+// faults (undetected watched faults of unfinished groups) fit in fewer
+// lanes and the move pays: the lane-rows the narrower slab would save up
+// to the end of the sequence must exceed repackWeight × the flip-flop words
+// the move rewrites. Both sides are counts, so the decision is
+// deterministic. Lanes merge only if every lane runs the same fault-free
+// machine in slot 0, now and at the checkpoint; a batch whose lanes differ
+// is never repacked.
+func (s *Simulator) maybeRepack(faults []fault.Fault, u, stop int) {
+	sl := s.slab
+	lanes := sl.lanes
+	if lanes == 1 || sl.mixed {
+		return
+	}
+	live := 0
+	for l, m := range sl.activeMask[:lanes] {
+		live += bits.OnesCount64(m & sl.watched[l])
+	}
+	need := max(1, (live+GroupSize-1)/GroupSize)
+	if need >= lanes {
+		return
+	}
+	walks := 1
+	if len(sl.pairs) > 0 {
+		walks = 2
+	}
+	saved := int64(lanes-need) * int64(stop-u) * int64(len(s.lay.node)*walks)
+	if saved <= int64(repackWeight*len(s.c.DFFs)*(live+need)) {
+		return
+	}
+	if !sl.sameFaultFree() {
+		sl.mixed = true
+		return
+	}
+	s.repack(faults, need)
+}
+
+// sameFaultFree reports whether slot 0 of every lane holds the same
+// fault-free machine, now and at the checkpoint, so that faults of
+// different lanes can share one lane's slot 0.
+func (sl *slabState) sameFaultFree() bool {
+	for _, buf := range [2][]logic.W{sl.state, sl.ck} {
+		for i := 0; i < len(buf); i += sl.lanes {
+			w0 := buf[i]
+			for _, w := range buf[i+1 : i+sl.lanes] {
+				if ((w.Zeros^w0.Zeros)|(w.Ones^w0.Ones))&1 != 0 {
+					return false
 				}
 			}
 		}
 	}
-	if opts.SaveStates {
-		for l := 0; l < nl; l++ {
-			saved := make([]logic.W, len(c.DFFs))
-			for k := range saved {
-				saved[k] = state[k*lanes+l]
+	return true
+}
+
+// repack moves the live faults, in fault order, into the first need lanes
+// of a slab of stride need: each fault's flip-flop bits, launch history and
+// checkpoint words go with it, every destination slot 0 takes lane 0's
+// fault-free machine (sameFaultFree has checked they agree), and the
+// injection tables are rebuilt for the new layout. Faults no longer live
+// (detected, undetectable, or of finished groups) are dropped. Every buffer
+// comes from the arena.
+func (s *Simulator) repack(faults []fault.Fault, need int) {
+	sl := s.slab
+	lanes := sl.lanes
+	row := s.lay.row
+	fa := resize(sl.faultSpare, need*64)
+	for i := range fa {
+		fa[i] = -1
+	}
+	sl.moves, sl.histMoves = sl.moves[:0], sl.histMoves[:0]
+	p := 0 // destination position: slot p%GroupSize+1 of lane p/GroupSize
+	for l := 0; l < lanes; l++ {
+		for m := sl.activeMask[l] & sl.watched[l]; m != 0; {
+			// One move takes the run of consecutive live slots from slot
+			// from, as far as the destination lane has room.
+			from := bits.TrailingZeros64(m)
+			dl, to := p/GroupSize, p%GroupSize+1
+			n := min(bits.TrailingZeros64(^(m >> uint(from))), 64-to)
+			mask := (uint64(1)<<uint(n) - 1) << uint(from)
+			sl.moves = append(sl.moves, slabMove{src: l, dst: dl, shift: to - from, mask: mask})
+			for i := 0; i < n; i++ {
+				fi := sl.faultAt[l*64+from+i]
+				fa[dl*64+to+i] = fi
+				if f := faults[fi]; f.Kind == fault.KindTransition {
+					k := int(sl.transIdx[row[f.Node]])*lanes + l
+					bit := uint64(1) << uint(from+i)
+					sl.histMoves = append(sl.histMoves, slabHistMove{fi: int(fi), lane: dl, slot: to + i,
+						cur: slotV(sl.transPrev[k], bit), ck: slotV(sl.ckPrev[k], bit)})
+				}
 			}
-			out.FinalStates.groups[g0+l] = saved
+			m &^= mask
+			p += n
 		}
-		s.slabHistory(out.FinalStates, false)
 	}
-	var laneVec int64
-	for l := 0; l < nl; l++ {
-		sl.tgs[l].SetVectors(sl.laneUnits[l])
-		sl.tgs[l] = nil
-		laneVec += int64(sl.laneUnits[l])
-		tb.lanesIdle += int64(units - sl.laneUnits[l])
+
+	// The flip-flop and checkpoint rows narrow in place: row k moves from
+	// k*lanes to k*need <= k*lanes, so building the rows in ascending order
+	// overwrites only rows already read.
+	nff := len(s.c.DFFs)
+	sl.state = repackRows(sl.state, nff, lanes, need, sl.moves)
+	sl.ck = repackRows(sl.ck, nff, lanes, need, sl.moves)
+	sl.faultAt, sl.faultSpare = fa, sl.faultAt
+	sl.lanes = need
+	sl.vals = sl.vals[:len(s.c.Nodes)*need]
+
+	for j := range sl.gDone {
+		sl.seg[2*j], sl.seg[2*j+1] = slabSeg{}, slabSeg{}
 	}
-	// gateEvals stays the dense-equivalent count (lane-cycles × gates), so
-	// effective evals and evals/vector remain kernel-invariant quantities
-	// that the counter pins hold exact; the batching win shows up in wall
-	// clock and fsim.slab_passes, the overshoot in fsim.slab_lanes_idle.
-	tb.gateEvals += laneVec * int64(len(s.gateID))
-	tb.vectors += laneVec
-	tb.passes += int64(nl)
-	tb.dropped += int64(det)
-	tb.slabPasses++
-	return det
+	for dl := 0; dl < need; dl++ {
+		var occ uint64
+		for slot := 1; slot < 64; slot++ {
+			fi := fa[dl*64+slot]
+			if fi < 0 {
+				continue
+			}
+			bit := uint64(1) << uint(slot)
+			occ |= bit
+			j := int(fi)/GroupSize - sl.g0
+			switch sg := &sl.seg[2*j]; {
+			case sg.own == 0:
+				*sg = slabSeg{lane: dl, own: bit}
+			case sg.lane == dl:
+				sg.own |= bit
+			default:
+				sl.seg[2*j+1].lane = dl
+				sl.seg[2*j+1].own |= bit
+			}
+		}
+		sl.activeMask[dl], sl.watched[dl] = occ, occ
+	}
+
+	s.buildInjectionSlab(faults)
+	sl.ckPrev = resize(sl.ckPrev, len(sl.transPrev))
+	clear(sl.ckPrev)
+	for _, h := range sl.histMoves {
+		k := int(sl.transIdx[row[faults[h.fi].Node]])*need + h.lane
+		bit := uint64(1) << uint(h.slot)
+		sl.transPrev[k] = forceV(sl.transPrev[k], bit, h.cur)
+		sl.ckPrev[k] = forceV(sl.ckPrev[k], bit, h.ck)
+	}
+}
+
+// repackRows narrows the nrows rows of buf from stride lanes to stride
+// need and returns buf[:nrows*need]. Every destination word starts as lane
+// 0's fault-free slot 0 broadcast, then each move copies its slots in.
+func repackRows(buf []logic.W, nrows, lanes, need int, moves []slabMove) []logic.W {
+	var dst [maxSlabLanes]logic.W
+	for k := 0; k < nrows; k++ {
+		src := buf[k*lanes : (k+1)*lanes]
+		moveSlots(dst[:need], src, moves)
+		copy(buf[k*need:(k+1)*need], dst[:need])
+	}
+	return buf[:nrows*need]
+}
+
+// moveSlots builds one row of a repacked slab from the row src.
+func moveSlots(dst, src []logic.W, moves []slabMove) {
+	g := logic.Broadcast(src[0].Get(0))
+	for i := range dst {
+		dst[i] = g
+	}
+	for _, mv := range moves {
+		w := src[mv.src]
+		z, o, m := w.Zeros&mv.mask, w.Ones&mv.mask, mv.mask
+		if mv.shift >= 0 {
+			z, o, m = z<<uint(mv.shift), o<<uint(mv.shift), m<<uint(mv.shift)
+		} else {
+			z, o, m = z>>uint(-mv.shift), o>>uint(-mv.shift), m>>uint(-mv.shift)
+		}
+		d := &dst[mv.dst]
+		d.Zeros = d.Zeros&^m | z
+		d.Ones = d.Ones&^m | o
+	}
 }
 
 // slabHistory moves the launch history of the batch's transition sites
@@ -617,201 +1035,225 @@ func (s *Simulator) slabHistory(st *States, load bool) {
 			i := k*sl.lanes + l
 			t := sl.trans[i]
 			for m := t.rise | t.fall; m != 0; m &= m - 1 {
-				slot := uint64(1) << uint(trailingZeros(m))
-				fi := sl.laneLo[l] + trailingZeros(m) - 1
+				slot := trailingZeros(m)
+				bit := uint64(1) << uint(slot)
+				fi := sl.faultAt[l*64+slot]
 				if load {
-					sl.transPrev[i] = forceV(sl.transPrev[i], slot, st.hist[fi])
+					sl.transPrev[i] = forceV(sl.transPrev[i], bit, st.hist[fi])
 				} else {
-					st.hist[fi] = slotV(sl.transPrev[i], slot)
+					st.hist[fi] = slotV(sl.transPrev[i], bit)
 				}
 			}
 		}
 	}
 }
 
-// slabWalk evaluates one time unit over the nl lanes of the batch: load the
-// primary inputs and present state, then one levelized walk, placing every
-// marked node's value through the batch's injection. The per-fanin-count
-// and per-gate-type dispatch happens once per gate; the inner lane loops
-// run over adjacent words.
-func (s *Simulator) slabWalk(seq *sim.Sequence, u, nl int, replay bool) {
-	c := s.c
+// slabWalk evaluates one time unit over the slab's lanes: load the primary
+// inputs and the present state, then every run of gates in row order. A
+// run's type and fanin count are decided once, and each gate folds its
+// fanins in evalW's left-fold order, so every word is the dense kernel's.
+// The marked rows are visited after the run (or source block) that
+// computes them and before any later level reads them: pin forces
+// re-evaluate the lanes that carry them, then place applies the batch's
+// injection.
+func (s *Simulator) slabWalk(seq *sim.Sequence, u int, replay bool) {
+	lay := s.lay
 	sl := s.slab
 	lanes := sl.lanes
-	vals, state := sl.vals, sl.state
-	var fan [8]logic.W
-	for k, id := range c.Inputs {
+	vals := sl.vals
+	nIn := len(s.c.Inputs)
+	for k := 0; k < nIn; k++ {
 		wv := logic.Broadcast(seq.At(u, k))
-		ov := vals[int(id)*lanes : int(id)*lanes+nl]
-		for l := range ov {
-			ov[l] = wv
-		}
-		if sl.mark[id] != 0 {
-			sl.place(id, ov, replay)
+		for l := k * lanes; l < (k+1)*lanes; l++ {
+			vals[l] = wv
 		}
 	}
-	for k, id := range c.DFFs {
-		ov := vals[int(id)*lanes : int(id)*lanes+nl]
-		sv := state[k*lanes : k*lanes+nl]
-		for l := range ov {
-			ov[l] = sv[l]
-		}
-		if sl.mark[id] != 0 {
-			sl.place(id, ov, replay)
-		}
+	copy(vals[nIn*lanes:int(lay.gate0)*lanes], sl.state)
+	marked := sl.marked
+	mi := 0
+	for ; mi < len(marked) && marked[mi] < lay.gate0; mi++ {
+		r := int(marked[mi])
+		sl.place(marked[mi], vals[r*lanes:(r+1)*lanes], replay)
 	}
-	for k := range s.gateID {
-		id := s.gateID[k]
-		gt := s.gateType[k]
-		flo, fhi := s.faninStart[k], s.faninStart[k+1]
-		base := int(id) * lanes
-		ov := vals[base : base+nl]
-		// Fast path for every lane first; lanes carrying pin forces at
-		// this gate are re-evaluated afterwards. With W lanes a batch
-		// spans W groups' fault sites, so the slow path must stay
-		// per-(gate,lane) — per-gate it would fire ~W× more often than
-		// the dense kernel's.
-		switch fhi - flo {
-		case 1:
-			a := int(s.faninList[flo]) * lanes
-			av := vals[a : a+nl]
-			switch gt {
-			case circuit.Not, circuit.Nand, circuit.Nor, circuit.Xnor:
+	for i := range lay.runs {
+		rn := &lay.runs[i]
+		n, nf := int(rn.hi-rn.lo), int(rn.nfan)
+		o := int(rn.lo) * lanes
+		fan := lay.fanin[rn.f0 : int(rn.f0)+n*nf]
+		switch {
+		case nf == 1 && rn.inv:
+			for _, a := range fan {
+				ov := vals[o : o+lanes]
+				av := vals[int(a)*lanes:][:len(ov)]
 				for l := range ov {
 					ov[l] = av[l].Not()
 				}
-			default:
+				o += lanes
+			}
+		case nf == 1:
+			for _, a := range fan {
+				ov := vals[o : o+lanes]
+				av := vals[int(a)*lanes:][:len(ov)]
 				for l := range ov {
 					ov[l] = av[l]
 				}
+				o += lanes
 			}
-		case 2:
-			a := int(s.faninList[flo]) * lanes
-			b := int(s.faninList[flo+1]) * lanes
-			av, bv := vals[a:a+nl], vals[b:b+nl]
-			switch gt {
+		case nf == 2:
+			switch rn.typ {
 			case circuit.And:
-				for l := range ov {
-					ov[l] = av[l].And(bv[l])
+				for g := 0; g < n; g++ {
+					ov := vals[o : o+lanes]
+					av, bv := vals[int(fan[2*g])*lanes:][:len(ov)], vals[int(fan[2*g+1])*lanes:][:len(ov)]
+					for l := range ov {
+						ov[l] = av[l].And(bv[l])
+					}
+					o += lanes
 				}
 			case circuit.Nand:
-				for l := range ov {
-					ov[l] = av[l].And(bv[l]).Not()
+				for g := 0; g < n; g++ {
+					ov := vals[o : o+lanes]
+					av, bv := vals[int(fan[2*g])*lanes:][:len(ov)], vals[int(fan[2*g+1])*lanes:][:len(ov)]
+					for l := range ov {
+						ov[l] = av[l].And(bv[l]).Not()
+					}
+					o += lanes
 				}
 			case circuit.Or:
-				for l := range ov {
-					ov[l] = av[l].Or(bv[l])
+				for g := 0; g < n; g++ {
+					ov := vals[o : o+lanes]
+					av, bv := vals[int(fan[2*g])*lanes:][:len(ov)], vals[int(fan[2*g+1])*lanes:][:len(ov)]
+					for l := range ov {
+						ov[l] = av[l].Or(bv[l])
+					}
+					o += lanes
 				}
 			case circuit.Nor:
-				for l := range ov {
-					ov[l] = av[l].Or(bv[l]).Not()
+				for g := 0; g < n; g++ {
+					ov := vals[o : o+lanes]
+					av, bv := vals[int(fan[2*g])*lanes:][:len(ov)], vals[int(fan[2*g+1])*lanes:][:len(ov)]
+					for l := range ov {
+						ov[l] = av[l].Or(bv[l]).Not()
+					}
+					o += lanes
 				}
 			case circuit.Xor:
-				for l := range ov {
-					ov[l] = av[l].Xor(bv[l])
-				}
-			case circuit.Xnor:
-				for l := range ov {
-					ov[l] = av[l].Xor(bv[l]).Not()
-				}
-			default:
-				for l := range ov {
-					ov[l] = eval2(gt, av[l], bv[l])
-				}
-			}
-		case 3:
-			// Same left-fold order as evalW, so the words are identical.
-			a := int(s.faninList[flo]) * lanes
-			b := int(s.faninList[flo+1]) * lanes
-			c3 := int(s.faninList[flo+2]) * lanes
-			av, bv, cv := vals[a:a+nl], vals[b:b+nl], vals[c3:c3+nl]
-			switch gt {
-			case circuit.And:
-				for l := range ov {
-					ov[l] = av[l].And(bv[l]).And(cv[l])
-				}
-			case circuit.Nand:
-				for l := range ov {
-					ov[l] = av[l].And(bv[l]).And(cv[l]).Not()
-				}
-			case circuit.Or:
-				for l := range ov {
-					ov[l] = av[l].Or(bv[l]).Or(cv[l])
-				}
-			case circuit.Nor:
-				for l := range ov {
-					ov[l] = av[l].Or(bv[l]).Or(cv[l]).Not()
-				}
-			case circuit.Xor:
-				for l := range ov {
-					ov[l] = av[l].Xor(bv[l]).Xor(cv[l])
-				}
-			case circuit.Xnor:
-				for l := range ov {
-					ov[l] = av[l].Xor(bv[l]).Xor(cv[l]).Not()
+				for g := 0; g < n; g++ {
+					ov := vals[o : o+lanes]
+					av, bv := vals[int(fan[2*g])*lanes:][:len(ov)], vals[int(fan[2*g+1])*lanes:][:len(ov)]
+					for l := range ov {
+						ov[l] = av[l].Xor(bv[l])
+					}
+					o += lanes
 				}
 			default:
-				for l := range ov {
-					in := fan[:0]
-					in = append(in, av[l], bv[l], cv[l])
-					ov[l] = evalW(gt, in)
+				for g := 0; g < n; g++ {
+					ov := vals[o : o+lanes]
+					av, bv := vals[int(fan[2*g])*lanes:][:len(ov)], vals[int(fan[2*g+1])*lanes:][:len(ov)]
+					for l := range ov {
+						ov[l] = av[l].Xor(bv[l]).Not()
+					}
+					o += lanes
 				}
 			}
 		default:
-			// Wider gates fold fanin by fanin over all lanes, in evalW's
-			// left-fold order.
-			a := int(s.faninList[flo]) * lanes
-			av := vals[a : a+nl]
-			for l := range ov {
-				ov[l] = av[l]
-			}
-			for _, f := range s.faninList[flo+1 : fhi] {
-				fv := vals[int(f)*lanes : int(f)*lanes+nl]
-				switch gt {
-				case circuit.And, circuit.Nand:
-					for l := range ov {
-						ov[l] = ov[l].And(fv[l])
+			// Wider gates fold lane by lane, the running word in a register.
+			for g := 0; g < n; g++ {
+				fl := fan[g*nf : (g+1)*nf]
+				for l := 0; l < lanes; l++ {
+					v := vals[int(fl[0])*lanes+l]
+					switch rn.typ {
+					case circuit.And, circuit.Nand:
+						for _, f := range fl[1:] {
+							v = v.And(vals[int(f)*lanes+l])
+						}
+					case circuit.Or, circuit.Nor:
+						for _, f := range fl[1:] {
+							v = v.Or(vals[int(f)*lanes+l])
+						}
+					default:
+						for _, f := range fl[1:] {
+							v = v.Xor(vals[int(f)*lanes+l])
+						}
 					}
-				case circuit.Or, circuit.Nor:
-					for l := range ov {
-						ov[l] = ov[l].Or(fv[l])
+					if rn.inv {
+						v = v.Not()
 					}
-				default:
-					for l := range ov {
-						ov[l] = ov[l].Xor(fv[l])
-					}
+					vals[o+l] = v
 				}
-			}
-			if gt == circuit.Nand || gt == circuit.Nor || gt == circuit.Xnor {
-				for l := range ov {
-					ov[l] = ov[l].Not()
-				}
+				o += lanes
 			}
 		}
-		m := sl.mark[id]
-		if m == 0 {
+		for ; mi < len(marked) && marked[mi] < rn.hi; mi++ {
+			r := marked[mi]
+			ov := vals[int(r)*lanes : int(r+1)*lanes]
+			if sl.mark[r]&markPin != 0 {
+				sl.pins(r, rn.typ, lay.fanin[int(rn.f0)+int(r-rn.lo)*nf:][:nf], ov)
+			}
+			sl.place(r, ov, replay)
+		}
+	}
+}
+
+// pins re-evaluates gate row r in the lanes that carry pin forces there,
+// exactly as the dense kernel evaluates its one group: gather, force,
+// evalW. With W lanes a batch spans W groups' fault sites, so this slow
+// path stays per (gate, lane); per gate it would fire ~W× more often than
+// the dense kernel's.
+func (sl *slabState) pins(r int32, typ circuit.GateType, fanin []int32, ov []logic.W) {
+	var fan [8]logic.W
+	lanes := sl.lanes
+	e := sl.pinIdx[r]
+	forces := sl.pinForces[e]
+	for ls := sl.pinLanes[e]; ls != 0; ls &= ls - 1 {
+		l := bits.TrailingZeros32(ls)
+		in := fan[:0]
+		for _, f := range fanin {
+			in = append(in, sl.vals[int(f)*lanes+l])
+		}
+		for _, p := range forces {
+			if int(p.lane) == l {
+				in[p.pin] = in[p.pin].ForceMask(p.mask, p.bit)
+			}
+		}
+		ov[l] = evalW(typ, in)
+	}
+}
+
+// slabClock is the clock edge: every flip-flop takes its D input's lane
+// words, with D-pin faults applied in the lanes that carry them.
+func (s *Simulator) slabClock() {
+	lay := s.lay
+	sl := s.slab
+	lanes := sl.lanes
+	vals, state := sl.vals, sl.state
+	for k, d := range lay.d {
+		d := int(d) * lanes
+		for l := 0; l < lanes; l++ {
+			state[k*lanes+l] = vals[d+l]
+		}
+	}
+	nIn := int32(len(s.c.Inputs))
+	for _, r := range sl.marked {
+		if r >= lay.gate0 {
+			break
+		}
+		if r < nIn || sl.mark[r]&markPin == 0 {
 			continue
 		}
-		if m&markPin != 0 {
-			// Re-evaluate only the lanes with forces at this gate, exactly
-			// as the dense kernel evaluates its one group: gather, force,
-			// evalW.
-			e := sl.pinIdx[id]
-			forces := sl.pinForces[e]
-			for ls := sl.pinLanes[e]; ls != 0; ls &= ls - 1 {
-				l := bits.TrailingZeros32(ls)
-				in := fan[:0]
-				for _, f := range s.faninList[flo:fhi] {
-					in = append(in, vals[int(f)*lanes+l])
+		k := int(r - nIn)
+		d := int(lay.d[k]) * lanes
+		e := sl.pinIdx[r]
+		forces := sl.pinForces[e]
+		for m := sl.pinLanes[e]; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			wv := vals[d+l]
+			for _, p := range forces {
+				if int(p.lane) == l {
+					wv = wv.ForceMask(p.mask, p.bit)
 				}
-				for _, p := range forces {
-					if int(p.lane) == l {
-						in[p.pin] = in[p.pin].ForceMask(p.mask, p.bit)
-					}
-				}
-				ov[l] = evalW(gt, in)
 			}
+			state[k*lanes+l] = wv
 		}
-		sl.place(id, ov, replay)
 	}
 }

@@ -2,6 +2,8 @@ package fsim
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -226,5 +228,50 @@ func TestSlabWarmArenaAllocs(t *testing.T) {
 	})
 	if warm >= cold {
 		t.Fatalf("warm slab run allocates %.0f objects, fresh run %.0f; want fewer when warm", warm, cold)
+	}
+}
+
+// TestSlabRepackNeedsOneFaultFreeMachine continues two s344 fault groups,
+// one batch, from saved states that carry different fault-free machines:
+// group 1's words come from a run started in all-one, group 0's from one
+// started in all-zero. A repack would put faults of both under one lane's
+// slot 0, so the slab kernel must find that the lanes disagree and not
+// repack the batch: the outcome and the dense-equivalent counters must
+// equal dense's, and the lanes walked must not fall below the groups'
+// vectors.
+func TestSlabRepackNeedsOneFaultFreeMachine(t *testing.T) {
+	c := iscas.MustLoad("s344")
+	faults := fault.CollapsedUniverse(c)[:2*GroupSize]
+	seq := sim.RandomSequence(randutil.New(4), c.NumInputs(), 80)
+	pre := seq.Slice(0, 5)
+	zero := Run(c, pre, faults, Options{Init: logic.Zero, Kernel: KernelDense, SaveStates: true}).FinalStates
+	one := Run(c, pre, faults, Options{Init: logic.One, Kernel: KernelDense, SaveStates: true}).FinalStates
+	mixed := *zero
+	mixed.groups = append([][]logic.W(nil), zero.groups...)
+	mixed.groups[1] = one.groups[1]
+	if slices.Equal(mixed.Good(0), mixed.Good(GroupSize)) {
+		t.Fatal("groups 0 and 1 start from the same fault-free state; the test needs them to differ")
+	}
+	var want *Outcome
+	var dense telemetry.Snapshot
+	for _, kernel := range []Kernel{KernelDense, KernelSlab} {
+		before := telemetry.Counters()
+		got := Run(c, seq.Slice(5, seq.Len()), faults, Options{Kernel: kernel, InitialStates: &mixed, TimeOffset: 5})
+		d := telemetry.Counters().Sub(before)
+		if kernel == KernelDense {
+			want, dense = got, d
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Error("slab outcome differs from dense")
+		}
+		for _, id := range []telemetry.CounterID{telemetry.CtrVectors, telemetry.CtrGroupPasses, telemetry.CtrRepeatExits, telemetry.CtrGateEvals} {
+			if d.Get(id) != dense.Get(id) {
+				t.Errorf("%s: slab %d, dense %d", id.Name(), d.Get(id), dense.Get(id))
+			}
+		}
+		if lc, v := d.Get(telemetry.CtrSlabLaneCycles), d.Get(telemetry.CtrVectors); lc < v {
+			t.Errorf("slab walked %d lane-cycles for %d group vectors: lanes with different fault-free machines were merged", lc, v)
+		}
 	}
 }

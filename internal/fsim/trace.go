@@ -21,10 +21,11 @@ import (
 // per cycle only when a trace is attached, leaving the untraced hot loops
 // untouched.
 //
-// vals holds the node values at a stride: slot 0 of node i is bit 0 of
-// vals[i*stride]. The dense kernel passes its one-word-per-node array with
-// stride 1, the slab kernel its gate-major slab with stride lanes (lane 0
-// of batch 0 is group 0).
+// vals holds the node values at a stride: slot 0 of the node at index i is
+// bit 0 of vals[i*stride]. The dense kernel passes its one-word-per-node
+// array with stride 1, the slab kernel its row-major slab with stride lanes
+// (lane 0 of batch 0 holds group 0's fault-free machine, before and after a
+// repack). The count is the same for any order of the nodes.
 func (s *Simulator) traceActivity(tg *obsv.GroupTrace, vals []logic.W, stride int) {
 	n := len(s.c.Nodes)
 	words := (n + 63) / 64

@@ -53,21 +53,30 @@ const (
 	// per batch of up to W fault groups walked in a single pass, W being
 	// the lane width fsim picks).
 	CtrSlabPasses
-	// CtrSlabLanesIdle counts idle lane-cycles of the slab kernel: time
-	// units a lane kept being evaluated after its own fault group had
-	// already stopped, fully detected or at a repeat exit (the batch runs
-	// until every lane is done).
+	// CtrSlabLanesIdle counts idle lane-cycles of the slab kernel: lanes
+	// walked in a time unit while they held no machine of an unfinished
+	// fault group (every group they carried had stopped, fully detected or
+	// at a repeat exit, and no repack had dropped the lane yet). Without a
+	// repack it is the time units each lane was walked after its own group
+	// stopped.
 	CtrSlabLanesIdle
-	// CtrRepeatExits counts fault-group passes (on the slab kernel: lanes)
-	// ended by the repeat exit: the fault-free machine and every live
-	// faulty machine re-entered an earlier state under input that repeats
-	// from there on, so no further detection was possible.
+	// CtrRepeatExits counts fault-group passes ended by the repeat exit:
+	// the fault-free machine and every live faulty machine re-entered an
+	// earlier state under input that repeats from there on, so no further
+	// detection was possible.
 	CtrRepeatExits
 	// CtrSpeculativeVectors counts the vectors of discarded speculative
 	// fault simulations: candidates fsim.Speculate evaluated ahead of an
 	// earlier candidate that was then accepted. It is the waste of
 	// speculation; every other fsim counter counts committed work only.
 	CtrSpeculativeVectors
+	// CtrSlabLaneCycles counts the lane-cycles the slab kernel walked: one
+	// per lane per time unit (a bridge batch's two walks of one time unit
+	// count once). Against fsim.vectors, the dense kernel's lane-cycles, it
+	// shows what batching and live-fault packing saved: a repack moves the
+	// live faults of a batch into fewer lanes, so a packed batch walks
+	// fewer lane-cycles than its groups' dense passes.
+	CtrSlabLaneCycles
 
 	// NumCounters is the number of defined counters.
 	NumCounters
@@ -87,6 +96,7 @@ var counterNames = [NumCounters]string{
 	CtrSlabLanesIdle:      "fsim.slab_lanes_idle",
 	CtrRepeatExits:        "fsim.repeat_exits",
 	CtrSpeculativeVectors: "fsim.speculative_vectors",
+	CtrSlabLaneCycles:     "fsim.slab_lane_cycles",
 }
 
 // Name returns the exported name of a counter.
