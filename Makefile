@@ -22,7 +22,7 @@ GO ?= go
 
 # The differential fuzz targets of internal/difftest (see README
 # "Correctness tooling"). FUZZTIME bounds each target's smoke run.
-FUZZ_TARGETS = FuzzRefVsFsim FuzzSlabVsDense FuzzFaultFreeVsSim FuzzWgenVsExpansion FuzzBenchRoundTrip FuzzTransitionVsRef FuzzBridgeVsRef
+FUZZ_TARGETS = FuzzRefVsFsim FuzzSlabVsDense FuzzFaultFreeVsSim FuzzWgenVsExpansion FuzzBenchRoundTrip FuzzTransitionVsRef FuzzBridgeVsRef FuzzRedundantVsRef
 FUZZTIME ?= 10s
 
 .PHONY: all build test race vet fuzz-smoke cover cover-gate bench-digests serve-digests serve-smoke shell-test

@@ -15,6 +15,11 @@ import (
 // it is simulated once from the carried states of every fault in play, and
 // accepted if and only if that run detects the target; the same run carries
 // the ledger forward.
+//
+// A target that podem.Prove shows redundant in one frame is charged to the
+// budget but not searched: no sequence from the shared initial state
+// detects it, so no window could pass that verification, and skipping the
+// search leaves the sequence unchanged.
 func deterministicPhase(c *circuit.Circuit, s *fsim.Simulator, seq *sim.Sequence, l *ledger, opts Options) *sim.Sequence {
 	l.endTrials()
 	tried := make(map[fault.Fault]bool)
@@ -27,6 +32,9 @@ func deterministicPhase(c *circuit.Circuit, s *fsim.Simulator, seq *sim.Sequence
 			}
 			tried[f] = true
 			budget--
+			if podem.Prove(c, f, proofBacktracks) == podem.Redundant {
+				continue
+			}
 			res, err := podem.FindTest(c, f, l.st.Good(j), l.st.Faulty(j), podem.Options{
 				Frames: podemFrames,
 			})

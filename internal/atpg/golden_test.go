@@ -14,6 +14,7 @@ import (
 	"repro/internal/expt"
 	"repro/internal/fault"
 	"repro/internal/iscas"
+	"repro/internal/podem"
 	"repro/internal/telemetry"
 )
 
@@ -119,5 +120,40 @@ func TestGoldenGenerate(t *testing.T) {
 				t.Errorf("Generate drifted from %s:\n got: %s\nwant: %s", path, fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want))
 			}
 		})
+	}
+}
+
+// TestProvenRedundantUndetected checks the one-frame redundancy proofs
+// against the generated sequences: for each stuck-at golden circuit at
+// seeds 1 and 2, no fault podem.Prove shows redundant may be detected by T.
+// The cap is above the PODEM phase's own, and the search is deterministic,
+// so the proven set includes every target the phase skipped.
+func TestProvenRedundantUndetected(t *testing.T) {
+	skipped := int64(0)
+	for _, tc := range goldenCases {
+		if _, ok := tc.model.(fault.StuckAt); !ok {
+			continue
+		}
+		c := iscas.MustLoad(tc.circuit)
+		var proven []int
+		for i, f := range fault.CollapsedUniverse(c) {
+			if podem.Prove(c, f, 1000) == podem.Redundant {
+				proven = append(proven, i)
+			}
+		}
+		for _, seed := range []uint64{1, 2} {
+			before := telemetry.Counters()
+			r := atpg.Generate(c, atpg.Options{Seed: seed, Init: expt.InitFor(tc.circuit), Workers: 1})
+			skipped += telemetry.Counters().Sub(before).Get(telemetry.CtrProvenRedundant)
+			for _, i := range proven {
+				if r.Detected[i] {
+					t.Errorf("%s seed %d: %s proven redundant, but T detects it at %d",
+						tc.circuit, seed, r.Faults[i].String(c), r.DetTime[i])
+				}
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("the PODEM phase proved no target redundant: the check is vacuous")
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"repro/internal/fsim"
 	"repro/internal/logic"
 	"repro/internal/obsv"
+	"repro/internal/podem"
 	"repro/internal/randutil"
 	"repro/internal/ref"
 	"repro/internal/sim"
@@ -409,6 +410,29 @@ func CheckFaultFree(c *circuit.Circuit, seq *sim.Sequence, init logic.V) error {
 	}
 	if cycles != seq.Len() {
 		return fmt.Errorf("hook saw %d cycles for a %d-unit sequence", cycles, seq.Len())
+	}
+	return nil
+}
+
+// CheckRedundant checks the one-frame redundancy proofs against the oracle:
+// every fault of c's full stuck-at universe that podem.Prove shows
+// redundant must stay undetected by ref.Run over seq, from the all-zero and
+// from the all-X initial state.
+func CheckRedundant(c *circuit.Circuit, seq *sim.Sequence) error {
+	var proven []fault.Fault
+	for _, f := range fault.Universe(c) {
+		if podem.Prove(c, f, 1000) == podem.Redundant {
+			proven = append(proven, f)
+		}
+	}
+	for _, init := range []logic.V{logic.Zero, logic.X} {
+		r := ref.Run(c, seq, proven, ref.Options{Init: init})
+		for i, d := range r.Detected {
+			if d {
+				return fmt.Errorf("%s proven redundant, but ref detects it at t=%d from init %v",
+					proven[i].String(c), r.DetTime[i], init)
+			}
+		}
 	}
 	return nil
 }

@@ -71,6 +71,22 @@ func FuzzSlabVsDense(f *testing.F) {
 	})
 }
 
+// FuzzRedundantVsRef checks podem.Prove's redundancy proofs against the
+// oracle: on an arbitrary rcg circuit, no fault proven redundant in one
+// frame may be detected by an arbitrary stimulus, from either initial
+// state (see CheckRedundant).
+func FuzzRedundantVsRef(f *testing.F) {
+	f.Add(uint64(1), uint64(2))
+	f.Add(uint64(42), uint64(7))
+	f.Fuzz(func(t *testing.T, circSeed, stimSeed uint64) {
+		c := rcg.FromSeed(circSeed)
+		seq := RandomStimulus(randutil.New(stimSeed), c.NumInputs())
+		if err := CheckRedundant(c, seq); err != nil {
+			t.Fatalf("circSeed=%d stimSeed=%d: %v\n%s", circSeed, stimSeed, err, benchText(c))
+		}
+	})
+}
+
 // FuzzFaultFreeVsSim cross-checks fsim's fault-free slot against the scalar
 // logic simulator on random circuits and stimuli (including X inputs and X
 // initialisation).

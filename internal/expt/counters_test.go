@@ -29,7 +29,7 @@ func TestPipelineCountersS298(t *testing.T) {
 		"fsim.faults_dropped":                3_138,
 		"fsim.repeat_exits":                  28,
 		"core.candidates_scored":             21,
-		"podem.backtracks":                   7_294,
+		"podem.backtracks":                   4_883,
 	}
 	for _, kernel := range []fsim.Kernel{fsim.KernelDense, fsim.KernelSlab} {
 		t.Setenv("FSIM_KERNEL", kernel.String())

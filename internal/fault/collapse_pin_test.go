@@ -147,78 +147,3 @@ func TestCollapsePinned(t *testing.T) {
 		})
 	}
 }
-
-// TestCollapseDominancePinned pins CollapseDominance's per-gate-type drop
-// decision on the equivalence-collapsed list: exactly the dominated output
-// fault disappears, and it survives whenever any of its dominating input
-// faults is absent from the input list.
-func TestCollapseDominancePinned(t *testing.T) {
-	cases := []struct {
-		name    string
-		gt      circuit.GateType
-		dropped string   // the one fault dominance removes from the collapsed list
-		keepIf  []string // input list missing one dominator: nothing may drop
-	}{
-		{
-			name:    "and2",
-			gt:      circuit.And,
-			dropped: "g s-a-1",
-			keepIf:  []string{"a s-a-0", "b s-a-1", "g s-a-1"}, // a s-a-1 absent
-		},
-		{
-			name:    "nand2",
-			gt:      circuit.Nand,
-			dropped: "g s-a-0",
-			keepIf:  []string{"a s-a-0", "b s-a-1", "g s-a-0"}, // a s-a-1 absent
-		},
-		{
-			name:    "or2",
-			gt:      circuit.Or,
-			dropped: "g s-a-0",
-			keepIf:  []string{"a s-a-1", "b s-a-0", "g s-a-0"}, // a s-a-0 absent
-		},
-		{
-			name:    "nor2",
-			gt:      circuit.Nor,
-			dropped: "g s-a-1",
-			keepIf:  []string{"a s-a-1", "b s-a-0", "g s-a-1"}, // a s-a-0 absent
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := twoInputGate(tc.gt)()
-			if err != nil {
-				t.Fatal(err)
-			}
-			byName := make(map[string]Fault)
-			for _, f := range Universe(c) {
-				byName[f.String(c)] = f
-			}
-
-			reps := Collapse(c, Universe(c))
-			red := CollapseDominance(c, reps)
-			if len(red) != len(reps)-1 {
-				t.Fatalf("dominance kept %d of %d, want exactly one drop", len(red), len(reps))
-			}
-			for _, f := range red {
-				if f.String(c) == tc.dropped {
-					t.Fatalf("%s not dropped (kept: %d faults)", tc.dropped, len(red))
-				}
-			}
-
-			// With a dominator missing, the output fault must survive.
-			var partial []Fault
-			for _, name := range tc.keepIf {
-				f, ok := byName[name]
-				if !ok {
-					t.Fatalf("test fault %q not in universe", name)
-				}
-				partial = append(partial, f)
-			}
-			kept := CollapseDominance(c, partial)
-			if len(kept) != len(partial) {
-				t.Fatalf("dominance dropped from %v despite a missing dominator", tc.keepIf)
-			}
-		})
-	}
-}

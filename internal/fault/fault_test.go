@@ -153,105 +153,3 @@ func TestUniverseDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestCollapseDominanceAndGate(t *testing.T) {
-	// AND(a,b) -> g: output s-a-1 is dominated by the input s-a-1 faults and
-	// must be dropped; output s-a-0 stays (it is the equivalence-class
-	// representative of the input s-a-0 faults).
-	b := circuit.NewBuilder("and")
-	b.Input("a")
-	b.Input("b")
-	b.Gate("g", circuit.And, "a", "b")
-	b.Output("g")
-	c, _ := b.Build()
-	reps := CollapsedUniverse(c)
-	red := CollapseDominance(c, reps)
-	if len(red) != len(reps)-1 {
-		t.Fatalf("dominance kept %d of %d, want %d", len(red), len(reps), len(reps)-1)
-	}
-	g, _ := c.Lookup("g")
-	for _, f := range red {
-		if f.Node == g && f.Pin < 0 && f.Stuck == 1 {
-			t.Fatal("dominated output s-a-1 not dropped")
-		}
-	}
-}
-
-func TestCollapseDominanceChainIsConservative(t *testing.T) {
-	// AND feeding AND: once the first gate's output fault is dropped, the
-	// second gate's output fault must NOT be dropped (its dominator is gone).
-	b := circuit.NewBuilder("chain")
-	b.Input("a")
-	b.Input("b")
-	b.Input("d")
-	b.Gate("g1", circuit.And, "a", "b")
-	b.Gate("g2", circuit.And, "g1", "d")
-	b.Output("g2")
-	c, _ := b.Build()
-	reps := CollapsedUniverse(c)
-	red := CollapseDominance(c, reps)
-	g2, _ := c.Lookup("g2")
-	found := false
-	for _, f := range red {
-		if f.Node == g2 && f.Pin < 0 && f.Stuck == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("g2 s-a-1 dropped although its dominator was already dropped")
-	}
-}
-
-func TestCollapseDominanceXorUntouched(t *testing.T) {
-	b := circuit.NewBuilder("xor")
-	b.Input("a")
-	b.Input("b")
-	b.Gate("g", circuit.Xor, "a", "b")
-	b.Output("g")
-	c, _ := b.Build()
-	reps := CollapsedUniverse(c)
-	red := CollapseDominance(c, reps)
-	if len(red) != len(reps) {
-		t.Fatalf("XOR faults reduced: %d -> %d", len(reps), len(red))
-	}
-}
-
-func TestCollapseDominanceCoverageImplication(t *testing.T) {
-	// On s27, any sequence detecting all dominance-reduced faults must also
-	// detect all equivalence-collapsed faults (that is the point of the
-	// reduction). Verified with the paper's Table 1 sequence.
-	c := iscas.MustLoad("s27")
-	reps := CollapsedUniverse(c)
-	red := CollapseDominance(c, reps)
-	if len(red) >= len(reps) {
-		t.Fatalf("no reduction on s27: %d vs %d", len(red), len(reps))
-	}
-	// The Table 1 sequence detects all of reps, hence trivially all of red;
-	// the meaningful check is the other direction on a truncated sequence:
-	// whenever all red faults are detected, all reps faults are detected.
-	seq, err := simParse()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for stop := 1; stop <= seq.Len(); stop++ {
-		sub := seq.Slice(0, stop)
-		outRed := fsimRun(c, sub, red)
-		allRed := true
-		for _, d := range outRed {
-			if !d {
-				allRed = false
-				break
-			}
-		}
-		if !allRed {
-			continue
-		}
-		outAll := fsimRun(c, sub, reps)
-		for i, d := range outAll {
-			if !d {
-				t.Fatalf("stop=%d: reduced list fully detected but %s missed",
-					stop, reps[i].String(c))
-			}
-		}
-	}
-}

@@ -194,8 +194,9 @@ func TestRepeatExitNeedsWholeSequence(t *testing.T) {
 //   - a periodic weighted sequence against the whole fault universe: groups
 //     keeping undetected faults stop at a repeat exit.
 //
-// On the slab kernel this is lane freezing at work — a lane whose group has
-// finished stops counting even though its batch runs on.
+// On the slab kernel the counters are kept per fault group, so a group that
+// has finished stops counting while the rest of its batch runs on, and the
+// next repack drops the lane that held it.
 func TestEarlyExitCountersKernelInvariant(t *testing.T) {
 	checkEarlyExitKernelInvariant(t, "stuck-at")
 }

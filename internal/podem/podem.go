@@ -7,6 +7,12 @@
 // sequence. This is the deterministic phase of the STRATEGATE substitute
 // (see internal/atpg): random search finds the easy faults, PODEM targets
 // the stragglers.
+//
+// Prove runs the same searcher as a one-frame redundancy prover: the
+// flip-flop outputs become free decision variables and the next-state lines
+// count as observed, and only an exhausted search ends in a verdict of
+// redundant. A fault with no test in that frame has no test sequence from
+// any initial state the good and faulty machines share (see Prove).
 package podem
 
 import (
@@ -36,6 +42,20 @@ func (o *Options) fill() {
 	}
 }
 
+// Verdict is the outcome of a search.
+type Verdict int
+
+const (
+	// Aborted means the search exceeded its backtrack cap.
+	Aborted Verdict = iota
+	// Testable means an assignment detects the fault.
+	Testable
+	// Redundant means the search was exhausted: no assignment of its
+	// decision variables detects the fault. Only Prove's one-frame search
+	// makes that a proof.
+	Redundant
+)
+
 // Result reports a search outcome.
 type Result struct {
 	// Found reports whether a detecting window was found.
@@ -56,6 +76,12 @@ func (p pair) divergent() bool {
 	return p.g.IsBinary() && p.f.IsBinary() && p.g != p.f
 }
 
+// settled reports whether both rails are binary and equal: no completion of
+// the assignment can make them differ.
+func (p pair) settled() bool {
+	return p.g.IsBinary() && p.g == p.f
+}
+
 // searcher holds the per-call state.
 type searcher struct {
 	c     *circuit.Circuit
@@ -67,8 +93,18 @@ type searcher struct {
 	// diverged[frame] counts the nodes of vals[frame] whose good and faulty
 	// values differ binarily; the D-frontier search skips frames without.
 	diverged []int
-	// inputIdx maps an Input node to its index in c.Inputs.
-	inputIdx []int
+	// prove selects the one-frame proof mode (see Prove): the frame-0
+	// flip-flops are decision variables after the inputs, and the
+	// next-state lines count as observed.
+	prove bool
+	// varIdx maps an Input node to its index in c.Inputs, and a flip-flop to
+	// c.NumInputs() plus its index in c.DFFs: the decision-variable index of
+	// pi[frame].
+	varIdx []int
+	// seen marks the nodes effectPath's walk has visited; path is its
+	// stack.
+	seen []bool
+	path []circuit.NodeID
 	// Event-propagation scratch: buckets[level] holds the queued gates of
 	// the frame being processed, queued marks them, and next collects the
 	// flip-flops whose D input changed (re-evaluated in the next frame, from
@@ -90,16 +126,47 @@ func FindTest(c *circuit.Circuit, f fault.Fault, goodInit, faultyInit []logic.V,
 		return nil, fmt.Errorf("podem: state width %d/%d for circuit with %d flip-flops",
 			len(goodInit), len(faultyInit), c.NumDFFs())
 	}
-	s := newSearcher(c, f, opts)
+	s := newSearcher(c, f, opts, false)
 	s.initialise(goodInit, faultyInit)
 	res := &Result{}
-	found := s.search(res)
-	res.Found = found
+	res.Found = s.search(res) == Testable
 	telemetry.Add(telemetry.CtrBacktracks, int64(res.Backtracks))
-	if found {
+	if res.Found {
 		res.Seq = s.window()
 	}
 	return res, nil
+}
+
+// Prove searches one combinational frame for a test of f: the primary
+// inputs and the flip-flop outputs are free decision variables (the stem
+// fault of a flip-flop forced on the faulty rail), and a fault effect counts
+// as detected at a primary output or at a next-state line (the pin-0 branch
+// fault applied). It returns Redundant only when the search is exhausted
+// within maxBacktracks backtracks (0 selects the default of 500), and
+// Aborted when it runs out of them.
+//
+// A Redundant fault has no test sequence from any initial state the good
+// and faulty machines share. Take the first time unit in which a detecting
+// sequence makes the machines differ at a primary output or a next-state
+// line: both entered it in the same state, so that time unit is a
+// one-frame test. From logic.X initial states, a three-valued detection
+// implies a binary one from every shared binary state, so the same holds.
+func Prove(c *circuit.Circuit, f fault.Fault, maxBacktracks int) Verdict {
+	opts := Options{Frames: 1, MaxBacktracks: maxBacktracks}
+	opts.fill()
+	s := newSearcher(c, f, opts, true)
+	free := make([]logic.V, c.NumDFFs())
+	for k := range free {
+		free[k] = logic.X
+	}
+	s.initialise(free, free)
+	res := &Result{}
+	v := s.search(res)
+	telemetry.Add(telemetry.CtrBacktracks, int64(res.Backtracks))
+	if v == Redundant {
+		telemetry.Add(telemetry.CtrProvenRedundant, 1)
+	}
+	return v
 }
 
 // window returns the current assignments as a sequence, with every
@@ -119,30 +186,48 @@ func (s *searcher) window() *sim.Sequence {
 	return seq
 }
 
-// newSearcher allocates the per-call state with every input unassigned.
-func newSearcher(c *circuit.Circuit, f fault.Fault, opts Options) *searcher {
+// newSearcher allocates the per-call state with every decision variable
+// unassigned; prove selects the one-frame proof mode.
+func newSearcher(c *circuit.Circuit, f fault.Fault, opts Options, prove bool) *searcher {
 	s := &searcher{
 		c:        c,
 		flt:      f,
 		opts:     opts,
+		prove:    prove,
 		pi:       make([][]logic.V, opts.Frames),
 		vals:     make([][]pair, opts.Frames),
 		diverged: make([]int, opts.Frames),
-		inputIdx: make([]int, len(c.Nodes)),
+		varIdx:   make([]int, len(c.Nodes)),
 		buckets:  make([][]circuit.NodeID, c.MaxLevel()+1),
 		queued:   make([]bool, len(c.Nodes)),
 	}
+	vars := c.NumInputs()
+	if prove {
+		vars += c.NumDFFs()
+		s.seen = make([]bool, len(c.Nodes))
+	}
 	for fr := range s.pi {
-		s.pi[fr] = make([]logic.V, c.NumInputs())
+		s.pi[fr] = make([]logic.V, vars)
 		for i := range s.pi[fr] {
 			s.pi[fr][i] = logic.X
 		}
 		s.vals[fr] = make([]pair, len(c.Nodes))
 	}
 	for k, id := range c.Inputs {
-		s.inputIdx[id] = k
+		s.varIdx[id] = k
+	}
+	for k, id := range c.DFFs {
+		s.varIdx[id] = c.NumInputs() + k
 	}
 	return s
+}
+
+// varNode returns the node of decision variable k.
+func (s *searcher) varNode(k int) circuit.NodeID {
+	if k < s.c.NumInputs() {
+		return s.c.Inputs[k]
+	}
+	return s.c.DFFs[k-s.c.NumInputs()]
 }
 
 // initialise computes the whole window once, from the given start states
@@ -172,15 +257,15 @@ func (s *searcher) initialise(goodInit, faultyInit []logic.V) {
 	s.detect()
 }
 
-// assign sets input k of frame start to v and propagates the change forward,
-// event-driven: within a frame only the fanout cone of changed nodes is
-// re-evaluated, in level order, and the change crosses into the next frame
-// only through flip-flops whose value actually moves. Frames before start
-// are never touched. Afterwards vals equals a whole-window simulation under
-// the new assignment.
+// assign sets decision variable k of frame start to v and propagates the
+// change forward, event-driven: within a frame only the fanout cone of
+// changed nodes is re-evaluated, in level order, and the change crosses
+// into the next frame only through flip-flops whose value actually moves.
+// Frames before start are never touched. Afterwards vals equals a
+// whole-window simulation under the new assignment.
 func (s *searcher) assign(start, k int, v logic.V) {
 	s.pi[start][k] = v
-	id := s.c.Inputs[k]
+	id := s.varNode(k)
 	s.set(start, id, s.forced(id, pair{v, v}))
 	for fr := start; ; fr++ {
 		vals := s.vals[fr]
@@ -232,7 +317,8 @@ func (s *searcher) set(fr int, id circuit.NodeID, v pair) {
 	}
 }
 
-// detect recomputes detAt from the primary outputs.
+// detect recomputes detAt from the primary outputs and, in proof mode, the
+// next-state lines.
 func (s *searcher) detect() {
 	s.detAt = -1
 	for fr, vals := range s.vals {
@@ -243,16 +329,30 @@ func (s *searcher) detect() {
 			}
 		}
 	}
+	if s.prove {
+		for _, id := range s.c.DFFs {
+			if s.dLine(0, id).divergent() {
+				s.detAt = 0
+				return
+			}
+		}
+	}
 }
 
-// nextState returns flip-flop id's value in frame fr+1: its D input in
-// frame fr, with the pin-0 branch fault and the stem fault applied.
-func (s *searcher) nextState(fr int, id circuit.NodeID) pair {
+// dLine returns the value flip-flop id stores at the end of frame fr: its D
+// input, with the pin-0 branch fault applied.
+func (s *searcher) dLine(fr int, id circuit.NodeID) pair {
 	v := s.vals[fr][s.c.Nodes[id].Fanins[0]]
 	if s.flt.Pin == 0 && s.flt.Node == id {
 		v.f = logic.V(s.flt.Stuck)
 	}
-	return s.forced(id, v)
+	return v
+}
+
+// nextState returns flip-flop id's value in frame fr+1: its stored value
+// with the stem fault applied.
+func (s *searcher) nextState(fr int, id circuit.NodeID) pair {
+	return s.forced(id, s.dLine(fr, id))
 }
 
 // forced applies the stem fault at node id to the faulty rail.
@@ -310,22 +410,16 @@ func (s *searcher) fanin(vals []pair, id circuit.NodeID, pin int) pair {
 func (s *searcher) objective() (circuit.NodeID, int, logic.V, bool) {
 	// Activation: some frame where the fault site carries the stuck value's
 	// complement on the good rail.
-	siteVal := func(fr int) logic.V {
-		if s.flt.Pin < 0 {
-			return s.vals[fr][s.flt.Node].g
-		}
-		return s.vals[fr][s.c.Nodes[s.flt.Node].Fanins[s.flt.Pin]].g
-	}
 	activated := false
 	for fr := 0; fr < s.opts.Frames && !activated; fr++ {
-		if siteVal(fr).IsBinary() && siteVal(fr) != logic.V(s.flt.Stuck) {
+		if s.siteGood(fr).IsBinary() && s.siteGood(fr) != logic.V(s.flt.Stuck) {
 			activated = true
 		}
 	}
 	if !activated {
 		want := logic.V(s.flt.Stuck).Not()
 		for fr := 0; fr < s.opts.Frames; fr++ {
-			if siteVal(fr) == logic.X {
+			if s.siteGood(fr) == logic.X {
 				target := s.flt.Node
 				if s.flt.Pin >= 0 {
 					target = s.c.Nodes[s.flt.Node].Fanins[s.flt.Pin]
@@ -373,6 +467,15 @@ func (s *searcher) objective() (circuit.NodeID, int, logic.V, bool) {
 	return 0, 0, logic.X, false
 }
 
+// siteGood returns the good value of the fault site in frame fr: the node of
+// a stem fault, the driver of a branch fault's pin.
+func (s *searcher) siteGood(fr int) logic.V {
+	if s.flt.Pin < 0 {
+		return s.vals[fr][s.flt.Node].g
+	}
+	return s.vals[fr][s.c.Nodes[s.flt.Node].Fanins[s.flt.Pin]].g
+}
+
 // pinDiverged reports whether a branch fault's pin carries a fault effect in
 // frame fr: its driver's good value is the complement of the stuck value.
 func (s *searcher) pinDiverged(fr int) bool {
@@ -396,22 +499,21 @@ func nonControlling(t circuit.GateType) logic.V {
 	}
 }
 
-// backtrace maps an objective to an unassigned primary input (input index,
-// frame, value), walking backward through X-valued lines and across flip-
-// flops into earlier frames. ok=false if the objective dead-ends (e.g. it
-// reaches the fixed initial state).
+// backtrace maps an objective to an unassigned decision variable (variable
+// index, frame, value), walking backward through X-valued lines and across
+// flip-flops into earlier frames. ok=false if the objective dead-ends (e.g.
+// it reaches the fixed initial state, which in proof mode is free).
 func (s *searcher) backtrace(id circuit.NodeID, fr int, v logic.V) (int, int, logic.V, bool) {
 	for steps := 0; steps < len(s.c.Nodes)*s.opts.Frames; steps++ {
 		n := &s.c.Nodes[id]
 		switch n.Type {
 		case circuit.Input:
-			k := s.inputIdx[id]
-			if s.pi[fr][k] != logic.X {
-				return 0, 0, logic.X, false // already pinned
-			}
-			return k, fr, v, true
+			return s.free(id, fr, v)
 		case circuit.DFF:
 			if fr == 0 {
+				if s.prove {
+					return s.free(id, fr, v)
+				}
 				return 0, 0, logic.X, false // initial state is fixed
 			}
 			fr--
@@ -448,6 +550,16 @@ func (s *searcher) backtrace(id circuit.NodeID, fr int, v logic.V) (int, int, lo
 	return 0, 0, logic.X, false
 }
 
+// free returns the decision variable of node id in frame fr with value v,
+// or ok=false if it is already assigned.
+func (s *searcher) free(id circuit.NodeID, fr int, v logic.V) (int, int, logic.V, bool) {
+	k := s.varIdx[id]
+	if s.pi[fr][k] != logic.X {
+		return 0, 0, logic.X, false // already pinned
+	}
+	return k, fr, v, true
+}
+
 // pickXFanin returns a fanin whose good value is X.
 func (s *searcher) pickXFanin(n *circuit.Node, fr int) (circuit.NodeID, bool) {
 	for _, fid := range n.Fanins {
@@ -458,35 +570,108 @@ func (s *searcher) pickXFanin(n *circuit.Node, fr int) (circuit.NodeID, bool) {
 	return 0, false
 }
 
+// decide picks the next decision (variable index, frame, value), or
+// ok=false at a dead end.
+func (s *searcher) decide() (int, int, logic.V, bool) {
+	if s.prove {
+		return s.decideProof()
+	}
+	id, fr, v, ok := s.objective()
+	if !ok {
+		return 0, 0, logic.X, false
+	}
+	return s.backtrace(id, fr, v)
+}
+
+// decideProof is decide in proof mode. Only a sound prune ends a branch:
+// the fault site's good value is the stuck value, or no path of nodes that
+// are not binary-equal leads from the site to an observed line (see
+// effectPath). Binary values stay put as more variables are assigned, so a
+// prune holds for every completion of the assignment. Otherwise it follows
+// the objective and, where the objective or the backtrace finds no
+// decision, takes the first unassigned variable instead of backtracking:
+// the objective is a heuristic (its D-frontier rule skips gates whose side
+// inputs are good-binary but faulty-X), so its dead end proves nothing.
+func (s *searcher) decideProof() (int, int, logic.V, bool) {
+	if s.siteGood(0) == logic.V(s.flt.Stuck) || !s.effectPath() {
+		return 0, 0, logic.X, false
+	}
+	if id, fr, v, ok := s.objective(); ok {
+		if k, fr, v, ok := s.backtrace(id, fr, v); ok {
+			return k, fr, v, true
+		}
+	}
+	for k, v := range s.pi[0] {
+		if v == logic.X {
+			return k, 0, logic.Zero, true
+		}
+	}
+	return 0, 0, logic.X, false // every variable is binary and nothing is observed
+}
+
+// effectPath reports, in proof mode, whether some path of nodes that are not
+// binary-equal (good and faulty both binary and equal) leads from the fault
+// site to a primary output or a next-state line. Every node on which a
+// complete assignment makes the machines differ has such a path back to
+// the site, so without one no completion detects the fault.
+func (s *searcher) effectPath() bool {
+	if s.flt.Pin >= 0 && s.c.Nodes[s.flt.Node].Type == circuit.DFF {
+		return true // the faulted pin is itself a next-state line
+	}
+	vals := s.vals[0]
+	clear(s.seen)
+	s.path = s.path[:0]
+	visit := func(id circuit.NodeID) {
+		if !s.seen[id] && !vals[id].settled() {
+			s.seen[id] = true
+			s.path = append(s.path, id)
+		}
+	}
+	visit(s.flt.Node)
+	for len(s.path) > 0 {
+		id := s.path[len(s.path)-1]
+		s.path = s.path[:len(s.path)-1]
+		if s.c.IsPO(id) {
+			return true
+		}
+		for _, o := range s.c.Nodes[id].Fanouts {
+			if s.c.Nodes[o].Type == circuit.DFF {
+				return true // id is a next-state line
+			}
+			visit(o)
+		}
+	}
+	return false
+}
+
 type decision struct {
 	input, frame int
 	value        logic.V
 	flipped      bool
 }
 
-// search runs the PODEM decision loop.
-func (s *searcher) search(res *Result) bool {
+// search runs the PODEM decision loop. It returns Testable once a fault
+// effect is observed, Redundant when every decision is exhausted and Aborted
+// when the backtracks exceed the cap.
+func (s *searcher) search(res *Result) Verdict {
 	var stack []decision
 	for {
 		if s.detAt >= 0 {
-			return true
+			return Testable
 		}
-		id, fr, v, ok := s.objective()
-		if ok {
-			if k, pfr, pv, traced := s.backtrace(id, fr, v); traced {
-				stack = append(stack, decision{input: k, frame: pfr, value: pv})
-				s.assign(pfr, k, pv)
-				continue
-			}
+		if k, fr, v, ok := s.decide(); ok {
+			stack = append(stack, decision{input: k, frame: fr, value: v})
+			s.assign(fr, k, v)
+			continue
 		}
 		// Dead end: backtrack.
 		for {
 			if len(stack) == 0 {
-				return false
+				return Redundant
 			}
 			res.Backtracks++
 			if res.Backtracks > s.opts.MaxBacktracks {
-				return false
+				return Aborted
 			}
 			d := &stack[len(stack)-1]
 			if !d.flipped {

@@ -317,7 +317,7 @@ func windowSim(s *searcher, goodInit, faultyInit []logic.V) ([][]pair, int) {
 // shared with the production searcher.
 func referenceFindTest(c *circuit.Circuit, f fault.Fault, goodInit, faultyInit []logic.V, opts Options) *Result {
 	opts.fill()
-	s := newSearcher(c, f, opts)
+	s := newSearcher(c, f, opts, false)
 	simulate := func() {
 		s.vals, s.detAt = windowSim(s, goodInit, faultyInit)
 		s.diverged = divergedCounts(s.vals)
@@ -429,7 +429,7 @@ func TestAssignMatchesWindowSimulation(t *testing.T) {
 			good, faulty := randomStates(rng, c.NumDFFs())
 			opts := Options{Frames: 1 + rng.Intn(8)}
 			opts.fill()
-			s := newSearcher(c, f, opts)
+			s := newSearcher(c, f, opts, false)
 			s.initialise(good, faulty)
 			for step := 0; step < 40; step++ {
 				fr, k := rng.Intn(opts.Frames), rng.Intn(c.NumInputs())

@@ -77,6 +77,11 @@ const (
 	// live faults of a batch into fewer lanes, so a packed batch walks
 	// fewer lane-cycles than its groups' dense passes.
 	CtrSlabLaneCycles
+	// CtrProvenRedundant counts the faults podem.Prove proved redundant: in
+	// the pipeline, the PODEM targets whose sequential search was skipped
+	// because no sequence can detect them. The proofs' own backtracks count
+	// in CtrBacktracks.
+	CtrProvenRedundant
 
 	// NumCounters is the number of defined counters.
 	NumCounters
@@ -97,6 +102,7 @@ var counterNames = [NumCounters]string{
 	CtrRepeatExits:        "fsim.repeat_exits",
 	CtrSpeculativeVectors: "fsim.speculative_vectors",
 	CtrSlabLaneCycles:     "fsim.slab_lane_cycles",
+	CtrProvenRedundant:    "podem.proven_redundant",
 }
 
 // Name returns the exported name of a counter.
