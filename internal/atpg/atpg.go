@@ -271,7 +271,6 @@ func directedPhase(s *fsim.Simulator, seq *sim.Sequence, l *ledger, rng *randuti
 	var drawn []*sim.Sequence // drawn[k]: the k-th trial not yet committed
 	for l.numTargets() > 0 && accepted < maxAccepts && budget > 0 && !ctxDone(opts.Ctx) {
 		targets, start := l.trialTargets()
-		offset := seq.Len()
 		improved := false
 		fsim.Speculate(s, opts.Workers,
 			func(ahead int) (*trial, bool) {
@@ -286,7 +285,6 @@ func directedPhase(s *fsim.Simulator, seq *sim.Sequence, l *ledger, rng *randuti
 			func(ws *fsim.Simulator, t *trial) {
 				t.out = ws.Run(t.seq, targets, fsim.Options{
 					InitialStates: start,
-					TimeOffset:    offset,
 					Workers:       opts.Workers,
 				})
 			},
@@ -297,7 +295,7 @@ func directedPhase(s *fsim.Simulator, seq *sim.Sequence, l *ledger, rng *randuti
 					return false
 				}
 				l.dropTargets(t.out)
-				if ext := l.continueWith(s, t.seq, offset, opts); ext != nil {
+				if ext := l.continueWith(s, t.seq, opts); ext != nil {
 					l.commit(ext)
 					seq.Concat(t.seq)
 					accepted++

@@ -41,7 +41,7 @@ func deterministicPhase(c *circuit.Circuit, s *fsim.Simulator, seq *sim.Sequence
 			if err != nil || !res.Found {
 				continue
 			}
-			o := l.continueWith(s, res.Seq, seq.Len(), opts)
+			o := l.continueWith(s, res.Seq, opts)
 			if o == nil {
 				return seq // cancelled; the caller discards the run
 			}

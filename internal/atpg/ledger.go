@@ -98,15 +98,15 @@ func (l *ledger) endTrials() {
 	}
 }
 
-// continueWith simulates ext appended to the current sequence (of length
-// offset) over the faults in play, continued from their exact states with
-// SaveStates. The outcome is what the extended sequence adds; commit takes
-// it over. It returns nil if the run was cancelled.
-func (l *ledger) continueWith(s *fsim.Simulator, ext *sim.Sequence, offset int, opts Options) *fsim.Outcome {
+// continueWith simulates ext appended to the current sequence over the
+// faults in play, continued from their exact states with SaveStates, so
+// its detection times count on from the end of the sequence. The outcome is
+// what the extended sequence adds; commit takes it over. It returns nil if
+// the run was cancelled.
+func (l *ledger) continueWith(s *fsim.Simulator, ext *sim.Sequence, opts Options) *fsim.Outcome {
 	o := s.Run(ext, l.faults, fsim.Options{
 		InitialStates: l.st,
 		SaveStates:    true,
-		TimeOffset:    offset,
 		Workers:       opts.Workers,
 		Ctx:           opts.Ctx,
 	})

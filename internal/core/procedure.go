@@ -245,9 +245,8 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 
 	// simulate generates a candidate's sequence and runs it against its
 	// fault order. With sampleFirst, group 0 (target fault + sample) always
-	// runs alone; only a detecting candidate pays for the remaining groups.
-	// The outcome's Aborted flag is deliberately unused: a zero-detection
-	// candidate is rejected whether or not later groups were skipped.
+	// runs alone; only a detecting candidate pays for the remaining groups,
+	// and a zero-detection candidate is rejected.
 	simulate := func(ws *fsim.Simulator, cd *candidate) {
 		cd.out = ws.Run(cd.a.GenSequence(cd.lg), cd.faults, fsim.Options{
 			Init:                       opts.Init,

@@ -89,10 +89,12 @@ func TestDifferentialSuiteCircuits(t *testing.T) {
 // over ≥1000 random triples, rotating over the stuck-at, transition and
 // bridge models, the slab kernel must reproduce the dense kernel bit for
 // bit — Detected, DetTime, Lines (ObserveLines axis), FinalStates and
-// launch history (SaveStates axis) — across Workers ∈ {1, 4, 8} ×
+// launch history (SaveStates axis) — and do the dense run's work
+// (fsim.vectors, gate_evals, group_passes, repeat_exits, faults_dropped)
+// across Workers ∈ {1, 4, 8} ×
 // SlabLanes ∈ {1, 2, 8} plus the automatic width, including StopTime
 // truncation, arena re-strides and dense interleavings on one reused
-// simulator, and split InitialStates/TimeOffset continuation replays.
+// simulator, and split InitialStates continuation replays.
 func TestDifferentialDenseVsSlab(t *testing.T) {
 	triples := 1000
 	if testing.Short() {

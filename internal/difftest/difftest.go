@@ -11,6 +11,11 @@
 // The helpers are exported (within internal/) so tests and fuzz targets
 // share one stimulus decoder and one comparison routine; everything is
 // deterministic in the seeds.
+//
+// CheckSlab compares fsim's work counters, which are process-wide
+// (telemetry.Counters), around each run, so the tests of this package must
+// not call t.Parallel: a concurrent run would add to the counters a check
+// is reading.
 package difftest
 
 import (
@@ -31,6 +36,7 @@ import (
 	"repro/internal/randutil"
 	"repro/internal/ref"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // Config selects the differential axes of one triple check.
@@ -42,12 +48,13 @@ type Config struct {
 	Workers int
 	// SaveStates compares final flip-flop states (fault-free and per fault).
 	SaveStates bool
-	// StopTime, if positive, truncates the sequence in both simulators.
+	// StopTime, if positive, truncates the sequence after this many time
+	// units before any simulator sees it.
 	StopTime int
 	// SplitContinuation, if set (and StopTime is zero and the sequence has
 	// at least 2 vectors), additionally replays the fsim run as a prefix run
-	// with SaveStates plus a continuation run via InitialStates/TimeOffset
-	// and demands that the merged outcome matches the unsplit oracle.
+	// with SaveStates plus a continuation run from its InitialStates and
+	// demands that the merged outcome matches the unsplit oracle.
 	SplitContinuation bool
 	// ObserveLines turns on internal-line observability recording in the
 	// dense-vs-slab kernel cross-check (CheckSlab); the ref oracle does not
@@ -182,12 +189,11 @@ func CompareOutcomes(c *circuit.Circuit, faults []fault.Fault, r *ref.Outcome, f
 // — dense as the ref-locked baseline, slab against both ref and dense — so
 // the check is invariant to the FSIM_KERNEL environment override.
 func CheckTriple(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg Config) error {
-	refOut := ref.Run(c, seq, faults, ref.Options{
-		Init: cfg.Init, StopTime: cfg.StopTime, SaveStates: cfg.SaveStates,
-	})
+	seq = truncate(seq, cfg)
+	refOut := ref.Run(c, seq, faults, ref.Options{Init: cfg.Init, SaveStates: cfg.SaveStates})
 	run := func(k fsim.Kernel, workers int) *fsim.Outcome {
 		return fsim.Run(c, seq, faults, fsim.Options{
-			Init: cfg.Init, StopTime: cfg.StopTime, SaveStates: cfg.SaveStates,
+			Init: cfg.Init, SaveStates: cfg.SaveStates,
 			Workers: workers, Kernel: k,
 		})
 	}
@@ -226,13 +232,23 @@ func CheckTriple(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cf
 	return nil
 }
 
+// truncate returns seq cut after cfg.StopTime time units, if that is
+// positive and shorter than seq.
+func truncate(seq *sim.Sequence, cfg Config) *sim.Sequence {
+	if cfg.StopTime > 0 && cfg.StopTime < seq.Len() {
+		return seq.Slice(0, cfg.StopTime)
+	}
+	return seq
+}
+
 // splits reports whether the split-continuation axis applies to a triple.
 func splits(seq *sim.Sequence, faults []fault.Fault, cfg Config) bool {
 	return cfg.SplitContinuation && cfg.StopTime == 0 && seq.Len() >= 2 && len(faults) > 0
 }
 
 // splitRun replays the fsim run split at the sequence midpoint — a prefix
-// run with SaveStates, then a continuation from its states with TimeOffset —
+// run with SaveStates, then a continuation from its states, which carry the
+// prefix's length so the continuation reports absolute detection times —
 // under the kernel, worker and lane settings of run, and returns the merged
 // outcome: each fault's first detection over both halves and (when
 // cfg.SaveStates) the continuation's final states.
@@ -242,7 +258,7 @@ func splitRun(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg C
 	pre.Init, pre.SaveStates = cfg.Init, true
 	preOut := fsim.Run(c, seq.Slice(0, split), faults, pre)
 	cont := run
-	cont.InitialStates, cont.TimeOffset, cont.SaveStates = preOut.FinalStates, split, cfg.SaveStates
+	cont.InitialStates, cont.SaveStates = preOut.FinalStates, cfg.SaveStates
 	out := fsim.Run(c, seq.Slice(split, seq.Len()), faults, cont)
 	for i := range faults {
 		if preOut.Detected[i] {
@@ -273,32 +289,45 @@ func sameSplit(want, merged *fsim.Outcome, saveStates bool) error {
 // faults of any model: the sequential dense outcome is the baseline and the
 // slab kernel must reproduce it bit for bit — Detected, DetTime,
 // NumDetected, Lines (when cfg.ObserveLines), FinalStates with the launch
-// history (when cfg.SaveStates) — across Workers ∈ {1, 4, 8} × SlabLanes ∈
-// {1, 2, 8} (multi-group batches, including tail batches narrower than W),
-// under the automatic width (SlabLanes=0) at Workers ∈ {1, 4}, across slab
-// runs of different widths on one reused simulator (the arena re-stride
-// path) interleaved with a dense run (the shared-scratch path), and through
-// split InitialStates/TimeOffset continuation replays at every tested W,
-// with both halves on the slab kernel.
+// history (when cfg.SaveStates) — and do the same dense-equivalent work
+// (workCounters) across Workers ∈ {1, 4, 8} × SlabLanes ∈ {1, 2, 8}
+// (multi-group batches, including tail batches narrower than W), under the
+// automatic width (SlabLanes=0) at Workers ∈ {1, 4}, across slab runs of
+// different widths on one reused simulator (the arena re-stride path)
+// interleaved with a dense run (the shared-scratch path). Its outcome must
+// also survive split continuation replays at every tested W, with both
+// halves on the slab kernel.
 func CheckSlab(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg Config) error {
+	seq = truncate(seq, cfg)
 	opts := func(k fsim.Kernel, workers, lanes int) fsim.Options {
 		return fsim.Options{
-			Init: cfg.Init, StopTime: cfg.StopTime, SaveStates: cfg.SaveStates,
+			Init: cfg.Init, SaveStates: cfg.SaveStates,
 			ObserveLines: cfg.ObserveLines, Workers: workers, Kernel: k,
 			SlabLanes: lanes,
 		}
 	}
+	before := telemetry.Counters()
 	want := fsim.Run(c, seq, faults, opts(fsim.KernelDense, 1, 0))
+	work := telemetry.Counters().Sub(before)
+	// same runs seq on s under o and demands the dense baseline's outcome
+	// and work.
+	same := func(s *fsim.Simulator, o fsim.Options) error {
+		before := telemetry.Counters()
+		got := s.Run(seq, faults, o)
+		if err := sameWork(work, telemetry.Counters().Sub(before)); err != nil {
+			return err
+		}
+		return sameFsimOutcome(want, got)
+	}
 	for _, workers := range []int{1, 4, 8} {
 		for _, lanes := range []int{1, 2, 8} {
-			got := fsim.Run(c, seq, faults, opts(fsim.KernelSlab, workers, lanes))
-			if err := sameFsimOutcome(want, got); err != nil {
+			if err := same(fsim.New(c), opts(fsim.KernelSlab, workers, lanes)); err != nil {
 				return fmt.Errorf("dense vs slab(Workers=%d, W=%d): %w", workers, lanes, err)
 			}
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		if err := sameFsimOutcome(want, fsim.Run(c, seq, faults, opts(fsim.KernelSlab, workers, 0))); err != nil {
+		if err := same(fsim.New(c), opts(fsim.KernelSlab, workers, 0)); err != nil {
 			return fmt.Errorf("dense vs slab(Workers=%d, automatic W): %w", workers, err)
 		}
 	}
@@ -307,15 +336,14 @@ func CheckSlab(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg 
 	// must still match afterwards.
 	s := fsim.New(c)
 	for round, lanes := range []int{2, 8, 2} {
-		got := s.Run(seq, faults, opts(fsim.KernelSlab, 1, lanes))
-		if err := sameFsimOutcome(want, got); err != nil {
+		if err := same(s, opts(fsim.KernelSlab, 1, lanes)); err != nil {
 			return fmt.Errorf("reused simulator, slab round %d (W=%d): %w", round, lanes, err)
 		}
 	}
-	if err := sameFsimOutcome(want, s.Run(seq, faults, opts(fsim.KernelDense, 1, 0))); err != nil {
+	if err := same(s, opts(fsim.KernelDense, 1, 0)); err != nil {
 		return fmt.Errorf("reused simulator, dense after slab: %w", err)
 	}
-	if err := sameFsimOutcome(want, s.Run(seq, faults, opts(fsim.KernelSlab, 1, 4))); err != nil {
+	if err := same(s, opts(fsim.KernelSlab, 1, 4)); err != nil {
 		return fmt.Errorf("reused simulator, slab after dense: %w", err)
 	}
 	if splits(seq, faults, cfg) {
@@ -335,11 +363,11 @@ func CheckSlab(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg 
 // event per detected fault. This is the determinism contract of
 // obsv.Trace.CanonicalBytes — worker and kernel are annotations only.
 func CheckTrace(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg Config) error {
+	seq = truncate(seq, cfg)
 	run := func(k fsim.Kernel, workers int) (*obsv.Trace, *fsim.Outcome) {
 		tr := obsv.NewTrace()
 		out := fsim.Run(c, seq, faults, fsim.Options{
-			Init: cfg.Init, StopTime: cfg.StopTime,
-			Workers: workers, Kernel: k, Trace: tr,
+			Init: cfg.Init, Workers: workers, Kernel: k, Trace: tr,
 		})
 		return tr, out
 	}
@@ -361,6 +389,24 @@ func CheckTrace(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg
 				return fmt.Errorf("%v(Workers=%d): canonical trace differs from dense(Workers=1):\nA:\n%s\nB:\n%s",
 					k, workers, want, got)
 			}
+		}
+	}
+	return nil
+}
+
+// workCounters are the dense-equivalent work counters, which neither the
+// kernel, its lane width nor Workers may change.
+var workCounters = []telemetry.CounterID{
+	telemetry.CtrVectors, telemetry.CtrGateEvals, telemetry.CtrGroupPasses,
+	telemetry.CtrRepeatExits, telemetry.CtrFaultsDropped,
+}
+
+// sameWork demands a run's counter deltas got match the dense baseline's
+// want on every work counter.
+func sameWork(want, got telemetry.Snapshot) error {
+	for _, id := range workCounters {
+		if want.Get(id) != got.Get(id) {
+			return fmt.Errorf("%s: dense %d, this run %d", id.Name(), want.Get(id), got.Get(id))
 		}
 	}
 	return nil

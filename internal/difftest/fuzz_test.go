@@ -42,9 +42,9 @@ func FuzzRefVsFsim(f *testing.F) {
 // FuzzSlabVsDense is the slab-kernel differential target: for an arbitrary
 // decoded triple, the multi-group slab kernel must reproduce the dense
 // kernel bit for bit — Detected, DetTime, Lines, FinalStates and launch
-// history — across Workers ∈ {1, 4, 8} × SlabLanes ∈ {1, 2, 8} plus the
+// history — and its work counters across Workers ∈ {1, 4, 8} × SlabLanes ∈ {1, 2, 8} plus the
 // automatic width, across re-strided and dense-interleaved runs on one
-// reused simulator, and through split InitialStates/TimeOffset continuation
+// reused simulator, and through split InitialStates continuation
 // replays. Every input is checked under each fault model, the fault sample
 // drawn from that model's collapsed universe with the same stimulus seed
 // (so the stuck-at half decodes exactly as before models were added).

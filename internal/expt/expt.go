@@ -160,8 +160,8 @@ func presetFor(name string, cfg Config) Config {
 		// Restoration-based compaction would try 36 candidate deletions
 		// here, each simulating every target detected at or after its start
 		// to the end of the sequence; on seed 1 it accepts none of them and
-		// adds about 12 s to a 26 s pipeline (2-vCPU host), so skipping it
-		// saves that time without changing T.
+		// adds about 2.6 s to a 10.4 s pipeline (Workers=1, 2-vCPU host),
+		// so skipping it saves that time without changing T.
 		cfg.ATPGNoCompaction = true
 	case "s35932":
 		if cfg.ATPGRandomLen == 0 {

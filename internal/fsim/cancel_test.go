@@ -203,7 +203,7 @@ func TestCancelAccounting(t *testing.T) {
 					ran := d.Get(telemetry.CtrGroupPasses)
 					skipped := d.Get(telemetry.CtrGroupsCancelled)
 					name := fmt.Sprintf("%s workers=%d abort=%v k=%d", kc.name, workers, abort, k)
-					if out.Aborted {
+					if abort && ran == 1 && skipped == 0 && out.NumDetected == 0 {
 						t.Fatalf("%s: group 0 detected nothing; the accounting needs a run that goes on", name)
 					}
 					if ran+skipped != int64(groups) {

@@ -61,9 +61,6 @@ type Options struct {
 	// target fault and a random sample first, this is the paper's Section 4.2
 	// simulation-effort reduction.
 	AbortAfterFirstGroupIfNone bool
-	// StopTime, if positive, truncates the sequence after this many time
-	// units.
-	StopTime int
 	// OutputHook, if non-nil, is invoked once per simulated time unit per
 	// fault group with the group's fault range [lo,hi) and the dual-rail
 	// primary-output words (slot 0 = fault-free machine, slot k = machine of
@@ -80,22 +77,19 @@ type Options struct {
 	// the Outcome.FinalStates of an earlier run with SaveStates, or its
 	// States.Select for a subset of that run's fault list. It overrides Init
 	// and lets a caller continue a simulation where an earlier sequence left
-	// off, paying only for the new vectors. Continuation is exact for every
+	// off, paying only for the new vectors. The states know the time unit
+	// their run ended at, and the continued run starts there: its DetTime
+	// and trace times are absolute, directly comparable with the detection
+	// times u_det(f) of the unsplit sequence. Continuation is exact for every
 	// fault model and kernel: the states carry each transition fault's launch
 	// history along with the flip-flops, so the split run detects exactly
-	// what the unsplit run detects. Run panics if the states describe a
-	// different number of faults or flip-flops than the run: a silent
-	// mismatch would corrupt the continuation run.
+	// what the unsplit run detects, at the same times. Run panics if the
+	// states describe a different number of faults or flip-flops than the
+	// run: a silent mismatch would corrupt the continuation run.
 	InitialStates *States
 	// SaveStates records every machine's final state in Outcome.FinalStates
 	// (disabling the early exits so the state is exact).
 	SaveStates bool
-	// TimeOffset is added to every recorded detection time (undetected
-	// faults stay at -1). A caller continuing a run via InitialStates passes
-	// the length of the already-applied prefix so Outcome.DetTime stays
-	// directly comparable with the detection times u_det(f) of the original,
-	// unsplit sequence. StopTime remains relative to the new sequence.
-	TimeOffset int
 	// Workers is the number of goroutines the independent fault groups are
 	// sharded over. 0 or 1 simulates sequentially on the calling goroutine;
 	// n > 1 uses min(n, number of groups) workers, each with its own scratch
@@ -215,7 +209,8 @@ type Outcome struct {
 	// Detected[i] reports whether faults[i] was detected.
 	Detected []bool
 	// DetTime[i] is the first time unit at which faults[i] was detected
-	// (-1 if undetected).
+	// (-1 if undetected). A run from InitialStates counts on from the
+	// time unit at which the saving run ended.
 	DetTime []int
 	// NumDetected is the number of detected faults.
 	NumDetected int
@@ -226,10 +221,6 @@ type Outcome struct {
 	// FinalStates is every machine's state at the end of the run (only when
 	// SaveStates was set); see States.
 	FinalStates *States
-	// Aborted reports that AbortAfterFirstGroupIfNone fired: the first
-	// group detected nothing and at least one further group was skipped. A
-	// run whose only group was fully simulated is never marked aborted.
-	Aborted bool
 	// Cancelled reports that Options.Ctx was cancelled before every fault
 	// group had been simulated: Detected/DetTime cover only the groups that
 	// ran, so the outcome is a partial result the caller should discard
@@ -466,11 +457,7 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 		}
 	}
 	if opts.SaveStates {
-		out.FinalStates = newStates(faults, numGroups, len(s.c.DFFs))
-	}
-	stop := seq.Len()
-	if opts.StopTime > 0 && opts.StopTime < stop {
-		stop = opts.StopTime
+		out.FinalStates = newStates(faults, numGroups, len(s.c.DFFs), opts.InitialStates.start()+seq.Len())
 	}
 	if numGroups == 0 {
 		return out
@@ -486,11 +473,11 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 	// one per lane.
 	pass := func(ws *Simulator, g0, nl int, tb *counterBatch) int {
 		lo := g0 * GroupSize
-		return ws.runGroupDense(seq, faults, lo, min(lo+GroupSize, len(faults)), stop, opts, out, tb)
+		return ws.runGroupDense(seq, faults, lo, min(lo+GroupSize, len(faults)), opts, out, tb)
 	}
 	if opts.Kernel == KernelSlab {
 		pass = func(ws *Simulator, g0, nl int, tb *counterBatch) int {
-			return ws.runSlabBatch(seq, faults, g0, nl, stop, opts, out, tb)
+			return ws.runSlabBatch(seq, faults, g0, nl, opts, out, tb)
 		}
 	}
 
@@ -503,9 +490,6 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 		out.NumDetected = pass(s, 0, 1, &tb)
 		s.flush(&tb)
 		if out.NumDetected == 0 {
-			// Only a run that actually skipped groups counts as aborted;
-			// a fully simulated single-group run is a complete result.
-			out.Aborted = numGroups > 1
 			return out
 		}
 		first = 1
@@ -819,7 +803,7 @@ func (b *counterBatch) flush() {
 // kernel is differentially locked against, and its time unit stays
 // byte-for-byte unoptimized; only the early exits, which both kernels take
 // at the same point, shorten its passes.
-func (s *Simulator) runGroupDense(seq *sim.Sequence, faults []fault.Fault, lo, hi, stop int, opts Options, out *Outcome, tb *counterBatch) int {
+func (s *Simulator) runGroupDense(seq *sim.Sequence, faults []fault.Fault, lo, hi int, opts Options, out *Outcome, tb *counterBatch) int {
 	c := s.c
 	tg := opts.Trace.Group(lo / GroupSize)
 	tg.SetWorker(s.worker)
@@ -885,6 +869,7 @@ func (s *Simulator) runGroupDense(seq *sim.Sequence, faults []fault.Fault, lo, h
 	activeMask := groupMask(hi - lo) // slots still undetected
 	eligible := earlyExitEligible(opts)
 	watched := s.repeatSlots(faults[lo:hi])
+	stop, t0 := seq.Len(), opts.InitialStates.start()
 
 	for u := 0; u < stop; u++ {
 		if eligible && s.watch.repeats(u, state, s.denseHistory, 0, 1, activeMask&watched|1, seq, stop) {
@@ -910,11 +895,11 @@ func (s *Simulator) runGroupDense(seq *sim.Sequence, faults []fault.Fault, lo, h
 				slot := trailingZeros(d)
 				fi := lo + slot - 1
 				out.Detected[fi] = true
-				out.DetTime[fi] = u + opts.TimeOffset
+				out.DetTime[fi] = t0 + u
 				det++
 				activeMask &^= 1 << uint(slot)
 				if tg != nil {
-					tg.Detect(fi, u+opts.TimeOffset, poi)
+					tg.Detect(fi, t0+u, poi)
 				}
 			}
 		}

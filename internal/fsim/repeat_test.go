@@ -274,9 +274,8 @@ func checkKernelWork(t *testing.T, name string, c *circuit.Circuit, seq *sim.Seq
 //     checkpoint's flip-flop or launch-history words behind moves that
 //     group's exit point and with it fsim.vectors;
 //   - the second half of a random sequence on s344 continued from the
-//     first half's saved states (InitialStates, TimeOffset), so the
-//     continued flip-flop words and launch histories are what the repack
-//     moves.
+//     first half's saved states (InitialStates), so the continued
+//     flip-flop words and launch histories are what the repack moves.
 //
 // In both, the slab outcome must equal dense's and so must every
 // dense-equivalent counter (checkKernelWork's), while fsim.slab_lane_cycles
@@ -298,7 +297,7 @@ func TestPackedLanesPerModel(t *testing.T) {
 
 		universe := modelUniverse(t, s344, model)
 		pre := fsim.Run(s344, random.Slice(0, half), universe, fsim.Options{Init: logic.Zero, Kernel: fsim.KernelDense, SaveStates: true})
-		cont := fsim.Options{InitialStates: pre.FinalStates, TimeOffset: half}
+		cont := fsim.Options{InitialStates: pre.FinalStates}
 		checkPacked(t, model+"/continued", s344, random.Slice(half, random.Len()), universe, cont, false)
 	}
 }

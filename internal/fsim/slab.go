@@ -581,7 +581,7 @@ func slabDiff(w logic.W) uint64 {
 // and returning the number of detections. One time unit is one levelized
 // walk over the slab's lanes, two for a batch with bridges; where the early
 // exits apply, a repack may narrow the slab between time units.
-func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl, stop int, opts Options, out *Outcome, tb *counterBatch) int {
+func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl int, opts Options, out *Outcome, tb *counterBatch) int {
 	c := s.c
 	lay := s.lay
 	sl := s.slabFor(nl)
@@ -633,6 +633,7 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 	eligible := earlyExitEligible(opts)
 	active := nl
 	det := 0
+	stop, t0 := seq.Len(), opts.InitialStates.start()
 	var laneCycles, idle int64
 	for u := 0; u < stop; u++ {
 		if eligible {
@@ -684,13 +685,13 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 					slot := trailingZeros(d)
 					fi := int(sl.faultAt[l*64+slot])
 					out.Detected[fi] = true
-					out.DetTime[fi] = u + opts.TimeOffset
+					out.DetTime[fi] = t0 + u
 					det++
 					am &^= 1 << uint(slot)
 					j := fi/GroupSize - g0
 					sl.gActive[j] &^= 1 << uint(fi%GroupSize+1)
 					if tg := sl.tgs[j]; tg != nil {
-						tg.Detect(fi, u+opts.TimeOffset, poi)
+						tg.Detect(fi, t0+u, poi)
 					}
 				}
 				sl.activeMask[l] = am

@@ -59,23 +59,25 @@ func TestSlabAbortAfterFirstGroup(t *testing.T) {
 		}
 		blank.Append(vec)
 	}
+	before := telemetry.Counters()
 	out := Run(c, blank, faults, Options{
 		Init: logic.X, Kernel: KernelSlab, AbortAfterFirstGroupIfNone: true,
 	})
-	if !out.Aborted || out.NumDetected != 0 {
-		t.Fatalf("blank sequence: aborted=%v detected=%d, want abort with 0",
-			out.Aborted, out.NumDetected)
+	if passes := telemetry.Counters().Sub(before).Get(telemetry.CtrGroupPasses); passes != 1 || out.NumDetected != 0 {
+		t.Fatalf("blank sequence: %d group passes, detected %d, want the abort after group 0's with 0",
+			passes, out.NumDetected)
 	}
 
 	// A real random sequence detects group-0 faults, so the run continues
 	// and must match the unaborted dense result.
 	seq := sim.RandomSequence(rng, c.NumInputs(), 32)
 	want := Run(c, seq, faults, Options{Init: logic.Zero, Kernel: KernelDense})
+	before = telemetry.Counters()
 	got := Run(c, seq, faults, Options{
 		Init: logic.Zero, Kernel: KernelSlab, AbortAfterFirstGroupIfNone: true, SlabLanes: 4,
 	})
-	if got.Aborted {
-		t.Fatal("aborted although group 0 detected faults")
+	if passes := telemetry.Counters().Sub(before).Get(telemetry.CtrGroupPasses); passes != int64(len(want.Detected)+GroupSize-1)/GroupSize {
+		t.Fatalf("%d group passes: aborted although group 0 detected faults", passes)
 	}
 	if got.NumDetected != want.NumDetected {
 		t.Fatalf("detected %d, want %d", got.NumDetected, want.NumDetected)
@@ -256,7 +258,7 @@ func TestSlabRepackNeedsOneFaultFreeMachine(t *testing.T) {
 	var dense telemetry.Snapshot
 	for _, kernel := range []Kernel{KernelDense, KernelSlab} {
 		before := telemetry.Counters()
-		got := Run(c, seq.Slice(5, seq.Len()), faults, Options{Kernel: kernel, InitialStates: &mixed, TimeOffset: 5})
+		got := Run(c, seq.Slice(5, seq.Len()), faults, Options{Kernel: kernel, InitialStates: &mixed})
 		d := telemetry.Counters().Sub(before)
 		if kernel == KernelDense {
 			want, dense = got, d

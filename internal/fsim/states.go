@@ -20,17 +20,24 @@ import (
 // machine), so continuing over that list loads each group with one copy.
 // Select repacks a subset into the same layout for the shorter list. A
 // States value is immutable once its run has returned.
+//
+// A States value also records the absolute time unit at which its run
+// ended: the time unit the run started at (where its own InitialStates
+// ended, 0 for a run from Options.Init) plus its sequence length. A run
+// continued from it starts there.
 type States struct {
 	n      int         // number of faults
 	nff    int         // flip-flops per machine
+	end    int         // the time unit at which the saving run ended
 	groups [][]logic.W // groups[g][k]: flip-flop k of every machine of group g (slot 0: fault-free)
 	hist   []logic.V   // hist[i]: launch history of fault i (nil: no transition faults)
 }
 
 // newStates allocates the saved state of a run over faults in numGroups
-// groups; hist is allocated (all X) when the list carries transition faults.
-func newStates(faults []fault.Fault, numGroups, nff int) *States {
-	st := &States{n: len(faults), nff: nff, groups: make([][]logic.W, numGroups)}
+// groups that ends at time unit end; hist is allocated (all X) when the
+// list carries transition faults.
+func newStates(faults []fault.Fault, numGroups, nff, end int) *States {
+	st := &States{n: len(faults), nff: nff, end: end, groups: make([][]logic.W, numGroups)}
 	for _, f := range faults {
 		if f.Kind == fault.KindTransition {
 			st.hist = make([]logic.V, len(faults))
@@ -45,6 +52,15 @@ func newStates(faults []fault.Fault, numGroups, nff int) *States {
 
 // Len is the number of faults the states describe.
 func (st *States) Len() int { return st.n }
+
+// start returns the time unit at which a run from st begins: where st's
+// run ended, or 0 for a run from Options.Init (st nil).
+func (st *States) start() int {
+	if st == nil {
+		return 0
+	}
+	return st.end
+}
 
 // Good returns the fault-free machine's flip-flop values as fault i's group
 // carries them (every group simulates its own copy of that machine).
@@ -84,7 +100,7 @@ func (st *States) Select(keep func(i int) bool) *States {
 	if len(idx) == st.n {
 		return st
 	}
-	out := &States{n: len(idx), nff: st.nff,
+	out := &States{n: len(idx), nff: st.nff, end: st.end,
 		groups: make([][]logic.W, (len(idx)+GroupSize-1)/GroupSize)}
 	for g := range out.groups {
 		// Slot 0 and the unused slots take the fault-free machine of the

@@ -109,7 +109,9 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestTraceTimeOffset checks that continuation runs stamp absolute times.
+// TestTraceTimeOffset checks that continuation runs stamp absolute times:
+// a run continued from a prefix's saved states traces each detection at the
+// time the unsplit run detects it.
 func TestTraceTimeOffset(t *testing.T) {
 	c := iscas.MustLoad("s27")
 	seq, err := sim.ParseSequence(iscas.S27TestSequence)
@@ -117,11 +119,17 @@ func TestTraceTimeOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := fault.CollapsedUniverse(c)
+	whole := Run(c, seq, faults, Options{Init: logic.Zero})
+	const split = 2
+	pre := Run(c, seq.Slice(0, split), faults, Options{Init: logic.Zero, SaveStates: true})
 	tr := obsv.NewTrace()
-	out := Run(c, seq, faults, Options{Init: logic.Zero, Trace: tr, TimeOffset: 100})
+	out := Run(c, seq.Slice(split, seq.Len()), faults, Options{InitialStates: pre.FinalStates, Trace: tr})
+	if len(tr.Events()) == 0 {
+		t.Fatal("the continuation detects nothing; the test needs a traced detection")
+	}
 	for _, ev := range tr.Events() {
-		if ev.Time < 100 || ev.Time != out.DetTime[ev.Fault] {
-			t.Fatalf("event %+v ignores TimeOffset", ev)
+		if ev.Time < split || ev.Time != out.DetTime[ev.Fault] || (!pre.Detected[ev.Fault] && ev.Time != whole.DetTime[ev.Fault]) {
+			t.Fatalf("event %+v: continuation from time %d, unsplit DetTime %d", ev, split, whole.DetTime[ev.Fault])
 		}
 	}
 }

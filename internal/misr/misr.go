@@ -15,38 +15,14 @@ package misr
 import (
 	"fmt"
 
+	"repro/internal/lfsr"
 	"repro/internal/logic"
 )
 
-// taps mirrors the primitive-polynomial tap positions of package lfsr
-// (1-indexed; tap t reads stage t-1).
-var taps = map[int][]int{
-	3:  {3, 2},
-	4:  {4, 3},
-	5:  {5, 3},
-	6:  {6, 5},
-	7:  {7, 6},
-	8:  {8, 6, 5, 4},
-	9:  {9, 5},
-	10: {10, 7},
-	11: {11, 9},
-	12: {12, 6, 4, 1},
-	13: {13, 4, 3, 1},
-	14: {14, 5, 3, 1},
-	15: {15, 14},
-	16: {16, 15, 13, 4},
-	17: {17, 14},
-	18: {18, 11},
-	19: {19, 6, 2, 1},
-	20: {20, 17},
-	21: {21, 19},
-	22: {22, 21},
-	23: {23, 18},
-	24: {24, 23, 22, 17},
-}
-
+// tapMask returns the feedback mask of a width-bit register over the
+// maximal-length taps of package lfsr.
 func tapMask(width int) (uint64, error) {
-	positions, ok := taps[width]
+	positions, ok := lfsr.Taps(width)
 	if !ok {
 		return 0, fmt.Errorf("misr: unsupported width %d (have 3..24)", width)
 	}

@@ -1,13 +1,17 @@
 package obs
 
 import (
+	"slices"
 	"testing"
+	"testing/quick"
 
+	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/iscas"
 	"repro/internal/logic"
+	"repro/internal/randutil"
 	"repro/internal/scoap"
 	"repro/internal/sim"
 )
@@ -189,6 +193,42 @@ func TestCoverGreedy(t *testing.T) {
 	}
 	if len(lines) != 2 || int(lines[0]) != 2 || int(lines[1]) != 5 {
 		t.Fatalf("lines %v, want [2 5]", lines)
+	}
+}
+
+// TestGreedyCoverCoversEveryCoverable: on random instances where every fault
+// is coverable, GreedyCover claims every fault and its lines cover each one.
+func TestGreedyCoverCoversEveryCoverable(t *testing.T) {
+	prop := func(seed uint64) bool {
+		rng := randutil.New(seed)
+		nf := 1 + rng.Intn(10)
+		nl := 1 + rng.Intn(12)
+		op := make([]fsim.Bitset, nf)
+		undet := make([]bool, nf)
+		for i := range op {
+			op[i] = fsim.NewBitset(64)
+			undet[i] = true
+			// Every fault coverable by at least one line.
+			op[i].Set(rng.Intn(nl))
+			for l := 0; l < nl; l++ {
+				if rng.Intn(3) == 0 {
+					op[i].Set(l)
+				}
+			}
+		}
+		lines, covered := GreedyCover(op, undet, 64)
+		if covered != nf {
+			return false
+		}
+		for i := range op {
+			if !slices.ContainsFunc(lines, func(n circuit.NodeID) bool { return op[i].Get(int(n)) }) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
 	}
 }
 

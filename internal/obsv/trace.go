@@ -24,8 +24,9 @@ import (
 type Event struct {
 	// Fault is the index of the detected fault in the run's fault list.
 	Fault int `json:"fault"`
-	// Time is the time unit of the first detection (including the run's
-	// TimeOffset, so split continuation runs report absolute times).
+	// Time is the time unit of the first detection. A run continued from
+	// saved states counts on from where they were saved, so split
+	// continuation runs report absolute times.
 	Time int `json:"t"`
 	// PO is the index of the detecting primary output (the lowest-index
 	// output showing a binary difference at Time).
@@ -121,8 +122,8 @@ func (g *GroupTrace) SetWorker(w int) {
 	}
 }
 
-// Detect records the first detection of a fault: fault-list index, time unit
-// (with TimeOffset applied) and detecting primary-output index.
+// Detect records the first detection of a fault: fault-list index, absolute
+// time unit and detecting primary-output index.
 func (g *GroupTrace) Detect(fault, time, po int) {
 	if g != nil {
 		g.events = append(g.events, rawEvent{int32(fault), int32(time), int32(po)})

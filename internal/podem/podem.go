@@ -540,11 +540,9 @@ func (s *searcher) backtrace(id circuit.NodeID, fr int, v logic.V) (int, int, lo
 				return 0, 0, logic.X, false
 			}
 			id = next
-			if n.Type == circuit.And || n.Type == circuit.Nand {
-				v = want // 1 needs all ones; 0 needs a zero: either way drive `want`
-			} else {
-				v = want
-			}
+			// For AND, 1 needs all ones and 0 needs a zero; for OR, 0 needs
+			// all zeros and 1 needs a one: either way drive `want`.
+			v = want
 		}
 	}
 	return 0, 0, logic.X, false

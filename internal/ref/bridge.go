@@ -15,7 +15,7 @@ import (
 // second pass re-evaluates the whole cycle with both stems held at that
 // wired value, and detection plus the state capture read the second pass.
 // This restates the fsim two-pass contract independently of fsim.
-func simulateBridge(c *circuit.Circuit, seq *sim.Sequence, stop int, init logic.V,
+func simulateBridge(c *circuit.Circuit, seq *sim.Sequence, init logic.V,
 	f fault.Fault, golden [][]logic.V, keepGoing bool) (detTime int, final []logic.V) {
 
 	vals := make([]logic.V, len(c.Nodes))
@@ -49,7 +49,7 @@ func simulateBridge(c *circuit.Circuit, seq *sim.Sequence, stop int, init logic.
 		}
 	}
 	detTime = -1
-	for u := 0; u < stop; u++ {
+	for u := 0; u < seq.Len(); u++ {
 		pass(u, false, logic.X)
 		var wired logic.V
 		if wiredOr {

@@ -35,14 +35,9 @@ import (
 type Options struct {
 	// Init is the initial value of every flip-flop.
 	Init logic.V
-	// StopTime, if positive, truncates the sequence after this many time
-	// units.
-	StopTime int
 	// SaveStates records final flip-flop states (and forces every machine to
 	// simulate the whole sequence even after detection).
 	SaveStates bool
-	// TimeOffset is added to every recorded detection time.
-	TimeOffset int
 }
 
 // Outcome reports a reference run. It matches fsim.Outcome fault for fault;
@@ -130,10 +125,6 @@ func eval(t circuit.GateType, in []logic.V) logic.V {
 // Run simulates every fault independently against seq and returns the
 // outcome. Cost is O(faults × time units × gates) — naive by design.
 func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Options) *Outcome {
-	stop := seq.Len()
-	if opts.StopTime > 0 && opts.StopTime < stop {
-		stop = opts.StopTime
-	}
 	out := &Outcome{
 		Detected: make([]bool, len(faults)),
 		DetTime:  make([]int, len(faults)),
@@ -148,8 +139,8 @@ func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Optio
 
 	// Fault-free pass: record the golden primary-output trace (the detection
 	// reference) and, if asked, the golden final state.
-	golden := make([][]logic.V, stop)
-	_, ffFinal := simulate(c, seq, stop, opts.Init, nil, golden, opts.SaveStates)
+	golden := make([][]logic.V, seq.Len())
+	_, ffFinal := simulate(c, seq, opts.Init, nil, golden, opts.SaveStates)
 	if opts.SaveStates {
 		out.FaultFreeFinal = ffFinal
 	}
@@ -160,15 +151,15 @@ func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Optio
 		history := logic.X
 		switch faults[i].Kind {
 		case fault.KindTransition:
-			det, final, history = simulateTransition(c, seq, stop, opts.Init, faults[i], golden, opts.SaveStates)
+			det, final, history = simulateTransition(c, seq, opts.Init, faults[i], golden, opts.SaveStates)
 		case fault.KindBridge:
-			det, final = simulateBridge(c, seq, stop, opts.Init, faults[i], golden, opts.SaveStates)
+			det, final = simulateBridge(c, seq, opts.Init, faults[i], golden, opts.SaveStates)
 		default:
-			det, final = simulate(c, seq, stop, opts.Init, &faults[i], golden, opts.SaveStates)
+			det, final = simulate(c, seq, opts.Init, &faults[i], golden, opts.SaveStates)
 		}
 		if det >= 0 {
 			out.Detected[i] = true
-			out.DetTime[i] = det + opts.TimeOffset
+			out.DetTime[i] = det
 			out.NumDetected++
 		}
 		if opts.SaveStates {
@@ -180,7 +171,7 @@ func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Optio
 }
 
 // simulate runs one machine. With f == nil it is the fault-free machine:
-// golden (len stop) receives a copy of the primary-output values of every
+// golden (len seq.Len()) receives a copy of the primary-output values of every
 // time unit. With f != nil the machine carries that single fault and golden
 // is read as the fault-free trace; detTime is the first time unit at which
 // some primary output is binary in both machines with opposite values (-1 if
@@ -188,7 +179,7 @@ func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Optio
 // final is the flip-flop state after the last clock edge (nil if the run
 // stopped early — it is only meaningful when the whole sequence was applied,
 // and keepGoing guarantees that).
-func simulate(c *circuit.Circuit, seq *sim.Sequence, stop int, init logic.V,
+func simulate(c *circuit.Circuit, seq *sim.Sequence, init logic.V,
 	f *fault.Fault, golden [][]logic.V, keepGoing bool) (detTime int, final []logic.V) {
 
 	vals := make([]logic.V, len(c.Nodes))
@@ -206,7 +197,7 @@ func simulate(c *circuit.Circuit, seq *sim.Sequence, stop int, init logic.V,
 	}
 	var in []logic.V
 	detTime = -1
-	for u := 0; u < stop; u++ {
+	for u := 0; u < seq.Len(); u++ {
 		for k, id := range c.Inputs {
 			vals[id] = stuck(id, seq.At(u, k))
 		}

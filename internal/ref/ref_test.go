@@ -86,24 +86,6 @@ func TestHandComputedPipeline(t *testing.T) {
 	}
 }
 
-func TestStopTimeAndOffset(t *testing.T) {
-	b := circuit.NewBuilder("pipe")
-	b.Input("in")
-	b.DFF("ff", "in")
-	b.Gate("out", circuit.Not, "ff")
-	b.Output("out")
-	c, _ := b.Build()
-	seq, _ := sim.ParseSequence("1\n1\n1")
-	f := []fault.Fault{{Node: c.Inputs[0], Pin: -1, Stuck: 0}} // detects at t=1
-	if out := Run(c, seq, f, Options{Init: logic.Zero, StopTime: 1}); out.Detected[0] {
-		t.Error("StopTime=1 should truncate before the t=1 detection")
-	}
-	out := Run(c, seq, f, Options{Init: logic.Zero, TimeOffset: 10})
-	if out.DetTime[0] != 11 {
-		t.Errorf("TimeOffset: DetTime = %d, want 11", out.DetTime[0])
-	}
-}
-
 func TestSaveStates(t *testing.T) {
 	b := circuit.NewBuilder("pipe")
 	b.Input("in")

@@ -18,7 +18,7 @@ import (
 // site's nominal value in the last time unit (X after no time unit), the
 // state a continuation would need besides final; like final it is only
 // meaningful when keepGoing applied the whole sequence.
-func simulateTransition(c *circuit.Circuit, seq *sim.Sequence, stop int, init logic.V,
+func simulateTransition(c *circuit.Circuit, seq *sim.Sequence, init logic.V,
 	f fault.Fault, golden [][]logic.V, keepGoing bool) (detTime int, final []logic.V, history logic.V) {
 
 	vals := make([]logic.V, len(c.Nodes))
@@ -44,7 +44,7 @@ func simulateTransition(c *circuit.Circuit, seq *sim.Sequence, stop int, init lo
 	}
 	var in []logic.V
 	detTime = -1
-	for u := 0; u < stop; u++ {
+	for u := 0; u < seq.Len(); u++ {
 		for k, id := range c.Inputs {
 			vals[id] = slow(id, seq.At(u, k))
 		}
