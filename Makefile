@@ -1,7 +1,8 @@
 # Developer entry points. `make test` is the tier-1 gate (it includes the
 # exact s298 pipeline work-counter pin of internal/expt); `make race` adds
 # the race detector over the internal packages (including the
-# sequential-vs-parallel fsim determinism tests); `make fuzz-smoke` gives
+# sequential-vs-parallel fsim determinism tests), in shuffled test order so
+# that no test leans on state an earlier test left behind; `make fuzz-smoke` gives
 # every differential fuzz target a bounded run on top of the committed seed
 # corpora; `make cover-gate` fails if total statement coverage drops below
 # the repository baseline; `make bench-digests` runs the benchmark module's
@@ -36,7 +37,7 @@ test: build
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -short -count=1 ./internal/...
+	$(GO) test -race -short -count=1 -shuffle=on ./internal/...
 
 # vet also fails if any Go file is not gofmt-formatted. benchmark/ is a
 # separate module, so the root `go vet ./...` does not reach it.

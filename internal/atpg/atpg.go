@@ -282,11 +282,12 @@ func directedPhase(s *fsim.Simulator, seq *sim.Sequence, l *ledger, rng *randuti
 				}
 				return &trial{seq: drawn[ahead]}, true
 			},
-			func(ws *fsim.Simulator, t *trial) {
+			func(ws *fsim.Simulator, t *trial) *fsim.Outcome {
 				t.out = ws.Run(t.seq, targets, fsim.Options{
 					InitialStates: start,
 					Workers:       opts.Workers,
 				})
+				return t.out
 			},
 			func(t *trial) bool {
 				drawn = drawn[1:]
@@ -400,7 +401,7 @@ func compact(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, det []i
 				}
 				return nil, false
 			},
-			func(ws *fsim.Simulator, d *deletion) {
+			func(ws *fsim.Simulator, d *deletion) *fsim.Outcome {
 				d.seq = sim.NewSequence(d.from.NumInputs)
 				for u, v := range d.from.Vecs {
 					if u < d.lo || u >= d.hi {
@@ -410,6 +411,7 @@ func compact(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, det []i
 				if len(d.late) > 0 {
 					d.out = simulate(ws, d.seq, d.late, opts)
 				}
+				return d.out
 			},
 			func(d *deletion) bool {
 				if d.out != nil {

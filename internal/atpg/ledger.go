@@ -47,7 +47,7 @@ func newLedger(faults []fault.Fault, out *fsim.Outcome) *ledger {
 // the caller discards the run.
 func (l *ledger) capture(s *fsim.Simulator, seq *sim.Sequence, opts Options) {
 	o := s.Run(seq, l.faults, fsim.Options{Init: opts.Init, SaveStates: true, Workers: opts.Workers, Ctx: opts.Ctx})
-	if !o.Cancelled {
+	if !o.Cancelled() {
 		l.st = o.FinalStates
 	}
 }
@@ -110,7 +110,7 @@ func (l *ledger) continueWith(s *fsim.Simulator, ext *sim.Sequence, opts Options
 		Workers:       opts.Workers,
 		Ctx:           opts.Ctx,
 	})
-	if o.Cancelled {
+	if o.Cancelled() {
 		return nil
 	}
 	return o

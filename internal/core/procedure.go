@@ -247,13 +247,14 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 	// fault order. With sampleFirst, group 0 (target fault + sample) always
 	// runs alone; only a detecting candidate pays for the remaining groups,
 	// and a zero-detection candidate is rejected.
-	simulate := func(ws *fsim.Simulator, cd *candidate) {
+	simulate := func(ws *fsim.Simulator, cd *candidate) *fsim.Outcome {
 		cd.out = ws.Run(cd.a.GenSequence(cd.lg), cd.faults, fsim.Options{
 			Init:                       opts.Init,
 			AbortAfterFirstGroupIfNone: !opts.NoSampleFirst,
 			Workers:                    opts.Workers,
 			Ctx:                        opts.Ctx,
 		})
+		return cd.out
 	}
 
 	// drop drops a simulated candidate's detections. It returns the newly

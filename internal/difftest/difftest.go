@@ -12,10 +12,10 @@
 // share one stimulus decoder and one comparison routine; everything is
 // deterministic in the seeds.
 //
-// CheckSlab compares fsim's work counters, which are process-wide
-// (telemetry.Counters), around each run, so the tests of this package must
-// not call t.Parallel: a concurrent run would add to the counters a check
-// is reading.
+// The sweeps of diff_test.go and model_test.go read the process-wide
+// fsim.repeat_exits counter (repeatExits) to show that a repeat exit fired
+// somewhere in them, so the tests of this package must not call t.Parallel:
+// a concurrent run would add to the counter a sweep is reading.
 package difftest
 
 import (
@@ -36,7 +36,6 @@ import (
 	"repro/internal/randutil"
 	"repro/internal/ref"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // Config selects the differential axes of one triple check.
@@ -290,7 +289,7 @@ func sameSplit(want, merged *fsim.Outcome, saveStates bool) error {
 // slab kernel must reproduce it bit for bit — Detected, DetTime,
 // NumDetected, Lines (when cfg.ObserveLines), FinalStates with the launch
 // history (when cfg.SaveStates) — and do the same dense-equivalent work
-// (workCounters) across Workers ∈ {1, 4, 8} × SlabLanes ∈ {1, 2, 8}
+// (sameFsimOutcome) across Workers ∈ {1, 4, 8} × SlabLanes ∈ {1, 2, 8}
 // (multi-group batches, including tail batches narrower than W), under the
 // automatic width (SlabLanes=0) at Workers ∈ {1, 4}, across slab runs of
 // different widths on one reused simulator (the arena re-stride path)
@@ -306,18 +305,11 @@ func CheckSlab(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg 
 			SlabLanes: lanes,
 		}
 	}
-	before := telemetry.Counters()
 	want := fsim.Run(c, seq, faults, opts(fsim.KernelDense, 1, 0))
-	work := telemetry.Counters().Sub(before)
 	// same runs seq on s under o and demands the dense baseline's outcome
 	// and work.
 	same := func(s *fsim.Simulator, o fsim.Options) error {
-		before := telemetry.Counters()
-		got := s.Run(seq, faults, o)
-		if err := sameWork(work, telemetry.Counters().Sub(before)); err != nil {
-			return err
-		}
-		return sameFsimOutcome(want, got)
+		return sameFsimOutcome(want, s.Run(seq, faults, o))
 	}
 	for _, workers := range []int{1, 4, 8} {
 		for _, lanes := range []int{1, 2, 8} {
@@ -394,30 +386,17 @@ func CheckTrace(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg
 	return nil
 }
 
-// workCounters are the dense-equivalent work counters, which neither the
-// kernel, its lane width nor Workers may change.
-var workCounters = []telemetry.CounterID{
-	telemetry.CtrVectors, telemetry.CtrGateEvals, telemetry.CtrGroupPasses,
-	telemetry.CtrRepeatExits, telemetry.CtrFaultsDropped,
-}
-
-// sameWork demands a run's counter deltas got match the dense baseline's
-// want on every work counter.
-func sameWork(want, got telemetry.Snapshot) error {
-	for _, id := range workCounters {
-		if want.Get(id) != got.Get(id) {
-			return fmt.Errorf("%s: dense %d, this run %d", id.Name(), want.Get(id), got.Get(id))
-		}
-	}
-	return nil
-}
-
 // sameFsimOutcome demands two fsim outcomes be bit-identical (the
-// determinism guarantee of Options.Workers).
+// determinism guarantee of Options.Workers), their work included, except
+// for Work.Slab: the slab kernel's batch tallies follow its lane width, but
+// neither the kernel, its lane width nor Workers may change the
+// dense-equivalent work.
 func sameFsimOutcome(a, b *fsim.Outcome) error {
-	if !reflect.DeepEqual(a, b) {
-		return fmt.Errorf("outcomes differ:\nA: det=%v times=%v n=%d\nB: det=%v times=%v n=%d",
-			a.Detected, a.DetTime, a.NumDetected, b.Detected, b.DetTime, b.NumDetected)
+	x, y := *a, *b
+	x.Work.Slab, y.Work.Slab = fsim.SlabWork{}, fsim.SlabWork{}
+	if !reflect.DeepEqual(x, y) {
+		return fmt.Errorf("outcomes differ:\nA: work=%+v n=%d det=%v times=%v\nB: work=%+v n=%d det=%v times=%v",
+			x.Work, a.NumDetected, a.Detected, a.DetTime, y.Work, b.NumDetected, b.Detected, b.DetTime)
 	}
 	return nil
 }

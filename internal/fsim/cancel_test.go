@@ -11,12 +11,11 @@ import (
 	"repro/internal/logic"
 	"repro/internal/randutil"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // TestCancelBeforeStart: a context that is already cancelled when Run is
 // entered skips every fault group, marks the outcome Cancelled, and counts
-// all groups on fsim.groups_cancelled.
+// all groups in Work.GroupsCancelled.
 func TestCancelBeforeStart(t *testing.T) {
 	c, err := iscas.Load("s298")
 	if err != nil {
@@ -28,22 +27,20 @@ func TestCancelBeforeStart(t *testing.T) {
 	cancel()
 
 	for _, workers := range []int{0, 4} {
-		before := telemetry.Counters()
 		out := Run(c, seq, faults, Options{Init: logic.Zero, Workers: workers, Ctx: ctx})
-		d := telemetry.Counters().Sub(before)
 
-		if !out.Cancelled {
+		if !out.Cancelled() {
 			t.Fatalf("workers=%d: Cancelled = false", workers)
 		}
 		if out.NumDetected != 0 {
 			t.Errorf("workers=%d: NumDetected = %d on a pre-cancelled run", workers, out.NumDetected)
 		}
 		groups := int64((len(faults) + GroupSize - 1) / GroupSize)
-		if got := d.Get(telemetry.CtrGroupsCancelled); got != groups {
-			t.Errorf("workers=%d: groups_cancelled delta = %d, want %d", workers, got, groups)
+		if got := out.Work.GroupsCancelled; got != groups {
+			t.Errorf("workers=%d: Work.GroupsCancelled = %d, want %d", workers, got, groups)
 		}
-		if got := d.Get(telemetry.CtrGroupPasses); got != 0 {
-			t.Errorf("workers=%d: group passes delta = %d, want 0", workers, got)
+		if got := out.Work.GroupPasses; got != 0 {
+			t.Errorf("workers=%d: Work.GroupPasses = %d, want 0", workers, got)
 		}
 	}
 }
@@ -66,7 +63,6 @@ func TestCancelMidRun(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	before := telemetry.Counters()
 	out := Run(c, seq, faults, Options{
 		Init: logic.Zero,
 		Ctx:  ctx,
@@ -76,16 +72,15 @@ func TestCancelMidRun(t *testing.T) {
 			}
 		},
 	})
-	d := telemetry.Counters().Sub(before)
 
-	if !out.Cancelled {
+	if !out.Cancelled() {
 		t.Fatal("Cancelled = false after mid-run cancellation")
 	}
-	if got := d.Get(telemetry.CtrGroupPasses); got != 1 {
-		t.Errorf("group passes delta = %d, want 1 (first group runs to completion)", got)
+	if got := out.Work.GroupPasses; got != 1 {
+		t.Errorf("Work.GroupPasses = %d, want 1 (first group runs to completion)", got)
 	}
-	if got := d.Get(telemetry.CtrGroupsCancelled); got != int64(groups-1) {
-		t.Errorf("groups_cancelled delta = %d, want %d", got, groups-1)
+	if got := out.Work.GroupsCancelled; got != int64(groups-1) {
+		t.Errorf("Work.GroupsCancelled = %d, want %d", got, groups-1)
 	}
 }
 
@@ -107,24 +102,21 @@ func TestCancelMidRunParallel(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		go cancel()
-		before := telemetry.Counters()
 		out := Run(c, seq, faults, Options{Init: logic.Zero, Workers: 4, Ctx: ctx})
-		d := telemetry.Counters().Sub(before)
 
-		ran := d.Get(telemetry.CtrGroupPasses)
-		skipped := d.Get(telemetry.CtrGroupsCancelled)
+		ran, skipped := out.Work.GroupPasses, out.Work.GroupsCancelled
 		if ran+skipped != groups {
 			t.Fatalf("trial %d: ran %d + cancelled %d != %d groups", trial, ran, skipped, groups)
 		}
-		if out.Cancelled != (skipped > 0) {
-			t.Fatalf("trial %d: Cancelled = %v with %d groups skipped", trial, out.Cancelled, skipped)
+		if out.Cancelled() != (skipped > 0) {
+			t.Fatalf("trial %d: Cancelled = %v with %d groups skipped", trial, out.Cancelled(), skipped)
 		}
 		cancel()
 	}
 }
 
 // TestNilCtxUnaffected: runs without a context behave exactly as before and
-// never touch the cancellation counter.
+// never count a cancelled group.
 func TestNilCtxUnaffected(t *testing.T) {
 	c, err := iscas.Load("s27")
 	if err != nil {
@@ -132,14 +124,12 @@ func TestNilCtxUnaffected(t *testing.T) {
 	}
 	faults := fault.CollapsedUniverse(c)
 	seq := sim.RandomSequence(randutil.New(7), c.NumInputs(), 32)
-	before := telemetry.Counters()
 	out := Run(c, seq, faults, Options{Init: logic.X})
-	d := telemetry.Counters().Sub(before)
-	if out.Cancelled {
+	if out.Cancelled() {
 		t.Error("Cancelled = true without a context")
 	}
-	if got := d.Get(telemetry.CtrGroupsCancelled); got != 0 {
-		t.Errorf("groups_cancelled delta = %d, want 0", got)
+	if got := out.Work.GroupsCancelled; got != 0 {
+		t.Errorf("Work.GroupsCancelled = %d, want 0", got)
 	}
 }
 
@@ -194,14 +184,11 @@ func TestCancelAccounting(t *testing.T) {
 			for _, abort := range []bool{false, true} {
 				for k := int64(1); k <= int64(groups)+2; k++ {
 					ctx := &cutCtx{Context: context.Background(), k: k}
-					before := telemetry.Counters()
 					out := Run(c, seq, faults, Options{
 						Init: logic.Zero, Kernel: kc.kernel, SlabLanes: kc.lanes,
 						Workers: workers, AbortAfterFirstGroupIfNone: abort, Ctx: ctx,
 					})
-					d := telemetry.Counters().Sub(before)
-					ran := d.Get(telemetry.CtrGroupPasses)
-					skipped := d.Get(telemetry.CtrGroupsCancelled)
+					ran, skipped := out.Work.GroupPasses, out.Work.GroupsCancelled
 					name := fmt.Sprintf("%s workers=%d abort=%v k=%d", kc.name, workers, abort, k)
 					if abort && ran == 1 && skipped == 0 && out.NumDetected == 0 {
 						t.Fatalf("%s: group 0 detected nothing; the accounting needs a run that goes on", name)
@@ -209,8 +196,8 @@ func TestCancelAccounting(t *testing.T) {
 					if ran+skipped != int64(groups) {
 						t.Errorf("%s: ran %d + cancelled %d != %d groups", name, ran, skipped, groups)
 					}
-					if out.Cancelled != (skipped > 0) {
-						t.Errorf("%s: Cancelled = %v with %d groups cancelled", name, out.Cancelled, skipped)
+					if out.Cancelled() != (skipped > 0) {
+						t.Errorf("%s: Cancelled = %v with %d groups cancelled", name, out.Cancelled(), skipped)
 					}
 					if workers != 1 {
 						continue

@@ -122,9 +122,9 @@ type Options struct {
 	// group, so a cancelled run stops scheduling new passes and returns its
 	// workers promptly instead of burning through the remaining groups. A
 	// group already in flight finishes its pass — results stay well-formed —
-	// and the outcome is marked Cancelled; the skipped groups are counted on
-	// the fsim.groups_cancelled telemetry counter. A nil Ctx (the default)
-	// never cancels and costs nothing.
+	// and the skipped groups are counted in Outcome.Work.GroupsCancelled,
+	// which marks the outcome Cancelled. A nil Ctx (the default) never
+	// cancels and costs nothing.
 	Ctx context.Context
 	// Trace, if non-nil, receives the run's detection-provenance stream
 	// (see internal/obsv): one event per first detection carrying the fault
@@ -221,11 +221,63 @@ type Outcome struct {
 	// FinalStates is every machine's state at the end of the run (only when
 	// SaveStates was set); see States.
 	FinalStates *States
-	// Cancelled reports that Options.Ctx was cancelled before every fault
-	// group had been simulated: Detected/DetTime cover only the groups that
-	// ran, so the outcome is a partial result the caller should discard
-	// (pipeline stages surface ctx.Err() instead of using it).
-	Cancelled bool
+	// Work is the simulation work of the run, which Run also adds to the
+	// telemetry counters once it returns.
+	Work Work
+}
+
+// Cancelled reports that Options.Ctx was cancelled before every fault group
+// had been simulated: the outcome covers only the groups that ran, so the
+// caller should discard it (pipeline stages surface ctx.Err() instead).
+func (o *Outcome) Cancelled() bool { return o.Work.GroupsCancelled > 0 }
+
+// Work counts the simulation work of one run, each field on the telemetry
+// counter named beside it (fsim.faults_dropped is NumDetected). Neither the
+// kernel, its lane width nor Workers changes any field but Slab: both
+// kernels count dense-equivalent gate evaluations (vectors × gates).
+type Work struct {
+	GateEvals       int64 // fsim.gate_evals
+	Vectors         int64 // fsim.vectors: time units simulated, over all group passes
+	GroupPasses     int64 // fsim.group_passes
+	GroupsCancelled int64 // fsim.groups_cancelled: groups skipped by cancellation
+	RepeatExits     int64 // fsim.repeat_exits
+	Slab            SlabWork
+}
+
+// SlabWork is the slab kernel's batch work, which follows its lane width.
+type SlabWork struct {
+	Passes     int64 // fsim.slab_passes: batches simulated
+	LanesIdle  int64 // fsim.slab_lanes_idle: lane-cycles holding no live machine
+	LaneCycles int64 // fsim.slab_lane_cycles: lanes walked, summed over time units
+}
+
+// add accumulates o into w.
+func (w *Work) add(o *Work) {
+	w.GateEvals += o.GateEvals
+	w.Vectors += o.Vectors
+	w.GroupPasses += o.GroupPasses
+	w.GroupsCancelled += o.GroupsCancelled
+	w.RepeatExits += o.RepeatExits
+	w.Slab.Passes += o.Slab.Passes
+	w.Slab.LanesIdle += o.Slab.LanesIdle
+	w.Slab.LaneCycles += o.Slab.LaneCycles
+}
+
+// publish adds the work of a run (if any) to the telemetry counters.
+func (o *Outcome) publish() {
+	if o == nil || o.Work == (Work{}) {
+		return
+	}
+	w := &o.Work
+	telemetry.Add(telemetry.CtrGateEvals, w.GateEvals)
+	telemetry.Add(telemetry.CtrVectors, w.Vectors)
+	telemetry.Add(telemetry.CtrGroupPasses, w.GroupPasses)
+	telemetry.Add(telemetry.CtrFaultsDropped, int64(o.NumDetected))
+	telemetry.Add(telemetry.CtrGroupsCancelled, w.GroupsCancelled)
+	telemetry.Add(telemetry.CtrRepeatExits, w.RepeatExits)
+	telemetry.Add(telemetry.CtrSlabPasses, w.Slab.Passes)
+	telemetry.Add(telemetry.CtrSlabLanesIdle, w.Slab.LanesIdle)
+	telemetry.Add(telemetry.CtrSlabLaneCycles, w.Slab.LaneCycles)
 }
 
 // Bitset is a fixed-size bitset over node ids.
@@ -267,12 +319,11 @@ type Simulator struct {
 	// flattened netlist and own only scratch state.
 	pool []*Simulator
 	// slots are Speculate's per-candidate simulators, built like pool and
-	// kept warm across calls. held is set on a slot only: it collects the
-	// counters of the slot's current call, which Speculate then counts as
-	// committed work or as discarded speculation, and it makes every call
-	// on the slot sequential (Workers is ignored).
+	// kept warm across calls. slot is set on a slot only: every call on it
+	// is sequential (Workers is ignored), and Run leaves its work for
+	// Speculate to count as committed or as discarded speculation.
 	slots []*Simulator
-	held  *counterBatch
+	slot  bool
 
 	// Flattened netlist (hot-loop friendly): for gate k in evaluation order,
 	// gateID[k] is its node id, gateType[k] its type, and its fanins are
@@ -401,7 +452,7 @@ func (s *Simulator) slotSims(n int) []*Simulator {
 	for len(s.slots) < n {
 		w := s.sibling()
 		w.worker = len(s.slots) + 1
-		w.held = new(counterBatch)
+		w.slot = true
 		s.slots = append(s.slots, w)
 	}
 	return s.slots[:n]
@@ -434,8 +485,16 @@ func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Optio
 // of the outcome, so the result is bit-identical to the sequential run
 // regardless of scheduling.
 func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *Outcome {
+	out := s.run(seq, faults, opts)
+	if !s.slot {
+		out.publish()
+	}
+	return out
+}
+
+func (s *Simulator) run(seq *sim.Sequence, faults []fault.Fault, opts Options) *Outcome {
 	opts.Kernel = opts.Kernel.Resolve() // resolve env/default exactly once
-	if s.held != nil {
+	if s.slot {
 		opts.Workers = 1 // a speculation slot runs one candidate's call alone
 	}
 	numGroups := (len(faults) + GroupSize - 1) / GroupSize
@@ -464,20 +523,19 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 	}
 
 	if ctxDone(opts.Ctx) {
-		out.Cancelled = true
-		s.flush(&counterBatch{cancelled: int64(numGroups)})
+		out.Work.GroupsCancelled = int64(numGroups)
 		return out
 	}
 	// pass simulates the nl groups from g0 in one pass: the dense kernel's
 	// batch is always one group, the slab kernel's up to slabWidth groups,
 	// one per lane.
-	pass := func(ws *Simulator, g0, nl int, tb *counterBatch) int {
+	pass := func(ws *Simulator, g0, nl int, wk *Work) int {
 		lo := g0 * GroupSize
-		return ws.runGroupDense(seq, faults, lo, min(lo+GroupSize, len(faults)), opts, out, tb)
+		return ws.runGroupDense(seq, faults, lo, min(lo+GroupSize, len(faults)), opts, out, wk)
 	}
 	if opts.Kernel == KernelSlab {
-		pass = func(ws *Simulator, g0, nl int, tb *counterBatch) int {
-			return ws.runSlabBatch(seq, faults, g0, nl, opts, out, tb)
+		pass = func(ws *Simulator, g0, nl int, wk *Work) int {
+			return ws.runSlabBatch(seq, faults, g0, nl, opts, out, wk)
 		}
 	}
 
@@ -486,9 +544,7 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 		// The Section 4.2 effort reduction: the first group (target fault
 		// plus sample) always runs alone, in a one-lane pass before any
 		// fan-out, so the abort decision is the same for every kernel.
-		var tb counterBatch
-		out.NumDetected = pass(s, 0, 1, &tb)
-		s.flush(&tb)
+		out.NumDetected = pass(s, 0, 1, &out.Work)
 		if out.NumDetected == 0 {
 			return out
 		}
@@ -500,9 +556,9 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 		w = slabWidth(opts, rem)
 	}
 	numBatches := (rem + w - 1) / w
-	batch := func(ws *Simulator, b int, tb *counterBatch) int {
+	batch := func(ws *Simulator, b int, wk *Work) int {
 		g0 := first + b*w
-		return pass(ws, g0, min(w, numGroups-g0), tb)
+		return pass(ws, g0, min(w, numGroups-g0), wk)
 	}
 
 	workers := min(opts.Workers, numBatches)
@@ -511,16 +567,13 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 	}
 
 	if workers <= 1 {
-		var tb counterBatch
 		for b := 0; b < numBatches; b++ {
 			if ctxDone(opts.Ctx) {
-				out.Cancelled = true
-				tb.cancelled += int64(rem - b*w)
+				out.Work.GroupsCancelled += int64(rem - b*w)
 				break
 			}
-			out.NumDetected += batch(s, b, &tb)
+			out.NumDetected += batch(s, b, &out.Work)
 		}
-		s.flush(&tb)
 		return out
 	}
 
@@ -529,8 +582,8 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 	// merged in batch order afterwards, so the sum (and everything else) is
 	// independent of scheduling.
 	detected := make([]int, numBatches)
-	claimed := fanOut(opts.Ctx, s.workerSims(workers), numBatches, func(ws *Simulator, b int, tb *counterBatch) {
-		detected[b] = batch(ws, b, tb)
+	claimed := fanOut(opts.Ctx, s.workerSims(workers), numBatches, &out.Work, func(ws *Simulator, b int, wk *Work) {
+		detected[b] = batch(ws, b, wk)
 	})
 	for _, n := range detected {
 		out.NumDetected += n
@@ -539,26 +592,26 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 	// cancellation. Unclaimed batches before the tail are full-width, so the
 	// skipped group count is exact.
 	if claimed < numBatches {
-		out.Cancelled = true
-		telemetry.Add(telemetry.CtrGroupsCancelled, int64(rem-claimed*w))
+		out.Work.GroupsCancelled += int64(rem - claimed*w)
 	}
 	return out
 }
 
-// fanOut runs work(ws, i, tb) for the items i in [0, n) on one goroutine per
-// simulator of sims, which claim items from a shared cursor, and returns the
-// number of items claimed: all n unless ctx was cancelled. Each goroutine
-// flushes its own counter batch. A panic on a pool goroutine would end the
+// fanOut runs work(ws, i, w) for the items i in [0, n) on one goroutine per
+// simulator of sims, which claim items from a shared cursor and count into
+// their own w, adds those to total and returns the number of items claimed:
+// all n unless ctx was cancelled. A panic on a pool goroutine would end the
 // process whatever the caller does, so it is recovered there: the other
 // goroutines stop claiming items, and once all have returned the first panic
 // is raised again on the calling goroutine, where the caller can recover it.
-func fanOut(ctx context.Context, sims []*Simulator, n int, work func(ws *Simulator, i int, tb *counterBatch)) int {
+func fanOut(ctx context.Context, sims []*Simulator, n int, total *Work, work func(ws *Simulator, i int, w *Work)) int {
 	var wg sync.WaitGroup
 	var cursor atomic.Int64
 	var failed atomic.Bool
 	var once sync.Once
 	var msg string
-	for _, ws := range sims {
+	works := make([]Work, len(sims))
+	for k, ws := range sims {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -568,8 +621,6 @@ func fanOut(ctx context.Context, sims []*Simulator, n int, work func(ws *Simulat
 					failed.Store(true)
 				}
 			}()
-			var tb counterBatch
-			defer tb.flush()
 			for {
 				// Checked before claiming, so a cancelled run stops
 				// scheduling passes and this goroutine exits (the "return
@@ -581,7 +632,7 @@ func fanOut(ctx context.Context, sims []*Simulator, n int, work func(ws *Simulat
 				if i >= n {
 					return
 				}
-				work(ws, i, &tb)
+				work(ws, i, &works[k])
 			}
 		}()
 	}
@@ -589,15 +640,19 @@ func fanOut(ctx context.Context, sims []*Simulator, n int, work func(ws *Simulat
 	if failed.Load() {
 		panic(msg)
 	}
+	for k := range works {
+		total.add(&works[k])
+	}
 	return min(int(cursor.Load()), n)
 }
 
 // Speculate runs an in-order candidate loop, the accept-or-discard loop of
 // directed search, compaction and weight selection: next prepares the next
 // candidate against the committed state (false: no more candidates), eval
-// fault-simulates it, and commit consumes the evaluations in candidate order
-// and reports whether it accepted one. The loop ends once next has no
-// candidate and every prepared one has been committed.
+// fault-simulates it in at most one Run and returns that Run's outcome (nil
+// if none), and commit consumes the evaluations in candidate order and
+// reports whether it accepted one. The loop ends once next has no candidate
+// and every prepared one has been committed.
 //
 // With workers <= 1 it is exactly that loop, one candidate at a time on the
 // caller's goroutine and simulator. With more, up to workers candidates are
@@ -615,14 +670,15 @@ func fanOut(ctx context.Context, sims []*Simulator, n int, work func(ws *Simulat
 // candidate). The commits are therefore the sequential loop's, for any
 // workers.
 //
-// A committed evaluation's counters count as any call's do; a discarded
-// evaluation adds only its vectors to fsim.speculative_vectors, and nothing
-// to any other counter. next and commit run on the caller's goroutine;
-// eval must touch only its candidate and the simulator it is given. A panic
-// in eval is raised again on the caller's goroutine once every slot has
-// stopped, as fanOut does. Cancellation is the callers': next should stop
-// preparing candidates once their context is cancelled.
-func Speculate[C any](s *Simulator, workers int, next func(ahead int) (C, bool), eval func(ws *Simulator, c C), commit func(c C) bool) {
+// A committed evaluation's Outcome.Work is published as any call's is; a
+// discarded evaluation adds only its Work.Vectors to
+// fsim.speculative_vectors, and nothing to any other counter. next and
+// commit run on the caller's goroutine; eval must touch only its candidate
+// and the simulator it is given. A panic in eval is raised again on the
+// caller's goroutine once every slot has stopped, as fanOut does.
+// Cancellation is the callers': next should stop preparing candidates once
+// their context is cancelled.
+func Speculate[C any](s *Simulator, workers int, next func(ahead int) (C, bool), eval func(ws *Simulator, c C) *Outcome, commit func(c C) bool) {
 	if workers <= 1 {
 		for {
 			c, ok := next(0)
@@ -635,7 +691,7 @@ func Speculate[C any](s *Simulator, workers int, next func(ahead int) (C, bool),
 	}
 	type job struct {
 		c    C
-		tb   counterBatch  // the evaluation's counters, held back
+		out  *Outcome      // the evaluation's run, its work not yet published
 		done chan struct{} // closed once eval has returned or panicked
 	}
 	jobs := make(chan *job)
@@ -654,10 +710,9 @@ func Speculate[C any](s *Simulator, workers int, next func(ahead int) (C, bool),
 							once.Do(func() { msg = fmt.Sprintf("fsim: speculation slot %d panicked: %v\n%s", ws.worker, p, debug.Stack()) })
 							failed.Store(true)
 						}
-						j.tb, *ws.held = *ws.held, counterBatch{}
 						close(j.done)
 					}()
-					eval(ws, j.c)
+					j.out = eval(ws, j.c)
 				}()
 			}
 		}()
@@ -705,7 +760,7 @@ func Speculate[C any](s *Simulator, workers int, next func(ahead int) (C, bool),
 		if failed.Load() {
 			break
 		}
-		head.tb.flush()
+		head.out.publish()
 		if commit(head.c) {
 			discarded = append(discarded, queue...)
 			queue, more = nil, true
@@ -717,7 +772,9 @@ func Speculate[C any](s *Simulator, workers int, next func(ahead int) (C, bool),
 	}
 	var wasted int64
 	for _, j := range discarded {
-		wasted += j.tb.vectors
+		if j.out != nil {
+			wasted += j.out.Work.Vectors
+		}
 	}
 	telemetry.Add(telemetry.CtrSpeculativeVectors, wasted)
 }
@@ -743,56 +800,6 @@ func ctxDone(ctx context.Context) bool {
 	}
 }
 
-// counterBatch locally accumulates the hot-path telemetry counters of one
-// worker (or one sequential run) and flushes them with a handful of atomic
-// adds. Totals stay exact under any worker count; only the add frequency
-// changes. Both kernels count dense-equivalent gate evaluations.
-type counterBatch struct {
-	gateEvals, vectors, passes, dropped int64
-	cancelled, slabPasses, lanesIdle    int64
-	repeatExits, laneCycles             int64
-}
-
-// add accumulates o into b.
-func (b *counterBatch) add(o *counterBatch) {
-	b.gateEvals += o.gateEvals
-	b.vectors += o.vectors
-	b.passes += o.passes
-	b.dropped += o.dropped
-	b.cancelled += o.cancelled
-	b.slabPasses += o.slabPasses
-	b.lanesIdle += o.lanesIdle
-	b.repeatExits += o.repeatExits
-	b.laneCycles += o.laneCycles
-}
-
-// flush hands a sequential run's counter batch to telemetry or, on a
-// speculation slot, to the slot's held batch.
-func (s *Simulator) flush(b *counterBatch) {
-	if s.held != nil {
-		s.held.add(b)
-		*b = counterBatch{}
-		return
-	}
-	b.flush()
-}
-
-func (b *counterBatch) flush() {
-	if b.passes == 0 && b.cancelled == 0 {
-		return
-	}
-	telemetry.Add(telemetry.CtrGateEvals, b.gateEvals)
-	telemetry.Add(telemetry.CtrVectors, b.vectors)
-	telemetry.Add(telemetry.CtrGroupPasses, b.passes)
-	telemetry.Add(telemetry.CtrFaultsDropped, b.dropped)
-	telemetry.Add(telemetry.CtrGroupsCancelled, b.cancelled)
-	telemetry.Add(telemetry.CtrSlabPasses, b.slabPasses)
-	telemetry.Add(telemetry.CtrSlabLanesIdle, b.lanesIdle)
-	telemetry.Add(telemetry.CtrRepeatExits, b.repeatExits)
-	telemetry.Add(telemetry.CtrSlabLaneCycles, b.laneCycles)
-	*b = counterBatch{}
-}
-
 // runGroupDense is the dense kernel: it simulates faults[lo:hi] (at most
 // GroupSize of them) in slots 1..hi-lo alongside the fault-free machine in
 // slot 0, with one full pass over the levelized netlist per time unit (two
@@ -803,7 +810,7 @@ func (b *counterBatch) flush() {
 // kernel is differentially locked against, and its time unit stays
 // byte-for-byte unoptimized; only the early exits, which both kernels take
 // at the same point, shorten its passes.
-func (s *Simulator) runGroupDense(seq *sim.Sequence, faults []fault.Fault, lo, hi int, opts Options, out *Outcome, tb *counterBatch) int {
+func (s *Simulator) runGroupDense(seq *sim.Sequence, faults []fault.Fault, lo, hi int, opts Options, out *Outcome, w *Work) int {
 	c := s.c
 	tg := opts.Trace.Group(lo / GroupSize)
 	tg.SetWorker(s.worker)
@@ -850,8 +857,6 @@ func (s *Simulator) runGroupDense(seq *sim.Sequence, faults []fault.Fault, lo, h
 		}
 	}
 
-	// Telemetry is accumulated into the caller's batch (flushed once per
-	// worker with four atomic adds), keeping the per-gate loop untouched.
 	units := 0
 	det := 0
 
@@ -869,11 +874,11 @@ func (s *Simulator) runGroupDense(seq *sim.Sequence, faults []fault.Fault, lo, h
 	activeMask := groupMask(hi - lo) // slots still undetected
 	eligible := earlyExitEligible(opts)
 	watched := s.repeatSlots(faults[lo:hi])
-	stop, t0 := seq.Len(), opts.InitialStates.start()
+	t0 := opts.InitialStates.start()
 
-	for u := 0; u < stop; u++ {
-		if eligible && s.watch.repeats(u, state, s.denseHistory, 0, 1, activeMask&watched|1, seq, stop) {
-			tb.repeatExits++
+	for u := 0; u < seq.Len(); u++ {
+		if eligible && s.watch.repeats(u, state, s.denseHistory, 0, 1, activeMask&watched|1, seq) {
+			w.RepeatExits++
 			break // the rest of the pass would replay an earlier stretch
 		}
 		units++
@@ -945,10 +950,9 @@ func (s *Simulator) runGroupDense(seq *sim.Sequence, faults []fault.Fault, lo, h
 		s.saveHistory(out.FinalStates, lo)
 	}
 	tg.SetVectors(units)
-	tb.gateEvals += int64(units) * int64(len(s.gateID))
-	tb.vectors += int64(units)
-	tb.passes++
-	tb.dropped += int64(det)
+	w.GateEvals += int64(units) * int64(len(s.gateID))
+	w.Vectors += int64(units)
+	w.GroupPasses++
 	return det
 }
 

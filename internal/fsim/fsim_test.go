@@ -12,7 +12,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/randutil"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // scalarFaulty is an independent, slot-free reference implementation of
@@ -164,9 +163,8 @@ func TestAbortAfterFirstGroup(t *testing.T) {
 	if len(faults) <= GroupSize {
 		t.Fatalf("need a multi-group fault list, got %d faults", len(faults))
 	}
-	before := telemetry.Counters()
 	out := Run(c, seq, faults, Options{Init: logic.X, AbortAfterFirstGroupIfNone: true})
-	passes := telemetry.Counters().Sub(before).Get(telemetry.CtrGroupPasses)
+	passes := out.Work.GroupPasses
 	if out.NumDetected != 0 {
 		t.Skip("sequence unexpectedly detects faults; abort path not exercised")
 	}

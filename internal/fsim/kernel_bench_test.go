@@ -124,6 +124,7 @@ func BenchmarkKernelSlabLanes(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
 			runKernelBenchmark(b, fsim.Options{Kernel: fsim.KernelSlab, SlabLanes: w}, func(b *testing.B, name string, out *fsim.Outcome) {
+				out.Work.Slab = fsim.SlabWork{} // the batch tallies follow W
 				if w == 1 {
 					ref[name] = out
 				} else if want, ok := ref[name]; ok && !reflect.DeepEqual(out, want) {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/randutil"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // outcomesEqual compares every merged field of two outcomes bit by bit.
@@ -40,10 +39,10 @@ func outcomesEqual(t *testing.T, label string, want, got *Outcome) {
 // groups, under both kernels. Run under -race it also proves the fan-out is
 // data-race free.
 //
-// Counter deltas are compared exactly under the dense kernel. The slab
+// Outcome.Work is compared exactly under the dense kernel. The slab
 // kernel's automatic lane width follows the worker count, so its batch
-// tallies (slab passes, idle lanes) legitimately differ between the runs;
-// there only the dense-equivalent work counters are compared.
+// tallies (Work.Slab) legitimately differ between the runs; there only the
+// dense-equivalent work is compared.
 func TestParallelMatchesSequential(t *testing.T) {
 	profiles := []iscas.Profile{
 		{Name: "p1", Inputs: 4, Outputs: 3, DFFs: 4, Gates: 40, Seed: 11, Synthetic: true},
@@ -71,34 +70,19 @@ func TestParallelMatchesSequential(t *testing.T) {
 			for _, v := range optVariants {
 				opts := v.opts
 				opts.Kernel = kernel
-				seqSim := New(c)
-				before := telemetry.Counters()
-				want := seqSim.Run(seq, faults, opts)
-				seqDelta := telemetry.Counters().Sub(before)
+				want := New(c).Run(seq, faults, opts)
 				for _, workers := range []int{1, 2, 3, groups + 5} {
 					opts := opts
 					opts.Workers = workers
-					parSim := New(c)
-					before = telemetry.Counters()
-					got := parSim.Run(seq, faults, opts)
-					parDelta := telemetry.Counters().Sub(before)
+					got := New(c).Run(seq, faults, opts)
 					label := p.Name + "/" + kernel.String() + "/" + v.name
 					outcomesEqual(t, label, want, got)
-					if kernel == KernelDense {
-						if seqDelta != parDelta {
-							t.Fatalf("%s workers=%d: counter deltas %v vs sequential %v",
-								label, workers, parDelta.Map(), seqDelta.Map())
-						}
-						continue
+					seqWork, parWork := want.Work, got.Work
+					if kernel == KernelSlab {
+						seqWork.Slab, parWork.Slab = SlabWork{}, SlabWork{}
 					}
-					for _, id := range []telemetry.CounterID{
-						telemetry.CtrVectors, telemetry.CtrGroupPasses, telemetry.CtrFaultsDropped,
-						telemetry.CtrGateEvals, telemetry.CtrRepeatExits,
-					} {
-						if seqDelta.Get(id) != parDelta.Get(id) {
-							t.Fatalf("%s workers=%d: %s delta %d vs sequential %d",
-								label, workers, id.Name(), parDelta.Get(id), seqDelta.Get(id))
-						}
+					if seqWork != parWork {
+						t.Fatalf("%s workers=%d: work %+v vs sequential %+v", label, workers, parWork, seqWork)
 					}
 				}
 			}

@@ -35,10 +35,10 @@ type repeatWatch struct {
 // and the launch-history words hist()[off], hist()[off+stride], ... (one
 // per transition site entry, holding each site's history in its slots)
 // agree with the checkpoint in every slot of mask, and the input vectors of
-// seq from u up to stop repeat those from the checkpoint on. At u == 0 it
+// seq from u to its end repeat those from the checkpoint on. At u == 0 it
 // only takes the first checkpoint. hist is called only when the history is
 // needed: to take a checkpoint, or once the flip-flops match.
-func (r *repeatWatch) repeats(u int, state []logic.W, hist func() []logic.W, off, stride int, mask uint64, seq *sim.Sequence, stop int) bool {
+func (r *repeatWatch) repeats(u int, state []logic.W, hist func() []logic.W, off, stride int, mask uint64, seq *sim.Sequence) bool {
 	if u == 0 {
 		r.at, r.span = 0, 1
 		r.state = gather(r.state, state, off, stride)
@@ -46,7 +46,7 @@ func (r *repeatWatch) repeats(u int, state []logic.W, hist func() []logic.W, off
 		return false
 	}
 	if matches(r.state, state, off, stride, mask) && matches(r.hist, hist(), off, stride, mask) &&
-		suffixRepeats(seq, r.at, u, stop) {
+		suffixRepeats(seq, r.at, u) {
 		return true
 	}
 	if u-r.at == r.span {
@@ -91,10 +91,10 @@ func (s *Simulator) denseHistory() []logic.W {
 	return s.hist
 }
 
-// suffixRepeats reports whether seq's vectors u, u+1, ..., stop-1 equal its
-// vectors c, c+1, ... (c < u).
-func suffixRepeats(seq *sim.Sequence, c, u, stop int) bool {
-	for k := 0; u+k < stop; k++ {
+// suffixRepeats reports whether seq's vectors u, u+1, ... to its end equal
+// its vectors c, c+1, ... (c < u).
+func suffixRepeats(seq *sim.Sequence, c, u int) bool {
+	for k := 0; u+k < seq.Len(); k++ {
 		if !slices.Equal(seq.Vecs[u+k], seq.Vecs[c+k]) {
 			return false
 		}

@@ -62,16 +62,14 @@ func TestRepeatExitMatchesRef(t *testing.T) {
 		want := ref.Run(c, seq, faults, ref.Options{Init: logic.Zero})
 		for _, kernel := range allKernels {
 			for _, workers := range []int{1, 2} {
-				before := telemetry.Counters()
 				got := fsim.Run(c, seq, faults, fsim.Options{Init: logic.Zero, Kernel: kernel, Workers: workers})
-				d := telemetry.Counters().Sub(before)
 				if err := difftest.CompareOutcomes(c, faults, want, got, false); err != nil {
 					t.Errorf("%s/%v/Workers=%d: %v", model, kernel, workers, err)
 				}
-				if n := d.Get(telemetry.CtrRepeatExits); n == 0 {
+				if n := got.Work.RepeatExits; n == 0 {
 					t.Errorf("%s/%v/Workers=%d: no repeat exit fired", model, kernel, workers)
 				}
-				if v, full := d.Get(telemetry.CtrVectors), numGroups(faults)*int64(seq.Len()); v >= full {
+				if v, full := got.Work.Vectors, numGroups(faults)*int64(seq.Len()); v >= full {
 					t.Errorf("%s/%v/Workers=%d: %d vectors, want fewer than %d", model, kernel, workers, v, full)
 				}
 			}
@@ -139,10 +137,8 @@ D1 = XOR(Q1, C0)
 	faults := []fault.Fault{{Node: e, Pin: -1, Stuck: 1}}
 	seq := core.Assignment{Subs: []string{"1"}}.GenSequence(20)
 	for _, kernel := range allKernels {
-		before := telemetry.Counters()
-		fsim.Run(c, seq, faults, fsim.Options{Init: logic.Zero, Kernel: kernel})
-		d := telemetry.Counters().Sub(before)
-		if v, n := d.Get(telemetry.CtrVectors), d.Get(telemetry.CtrRepeatExits); v != 1 || n != 1 {
+		out := fsim.Run(c, seq, faults, fsim.Options{Init: logic.Zero, Kernel: kernel})
+		if v, n := out.Work.Vectors, out.Work.RepeatExits; v != 1 || n != 1 {
 			t.Errorf("%v: %d vectors and %d repeat exits, want 1 and 1", kernel, v, n)
 		}
 	}
@@ -167,13 +163,11 @@ func TestRepeatExitNeedsWholeSequence(t *testing.T) {
 		want := fsim.Run(c, seq, faults, fsim.Options{Init: logic.Zero, Kernel: kernel})
 		for name, opts := range cases {
 			opts.Init, opts.Kernel = logic.Zero, kernel
-			before := telemetry.Counters()
 			got := fsim.Run(c, seq, faults, opts)
-			d := telemetry.Counters().Sub(before)
-			if v := d.Get(telemetry.CtrVectors); v != full {
+			if v := got.Work.Vectors; v != full {
 				t.Errorf("%s/%v: %d vectors, want the whole sequence (%d)", name, kernel, v, full)
 			}
-			if n := d.Get(telemetry.CtrRepeatExits); n != 0 {
+			if n := got.Work.RepeatExits; n != 0 {
 				t.Errorf("%s/%v: %d repeat exits, want none", name, kernel, n)
 			}
 			if !reflect.DeepEqual(got.Detected, want.Detected) || !reflect.DeepEqual(got.DetTime, want.DetTime) {
@@ -272,15 +266,15 @@ func checkKernelWork(t *testing.T, name string, c *circuit.Circuit, seq *sim.Seq
 //     model so that some group takes its repeat exit against a checkpoint
 //     taken before a repack moved its faults: a repack that left the
 //     checkpoint's flip-flop or launch-history words behind moves that
-//     group's exit point and with it fsim.vectors;
+//     group's exit point and with it Work.Vectors;
 //   - the second half of a random sequence on s344 continued from the
 //     first half's saved states (InitialStates), so the continued
 //     flip-flop words and launch histories are what the repack moves.
 //
-// In both, the slab outcome must equal dense's and so must every
-// dense-equivalent counter (checkKernelWork's), while fsim.slab_lane_cycles
-// must fall below dense's lane-cycles, its vector count: the test fails if
-// packing never fires.
+// In both, the slab outcome must equal dense's and so must its
+// dense-equivalent work (Work without Work.Slab), while
+// Work.Slab.LaneCycles must fall below dense's lane-cycles, its vector
+// count: the test fails if packing never fires.
 func TestPackedLanesPerModel(t *testing.T) {
 	periodic := map[string]struct {
 		circuit string
@@ -303,45 +297,34 @@ func TestPackedLanesPerModel(t *testing.T) {
 }
 
 // checkPacked runs seq on both kernels under opts at Workers=2 and requires equal
-// outcomes and dense-equivalent counters, at least two slab batches, a
-// repeat exit when repeat is set, and fewer slab lane-cycles than dense
-// vectors.
+// outcomes and dense-equivalent work, at least two slab batches, a repeat
+// exit when repeat is set, and fewer slab lane-cycles than dense vectors.
 func checkPacked(t *testing.T, name string, c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts fsim.Options, repeat bool) {
 	t.Helper()
-	type work struct{ vectors, passes, dropped, repeats, evals int64 }
 	var want *fsim.Outcome
-	var dense work
 	for _, kernel := range allKernels {
 		opts := opts
 		opts.Init, opts.Kernel, opts.Workers = logic.Zero, kernel, 2
-		before := telemetry.Counters()
 		got := fsim.Run(c, seq, faults, opts)
-		d := telemetry.Counters().Sub(before)
-		w := work{
-			vectors: d.Get(telemetry.CtrVectors),
-			passes:  d.Get(telemetry.CtrGroupPasses),
-			dropped: d.Get(telemetry.CtrFaultsDropped),
-			repeats: d.Get(telemetry.CtrRepeatExits),
-			evals:   d.Get(telemetry.CtrGateEvals),
-		}
 		if kernel == fsim.KernelDense {
-			want, dense = got, w
-			if repeat && w.repeats == 0 {
+			want = got
+			if repeat && got.Work.RepeatExits == 0 {
 				t.Errorf("%s: no repeat exit fired", name)
 			}
 			continue
 		}
+		slab := got.Work.Slab
+		// With the batch tallies cleared, DeepEqual also demands dense's
+		// vectors, group passes, repeat exits and gate evaluations.
+		got.Work.Slab = fsim.SlabWork{}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: slab outcome differs from dense", name)
+			t.Errorf("%s: slab outcome or work differs from dense: slab %+v, dense %+v", name, got.Work, want.Work)
 		}
-		if w != dense {
-			t.Errorf("%s: slab counters %+v, dense %+v", name, w, dense)
+		if slab.Passes < 2 {
+			t.Errorf("%s: %d slab batches, want at least 2", name, slab.Passes)
 		}
-		if n := d.Get(telemetry.CtrSlabPasses); n < 2 {
-			t.Errorf("%s: %d slab batches, want at least 2", name, n)
-		}
-		if lc := d.Get(telemetry.CtrSlabLaneCycles); lc >= dense.vectors {
-			t.Errorf("%s: slab walked %d lane-cycles, dense %d: no live-fault packing", name, lc, dense.vectors)
+		if lc := slab.LaneCycles; lc >= want.Work.Vectors {
+			t.Errorf("%s: slab walked %d lane-cycles, dense %d: no live-fault packing", name, lc, want.Work.Vectors)
 		}
 	}
 }

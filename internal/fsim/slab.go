@@ -581,7 +581,7 @@ func slabDiff(w logic.W) uint64 {
 // and returning the number of detections. One time unit is one levelized
 // walk over the slab's lanes, two for a batch with bridges; where the early
 // exits apply, a repack may narrow the slab between time units.
-func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl int, opts Options, out *Outcome, tb *counterBatch) int {
+func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl int, opts Options, out *Outcome, w *Work) int {
 	c := s.c
 	lay := s.lay
 	sl := s.slabFor(nl)
@@ -633,15 +633,15 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 	eligible := earlyExitEligible(opts)
 	active := nl
 	det := 0
-	stop, t0 := seq.Len(), opts.InitialStates.start()
+	t0 := opts.InitialStates.start()
 	var laneCycles, idle int64
-	for u := 0; u < stop; u++ {
+	for u := 0; u < seq.Len(); u++ {
 		if eligible {
-			active -= s.slabRepeatExits(seq, u, stop, tb)
+			active -= s.slabRepeatExits(seq, u, w)
 			if active == 0 {
 				break // every group reached its dense early-exit point
 			}
-			s.maybeRepack(faults, u, stop)
+			s.maybeRepack(faults, seq, u)
 		}
 		lanes := sl.lanes
 		var busy uint32 // lanes holding a machine of an unfinished group
@@ -750,18 +750,14 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 		sl.tgs[j] = nil
 		vec += int64(sl.gUnits[j])
 	}
-	// gateEvals stays the dense-equivalent count (group vectors × gates), so
-	// effective evals and evals/vector remain kernel-invariant quantities
-	// that the counter pins hold exact; the batching and packing win shows
-	// up in wall clock and fsim.slab_lane_cycles, the walks that held no
-	// live machine in fsim.slab_lanes_idle.
-	tb.gateEvals += vec * int64(len(s.gateID))
-	tb.vectors += vec
-	tb.passes += int64(nl)
-	tb.dropped += int64(det)
-	tb.slabPasses++
-	tb.laneCycles += laneCycles
-	tb.lanesIdle += idle
+	// GateEvals stays dense-equivalent, so the counter pins hold it exact;
+	// the batching and packing win shows up in wall clock and w.Slab.
+	w.GateEvals += vec * int64(len(s.gateID))
+	w.Vectors += vec
+	w.GroupPasses += int64(nl)
+	w.Slab.Passes++
+	w.Slab.LaneCycles += laneCycles
+	w.Slab.LanesIdle += idle
 	return det
 }
 
@@ -774,7 +770,7 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 // checkpoint on. The checkpoint then moves on Brent's schedule, which
 // depends on u alone, so one checkpoint of the whole slab serves every
 // group.
-func (s *Simulator) slabRepeatExits(seq *sim.Sequence, u, stop int, tb *counterBatch) int {
+func (s *Simulator) slabRepeatExits(seq *sim.Sequence, u int, w *Work) int {
 	sl := s.slab
 	if u == 0 {
 		sl.ckAt, sl.ckSpan = 0, 1
@@ -789,7 +785,7 @@ func (s *Simulator) slabRepeatExits(seq *sim.Sequence, u, stop int, tb *counterB
 		}
 		if suffix == 0 {
 			suffix = -1
-			if suffixRepeats(seq, sl.ckAt, u, stop) {
+			if suffixRepeats(seq, sl.ckAt, u) {
 				suffix = 1
 			}
 		}
@@ -801,7 +797,7 @@ func (s *Simulator) slabRepeatExits(seq *sim.Sequence, u, stop int, tb *counterB
 		for _, sg := range sl.seg[2*j : 2*j+2] {
 			sl.activeMask[sg.lane] &^= sg.own
 		}
-		tb.repeatExits++
+		w.RepeatExits++
 		n++
 	}
 	if u-sl.ckAt == sl.ckSpan {
@@ -855,7 +851,7 @@ const repackWeight = 4
 // deterministic. Lanes merge only if every lane runs the same fault-free
 // machine in slot 0, now and at the checkpoint; a batch whose lanes differ
 // is never repacked.
-func (s *Simulator) maybeRepack(faults []fault.Fault, u, stop int) {
+func (s *Simulator) maybeRepack(faults []fault.Fault, seq *sim.Sequence, u int) {
 	sl := s.slab
 	lanes := sl.lanes
 	if lanes == 1 || sl.mixed {
@@ -873,7 +869,7 @@ func (s *Simulator) maybeRepack(faults []fault.Fault, u, stop int) {
 	if len(sl.pairs) > 0 {
 		walks = 2
 	}
-	saved := int64(lanes-need) * int64(stop-u) * int64(len(s.lay.node)*walks)
+	saved := int64(lanes-need) * int64(seq.Len()-u) * int64(len(s.lay.node)*walks)
 	if saved <= int64(repackWeight*len(s.c.DFFs)*(live+need)) {
 		return
 	}

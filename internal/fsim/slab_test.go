@@ -11,7 +11,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/randutil"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // TestSlabWorkersBitIdentical shards batches-of-W over the worker pool and
@@ -59,11 +58,10 @@ func TestSlabAbortAfterFirstGroup(t *testing.T) {
 		}
 		blank.Append(vec)
 	}
-	before := telemetry.Counters()
 	out := Run(c, blank, faults, Options{
 		Init: logic.X, Kernel: KernelSlab, AbortAfterFirstGroupIfNone: true,
 	})
-	if passes := telemetry.Counters().Sub(before).Get(telemetry.CtrGroupPasses); passes != 1 || out.NumDetected != 0 {
+	if passes := out.Work.GroupPasses; passes != 1 || out.NumDetected != 0 {
 		t.Fatalf("blank sequence: %d group passes, detected %d, want the abort after group 0's with 0",
 			passes, out.NumDetected)
 	}
@@ -72,11 +70,10 @@ func TestSlabAbortAfterFirstGroup(t *testing.T) {
 	// and must match the unaborted dense result.
 	seq := sim.RandomSequence(rng, c.NumInputs(), 32)
 	want := Run(c, seq, faults, Options{Init: logic.Zero, Kernel: KernelDense})
-	before = telemetry.Counters()
 	got := Run(c, seq, faults, Options{
 		Init: logic.Zero, Kernel: KernelSlab, AbortAfterFirstGroupIfNone: true, SlabLanes: 4,
 	})
-	if passes := telemetry.Counters().Sub(before).Get(telemetry.CtrGroupPasses); passes != int64(len(want.Detected)+GroupSize-1)/GroupSize {
+	if passes := got.Work.GroupPasses; passes != int64(len(want.Detected)+GroupSize-1)/GroupSize {
 		t.Fatalf("%d group passes: aborted although group 0 detected faults", passes)
 	}
 	if got.NumDetected != want.NumDetected {
@@ -132,19 +129,17 @@ func TestSlabCancel(t *testing.T) {
 	cancel()
 
 	for _, workers := range []int{1, 4} {
-		before := telemetry.Counters()
 		out := Run(c, seq, faults, Options{
 			Init: logic.Zero, Kernel: KernelSlab, SlabLanes: 4, Workers: workers, Ctx: ctx,
 		})
-		d := telemetry.Counters().Sub(before)
-		if !out.Cancelled {
+		if !out.Cancelled() {
 			t.Fatalf("workers=%d: Cancelled = false", workers)
 		}
 		if out.NumDetected != 0 {
 			t.Fatalf("workers=%d: detected %d on a pre-cancelled run", workers, out.NumDetected)
 		}
-		if got := d.Get(telemetry.CtrGroupsCancelled); got != groups {
-			t.Fatalf("workers=%d: groups_cancelled delta = %d, want %d", workers, got, groups)
+		if got := out.Work.GroupsCancelled; got != groups {
+			t.Fatalf("workers=%d: Work.GroupsCancelled = %d, want %d", workers, got, groups)
 		}
 	}
 
@@ -156,7 +151,7 @@ func TestSlabCancel(t *testing.T) {
 		out := Run(c, seq, faults, Options{
 			Init: logic.Zero, Kernel: KernelSlab, SlabLanes: 2, Workers: 4, Ctx: rctx,
 		})
-		if out.Cancelled {
+		if out.Cancelled() {
 			for fi, det := range out.Detected {
 				if det && out.DetTime[fi] < 0 {
 					t.Fatalf("trial %d: detected fault %d with negative DetTime", trial, fi)
@@ -199,9 +194,8 @@ func TestSlabWidthClamps(t *testing.T) {
 	c := iscas.MustLoad("s35932")
 	faults := fault.CollapsedUniverse(c)[:9*GroupSize]
 	seq := sim.RandomSequence(randutil.New(9), c.NumInputs(), 2)
-	before := telemetry.Counters()
-	Run(c, seq, faults, Options{Init: logic.X, Kernel: KernelSlab, SaveStates: true})
-	if got := telemetry.Counters().Sub(before).Get(telemetry.CtrSlabPasses); got != 2 {
+	out := Run(c, seq, faults, Options{Init: logic.X, Kernel: KernelSlab, SaveStates: true})
+	if got := out.Work.Slab.Passes; got != 2 {
 		t.Errorf("s35932, 9 groups: %d slab passes, want 2 (8 + 1 lanes)", got)
 	}
 }
@@ -255,24 +249,20 @@ func TestSlabRepackNeedsOneFaultFreeMachine(t *testing.T) {
 		t.Fatal("groups 0 and 1 start from the same fault-free state; the test needs them to differ")
 	}
 	var want *Outcome
-	var dense telemetry.Snapshot
 	for _, kernel := range []Kernel{KernelDense, KernelSlab} {
-		before := telemetry.Counters()
 		got := Run(c, seq.Slice(5, seq.Len()), faults, Options{Kernel: kernel, InitialStates: &mixed})
-		d := telemetry.Counters().Sub(before)
 		if kernel == KernelDense {
-			want, dense = got, d
+			want = got
 			continue
 		}
+		lc, v := got.Work.Slab.LaneCycles, got.Work.Vectors
+		// With the batch tallies cleared, DeepEqual also demands dense's
+		// vectors, group passes, repeat exits and gate evaluations.
+		got.Work.Slab = SlabWork{}
 		if !reflect.DeepEqual(got, want) {
-			t.Error("slab outcome differs from dense")
+			t.Errorf("slab outcome or work differs from dense: slab %+v, dense %+v", got.Work, want.Work)
 		}
-		for _, id := range []telemetry.CounterID{telemetry.CtrVectors, telemetry.CtrGroupPasses, telemetry.CtrRepeatExits, telemetry.CtrGateEvals} {
-			if d.Get(id) != dense.Get(id) {
-				t.Errorf("%s: slab %d, dense %d", id.Name(), d.Get(id), dense.Get(id))
-			}
-		}
-		if lc, v := d.Get(telemetry.CtrSlabLaneCycles), d.Get(telemetry.CtrVectors); lc < v {
+		if lc < v {
 			t.Errorf("slab walked %d lane-cycles for %d group vectors: lanes with different fault-free machines were merged", lc, v)
 		}
 	}

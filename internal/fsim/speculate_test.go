@@ -59,8 +59,9 @@ func runSpecLoop(c *circuit.Circuit, workers int) []string {
 			}
 			return cd, true
 		},
-		func(ws *Simulator, cd *specCand) {
+		func(ws *Simulator, cd *specCand) *Outcome {
 			cd.out = ws.Run(cd.seq, cd.faults, Options{Init: logic.Zero, Workers: workers})
+			return cd.out
 		},
 		func(cd *specCand) bool {
 			drawn, k = drawn[1:], k+1
@@ -145,12 +146,12 @@ func TestSpeculatePanicReachesCaller(t *testing.T) {
 		n := 0
 		Speculate(s, 2,
 			func(int) (int, bool) { n++; return n - 1, n <= 4 },
-			func(ws *Simulator, k int) {
+			func(ws *Simulator, k int) *Outcome {
 				fl := good
 				if k == poisoned {
 					fl = bad
 				}
-				ws.Run(seq, fl, Options{Init: logic.Zero})
+				return ws.Run(seq, fl, Options{Init: logic.Zero})
 			},
 			func(int) bool { return false })
 	}

@@ -444,12 +444,12 @@ func TestPoolPanicFailsJob(t *testing.T) {
 			n := 0
 			fsim.Speculate(fsim.New(big), 2,
 				func(int) (int, bool) { n++; return n - 1, n <= 3 },
-				func(ws *fsim.Simulator, k int) {
+				func(ws *fsim.Simulator, k int) *fsim.Outcome {
 					fl := faults[:fsim.GroupSize] // the first group: all valid
 					if k == 1 {
 						fl = faults[fsim.GroupSize:]
 					}
-					ws.Run(seq, fl, fsim.Options{Init: logic.Zero, Kernel: fsim.KernelSlab})
+					return ws.Run(seq, fl, fsim.Options{Init: logic.Zero, Kernel: fsim.KernelSlab})
 				},
 				func(int) bool { return false })
 		},

@@ -4,8 +4,8 @@
 // (JSON-lines export, in-memory aggregation).
 //
 // The design goal is that instrumentation costs nothing when nobody is
-// looking. Counters are plain atomic adds, batched by the hot loops (one add
-// per fault-group pass, not per gate). Spans are created through a
+// looking. Counters are plain atomic adds, batched by the hot loops (fsim
+// adds a call's work once the call returns, never per gate). Spans are created through a
 // *Recorder; every span method is safe on a nil receiver and a nil recorder
 // produces nil spans, so instrumented code needs no conditionals and a
 // disabled pipeline allocates nothing.
