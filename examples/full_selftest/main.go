@@ -77,7 +77,7 @@ func main() {
 	// MISR, fault coverage measured by signature compare. Faults live on the
 	// CUT portion of the composed chip.
 	cutFaults := cutFaultsOf(chip)
-	rep, err := bist.RunSession(chip, enSession(session.Len()), cutFaults, wbist.Zero, misrWidth)
+	rep, err := bist.RunSession(chip, enSession(session.Len()), cutFaults, wbist.Zero, misrWidth, run.Config.Workers)
 	if err != nil {
 		log.Fatal(err)
 	}

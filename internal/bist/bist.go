@@ -5,6 +5,10 @@
 // then measured the way silicon measures it — by comparing final signatures
 // against the fault-free golden signature — and the loss relative to
 // per-cycle output comparison (aliasing, unknown-poisoning) is reported.
+//
+// Every fault-simulation group compacts into its own MISR, so the session
+// runs at the caller's Workers like any other fault simulation, and the
+// report is identical for every worker count.
 package bist
 
 import (
@@ -51,78 +55,50 @@ func (r *Report) Coverage() float64 {
 
 // RunSession applies the given test session to the circuit, compacting the
 // primary outputs into a width-bit MISR per fault-simulation group, and
-// returns the signature-based coverage report.
+// returns the signature-based coverage report. The fault groups are
+// simulated on workers goroutines (0 or 1: sequentially); the report is the
+// same for any count.
 func RunSession(c *circuit.Circuit, session *sim.Sequence, faults []fault.Fault,
-	init logic.V, width int) (*Report, error) {
+	init logic.V, width, workers int) (*Report, error) {
 	if session.Len() == 0 {
 		return nil, fmt.Errorf("bist: empty session")
 	}
-	template, err := misr.NewWord(width)
-	if err != nil {
-		return nil, err
+	// One WordMISR per fault group, built before the run (so a bad width
+	// fails even without faults): each hook call shifts only its own group's
+	// register, so groups may be simulated concurrently.
+	groups := make([]*misr.WordMISR, max(1, (len(faults)+fsim.GroupSize-1)/fsim.GroupSize))
+	for g := range groups {
+		m, err := misr.NewWord(width)
+		if err != nil {
+			return nil, err
+		}
+		groups[g] = m
 	}
-	_ = template
+	hook := func(lo, hi, u int, po []logic.W) {
+		groups[lo/fsim.GroupSize].Shift(po)
+	}
+	out := fsim.Run(c, session, faults, fsim.Options{Init: init, OutputHook: hook, Workers: workers})
 
 	rep := &Report{
 		SessionLength: session.Len(),
-		ByCompare:     make([]bool, len(faults)),
+		ByCompare:     out.Detected,
 		BySignature:   make([]bool, len(faults)),
+		NumByCompare:  out.NumDetected,
 	}
-
-	// One WordMISR per fault group, created lazily by the output hook and
-	// harvested after the run.
-	groups := map[int]*misr.WordMISR{}
-	var hookErr error
-	hook := func(lo, hi, u int, po []logic.W) {
-		m := groups[lo]
-		if m == nil {
-			m, err = misr.NewWord(width)
-			if err != nil {
-				hookErr = err
-				return
-			}
-			groups[lo] = m
-		}
-		m.Shift(po)
+	if sig, ok := groups[0].SlotSignature(0); ok {
+		rep.GoldenSignature = sig
 	}
-	// The MISR hook relies on fsim's OutputHook ordering contract (strict
-	// group order, one goroutine), which forces sequential execution; a
-	// Workers value passed by the caller would be ignored for this run.
-	out := fsim.Run(c, session, faults, fsim.Options{Init: init, OutputHook: hook})
-	if hookErr != nil {
-		return nil, hookErr
-	}
-	copy(rep.ByCompare, out.Detected)
-	rep.NumByCompare = out.NumDetected
-
-	goldenSet := false
-	for lo, m := range groups {
-		if !goldenSet {
-			if sig, ok := m.SlotSignature(0); ok {
-				rep.GoldenSignature = sig
-				goldenSet = true
-			}
-		}
-		diff := m.DiffMask()
-		taint := m.TaintMask()
-		hi := lo + fsim.GroupSize
-		if hi > len(faults) {
-			hi = len(faults)
-		}
-		for k := lo; k < hi; k++ {
-			slot := uint(k - lo + 1)
-			bit := uint64(1) << slot
-			switch {
-			case taint&bit != 0:
-				rep.Tainted++
-			case diff&bit != 0:
-				rep.BySignature[k] = true
-				rep.NumBySignature++
-			default:
-				if rep.ByCompare[k] {
-					rep.Aliased++
-				}
-			}
+	for k := range faults {
+		m := groups[k/fsim.GroupSize]
+		bit := uint64(1) << uint(k%fsim.GroupSize+1)
+		switch {
+		case m.TaintMask()&bit != 0:
+			rep.Tainted++
+		case m.DiffMask()&bit != 0:
+			rep.BySignature[k] = true
+			rep.NumBySignature++
+		case rep.ByCompare[k]:
+			rep.Aliased++
 		}
 	}
 	return rep, nil
@@ -135,5 +111,5 @@ func RunWeightedSession(res *core.Result, omega []core.Assignment, width int) (*
 	sp := res.Options.Span.Child("bist-session")
 	defer sp.End()
 	session := core.ConcatSequence(omega, res.WindowLen())
-	return RunSession(res.Circuit, session, res.TargetFaults, res.Options.Init, width)
+	return RunSession(res.Circuit, session, res.TargetFaults, res.Options.Init, width, res.Options.Workers)
 }

@@ -1,10 +1,12 @@
 package bist
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/atpg"
 	"repro/internal/core"
+	"repro/internal/expt"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/iscas"
@@ -38,7 +40,7 @@ func TestRunSessionRandomSequence(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	faults := fault.CollapsedUniverse(c)
 	seq := sim.RandomSequence(randutil.New(3), c.NumInputs(), 400)
-	rep, err := RunSession(c, seq, faults, logic.Zero, 16)
+	rep, err := RunSession(c, seq, faults, logic.Zero, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestRunSessionTaintWithXInit(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := fault.CollapsedUniverse(c)
-	rep, err := RunSession(c, seq, faults, logic.X, 16)
+	rep, err := RunSession(c, seq, faults, logic.X, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +131,11 @@ func TestRunSessionTaintWithXInit(t *testing.T) {
 func TestRunSessionErrors(t *testing.T) {
 	c := iscas.MustLoad("s27")
 	empty := sim.NewSequence(c.NumInputs())
-	if _, err := RunSession(c, empty, nil, logic.Zero, 16); err == nil {
+	if _, err := RunSession(c, empty, nil, logic.Zero, 16, 1); err == nil {
 		t.Error("empty session accepted")
 	}
 	seq, _ := sim.ParseSequence(iscas.S27TestSequence)
-	if _, err := RunSession(c, seq, nil, logic.Zero, 99); err == nil {
+	if _, err := RunSession(c, seq, nil, logic.Zero, 99, 1); err == nil {
 		t.Error("bad MISR width accepted")
 	}
 }
@@ -142,16 +144,47 @@ func TestGoldenSignatureStable(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	faults := fault.CollapsedUniverse(c)
 	seq := sim.RandomSequence(randutil.New(4), c.NumInputs(), 200)
-	a, err := RunSession(c, seq, faults, logic.Zero, 16)
+	a, err := RunSession(c, seq, faults, logic.Zero, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSession(c, seq, faults[:10], logic.Zero, 16)
+	b, err := RunSession(c, seq, faults[:10], logic.Zero, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.GoldenSignature != b.GoldenSignature {
 		t.Fatalf("golden signature depends on the fault list: %x vs %x",
 			a.GoldenSignature, b.GoldenSignature)
+	}
+}
+
+// TestSelftestS298WorkersInvariant replays `wbist selftest s298` (seed 1,
+// 16-bit MISR): the Report is identical at Workers 1, 2 and 4, and its
+// figures are the ones that command prints.
+func TestSelftestS298WorkersInvariant(t *testing.T) {
+	r, err := expt.RunCircuit("s298", expt.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := core.ConcatSequence(r.Compacted, r.Core.WindowLen())
+	var want *Report
+	for _, workers := range []int{1, 2, 4} {
+		rep, err := RunSession(r.Circuit, session, r.Core.TargetFaults, r.Core.Options.Init, 16, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = rep
+			continue
+		}
+		if !reflect.DeepEqual(rep, want) {
+			t.Fatalf("Workers=%d: report differs from Workers=1", workers)
+		}
+	}
+	got := [...]int{int(want.GoldenSignature), want.SessionLength, len(want.ByCompare),
+		want.NumByCompare, want.NumBySignature, want.Aliased, want.Tainted}
+	if pin := [...]int{0x5903, 4000, 431, 430, 430, 0, 0}; got != pin {
+		t.Fatalf("golden, cycles, targets, by compare, by signature, aliased, tainted = %#x %v, want %#x %v",
+			got[0], got[1:], pin[0], pin[1:])
 	}
 }

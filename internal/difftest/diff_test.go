@@ -12,7 +12,6 @@ import (
 	"repro/internal/randutil"
 	"repro/internal/rcg"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // TestDifferentialRefVsFsim is the acceptance gate of the differential
@@ -45,11 +44,11 @@ func TestDifferentialRefVsFsim(t *testing.T) {
 		if cfg.SplitContinuation && cfg.StopTime == 0 && seq.Len() >= 2 {
 			split++
 		}
-		before := repeatExits()
-		if err := CheckTriple(c, seq, faults, cfg); err != nil {
+		work, err := CheckTriple(c, seq, faults, cfg)
+		if err != nil {
 			t.Fatalf("triple %d: %v\n%s", i, err, Describe(c, seq, faults, cfg))
 		}
-		if repeatExits() > before {
+		if work.RepeatExits > 0 {
 			repeated++
 		}
 	}
@@ -78,7 +77,7 @@ func TestDifferentialSuiteCircuits(t *testing.T) {
 		for k, init := range []logic.V{logic.Zero, logic.X} {
 			seq := sim.RandomSequence(rng, c.NumInputs(), 24)
 			cfg := Config{Init: init, Workers: 4, SaveStates: true, SplitContinuation: true}
-			if err := CheckTriple(c, seq, faults, cfg); err != nil {
+			if _, err := CheckTriple(c, seq, faults, cfg); err != nil {
 				t.Fatalf("%s (init case %d): %v\n%s", name, k, err, Describe(c, seq, faults, cfg))
 			}
 		}
@@ -133,11 +132,11 @@ func TestDifferentialDenseVsSlab(t *testing.T) {
 		if cfg.StopTime > 0 {
 			stopped++
 		}
-		before := repeatExits()
-		if err := CheckSlab(c, seq, faults, cfg); err != nil {
+		work, err := CheckSlab(c, seq, faults, cfg)
+		if err != nil {
 			t.Fatalf("triple %d: %v\n%s", i, err, Describe(c, seq, faults, cfg))
 		}
-		if repeatExits() > before {
+		if work.RepeatExits > 0 {
 			repeated++
 		}
 	}
@@ -166,7 +165,7 @@ func TestDifferentialSlabSuiteCircuits(t *testing.T) {
 		for k, init := range []logic.V{logic.Zero, logic.X} {
 			seq := sim.RandomSequence(rng, c.NumInputs(), 24)
 			cfg := Config{Init: init, SaveStates: true, SplitContinuation: true, ObserveLines: true}
-			if err := CheckSlab(c, seq, faults, cfg); err != nil {
+			if _, err := CheckSlab(c, seq, faults, cfg); err != nil {
 				t.Fatalf("%s (init case %d): %v\n%s", name, k, err, Describe(c, seq, faults, cfg))
 			}
 		}
@@ -191,7 +190,7 @@ func TestDifferentialKernelsSuiteCircuits(t *testing.T) {
 			for k, init := range []logic.V{logic.Zero, logic.X} {
 				seq := sim.RandomSequence(rng, c.NumInputs(), 24)
 				cfg := Config{Init: init, Workers: 4, SaveStates: true, SplitContinuation: true, ObserveLines: true}
-				if err := CheckSlab(c, seq, faults, cfg); err != nil {
+				if _, err := CheckSlab(c, seq, faults, cfg); err != nil {
 					t.Fatalf("%s %s (init case %d): %v\n%s", name, m.Name(), k, err, Describe(c, seq, faults, cfg))
 				}
 			}
@@ -246,7 +245,8 @@ func TestDifferentialTraceDeterminism(t *testing.T) {
 }
 
 // TestDifferentialFaultFreeVsSim checks fsim's fault-free machine (slot 0 of
-// the OutputHook words) cycle for cycle against the scalar logic simulator.
+// every group's OutputHook words, over a sampled fault list) cycle for cycle
+// against the scalar logic simulator.
 func TestDifferentialFaultFreeVsSim(t *testing.T) {
 	n := 300
 	if testing.Short() {
@@ -258,15 +258,12 @@ func TestDifferentialFaultFreeVsSim(t *testing.T) {
 		rng := randutil.New(seed).Split()
 		seq := RandomStimulus(rng, c.NumInputs())
 		init := []logic.V{logic.Zero, logic.One, logic.X}[rng.Intn(3)]
-		if err := CheckFaultFree(c, seq, init); err != nil {
+		faults := SampleFaults(rng, fault.CollapsedUniverse(c))
+		if err := CheckFaultFree(c, seq, faults, init); err != nil {
 			t.Fatalf("seed %d: %v\nsequence:\n%s\nnetlist:\n%s", seed, err, seq, benchText(c))
 		}
 	}
 }
-
-// repeatExits reads the process-wide fsim.repeat_exits counter, so a sweep
-// can tell which of its checks stopped some group at a repeat exit.
-func repeatExits() int64 { return telemetry.Counters().Get(telemetry.CtrRepeatExits) }
 
 // TestDescribe smoke-checks the failure-reproduction dump: it must carry the
 // run configuration, the stimulus and a parseable netlist so a fuzz failure

@@ -11,15 +11,11 @@
 // The helpers are exported (within internal/) so tests and fuzz targets
 // share one stimulus decoder and one comparison routine; everything is
 // deterministic in the seeds.
-//
-// The sweeps of diff_test.go and model_test.go read the process-wide
-// fsim.repeat_exits counter (repeatExits) to show that a repeat exit fired
-// somewhere in them, so the tests of this package must not call t.Parallel:
-// a concurrent run would add to the counter a sweep is reading.
 package difftest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -184,10 +180,12 @@ func CompareOutcomes(c *circuit.Circuit, faults []fault.Fault, r *ref.Outcome, f
 // CheckTriple runs the full differential check for one (circuit, fault set,
 // sequence) triple under cfg and returns the first divergence found (nil if
 // the oracle, the sequential and parallel fsim runs of both kernels and the
-// split continuation replays all agree). The kernels are pinned explicitly
-// — dense as the ref-locked baseline, slab against both ref and dense — so
-// the check is invariant to the FSIM_KERNEL environment override.
-func CheckTriple(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg Config) error {
+// split continuation replays all agree), along with the work of the
+// sequential dense baseline, which every other unsplit run must match. The
+// kernels are pinned explicitly — dense as the ref-locked baseline, slab
+// against both ref and dense — so the check is invariant to the FSIM_KERNEL
+// environment override.
+func CheckTriple(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg Config) (fsim.Work, error) {
 	seq = truncate(seq, cfg)
 	refOut := ref.Run(c, seq, faults, ref.Options{Init: cfg.Init, SaveStates: cfg.SaveStates})
 	run := func(k fsim.Kernel, workers int) *fsim.Outcome {
@@ -197,8 +195,9 @@ func CheckTriple(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cf
 		})
 	}
 	seqOut := run(fsim.KernelDense, 1)
+	work := seqOut.Work
 	if err := CompareOutcomes(c, faults, refOut, seqOut, cfg.SaveStates); err != nil {
-		return fmt.Errorf("ref vs fsim(sequential dense): %w", err)
+		return work, fmt.Errorf("ref vs fsim(sequential dense): %w", err)
 	}
 	workers := []int{1}
 	if cfg.Workers > 1 {
@@ -211,10 +210,10 @@ func CheckTriple(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cf
 			}
 			out := run(k, w)
 			if err := sameFsimOutcome(seqOut, out); err != nil {
-				return fmt.Errorf("fsim sequential dense vs %v Workers=%d: %w", k, w, err)
+				return work, fmt.Errorf("fsim sequential dense vs %v Workers=%d: %w", k, w, err)
 			}
 			if err := CompareOutcomes(c, faults, refOut, out, cfg.SaveStates); err != nil {
-				return fmt.Errorf("ref vs fsim(%v Workers=%d): %w", k, w, err)
+				return work, fmt.Errorf("ref vs fsim(%v Workers=%d): %w", k, w, err)
 			}
 		}
 	}
@@ -224,11 +223,11 @@ func CheckTriple(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cf
 		for _, k := range []fsim.Kernel{fsim.KernelDense, fsim.KernelSlab} {
 			merged := splitRun(c, seq, faults, cfg, fsim.Options{Kernel: k, Workers: cfg.Workers})
 			if err := CompareOutcomes(c, faults, refOut, merged, cfg.SaveStates); err != nil {
-				return fmt.Errorf("split continuation (%v, Workers=%d): %w", k, cfg.Workers, err)
+				return work, fmt.Errorf("split continuation (%v, Workers=%d): %w", k, cfg.Workers, err)
 			}
 		}
 	}
-	return nil
+	return work, nil
 }
 
 // truncate returns seq cut after cfg.StopTime time units, if that is
@@ -295,8 +294,8 @@ func sameSplit(want, merged *fsim.Outcome, saveStates bool) error {
 // different widths on one reused simulator (the arena re-stride path)
 // interleaved with a dense run (the shared-scratch path). Its outcome must
 // also survive split continuation replays at every tested W, with both
-// halves on the slab kernel.
-func CheckSlab(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg Config) error {
+// halves on the slab kernel. It returns the dense baseline's work.
+func CheckSlab(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg Config) (fsim.Work, error) {
 	seq = truncate(seq, cfg)
 	opts := func(k fsim.Kernel, workers, lanes int) fsim.Options {
 		return fsim.Options{
@@ -314,13 +313,13 @@ func CheckSlab(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg 
 	for _, workers := range []int{1, 4, 8} {
 		for _, lanes := range []int{1, 2, 8} {
 			if err := same(fsim.New(c), opts(fsim.KernelSlab, workers, lanes)); err != nil {
-				return fmt.Errorf("dense vs slab(Workers=%d, W=%d): %w", workers, lanes, err)
+				return want.Work, fmt.Errorf("dense vs slab(Workers=%d, W=%d): %w", workers, lanes, err)
 			}
 		}
 	}
 	for _, workers := range []int{1, 4} {
 		if err := same(fsim.New(c), opts(fsim.KernelSlab, workers, 0)); err != nil {
-			return fmt.Errorf("dense vs slab(Workers=%d, automatic W): %w", workers, err)
+			return want.Work, fmt.Errorf("dense vs slab(Workers=%d, automatic W): %w", workers, err)
 		}
 	}
 	// One reused simulator: the arena re-strides between widths, a dense
@@ -329,24 +328,24 @@ func CheckSlab(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg 
 	s := fsim.New(c)
 	for round, lanes := range []int{2, 8, 2} {
 		if err := same(s, opts(fsim.KernelSlab, 1, lanes)); err != nil {
-			return fmt.Errorf("reused simulator, slab round %d (W=%d): %w", round, lanes, err)
+			return want.Work, fmt.Errorf("reused simulator, slab round %d (W=%d): %w", round, lanes, err)
 		}
 	}
 	if err := same(s, opts(fsim.KernelDense, 1, 0)); err != nil {
-		return fmt.Errorf("reused simulator, dense after slab: %w", err)
+		return want.Work, fmt.Errorf("reused simulator, dense after slab: %w", err)
 	}
 	if err := same(s, opts(fsim.KernelSlab, 1, 4)); err != nil {
-		return fmt.Errorf("reused simulator, slab after dense: %w", err)
+		return want.Work, fmt.Errorf("reused simulator, slab after dense: %w", err)
 	}
 	if splits(seq, faults, cfg) {
 		for _, lanes := range []int{1, 2, 8} {
 			merged := splitRun(c, seq, faults, cfg, fsim.Options{Kernel: fsim.KernelSlab, SlabLanes: lanes, Workers: cfg.Workers})
 			if err := sameSplit(want, merged, cfg.SaveStates); err != nil {
-				return fmt.Errorf("slab split continuation (W=%d, Workers=%d): %w", lanes, cfg.Workers, err)
+				return want.Work, fmt.Errorf("slab split continuation (W=%d, Workers=%d): %w", lanes, cfg.Workers, err)
 			}
 		}
 	}
-	return nil
+	return want.Work, nil
 }
 
 // CheckTrace demands the detection-provenance trace (fsim.Options.Trace) be
@@ -404,39 +403,47 @@ func sameFsimOutcome(a, b *fsim.Outcome) error {
 // CheckFaultFree drives fsim's fault-free machine (slot 0 of the OutputHook
 // primary-output words) and compares it cycle for cycle against the scalar
 // logic simulator, also demanding every word be legally encoded (no (1,1)
-// dual-rail slots).
-func CheckFaultFree(c *circuit.Circuit, seq *sim.Sequence, init logic.V) error {
+// dual-rail slots). Every group of faults (of one fault if faults is empty)
+// carries its own fault-free machine; the groups run on 4 workers at the
+// automatic lane width, so hook calls for different groups run concurrently,
+// and each group's calls are checked in its own slot.
+func CheckFaultFree(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, init logic.V) error {
 	want := sim.New(c, init).Run(seq)
-	// One fault, so exactly one group invokes the hook once per time unit.
-	faults := fault.Universe(c)[:1]
-	var mismatch error
-	cycles := 0
+	if len(faults) == 0 {
+		faults = fault.Universe(c)[:1]
+	}
+	cycles := make([]int, (len(faults)+fsim.GroupSize-1)/fsim.GroupSize)
+	errs := make([]error, len(cycles))
 	fsim.Run(c, seq, faults, fsim.Options{
-		Init: init,
+		Init: init, Workers: 4,
 		OutputHook: func(lo, hi, u int, po []logic.W) {
-			cycles++
-			if mismatch != nil {
+			g := lo / fsim.GroupSize
+			seen := cycles[g]
+			if cycles[g]++; errs[g] != nil {
+				return
+			}
+			if u != seen {
+				errs[g] = fmt.Errorf("group %d: hook called for t=%d after %d time units", g, u, seen)
 				return
 			}
 			for k, w := range po {
 				if !w.Valid() {
-					mismatch = fmt.Errorf("t=%d output %d: illegal dual-rail word %s", u, k, w)
+					errs[g] = fmt.Errorf("group %d t=%d output %d: illegal dual-rail word %s", g, u, k, w)
 					return
 				}
 				if got := w.Get(0); got != want[u][k] {
-					mismatch = fmt.Errorf("t=%d output %d: fsim fault-free %v, sim %v", u, k, got, want[u][k])
+					errs[g] = fmt.Errorf("group %d t=%d output %d: fsim fault-free %v, sim %v", g, u, k, got, want[u][k])
 					return
 				}
 			}
 		},
 	})
-	if mismatch != nil {
-		return mismatch
+	for g, n := range cycles {
+		if errs[g] == nil && n != seq.Len() {
+			errs[g] = fmt.Errorf("group %d: hook saw %d cycles for a %d-unit sequence", g, n, seq.Len())
+		}
 	}
-	if cycles != seq.Len() {
-		return fmt.Errorf("hook saw %d cycles for a %d-unit sequence", cycles, seq.Len())
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // CheckRedundant checks the one-frame redundancy proofs against the oracle:

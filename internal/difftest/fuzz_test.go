@@ -32,7 +32,7 @@ func FuzzRefVsFsim(f *testing.F) {
 		seq := RandomStimulus(rng, c.NumInputs())
 		faults := SampleFaults(rng, fault.CollapsedUniverse(c))
 		cfg := ConfigFromSeed(cfgSeed, seq.Len())
-		if err := CheckTriple(c, seq, faults, cfg); err != nil {
+		if _, err := CheckTriple(c, seq, faults, cfg); err != nil {
 			t.Fatalf("circSeed=%d stimSeed=%d cfgSeed=%d: %v\n%s",
 				circSeed, stimSeed, cfgSeed, err, Describe(c, seq, faults, cfg))
 		}
@@ -63,7 +63,7 @@ func FuzzSlabVsDense(f *testing.F) {
 			}
 			faults := SampleFaults(rng, all)
 			cfg := ConfigFromSeed(cfgSeed, seq.Len())
-			if err := CheckSlab(c, seq, faults, cfg); err != nil {
+			if _, err := CheckSlab(c, seq, faults, cfg); err != nil {
 				t.Fatalf("%s circSeed=%d stimSeed=%d cfgSeed=%d: %v\n%s",
 					m.Name(), circSeed, stimSeed, cfgSeed, err, Describe(c, seq, faults, cfg))
 			}
@@ -98,7 +98,8 @@ func FuzzFaultFreeVsSim(f *testing.F) {
 		rng := randutil.New(stimSeed)
 		seq := RandomStimulus(rng, c.NumInputs())
 		init := []logic.V{logic.Zero, logic.One, logic.X}[rng.Intn(3)]
-		if err := CheckFaultFree(c, seq, init); err != nil {
+		faults := SampleFaults(rng, fault.CollapsedUniverse(c))
+		if err := CheckFaultFree(c, seq, faults, init); err != nil {
 			t.Fatalf("circSeed=%d stimSeed=%d init=%v: %v\nsequence:\n%s\nnetlist:\n%s",
 				circSeed, stimSeed, init, err, seq, benchText(c))
 		}

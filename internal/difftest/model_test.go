@@ -55,16 +55,16 @@ func testModelRandom(t *testing.T, m fault.Model, seedBase uint64, triples int) 
 		if splits(seq, faults, cfg) {
 			split++
 		}
-		before := repeatExits()
-		if err := CheckTriple(c, seq, faults, cfg); err != nil {
+		work, err := CheckTriple(c, seq, faults, cfg)
+		if err != nil {
 			t.Fatalf("%s triple %d: %v\n%s", m.Name(), i, err, Describe(c, seq, faults, cfg))
 		}
-		if repeatExits() > before {
+		if work.RepeatExits > 0 {
 			repeated++
 		}
 		if i%3 == 1 {
 			slab++
-			if err := CheckSlab(c, seq, faults, cfg); err != nil {
+			if _, err := CheckSlab(c, seq, faults, cfg); err != nil {
 				t.Fatalf("%s triple %d (slab): %v\n%s", m.Name(), i, err, Describe(c, seq, faults, cfg))
 			}
 		}
@@ -112,10 +112,10 @@ func TestDifferentialModelSuiteCircuits(t *testing.T) {
 				{Init: logic.X, Workers: 1, StopTime: 9},
 			} {
 				seq := sim.RandomSequence(rng, c.NumInputs(), 24)
-				if err := CheckTriple(c, seq, faults, cfg); err != nil {
+				if _, err := CheckTriple(c, seq, faults, cfg); err != nil {
 					t.Fatalf("%s %s (case %d): %v\n%s", name, m.Name(), k, err, Describe(c, seq, faults, cfg))
 				}
-				if err := CheckSlab(c, seq, faults, cfg); err != nil {
+				if _, err := CheckSlab(c, seq, faults, cfg); err != nil {
 					t.Fatalf("%s %s (case %d, slab): %v\n%s", name, m.Name(), k, err, Describe(c, seq, faults, cfg))
 				}
 			}
@@ -153,7 +153,7 @@ func modelCheck(t *testing.T, m fault.Model, circSeed, stimSeed, cfgSeed uint64)
 	}
 	faults := SampleFaults(rng, all)
 	cfg := ConfigFromSeed(cfgSeed, seq.Len())
-	if err := CheckTriple(c, seq, faults, cfg); err != nil {
+	if _, err := CheckTriple(c, seq, faults, cfg); err != nil {
 		t.Fatalf("%s circSeed=%d stimSeed=%d cfgSeed=%d: %v\n%s",
 			m.Name(), circSeed, stimSeed, cfgSeed, err, Describe(c, seq, faults, cfg))
 	}

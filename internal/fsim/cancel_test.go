@@ -46,9 +46,9 @@ func TestCancelBeforeStart(t *testing.T) {
 }
 
 // TestCancelMidRun cancels from the OutputHook during the first group's
-// simulation (the hook forces sequential execution, making the cut
-// deterministic): the in-flight group completes, every later group is
-// skipped and counted, and the outcome is marked Cancelled.
+// simulation (one worker and one-group batches make the cut deterministic):
+// the in-flight group completes, every later group is skipped and counted,
+// and the outcome is marked Cancelled.
 func TestCancelMidRun(t *testing.T) {
 	c, err := iscas.Load("s298")
 	if err != nil {
@@ -64,8 +64,9 @@ func TestCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	out := Run(c, seq, faults, Options{
-		Init: logic.Zero,
-		Ctx:  ctx,
+		Init:      logic.Zero,
+		Ctx:       ctx,
+		SlabLanes: 1,
 		OutputHook: func(lo, hi, u int, po []logic.W) {
 			if lo == 0 && u == 0 {
 				cancel()

@@ -61,17 +61,16 @@ type Options struct {
 	// target fault and a random sample first, this is the paper's Section 4.2
 	// simulation-effort reduction.
 	AbortAfterFirstGroupIfNone bool
-	// OutputHook, if non-nil, is invoked once per simulated time unit per
-	// fault group with the group's fault range [lo,hi) and the dual-rail
-	// primary-output words (slot 0 = fault-free machine, slot k = machine of
-	// faults[lo+k-1]). Response compactors (package misr) plug in here.
-	// Setting a hook disables the early exits (all faults detected, repeat)
-	// so every group sees the full sequence.
-	//
-	// Ordering contract: a hook is always invoked sequentially, in strict
-	// group order (group 0's whole sequence first, then group 1's, ...), on
-	// the calling goroutine. Setting a hook therefore forces sequential
-	// execution: Workers is ignored.
+	// OutputHook, if non-nil, observes each fault group's responses: it is
+	// invoked once per simulated time unit per group, in time order, with
+	// the group's fault range [lo,hi) and the dual-rail primary-output words
+	// (slot 0 = fault-free machine, slot k = machine of faults[lo+k-1]).
+	// Response compactors (package misr) plug in here. The calls for one
+	// group run on the goroutine that simulates it; calls for different
+	// groups may run concurrently, so a hook must only touch state of its
+	// own group. po is valid only during the call. Setting a hook disables
+	// the early exits (all faults detected, repeat) so every group sees the
+	// full sequence.
 	OutputHook func(lo, hi, u int, po []logic.W)
 	// InitialStates, if non-nil, is the state every machine starts from:
 	// the Outcome.FinalStates of an earlier run with SaveStates, or its
@@ -95,7 +94,6 @@ type Options struct {
 	// n > 1 uses min(n, number of groups) workers, each with its own scratch
 	// simulator. Results are merged into pre-sized per-group slices, so the
 	// outcome is bit-identical to a sequential run regardless of scheduling.
-	// OutputHook forces sequential execution (see its ordering contract);
 	// AbortAfterFirstGroupIfNone always simulates group 0 alone, before any
 	// fan-out, to preserve the Section 4.2 effort reduction.
 	Workers int
@@ -113,9 +111,9 @@ type Options struct {
 	// picks 8 lanes, capped at ceil(groups/Workers) so every worker gets a
 	// batch. A positive value overrides that choice for the lane-invariance
 	// sweeps of difftest and the kernel benchmarks. Either is clamped to 16
-	// and to the number of groups, and an OutputHook forces 1. Ignored by
-	// the dense kernel. Like Workers, it never changes the outcome — only
-	// how the identical result is computed.
+	// and to the number of groups. Ignored by the dense kernel. Like
+	// Workers, it never changes the outcome — only how the identical result
+	// is computed.
 	SlabLanes int
 	// Ctx, if non-nil, cancels the run at fault-group granularity: the
 	// worker pool (and the sequential loop) checks it before claiming each
@@ -562,10 +560,6 @@ func (s *Simulator) run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 	}
 
 	workers := min(opts.Workers, numBatches)
-	if opts.OutputHook != nil {
-		workers = 1 // the hook's ordering contract requires sequential runs
-	}
-
 	if workers <= 1 {
 		for b := 0; b < numBatches; b++ {
 			if ctxDone(opts.Ctx) {

@@ -2,6 +2,7 @@ package fsim
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -105,30 +106,61 @@ func TestParallelSuiteCircuit(t *testing.T) {
 	}
 }
 
-// TestOutputHookForcesSequential checks the hook ordering contract: hooks see
-// every group's full sequence in strict group order even when Workers > 1.
+// hookCall is one OutputHook call as a group's stream records it.
+type hookCall struct {
+	hi, u int
+	po    []logic.W
+}
+
+// hookStreams runs seq over faults with a hook that records every call into
+// its own group's slot, so concurrent groups never share a write (race-free
+// under -race), and returns the per-group streams.
+func hookStreams(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Options) [][]hookCall {
+	streams := make([][]hookCall, (len(faults)+GroupSize-1)/GroupSize)
+	opts.Init = logic.Zero
+	opts.OutputHook = func(lo, hi, u int, po []logic.W) {
+		g := lo / GroupSize
+		streams[g] = append(streams[g], hookCall{hi, u, slices.Clone(po)})
+	}
+	Run(c, seq, faults, opts)
+	return streams
+}
+
+// denseHookStreams is the reference for the hook tests: the dense kernel at
+// Workers=1, checked to call each group once per time unit in time order.
+func denseHookStreams(t *testing.T, c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault) [][]hookCall {
+	t.Helper()
+	want := hookStreams(c, seq, faults, Options{Kernel: KernelDense, Workers: 1})
+	for g, st := range want {
+		if len(st) != seq.Len() {
+			t.Fatalf("dense: group %d hooked %d times, want %d", g, len(st), seq.Len())
+		}
+		for u, cl := range st {
+			if cl.u != u || cl.hi != min((g+1)*GroupSize, len(faults)) {
+				t.Fatalf("dense: group %d call %d has u=%d hi=%d", g, u, cl.u, cl.hi)
+			}
+		}
+	}
+	return want
+}
+
+// TestOutputHookForcesSequential checks the hook contract on the dense
+// kernel: each group's calls come once per time unit, in time order, and may
+// run concurrently with other groups' calls. The hook no longer forces
+// sequential execution; what it must still force is the sequential run's
+// result, so each group's (u, po) stream equals the Workers=1 run's for any
+// Workers count. TestSlabOutputHook checks the same on the slab kernel.
 func TestOutputHookForcesSequential(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	faults := fault.CollapsedUniverse(c)
 	seq := sim.RandomSequence(randutil.New(5), c.NumInputs(), 10)
-	var calls []int // group lo per time unit, in invocation order
-	out := Run(c, seq, faults, Options{
-		Init:    logic.Zero,
-		Workers: 8,
-		OutputHook: func(lo, hi, u int, po []logic.W) {
-			calls = append(calls, lo) // would race if the hook ran concurrently
-		},
-	})
-	groups := (len(faults) + GroupSize - 1) / GroupSize
-	if len(calls) != groups*seq.Len() {
-		t.Fatalf("hook called %d times, want %d", len(calls), groups*seq.Len())
-	}
-	for i, lo := range calls {
-		if want := (i / seq.Len()) * GroupSize; lo != want {
-			t.Fatalf("call %d: group lo=%d, want %d (strict group order)", i, lo, want)
+	want := denseHookStreams(t, c, seq, faults)
+	for _, workers := range []int{4, 8} {
+		got := hookStreams(c, seq, faults, Options{Kernel: KernelDense, Workers: workers})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("dense, Workers=%d: per-group hook streams differ from Workers=1", workers)
 		}
 	}
-	_ = out
 }
 
 // TestInitialStatesValidation is the regression test for the silent state

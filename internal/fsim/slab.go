@@ -95,13 +95,8 @@ const slabAutoLanes = 8
 // groups fault groups to spread over the worker pool. An explicit
 // opts.SlabLanes is clamped to maxSlabLanes; the automatic width is
 // slabAutoLanes, capped at ceil(groups/workers) so that a call with few
-// groups still gives every worker a batch. Either is clamped to groups, and
-// an OutputHook forces W=1: the hook's ordering contract (group 0's whole
-// sequence first, then group 1's, ...) rules out interleaving groups.
+// groups still gives every worker a batch. Either is clamped to groups.
 func slabWidth(opts Options, groups int) int {
-	if opts.OutputHook != nil {
-		return 1
-	}
 	w := opts.SlabLanes
 	if w <= 0 {
 		w = slabAutoLanes
@@ -698,14 +693,17 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 			}
 		}
 		if opts.OutputHook != nil {
-			// OutputHook forces a 1-lane batch, so lane 0 is the whole group.
-			po := s.poScratch[:0]
-			for _, r := range lay.po {
-				po = append(po, vals[int(r)*lanes])
+			// A hook turns the early exits off, so no repack has run and
+			// lane j still holds exactly group g0+j.
+			for j := 0; j < nl; j++ {
+				po := s.poScratch[:0]
+				for _, r := range lay.po {
+					po = append(po, vals[int(r)*lanes+j])
+				}
+				s.poScratch = po
+				lo := (g0 + j) * GroupSize
+				opts.OutputHook(lo, min(lo+GroupSize, len(faults)), u, po)
 			}
-			s.poScratch = po
-			lo := g0 * GroupSize
-			opts.OutputHook(lo, min(lo+GroupSize, len(faults)), u, po)
 		}
 		if opts.ObserveLines {
 			for r, id := range lay.node {

@@ -86,34 +86,30 @@ func TestSlabAbortAfterFirstGroup(t *testing.T) {
 	}
 }
 
-// TestSlabOutputHook: the hook's ordering contract (group 0's whole sequence
-// first, then group 1's, ...) is incompatible with lane interleaving, so the
-// slab kernel must drop to W=1 and sequential execution — even when the
-// options ask for wide lanes and many workers.
+// TestSlabOutputHook: the slab kernel calls the hook once per lane's group
+// (a hook turns the early exits off, so no repack has run and lane j holds
+// group g0+j). Each group's (u, po) stream must equal the dense sequential
+// run's for any Workers count and lane width, and the hooked run's result
+// must match dense.
 func TestSlabOutputHook(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	faults := fault.CollapsedUniverse(c)
 	seq := sim.RandomSequence(randutil.New(5), c.NumInputs(), 10)
-	var calls []int
-	hook := func(lo, hi, u int, po []logic.W) { calls = append(calls, lo) }
-	s := New(c)
-	if w := slabWidth(Options{SlabLanes: 8, OutputHook: hook}, 10); w != 1 {
-		t.Fatalf("slabWidth under OutputHook = %d, want 1", w)
-	}
-	out := s.Run(seq, faults, Options{
-		Init: logic.Zero, Kernel: KernelSlab, SlabLanes: 8, Workers: 8, OutputHook: hook,
-	})
-	groups := (len(faults) + GroupSize - 1) / GroupSize
-	if len(calls) != groups*seq.Len() {
-		t.Fatalf("hook called %d times, want %d", len(calls), groups*seq.Len())
-	}
-	for i, lo := range calls {
-		if want := (i / seq.Len()) * GroupSize; lo != want {
-			t.Fatalf("call %d: group lo=%d, want %d (strict group order)", i, lo, want)
+	want := denseHookStreams(t, c, seq, faults)
+	dense := Run(c, seq, faults, Options{Init: logic.Zero, Kernel: KernelDense})
+	for _, workers := range []int{1, 4, 8} {
+		for _, lanes := range []int{0, 1, 2, 8} {
+			opts := Options{Kernel: KernelSlab, Workers: workers, SlabLanes: lanes}
+			if got := hookStreams(c, seq, faults, opts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("slab, Workers=%d, SlabLanes=%d: per-group hook streams differ from dense", workers, lanes)
+			}
+			opts.Init = logic.Zero
+			opts.OutputHook = func(lo, hi, u int, po []logic.W) {}
+			if out := Run(c, seq, faults, opts); out.NumDetected != dense.NumDetected {
+				t.Fatalf("slab, Workers=%d, SlabLanes=%d: hooked run detected %d, want %d",
+					workers, lanes, out.NumDetected, dense.NumDetected)
+			}
 		}
-	}
-	if want := Run(c, seq, faults, Options{Init: logic.Zero, Kernel: KernelDense}); out.NumDetected != want.NumDetected {
-		t.Fatalf("hooked slab run detected %d, want %d", out.NumDetected, want.NumDetected)
 	}
 }
 
@@ -183,7 +179,6 @@ func TestSlabWidthClamps(t *testing.T) {
 		{"explicit", Options{SlabLanes: 5, Workers: 8}, 100, 5},
 		{"explicit, clamped to the cap", Options{SlabLanes: 99}, 100, maxSlabLanes},
 		{"explicit, clamped to the groups", Options{SlabLanes: 12}, 7, 7},
-		{"output hook", Options{SlabLanes: 8, OutputHook: func(lo, hi, u int, po []logic.W) {}}, 100, 1},
 	}
 	for _, tc := range cases {
 		if got := slabWidth(tc.opts, tc.groups); got != tc.want {

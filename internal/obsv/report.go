@@ -32,7 +32,8 @@ type Report struct {
 	// Phases is the wall/alloc breakdown per span path (empty without
 	// metrics input).
 	Phases []PhaseReport `json:"phases,omitempty"`
-	// KernelCounters sums the hot-path counters over all metrics records.
+	// KernelCounters sums the hot-path counters over the root spans of the
+	// metrics records (no ancestor span among the records): spans nest.
 	KernelCounters map[string]int64 `json:"kernel_counters,omitempty"`
 	// SlowGroups are the fault groups of the T segment that simulated the
 	// most vectors (ties broken by group index), most expensive first.
@@ -123,6 +124,10 @@ func BuildReport(rt *RunTrace, phases []telemetry.PhaseStats) *Report {
 			}
 		}
 	}
+	spans := make(map[string]bool, len(phases))
+	for _, p := range phases {
+		spans[p.Span] = true
+	}
 	for _, p := range phases {
 		rep.Phases = append(rep.Phases, PhaseReport{
 			Span:        p.Span,
@@ -130,6 +135,9 @@ func BuildReport(rt *RunTrace, phases []telemetry.PhaseStats) *Report {
 			WallSeconds: p.Wall().Seconds(),
 			AllocMB:     float64(p.AllocBytes) / (1 << 20),
 		})
+		if hasAncestor(p.Span, spans) {
+			continue
+		}
 		for name, v := range p.Counters {
 			if rep.KernelCounters == nil {
 				rep.KernelCounters = map[string]int64{}
@@ -138,6 +146,16 @@ func BuildReport(rt *RunTrace, phases []telemetry.PhaseStats) *Report {
 		}
 	}
 	return rep
+}
+
+// hasAncestor reports whether an ancestor path of span is in spans.
+func hasAncestor(span string, spans map[string]bool) bool {
+	for i := strings.LastIndexByte(span, '/'); i > 0; i = strings.LastIndexByte(span[:i], '/') {
+		if spans[span[:i]] {
+			return true
+		}
+	}
+	return false
 }
 
 func assignmentReport(seg *Segment) AssignmentReport {

@@ -138,6 +138,27 @@ func TestBuildReportPhases(t *testing.T) {
 	}
 }
 
+// TestBuildReportNestedPhases: phases nest (pipeline ⊃ pipeline/atpg ⊃
+// pipeline/atpg/random), so the kernel counters come from the root spans
+// only; two roots (two runs folded from one metrics file) still add up.
+func TestBuildReportNestedPhases(t *testing.T) {
+	vectors := func(n int64) map[string]int64 { return map[string]int64{"fsim.vectors": n} }
+	phases := []telemetry.PhaseStats{
+		{Span: "pipeline/atpg/random", Count: 2, Counters: vectors(4)},
+		{Span: "pipeline/atpg", Count: 2, Counters: vectors(6)},
+		{Span: "pipeline/core/selection", Count: 2, Counters: vectors(3)},
+		{Span: "pipeline", Count: 2, Counters: vectors(10)},
+		{Span: "bist-session", Count: 1, Counters: vectors(5)},
+	}
+	rep := BuildReport(nil, phases)
+	if len(rep.Phases) != len(phases) {
+		t.Fatalf("got %d phases, want %d", len(rep.Phases), len(phases))
+	}
+	if got := rep.KernelCounters["fsim.vectors"]; got != 15 {
+		t.Errorf("fsim.vectors = %d, want 15 (pipeline + bist-session)", got)
+	}
+}
+
 func TestRenderReport(t *testing.T) {
 	rt := hockeyTrace()
 	phases := []telemetry.PhaseStats{{Span: "pipeline", Count: 1, WallNS: 1e9,
