@@ -220,7 +220,7 @@ func benchObsTable(b *testing.B, name string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := obs.Experiment(r.Core)
+		res := obs.Experiment(r.Core, 1, nil)
 		if len(res.Rows) == 0 {
 			b.Fatal("no rows")
 		}
@@ -344,7 +344,7 @@ func BenchmarkAblationReverseOrderSim(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		compacted := core.ReverseOrderCompact(r.Core)
+		compacted := core.ReverseOrderCompact(r.Core, 1)
 		if i == 0 {
 			b.ReportMetric(float64(len(r.Core.Omega)), "before")
 			b.ReportMetric(float64(len(compacted)), "after")
@@ -379,8 +379,8 @@ func BenchmarkAblationObsCoverGreedyVsSCOAP(b *testing.B) {
 	m := scoap.Analyze(r.Circuit, r.Init)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		greedy := obs.Experiment(r.Core)
-		ranked := obs.ExperimentWithCover(r.Core, obs.NewRankedCover(m.CO))
+		greedy := obs.Experiment(r.Core, 1, nil)
+		ranked := obs.ExperimentWithCover(r.Core, obs.NewRankedCover(m.CO), 1, nil)
 		if i == 0 && len(greedy.Rows) > 0 && len(ranked.Rows) > 0 {
 			b.ReportMetric(float64(greedy.Rows[0].Obs), "greedy_obs")
 			b.ReportMetric(float64(ranked.Rows[0].Obs), "scoap_obs")

@@ -271,7 +271,7 @@ func obsTables(cfg wbist.Config) error {
 		if err != nil {
 			return err
 		}
-		res := wbist.ObsExperiment(r)
+		res := wbist.ObsExperiment(r, cfg)
 		t := tables.New(fmt.Sprintf("Table %d: Observation point insertion for %s", 7+k, name),
 			"seq", "sub", "len", "f.e.", "obs", "f.e.")
 		for _, row := range res.FilteredRows(99) {
@@ -446,7 +446,7 @@ func selftest(cfg wbist.Config) error {
 	if err != nil {
 		return err
 	}
-	rep, err := wbist.RunBISTSession(run, 16)
+	rep, err := wbist.RunBISTSession(run, 16, cfg)
 	if err != nil {
 		return err
 	}

@@ -344,7 +344,7 @@ func cmdObs(args []string, cfg wbist.Config) error {
 	if err != nil {
 		return err
 	}
-	res := wbist.ObsExperiment(r)
+	res := wbist.ObsExperiment(r, cfg)
 	t := tables.New(fmt.Sprintf("Observation point insertion for %s", name),
 		"seq", "sub", "len", "f.e.", "obs", "f.e.")
 	for _, row := range res.FilteredRows(99) {
@@ -429,7 +429,7 @@ func cmdSelftest(args []string, cfg wbist.Config) error {
 	if err != nil {
 		return err
 	}
-	rep, err := wbist.RunBISTSession(r, *flagMISR)
+	rep, err := wbist.RunBISTSession(r, *flagMISR, cfg)
 	if err != nil {
 		return err
 	}
@@ -484,12 +484,12 @@ func cmdReport(args []string, cfg wbist.Config) error {
 		if err != nil {
 			return err
 		}
-		rt, err = wbist.TraceRun(r)
+		rt, err = wbist.TraceRun(r, cfg)
 		if err != nil {
 			return err
 		}
 		if phases == nil {
-			phases = r.Metrics
+			phases = cfg.Telemetry.Phases()
 		}
 	}
 	if *traceOut != "" {
@@ -628,17 +628,13 @@ func cmdMetrics(args []string, cfg wbist.Config) error {
 	if err != nil {
 		return err
 	}
-	// A memoized run from an earlier command in this process would have
-	// nothing left to measure; force a fresh pipeline.
-	wbist.ClearRunCache()
 	before := wbist.Counters()
-	r, err := wbist.RunCircuit(name, cfg)
-	if err != nil {
+	if _, err := wbist.RunCircuit(name, cfg); err != nil {
 		return err
 	}
 	t := tables.New(fmt.Sprintf("pipeline cost for %s", name),
 		"phase", "runs", "wall", "alloc", "gate evals", "vectors", "repeat exits")
-	for _, p := range r.Metrics {
+	for _, p := range cfg.Telemetry.Phases() {
 		t.Add(p.Span, tables.Int(p.Count),
 			fmt.Sprintf("%.3fs", p.Wall().Seconds()),
 			fmt.Sprintf("%.1fMB", float64(p.AllocBytes)/(1<<20)),

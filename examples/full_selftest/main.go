@@ -33,7 +33,8 @@ func main() {
 	const misrWidth = 16
 
 	// 1. Run the pipeline and synthesize the generator hardware.
-	run, err := wbist.RunCircuit("s298", wbist.Config{LG: 300, Seed: 3})
+	cfg := wbist.Config{LG: 300, Seed: 3}
+	run, err := wbist.RunCircuit("s298", cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func main() {
 	// MISR, fault coverage measured by signature compare. Faults live on the
 	// CUT portion of the composed chip.
 	cutFaults := cutFaultsOf(chip)
-	rep, err := bist.RunSession(chip, enSession(session.Len()), cutFaults, wbist.Zero, misrWidth, run.Config.Workers)
+	rep, err := bist.RunSession(chip, enSession(session.Len()), cutFaults, wbist.Zero, misrWidth, cfg.Workers)
 	if err != nil {
 		log.Fatal(err)
 	}

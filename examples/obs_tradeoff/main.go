@@ -24,11 +24,12 @@ func main() {
 	if len(os.Args) > 1 {
 		name = os.Args[1]
 	}
-	run, err := wbist.RunCircuit(name, wbist.Config{LG: 500, Seed: 1})
+	cfg := wbist.Config{LG: 500, Seed: 1}
+	run, err := wbist.RunCircuit(name, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := wbist.ObsExperiment(run)
+	res := wbist.ObsExperiment(run, cfg)
 
 	t := tables.New(fmt.Sprintf("Observation point insertion for %s", name),
 		"seq", "sub", "len", "f.e.", "obs", "f.e.+obs")

@@ -21,6 +21,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/misr"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // Report is the outcome of a signature-based BIST session.
@@ -107,9 +108,10 @@ func RunSession(c *circuit.Circuit, session *sim.Sequence, faults []fault.Fault,
 // RunWeightedSession builds the continuous test session of a core result
 // (every weight assignment window back to back, as the Figure 1 hardware
 // applies it) and measures signature-based coverage of the target faults.
-func RunWeightedSession(res *core.Result, omega []core.Assignment, width int) (*Report, error) {
-	sp := res.Options.Span.Child("bist-session")
+// It records its "bist-session" span under parent (nil: none).
+func RunWeightedSession(res *core.Result, omega []core.Assignment, width, workers int, parent *telemetry.Span) (*Report, error) {
+	sp := parent.Child("bist-session")
 	defer sp.End()
 	session := core.ConcatSequence(omega, res.WindowLen())
-	return RunSession(res.Circuit, session, res.TargetFaults, res.Options.Init, width, res.Options.Workers)
+	return RunSession(res.Circuit, session, res.TargetFaults, res.Init, width, workers)
 }

@@ -89,7 +89,7 @@ func countUndetectedByCompare(r *Report) int {
 
 func TestRunWeightedSessionCoversMostTargets(t *testing.T) {
 	r := s298Run(t)
-	rep, err := RunWeightedSession(r, r.Omega, 20)
+	rep, err := RunWeightedSession(r, r.Omega, 20, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestSelftestS298WorkersInvariant(t *testing.T) {
 	session := core.ConcatSequence(r.Compacted, r.Core.WindowLen())
 	var want *Report
 	for _, workers := range []int{1, 2, 4} {
-		rep, err := RunSession(r.Circuit, session, r.Core.TargetFaults, r.Core.Options.Init, 16, workers)
+		rep, err := RunSession(r.Circuit, session, r.Core.TargetFaults, r.Init, 16, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,7 @@ func TestPending(t *testing.T) {
 		t.Fatal("Drop must report and count a target once")
 	}
 	// T detects every target, and the simulation skips the dropped one.
-	out, idx, n := p.Simulate(fsim.New(r.Circuit), r.T, fsim.Options{Init: r.Options.Init})
+	out, idx, n := p.Simulate(fsim.New(r.Circuit), r.T, fsim.Options{Init: r.Init})
 	if len(idx) != len(r.TargetFaults)-1 || idx[0] != 1 || len(out.Detected) != len(idx) {
 		t.Fatalf("simulated indices %v", idx)
 	}

@@ -61,8 +61,7 @@ type Options struct {
 	Ctx context.Context
 	// Span, when non-nil, is the parent telemetry span under which the
 	// procedure records its phases ("core" with "random-windows" and
-	// "selection" children). Later pipeline stages (obs, bist) also hang
-	// their spans off it via the Result's echoed Options.
+	// "selection" children).
 	Span *telemetry.Span
 }
 
@@ -121,8 +120,8 @@ type Result struct {
 	RandomSourceWidth int
 	// SimulatedSequences counts the candidate sequences fault-simulated.
 	SimulatedSequences int
-	// Options echoes the configuration used.
-	Options Options
+	// Init is the initial flip-flop value, which every later stage uses too.
+	Init logic.V
 
 	windowLen int
 }
@@ -178,7 +177,7 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 		TargetFaults: targets,
 		DetTime:      detTime,
 		S:            NewWeightSet(),
-		Options:      opts,
+		Init:         opts.Init,
 		windowLen:    windowLen(opts.LG, detTime...),
 	}
 	span := opts.Span.Child("core")

@@ -36,6 +36,9 @@ func runS27(t *testing.T, opts Options) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if r.WindowLen() < opts.LG {
+		t.Fatalf("window length %d below L_G %d", r.WindowLen(), opts.LG)
+	}
 	return r
 }
 
@@ -44,9 +47,6 @@ func runS27(t *testing.T, opts Options) *Result {
 func verifyCoverage(t *testing.T, r *Result, omega []Assignment) {
 	t.Helper()
 	lg := r.WindowLen()
-	if lg < r.Options.LG {
-		t.Fatalf("window length %d below L_G %d", lg, r.Options.LG)
-	}
 	for i, dt := range r.DetTime {
 		if dt >= lg {
 			t.Fatalf("target %d detected at %d, past the %d-cycle window", i, dt, lg)
@@ -58,7 +58,7 @@ func verifyCoverage(t *testing.T, r *Result, omega []Assignment) {
 	}
 	for _, a := range omega {
 		seqG := a.GenSequence(lg)
-		out := fsim.Run(r.Circuit, seqG, r.TargetFaults, fsim.Options{Init: r.Options.Init})
+		out := fsim.Run(r.Circuit, seqG, r.TargetFaults, fsim.Options{Init: r.Init})
 		for i := range r.TargetFaults {
 			if out.Detected[i] {
 				undet[i] = false
@@ -111,7 +111,7 @@ func TestWindowLen(t *testing.T) {
 		t.Fatalf("window length %d at L_G 3, latest detection time %d", r.WindowLen(), maxU)
 	}
 	verifyCoverage(t, r, r.Omega)
-	verifyCoverage(t, r, ReverseOrderCompact(r))
+	verifyCoverage(t, r, ReverseOrderCompact(r, 1))
 }
 
 func TestProcedureMaxSubseqLenShorterThanT(t *testing.T) {
@@ -127,7 +127,7 @@ func TestProcedureMaxSubseqLenShorterThanT(t *testing.T) {
 
 func TestReverseOrderCompactPreservesCoverage(t *testing.T) {
 	r := runS27(t, Options{LG: 100, Init: logic.X, Seed: 1})
-	compacted := ReverseOrderCompact(r)
+	compacted := ReverseOrderCompact(r, 1)
 	if len(compacted) > len(r.Omega) {
 		t.Fatalf("compaction grew omega: %d > %d", len(compacted), len(r.Omega))
 	}
@@ -139,7 +139,7 @@ func TestReverseOrderCompactPreservesCoverage(t *testing.T) {
 
 func TestDetectionSets(t *testing.T) {
 	r := runS27(t, Options{LG: 100, Init: logic.X, Seed: 1})
-	sets := DetectionSets(r)
+	sets := DetectionSets(r, 1)
 	if len(sets) != len(r.Omega) {
 		t.Fatalf("%d sets for %d assignments", len(sets), len(r.Omega))
 	}
@@ -183,6 +183,9 @@ func TestProcedureOnSyntheticCircuitWithATPG(t *testing.T) {
 	}
 	if r.Unreproduced != 0 {
 		t.Fatalf("%d targets abandoned", r.Unreproduced)
+	}
+	if r.WindowLen() < 500 {
+		t.Fatalf("window length %d below L_G 500", r.WindowLen())
 	}
 	verifyCoverage(t, r, r.Omega)
 	st := Accounting(r.Omega)

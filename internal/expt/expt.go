@@ -31,9 +31,9 @@ import (
 // it part of a run's identity (it changes result bits), `json:"-"` makes it
 // execution policy (results are bit-identical across its values). The
 // encoding is at once the `wbist serve` job wire format, the config echo in
-// its result.json, the persistent store key (internal/store) and the
-// in-process memo key, so a new result-defining field needs a tag here and
-// nothing else.
+// its result.json, the persistent store key (internal/store), the in-process
+// memo key and Run.Config, so a new result-defining field needs a tag here
+// and nothing else.
 type Config struct {
 	// LG is the per-assignment sequence length (paper: 2000).
 	LG int `json:"lg,omitempty"`
@@ -68,12 +68,12 @@ type Config struct {
 	// targets, the selected assignments.
 	FaultModel string `json:"fault_model,omitempty"`
 	// Telemetry, when non-nil, records phase spans and hot-path counters for
-	// the run (see internal/telemetry). Runs differing only in their
-	// recorder share one computation — and a cache hit records nothing.
+	// the call it is passed to (see internal/telemetry). Runs differing only
+	// in their recorder share one computation — and a cache hit records nothing.
 	Telemetry *telemetry.Recorder `json:"-"`
-	// Workers is the fault-simulation worker count threaded through every
-	// pipeline stage (atpg, core, obs; 0 or 1 = sequential). The simulator's
-	// deterministic merge makes results bit-identical for any value.
+	// Workers is the fault-simulation worker count of the call it is passed
+	// to (0 or 1 = sequential). The simulator's deterministic merge makes
+	// results bit-identical for any value.
 	Workers int `json:"-"`
 	// Ctx, if non-nil, cancels the run: it is threaded through every
 	// pipeline stage down to the fault simulator's worker pool, so a
@@ -181,14 +181,15 @@ func presetFor(name string, cfg Config) Config {
 	return cfg
 }
 
-// key is the memoization key: the circuit name and the JSON encoding of
-// its canonical Config, which carries exactly the identity fields.
+// key is the memoization key: the circuit name and the identity of its
+// canonical Config.
 type key struct {
 	name string
-	cfg  string
+	cfg  Config
 }
 
-// Run is the complete result of one circuit's pipeline.
+// Run is the complete result of one circuit's pipeline. RunCircuit shares
+// it among callers, so its Config keeps no `json:"-"` policy field.
 type Run struct {
 	Name    string
 	Circuit *circuit.Circuit
@@ -211,10 +212,6 @@ type Run struct {
 	Compacted []core.Assignment
 	// Stats is the Table 6 accounting of Compacted.
 	Stats core.HardwareStats
-	// Metrics is the per-phase telemetry of the run, as recorded by
-	// Config.Telemetry (nil when no recorder was installed). When a recorder
-	// is shared across runs the totals are cumulative across them.
-	Metrics []telemetry.PhaseStats
 }
 
 // entry is one memoization slot: a single-flight computation whose leader
@@ -263,11 +260,7 @@ func CanonicalConfig(name string, cfg Config) Config {
 // replaying a stale (possibly transient) failure forever.
 func RunCircuit(name string, cfg Config) (*Run, error) {
 	cfg = CanonicalConfig(name, cfg)
-	id, err := json.Marshal(cfg)
-	if err != nil {
-		return nil, err
-	}
-	k := key{name: name, cfg: string(id)}
+	k := key{name: name, cfg: identity(cfg)}
 	cacheMu.Lock()
 	e, ok := cache[k]
 	if !ok {
@@ -298,6 +291,16 @@ func RunCircuit(name string, cfg Config) (*Run, error) {
 	return e.r, e.err
 }
 
+// identity returns cfg decoded from its JSON encoding, which carries exactly
+// the identity fields: every `json:"-"` policy field is zero. Neither step
+// can fail, since every encoded field is a bool, an integer or a string.
+func identity(cfg Config) Config {
+	b, _ := json.Marshal(cfg)
+	var id Config
+	_ = json.Unmarshal(b, &id)
+	return id
+}
+
 func computeRun(name string, cfg Config) (*Run, error) {
 	c, err := loadCircuit(name)
 	if err != nil {
@@ -323,7 +326,7 @@ func RunPipeline(c *circuit.Circuit, init logic.V, cfg Config) (*Run, error) {
 		return nil, err
 	}
 	model, _ := fault.ModelByName(cfg.FaultModel) // Validate checked the name
-	r := &Run{Name: c.Name, Circuit: c, Config: cfg, Init: init}
+	r := &Run{Name: c.Name, Circuit: c, Config: identity(cfg), Init: init}
 	pipe := cfg.Telemetry.StartSpan("pipeline")
 
 	// Deterministic sequence: the paper's own sequence for s27, the
@@ -387,14 +390,13 @@ func RunPipeline(c *circuit.Circuit, init logic.V, cfg Config) (*Run, error) {
 	}
 	r.Core = cr
 	sp := pipe.Child("reverse-order")
-	r.Compacted = core.ReverseOrderCompact(cr)
+	r.Compacted = core.ReverseOrderCompact(cr, cfg.Workers)
 	sp.End()
 	sp = pipe.Child("accounting")
 	r.Stats = core.Accounting(r.Compacted)
 	sp.End()
 	pipe.End()
 	telemetry.SetGauge("fault_coverage", cr.Coverage())
-	r.Metrics = cfg.Telemetry.Phases()
 	return r, nil
 }
 
@@ -427,9 +429,9 @@ func Table6(r *Run) Table6Row {
 	}
 }
 
-// ObsExperiment runs the Tables 7-16 experiment for a run.
-func ObsExperiment(r *Run) *obs.Result {
-	return obs.Experiment(r.Core)
+// ObsExperiment runs Tables 7-16's experiment with cfg's Workers and Telemetry.
+func ObsExperiment(r *Run, cfg Config) *obs.Result {
+	return obs.Experiment(r.Core, cfg.Workers, cfg.Telemetry.Root())
 }
 
 // SynthesizeGenerator builds the Figure 1 hardware for a run's compacted Ω
@@ -441,13 +443,6 @@ func SynthesizeGenerator(r *Run) (*wgen.Generator, error) {
 		return nil, fmt.Errorf("expt: run %s has no weight assignments", r.Name)
 	}
 	return wgen.SynthesizeSchedule(r.Name+"_gen", r.Config.RandomWindows, r.Compacted, r.Core.WindowLen())
-}
-
-// ClearCache drops all memoized runs (tests use this to force fresh runs).
-func ClearCache() {
-	cacheMu.Lock()
-	cache = map[key]*entry{}
-	cacheMu.Unlock()
 }
 
 // ctxErr returns the cancellation error of a (possibly nil) context.

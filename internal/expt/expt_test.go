@@ -161,11 +161,12 @@ func TestPipelineSyntheticWithGenerator(t *testing.T) {
 }
 
 func TestObsExperimentIntegrates(t *testing.T) {
-	r, err := RunCircuit("s27", Config{LG: 100, Seed: 1})
+	cfg := Config{LG: 100, Seed: 1}
+	r, err := RunCircuit("s27", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ObsExperiment(r)
+	res := ObsExperiment(r, cfg)
 	if len(res.Rows) == 0 {
 		t.Fatal("no obs rows")
 	}
@@ -173,6 +174,13 @@ func TestObsExperimentIntegrates(t *testing.T) {
 	if last.FE != 100 || last.Obs != 0 {
 		t.Fatalf("last row %+v", last)
 	}
+}
+
+// ClearCache drops all memoized runs, so the next call computes afresh.
+func ClearCache() {
+	cacheMu.Lock()
+	cache = map[key]*entry{}
+	cacheMu.Unlock()
 }
 
 func TestInitFor(t *testing.T) {

@@ -14,14 +14,14 @@ import (
 // result is the data behind `wbist report` — which assignment detects which
 // fault, when, and at which output.
 //
-// The re-simulation reuses the run's Init, window length and Workers, so
-// by the simulator's determinism guarantee the outcome matches the original
-// run bit for bit regardless of worker count or kernel; the trace costs one
-// extra simulation of T plus one per compacted assignment. The recorded
-// kernel is the one fsim resolves by default (FSIM_KERNEL, else slab).
-func TraceRun(r *Run) (*obsv.RunTrace, error) {
+// The re-simulation reuses the run's Init and window length and runs at
+// cfg.Workers, the only field of cfg it reads; by the simulator's determinism
+// guarantee the outcome matches the original run bit for bit regardless of
+// worker count or kernel. The trace costs one extra simulation of T plus one
+// per compacted assignment. The recorded kernel is the one fsim resolves by
+// default (FSIM_KERNEL, else slab).
+func TraceRun(r *Run, cfg Config) (*obsv.RunTrace, error) {
 	c := r.Circuit
-	cfg := r.Config
 	rt := &obsv.RunTrace{
 		Schema:  obsv.TraceSchema,
 		Circuit: r.Name,
@@ -36,7 +36,7 @@ func TraceRun(r *Run) (*obsv.RunTrace, error) {
 
 	// Segment -1: T against the whole collapsed universe of the run's fault
 	// model. Event fault indices are universe indices.
-	model, err := fault.ModelByName(cfg.FaultModel)
+	model, err := fault.ModelByName(r.Config.FaultModel)
 	if err != nil {
 		return nil, err
 	}

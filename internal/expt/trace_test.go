@@ -14,11 +14,12 @@ import (
 // assignment segments cover every target exactly once (fault dropping), and
 // the serialised form round-trips.
 func TestTraceRunProvenance(t *testing.T) {
-	r, err := RunCircuit("s27", Config{LG: 100, Seed: 1})
+	cfg := Config{LG: 100, Seed: 1}
+	r, err := RunCircuit("s27", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := TraceRun(r)
+	rt, err := TraceRun(r, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestTraceRunProvenance(t *testing.T) {
 		t.Fatalf("trace does not round-trip through JSONL")
 	}
 
-	rep := obsv.BuildReport(rt, r.Metrics)
+	rep := obsv.BuildReport(rt, nil)
 	if rep.Coverage.Detected != len(r.Targets) || rep.Coverage.Knee.Vector < 0 {
 		t.Fatalf("report coverage %+v disagrees with run", rep.Coverage)
 	}
@@ -108,9 +109,7 @@ func TestTraceRunKernelInvariant(t *testing.T) {
 	for _, k := range []fsim.Kernel{fsim.KernelDense, fsim.KernelSlab} {
 		t.Setenv("FSIM_KERNEL", k.String())
 		for _, workers := range []int{1, 4} {
-			rr := *r
-			rr.Config.Workers = workers
-			rt, err := TraceRun(&rr)
+			rt, err := TraceRun(r, Config{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/fsim"
+	"repro/internal/telemetry"
 )
 
 // Row is one line of the paper's Tables 7-16 for a given |Ω_lim|.
@@ -145,17 +146,17 @@ func sortByCostDesc(cand []int, cost []int32) {
 
 // Experiment runs the Section 5 flow on a core procedure result with the
 // paper's greedy covering procedure. It uses Ω before reverse-order
-// simulation, exactly as the paper does.
-func Experiment(r *core.Result) *Result {
-	return ExperimentWithCover(r, GreedyCover)
+// simulation, exactly as the paper does. Its "obs" span goes under parent.
+func Experiment(r *core.Result, workers int, parent *telemetry.Span) *Result {
+	return ExperimentWithCover(r, GreedyCover, workers, parent)
 }
 
 // ExperimentWithCover is Experiment with a custom observation-point
 // selection strategy.
-func ExperimentWithCover(r *core.Result, coverFn CoverFunc) *Result {
-	sp := r.Options.Span.Child("obs")
+func ExperimentWithCover(r *core.Result, coverFn CoverFunc, workers int, parent *telemetry.Span) *Result {
+	sp := parent.Child("obs")
 	defer sp.End()
-	detSets := core.DetectionSets(r)
+	detSets := core.DetectionSets(r, workers)
 	nTargets := len(r.TargetFaults)
 	order := greedyOrder(detSets, nTargets)
 
@@ -184,7 +185,7 @@ func ExperimentWithCover(r *core.Result, coverFn CoverFunc) *Result {
 		// undetected faults (it detects none of them).
 		if pend.Remaining() > 0 {
 			seq := r.Omega[j].GenSequence(r.WindowLen())
-			out, idx, _ := pend.Simulate(simulator, seq, fsim.Options{Init: r.Options.Init, ObserveLines: true, Workers: r.Options.Workers})
+			out, idx, _ := pend.Simulate(simulator, seq, fsim.Options{Init: r.Init, ObserveLines: true, Workers: workers})
 			for k, i := range idx {
 				if opSets[i] == nil {
 					opSets[i] = fsim.NewBitset(len(r.Circuit.Nodes))

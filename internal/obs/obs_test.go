@@ -43,7 +43,7 @@ func coreResultS27(t *testing.T) *core.Result {
 
 func TestExperimentS27Shape(t *testing.T) {
 	r := coreResultS27(t)
-	res := Experiment(r)
+	res := Experiment(r, 1, nil)
 	if len(res.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -84,9 +84,9 @@ func TestObservationPointsActuallyDetect(t *testing.T) {
 	// claimed extra faults: verify by re-simulating with ObserveLines and
 	// checking each covered fault differs at a chosen line.
 	r := coreResultS27(t)
-	res := Experiment(r)
+	res := Experiment(r, 1, nil)
 	lg := r.WindowLen()
-	detSets := core.DetectionSets(r)
+	detSets := core.DetectionSets(r, 1)
 	for k, row := range res.Rows {
 		if row.FEObs < 100 {
 			continue
@@ -151,7 +151,7 @@ func TestFilteredRows(t *testing.T) {
 
 func TestGreedyOrderCoversEverything(t *testing.T) {
 	r := coreResultS27(t)
-	detSets := core.DetectionSets(r)
+	detSets := core.DetectionSets(r, 1)
 	order := greedyOrder(detSets, len(r.TargetFaults))
 	covered := fsim.NewBitset(len(r.TargetFaults))
 	for _, j := range order {
@@ -255,8 +255,8 @@ func TestRowString(t *testing.T) {
 func TestRankedCoverCoversSameFaults(t *testing.T) {
 	r := coreResultS27(t)
 	m := scoap.Analyze(r.Circuit, logic.X)
-	greedy := Experiment(r)
-	ranked := ExperimentWithCover(r, NewRankedCover(m.CO))
+	greedy := Experiment(r, 1, nil)
+	ranked := ExperimentWithCover(r, NewRankedCover(m.CO), 1, nil)
 	if len(greedy.Rows) != len(ranked.Rows) {
 		t.Fatalf("row counts differ: %d vs %d", len(greedy.Rows), len(ranked.Rows))
 	}

@@ -45,6 +45,15 @@ func (r *Recorder) StartSpan(name string) *Span {
 	return newSpan(r, "", name)
 }
 
+// Root returns a parent whose children are root spans of r; it records
+// nothing itself and is never ended (nil on a nil recorder).
+func (r *Recorder) Root() *Span {
+	if r == nil {
+		return nil
+	}
+	return &Span{rec: r}
+}
+
 // Phases returns the per-phase totals accumulated so far (first-seen order).
 func (r *Recorder) Phases() []PhaseStats {
 	if r == nil {

@@ -58,6 +58,20 @@ func TestSpanNesting(t *testing.T) {
 	}
 }
 
+// TestRootParent: the children of Recorder.Root are root spans, and Root
+// itself records nothing.
+func TestRootParent(t *testing.T) {
+	if (*Recorder)(nil).Root() != nil {
+		t.Fatal("nil recorder: Root is not nil")
+	}
+	rec := New()
+	rec.Root().Child("obs").End()
+	ps := rec.Phases()
+	if len(ps) != 1 || ps[0].Span != "obs" || ps[0].Count != 1 {
+		t.Errorf("phases = %+v, want one root span obs", ps)
+	}
+}
+
 func TestAggregatorSumsCountersAndRepeats(t *testing.T) {
 	rec := New()
 	for i := 0; i < 3; i++ {

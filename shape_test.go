@@ -41,7 +41,7 @@ func TestShapeClaims(t *testing.T) {
 		}
 
 		// Claims on the observation-point trade-off (Tables 7-16 shape).
-		res := ObsExperiment(r)
+		res := ObsExperiment(r, cfg)
 		if len(res.Rows) == 0 {
 			t.Fatalf("%s: no obs rows", name)
 		}

@@ -166,7 +166,7 @@ func SelectWeights(c *Circuit, t *Sequence, targets []Fault, detTimes []int, lg 
 }
 
 // ReverseOrderCompact prunes redundant weight assignments (Section 4.3).
-func ReverseOrderCompact(r *core.Result) []Assignment { return core.ReverseOrderCompact(r) }
+func ReverseOrderCompact(r *core.Result) []Assignment { return core.ReverseOrderCompact(r, 1) }
 
 // Accounting computes the Table 6 hardware statistics of a set of weight
 // assignments.
@@ -185,8 +185,8 @@ func RunPipeline(c *Circuit, init Value, cfg Config) (*Run, error) {
 func Table6(r *Run) Table6Row { return expt.Table6(r) }
 
 // ObsExperiment runs the Section 5 observation-point insertion experiment
-// (the paper's Tables 7-16) on a run.
-func ObsExperiment(r *Run) *ObsResult { return expt.ObsExperiment(r) }
+// (the paper's Tables 7-16) on a run with cfg's Workers and Telemetry.
+func ObsExperiment(r *Run, cfg Config) *ObsResult { return expt.ObsExperiment(r, cfg) }
 
 // Synthesize builds the Figure 1 test-sequence generator netlist for a run's
 // compacted weight assignments; the result is an ordinary circuit that can
@@ -238,9 +238,9 @@ type BISTReport = bist.Report
 // (every assignment window back to back, as the Figure 1 hardware does) to
 // the circuit and compacts the responses in a MISR of the given width,
 // returning signature-based fault coverage including aliasing and
-// unknown-poisoning accounting.
-func RunBISTSession(r *Run, misrWidth int) (*BISTReport, error) {
-	return bist.RunWeightedSession(r.Core, r.Compacted, misrWidth)
+// unknown-poisoning accounting, with cfg's Workers and Telemetry.
+func RunBISTSession(r *Run, misrWidth int, cfg Config) (*BISTReport, error) {
+	return bist.RunWeightedSession(r.Core, r.Compacted, misrWidth, cfg.Workers, cfg.Telemetry.Root())
 }
 
 // ConcatSession builds the continuous test session a set of weight
@@ -306,10 +306,6 @@ func SetGauge(name string, v float64) { telemetry.SetGauge(name, v) }
 // gauges) in the Prometheus text format, as served under /metrics.
 func WritePrometheus(w io.Writer) { telemetry.WritePrometheus(w) }
 
-// ClearRunCache drops the memoized pipeline runs (fresh-measurement helper
-// for benchmarking tools).
-func ClearRunCache() { expt.ClearCache() }
-
 // RunTrace is the detection-provenance record of one whole pipeline run: the
 // deterministic sequence T against the collapsed fault universe, then every
 // compacted weight assignment's window against the targets it mops up — for
@@ -326,9 +322,9 @@ type DetectionEvent = obsv.Event
 // per-assignment detection attribution.
 type RunReport = obsv.Report
 
-// TraceRun re-simulates a completed run with detection tracing and returns
-// its provenance record (the data behind `wbist report`).
-func TraceRun(r *Run) (*RunTrace, error) { return expt.TraceRun(r) }
+// TraceRun re-simulates a completed run with detection tracing at cfg.Workers
+// and returns its provenance record (the data behind `wbist report`).
+func TraceRun(r *Run, cfg Config) (*RunTrace, error) { return expt.TraceRun(r, cfg) }
 
 // WriteTrace serialises a run trace as JSON lines (schema wbist-trace/v1).
 func WriteTrace(w io.Writer, rt *RunTrace) error { return obsv.WriteTrace(w, rt) }

@@ -115,7 +115,8 @@ func TestGenerateTestSequencePublic(t *testing.T) {
 }
 
 func TestRunCircuitAndSynthesizePublic(t *testing.T) {
-	r, err := RunCircuit("s27", Config{LG: 100, Seed: 1})
+	cfg := Config{LG: 100, Seed: 1}
+	r, err := RunCircuit("s27", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestRunCircuitAndSynthesizePublic(t *testing.T) {
 	if g.Circuit.NumOutputs() != r.Circuit.NumInputs() {
 		t.Fatal("generator output count mismatch")
 	}
-	res := ObsExperiment(r)
+	res := ObsExperiment(r, cfg)
 	if len(res.Rows) == 0 {
 		t.Fatal("obs experiment empty")
 	}
