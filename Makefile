@@ -16,8 +16,8 @@
 # shell-test` unit-tests the shell polling helper that serve_smoke.sh
 # sources (scripts/poll_test.sh). Performance numbers come from
 # `bash benchmark/run.sh` (end to end, per layer) and
-# `go test -bench Kernel ./internal/fsim` (kernel against kernel, per fault
-# model, and the slab lane-width sweep).
+# `go test -bench Kernel ./internal/fsim` (the kernel per fault model, and
+# the slab lane-width sweep).
 
 GO ?= go
 

@@ -10,6 +10,7 @@
 package wbist
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -220,7 +221,10 @@ func benchObsTable(b *testing.B, name string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := obs.Experiment(r.Core, 1, nil)
+		res, err := obs.Experiment(context.Background(), r.Core, 1, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(res.Rows) == 0 {
 			b.Fatal("no rows")
 		}
@@ -379,8 +383,14 @@ func BenchmarkAblationObsCoverGreedyVsSCOAP(b *testing.B) {
 	m := scoap.Analyze(r.Circuit, r.Init)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		greedy := obs.Experiment(r.Core, 1, nil)
-		ranked := obs.ExperimentWithCover(r.Core, obs.NewRankedCover(m.CO), 1, nil)
+		greedy, err := obs.Experiment(context.Background(), r.Core, 1, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ranked, err := obs.ExperimentWithCover(context.Background(), r.Core, obs.NewRankedCover(m.CO), 1, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == 0 && len(greedy.Rows) > 0 && len(ranked.Rows) > 0 {
 			b.ReportMetric(float64(greedy.Rows[0].Obs), "greedy_obs")
 			b.ReportMetric(float64(ranked.Rows[0].Obs), "scoap_obs")

@@ -271,7 +271,10 @@ func obsTables(cfg wbist.Config) error {
 		if err != nil {
 			return err
 		}
-		res := wbist.ObsExperiment(r, cfg)
+		res, err := wbist.ObsExperiment(r, cfg)
+		if err != nil {
+			return err
+		}
 		t := tables.New(fmt.Sprintf("Table %d: Observation point insertion for %s", 7+k, name),
 			"seq", "sub", "len", "f.e.", "obs", "f.e.")
 		for _, row := range res.FilteredRows(99) {

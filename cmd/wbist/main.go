@@ -40,8 +40,8 @@
 // flags -metrics <file> (JSON-lines span export), -progress (per-phase
 // progress on stderr) and -pprof <addr> (pprof/expvar server, with
 // Prometheus text exposition under /metrics). No flag picks the
-// fault-simulation kernel: fsim decides (FSIM_KERNEL=dense forces the
-// reference kernel, for testing).
+// fault-simulation kernel: fsim has one, the slab kernel, and picks its lane
+// width itself.
 package main
 
 import (
@@ -344,7 +344,10 @@ func cmdObs(args []string, cfg wbist.Config) error {
 	if err != nil {
 		return err
 	}
-	res := wbist.ObsExperiment(r, cfg)
+	res, err := wbist.ObsExperiment(r, cfg)
+	if err != nil {
+		return err
+	}
 	t := tables.New(fmt.Sprintf("Observation point insertion for %s", name),
 		"seq", "sub", "len", "f.e.", "obs", "f.e.")
 	for _, row := range res.FilteredRows(99) {

@@ -29,7 +29,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := wbist.ObsExperiment(run, cfg)
+	res, err := wbist.ObsExperiment(run, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	t := tables.New(fmt.Sprintf("Observation point insertion for %s", name),
 		"seq", "sub", "len", "f.e.", "obs", "f.e.+obs")

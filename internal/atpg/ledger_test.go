@@ -10,13 +10,14 @@ import (
 	"repro/internal/fsim"
 	"repro/internal/iscas"
 	"repro/internal/logic"
+	"repro/internal/ref"
 )
 
 // TestLedgerMatchesRerun checks the detection ledger the generator carries
 // from phase to phase: for every model, with and without compaction (and,
 // under stuck-at, without the PODEM phase), Result.Detected and
 // Result.DetTime must equal a fresh unsplit fault simulation of Result.Seq
-// from time 0.
+// from time 0 by the ref oracle.
 func TestLedgerMatchesRerun(t *testing.T) {
 	circuits, seeds := []string{"s27", "s208", "s298"}, []uint64{1, 2}
 	if testing.Short() {
@@ -53,11 +54,11 @@ func TestLedgerMatchesRerun(t *testing.T) {
 }
 
 // checkLedger generates a sequence under opts and compares its dictionary
-// with a fresh fault simulation of the sequence.
+// with the ref oracle's simulation of the sequence.
 func checkLedger(t *testing.T, label string, c *circuit.Circuit, opts Options) {
 	t.Helper()
 	r := Generate(c, opts)
-	want := fsim.Run(c, r.Seq, r.Faults, fsim.Options{Init: opts.Init, Kernel: fsim.KernelDense})
+	want := ref.Run(c, r.Seq, r.Faults, ref.Options{Init: opts.Init})
 	if slices.Equal(r.Detected, want.Detected) && slices.Equal(r.DetTime, want.DetTime) &&
 		r.NumDetected == want.NumDetected {
 		return

@@ -12,6 +12,7 @@
 package bist
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/circuit"
@@ -58,8 +59,9 @@ func (r *Report) Coverage() float64 {
 // primary outputs into a width-bit MISR per fault-simulation group, and
 // returns the signature-based coverage report. The fault groups are
 // simulated on workers goroutines (0 or 1: sequentially); the report is the
-// same for any count.
-func RunSession(c *circuit.Circuit, session *sim.Sequence, faults []fault.Fault,
+// same for any count. A cancelled ctx (nil never cancels) stops the session
+// with ctx.Err().
+func RunSession(ctx context.Context, c *circuit.Circuit, session *sim.Sequence, faults []fault.Fault,
 	init logic.V, width, workers int) (*Report, error) {
 	if session.Len() == 0 {
 		return nil, fmt.Errorf("bist: empty session")
@@ -78,7 +80,10 @@ func RunSession(c *circuit.Circuit, session *sim.Sequence, faults []fault.Fault,
 	hook := func(lo, hi, u int, po []logic.W) {
 		groups[lo/fsim.GroupSize].Shift(po)
 	}
-	out := fsim.Run(c, session, faults, fsim.Options{Init: init, OutputHook: hook, Workers: workers})
+	out := fsim.Run(c, session, faults, fsim.Options{Init: init, OutputHook: hook, Workers: workers, Ctx: ctx})
+	if out.Cancelled() {
+		return nil, ctx.Err()
+	}
 
 	rep := &Report{
 		SessionLength: session.Len(),
@@ -108,10 +113,11 @@ func RunSession(c *circuit.Circuit, session *sim.Sequence, faults []fault.Fault,
 // RunWeightedSession builds the continuous test session of a core result
 // (every weight assignment window back to back, as the Figure 1 hardware
 // applies it) and measures signature-based coverage of the target faults.
-// It records its "bist-session" span under parent (nil: none).
-func RunWeightedSession(res *core.Result, omega []core.Assignment, width, workers int, parent *telemetry.Span) (*Report, error) {
+// It records its "bist-session" span under parent (nil: none). A cancelled
+// ctx (nil never cancels) stops it with ctx.Err().
+func RunWeightedSession(ctx context.Context, res *core.Result, omega []core.Assignment, width, workers int, parent *telemetry.Span) (*Report, error) {
 	sp := parent.Child("bist-session")
 	defer sp.End()
 	session := core.ConcatSequence(omega, res.WindowLen())
-	return RunSession(res.Circuit, session, res.TargetFaults, res.Init, width, workers)
+	return RunSession(ctx, res.Circuit, session, res.TargetFaults, res.Init, width, workers)
 }

@@ -1,6 +1,7 @@
 package bist
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestRunSessionRandomSequence(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	faults := fault.CollapsedUniverse(c)
 	seq := sim.RandomSequence(randutil.New(3), c.NumInputs(), 400)
-	rep, err := RunSession(c, seq, faults, logic.Zero, 16, 1)
+	rep, err := RunSession(context.Background(), c, seq, faults, logic.Zero, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func countUndetectedByCompare(r *Report) int {
 
 func TestRunWeightedSessionCoversMostTargets(t *testing.T) {
 	r := s298Run(t)
-	rep, err := RunWeightedSession(r, r.Omega, 20, 1, nil)
+	rep, err := RunWeightedSession(context.Background(), r, r.Omega, 20, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestRunSessionTaintWithXInit(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := fault.CollapsedUniverse(c)
-	rep, err := RunSession(c, seq, faults, logic.X, 16, 1)
+	rep, err := RunSession(context.Background(), c, seq, faults, logic.X, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +132,11 @@ func TestRunSessionTaintWithXInit(t *testing.T) {
 func TestRunSessionErrors(t *testing.T) {
 	c := iscas.MustLoad("s27")
 	empty := sim.NewSequence(c.NumInputs())
-	if _, err := RunSession(c, empty, nil, logic.Zero, 16, 1); err == nil {
+	if _, err := RunSession(context.Background(), c, empty, nil, logic.Zero, 16, 1); err == nil {
 		t.Error("empty session accepted")
 	}
 	seq, _ := sim.ParseSequence(iscas.S27TestSequence)
-	if _, err := RunSession(c, seq, nil, logic.Zero, 99, 1); err == nil {
+	if _, err := RunSession(context.Background(), c, seq, nil, logic.Zero, 99, 1); err == nil {
 		t.Error("bad MISR width accepted")
 	}
 }
@@ -144,11 +145,11 @@ func TestGoldenSignatureStable(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	faults := fault.CollapsedUniverse(c)
 	seq := sim.RandomSequence(randutil.New(4), c.NumInputs(), 200)
-	a, err := RunSession(c, seq, faults, logic.Zero, 16, 1)
+	a, err := RunSession(context.Background(), c, seq, faults, logic.Zero, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSession(c, seq, faults[:10], logic.Zero, 16, 1)
+	b, err := RunSession(context.Background(), c, seq, faults[:10], logic.Zero, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestSelftestS298WorkersInvariant(t *testing.T) {
 	session := core.ConcatSequence(r.Compacted, r.Core.WindowLen())
 	var want *Report
 	for _, workers := range []int{1, 2, 4} {
-		rep, err := RunSession(r.Circuit, session, r.Core.TargetFaults, r.Init, 16, workers)
+		rep, err := RunSession(context.Background(), r.Circuit, session, r.Core.TargetFaults, r.Init, 16, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

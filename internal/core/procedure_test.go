@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/atpg"
@@ -139,7 +140,10 @@ func TestReverseOrderCompactPreservesCoverage(t *testing.T) {
 
 func TestDetectionSets(t *testing.T) {
 	r := runS27(t, Options{LG: 100, Init: logic.X, Seed: 1})
-	sets := DetectionSets(r, 1)
+	sets, err := DetectionSets(context.Background(), r, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(sets) != len(r.Omega) {
 		t.Fatalf("%d sets for %d assignments", len(sets), len(r.Omega))
 	}

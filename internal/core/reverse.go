@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/fsim"
+import (
+	"context"
+
+	"repro/internal/fsim"
+)
 
 // ReverseOrderCompact implements the postprocessing of Section 4.3: the
 // weight assignments in omega are fault-simulated in reverse order of
@@ -32,13 +36,17 @@ func ReverseOrderCompact(r *Result, workers int) []Assignment {
 // DetectionSets fault-simulates every assignment's sequence against all
 // target faults (no dropping across assignments) and returns, per
 // assignment, the bitset of detected target-fault indices. This is the input
-// to the observation-point experiment's greedy selection (Section 5).
-func DetectionSets(r *Result, workers int) []fsim.Bitset {
+// to the observation-point experiment's greedy selection (Section 5). A
+// cancelled ctx (nil never cancels) stops it with ctx.Err().
+func DetectionSets(ctx context.Context, r *Result, workers int) ([]fsim.Bitset, error) {
 	simulator := fsim.New(r.Circuit)
 	sets := make([]fsim.Bitset, len(r.Omega))
 	for j := range r.Omega {
 		seq := r.Omega[j].GenSequence(r.windowLen)
-		out := simulator.Run(seq, r.TargetFaults, fsim.Options{Init: r.Init, Workers: workers})
+		out := simulator.Run(seq, r.TargetFaults, fsim.Options{Init: r.Init, Workers: workers, Ctx: ctx})
+		if out.Cancelled() {
+			return nil, ctx.Err()
+		}
 		b := fsim.NewBitset(len(r.TargetFaults))
 		for i := range r.TargetFaults {
 			if out.Detected[i] {
@@ -47,5 +55,5 @@ func DetectionSets(r *Result, workers int) []fsim.Bitset {
 		}
 		sets[j] = b
 	}
-	return sets
+	return sets, nil
 }

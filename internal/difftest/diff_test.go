@@ -84,17 +84,16 @@ func TestDifferentialSuiteCircuits(t *testing.T) {
 	}
 }
 
-// TestDifferentialDenseVsSlab is the acceptance gate of the slab kernel:
+// TestDifferentialSlabVsRef is the acceptance gate of the slab kernel:
 // over ≥1000 random triples, rotating over the stuck-at, transition and
-// bridge models, the slab kernel must reproduce the dense kernel bit for
-// bit — Detected, DetTime, Lines (ObserveLines axis), FinalStates and
-// launch history (SaveStates axis) — and do the dense run's work
-// (fsim.vectors, gate_evals, group_passes, repeat_exits, faults_dropped)
-// across Workers ∈ {1, 4, 8} ×
-// SlabLanes ∈ {1, 2, 8} plus the automatic width, including StopTime
-// truncation, arena re-strides and dense interleavings on one reused
-// simulator, and split InitialStates continuation replays.
-func TestDifferentialDenseVsSlab(t *testing.T) {
+// bridge models, the one-lane run must match the ref oracle bit for bit —
+// Detected, DetTime, Lines (ObserveLines axis), FinalStates and launch
+// history (SaveStates axis) — and every wider run must reproduce it and do
+// its work (fsim.vectors, gate_evals, group_passes, repeat_exits,
+// faults_dropped) across Workers ∈ {1, 4, 8} × SlabLanes ∈ {1, 2, 8} plus
+// the automatic width, including StopTime truncation, arena re-strides on
+// one reused simulator, and split InitialStates continuation replays.
+func TestDifferentialSlabVsRef(t *testing.T) {
 	triples := 1000
 	if testing.Short() {
 		triples = 150
@@ -149,7 +148,7 @@ func TestDifferentialDenseVsSlab(t *testing.T) {
 		triples, perModel, multiGroup, multiBatch, observed, saved, split, stopped, repeated)
 }
 
-// TestDifferentialSlabSuiteCircuits repeats the dense-vs-slab check on the
+// TestDifferentialSlabSuiteCircuits repeats the slab-vs-ref check on the
 // real experiment circuits with the full collapsed fault universe and every
 // differential axis on at once (the suites' fault universes span multiple
 // groups, so every tested W produces genuine multi-lane batches).
@@ -172,11 +171,12 @@ func TestDifferentialSlabSuiteCircuits(t *testing.T) {
 	}
 }
 
-// TestDifferentialKernelsSuiteCircuits holds the two kernels bit-identical
-// on the real experiment circuits under the transition and bridge models,
-// with every differential axis on at once — line observation included,
-// which the model sweeps leave to the random configurations — so the slab
-// kernel's native model lanes meet full multi-group universes.
+// TestDifferentialKernelsSuiteCircuits holds every lane width bit-identical
+// to the ref oracle on the real experiment circuits under the transition
+// and bridge models, with every differential axis on at once — line
+// observation included, which the model sweeps leave to the random
+// configurations — so the slab kernel's native model lanes meet full
+// multi-group universes.
 func TestDifferentialKernelsSuiteCircuits(t *testing.T) {
 	names := []string{"s27", "s298", "s344"}
 	if testing.Short() {
@@ -200,9 +200,10 @@ func TestDifferentialKernelsSuiteCircuits(t *testing.T) {
 
 // TestDifferentialTraceDeterminism is the acceptance gate of the
 // detection-provenance trace: its canonical byte stream must be identical
-// for Workers ∈ {1, 4, 8} and both kernels — on the real experiment circuits
-// with the full collapsed fault universe, and across 100 random (circuit,
-// fault set, sequence) triples.
+// for Workers ∈ {1, 4, 8} at one lane and at the automatic width, and its
+// events must be the ref oracle's detections — on the real experiment
+// circuits with the full collapsed fault universe, and across 100 random
+// (circuit, fault set, sequence) triples.
 func TestDifferentialTraceDeterminism(t *testing.T) {
 	for _, name := range []string{"s27", "s298", "s344"} {
 		c := iscas.MustLoad(name)

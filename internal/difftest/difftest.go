@@ -1,9 +1,11 @@
 // Package difftest is the standing differential oracle of this repository:
 // it cross-checks the bit-parallel fault simulator (fsim) — sequential and
-// parallel, whole runs and split continuation runs — against the deliberately
-// naive one-fault-at-a-time reference simulator (ref) on random circuits
-// from the rcg generator, and the fault-free machine against the scalar
-// logic simulator (sim). The deterministic tests and the Go-native fuzz
+// parallel, at every lane width, whole runs and split continuation runs —
+// against the deliberately naive one-fault-at-a-time reference simulator
+// (ref) on random circuits from the rcg generator, each lane width against
+// the one-lane run for the work counters, hook and trace streams ref does
+// not model, and the fault-free machine against the scalar logic simulator
+// (sim). The deterministic tests and the Go-native fuzz
 // targets in this package are the safety net under which every future
 // simulator optimisation (multi-group slabs, fault dropping, SIMD) must
 // land.
@@ -51,9 +53,9 @@ type Config struct {
 	// with SaveStates plus a continuation run from its InitialStates and
 	// demands that the merged outcome matches the unsplit oracle.
 	SplitContinuation bool
-	// ObserveLines turns on internal-line observability recording in the
-	// dense-vs-slab kernel cross-check (CheckSlab); the ref oracle does not
-	// model Lines, so CheckTriple ignores it.
+	// ObserveLines turns on internal-line observability recording
+	// (fsim.Options.ObserveLines, ref.Options.ObserveLines) in CheckSlab:
+	// the oracle's Lines are then compared too. CheckTriple ignores it.
 	ObserveLines bool
 }
 
@@ -139,9 +141,10 @@ func SampleFaults(rng *randutil.RNG, all []fault.Fault) []fault.Fault {
 }
 
 // CompareOutcomes checks that a ref outcome and an fsim outcome are
-// bit-identical fault for fault: Detected, DetTime, NumDetected, and (when
-// saveStates) every machine's full final state — the fault-free machine's
-// flip-flops, each fault's flip-flops and each fault's launch history.
+// bit-identical fault for fault: Detected, DetTime, NumDetected, Lines
+// (when the ref run observed them), and (when saveStates) every machine's
+// full final state — the fault-free machine's flip-flops, each fault's
+// flip-flops and each fault's launch history.
 func CompareOutcomes(c *circuit.Circuit, faults []fault.Fault, r *ref.Outcome, f *fsim.Outcome, saveStates bool) error {
 	if len(r.Detected) != len(faults) || len(f.Detected) != len(faults) {
 		return fmt.Errorf("outcome sizes %d/%d for %d faults", len(r.Detected), len(f.Detected), len(faults))
@@ -153,6 +156,19 @@ func CompareOutcomes(c *circuit.Circuit, faults []fault.Fault, r *ref.Outcome, f
 		if r.Detected[i] != f.Detected[i] || r.DetTime[i] != f.DetTime[i] {
 			return fmt.Errorf("fault %d (%s): ref detected=%v t=%d, fsim detected=%v t=%d",
 				i, faults[i].String(c), r.Detected[i], r.DetTime[i], f.Detected[i], f.DetTime[i])
+		}
+	}
+	if r.Lines != nil {
+		if len(f.Lines) != len(faults) {
+			return fmt.Errorf("fsim observed lines of %d faults, want %d", len(f.Lines), len(faults))
+		}
+		for i := range faults {
+			for id, want := range r.Lines[i] {
+				if got := f.Lines[i].Get(id); got != want {
+					return fmt.Errorf("fault %d (%s) line %s: ref observed=%v, fsim observed=%v",
+						i, faults[i].String(c), c.Nodes[id].Name, want, got)
+				}
+			}
 		}
 	}
 	if !saveStates {
@@ -177,57 +193,62 @@ func CompareOutcomes(c *circuit.Circuit, faults []fault.Fault, r *ref.Outcome, f
 	return nil
 }
 
+// oracle runs the ref oracle on a triple under cfg.
+func oracle(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg Config) *ref.Outcome {
+	return ref.Run(c, seq, faults, ref.Options{Init: cfg.Init, SaveStates: cfg.SaveStates, ObserveLines: cfg.ObserveLines})
+}
+
+// options returns the fsim options of a triple's run under cfg at the given
+// worker count and lane width.
+func options(cfg Config, workers, lanes int) fsim.Options {
+	return fsim.Options{
+		Init: cfg.Init, SaveStates: cfg.SaveStates, ObserveLines: cfg.ObserveLines,
+		Workers: workers, SlabLanes: lanes,
+	}
+}
+
 // CheckTriple runs the full differential check for one (circuit, fault set,
 // sequence) triple under cfg and returns the first divergence found (nil if
-// the oracle, the sequential and parallel fsim runs of both kernels and the
-// split continuation replays all agree), along with the work of the
-// sequential dense baseline, which every other unsplit run must match. The
-// kernels are pinned explicitly — dense as the ref-locked baseline, slab
-// against both ref and dense — so the check is invariant to the FSIM_KERNEL
-// environment override.
+// the oracle, the sequential and parallel fsim runs at one lane and at the
+// automatic width, and the split continuation replays all agree), along
+// with the work of the sequential one-lane run, which every other unsplit
+// run must match.
 func CheckTriple(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg Config) (fsim.Work, error) {
+	// Line observation turns the early exits off. CheckSlab checks it
+	// against the oracle; here the early exits meet the oracle.
+	cfg.ObserveLines = false
 	seq = truncate(seq, cfg)
-	refOut := ref.Run(c, seq, faults, ref.Options{Init: cfg.Init, SaveStates: cfg.SaveStates})
-	run := func(k fsim.Kernel, workers int) *fsim.Outcome {
-		return fsim.Run(c, seq, faults, fsim.Options{
-			Init: cfg.Init, SaveStates: cfg.SaveStates,
-			Workers: workers, Kernel: k,
-		})
-	}
-	seqOut := run(fsim.KernelDense, 1)
-	work := seqOut.Work
-	if err := CompareOutcomes(c, faults, refOut, seqOut, cfg.SaveStates); err != nil {
-		return work, fmt.Errorf("ref vs fsim(sequential dense): %w", err)
+	refOut := oracle(c, seq, faults, cfg)
+	base := fsim.Run(c, seq, faults, options(cfg, 1, 1))
+	if err := CompareOutcomes(c, faults, refOut, base, cfg.SaveStates); err != nil {
+		return base.Work, fmt.Errorf("ref vs fsim(one lane, Workers=1): %w", err)
 	}
 	workers := []int{1}
 	if cfg.Workers > 1 {
 		workers = append(workers, cfg.Workers)
 	}
-	for _, k := range []fsim.Kernel{fsim.KernelDense, fsim.KernelSlab} {
+	for _, lanes := range []int{1, 0} {
 		for _, w := range workers {
-			if k == fsim.KernelDense && w == 1 {
+			if lanes == 1 && w == 1 {
 				continue // the baseline above
 			}
-			out := run(k, w)
-			if err := sameFsimOutcome(seqOut, out); err != nil {
-				return work, fmt.Errorf("fsim sequential dense vs %v Workers=%d: %w", k, w, err)
-			}
-			if err := CompareOutcomes(c, faults, refOut, out, cfg.SaveStates); err != nil {
-				return work, fmt.Errorf("ref vs fsim(%v Workers=%d): %w", k, w, err)
+			if err := sameFsimOutcome(base, fsim.Run(c, seq, faults, options(cfg, w, lanes))); err != nil {
+				return base.Work, fmt.Errorf("fsim one lane, Workers=1 vs SlabLanes=%d, Workers=%d: %w", lanes, w, err)
 			}
 		}
 	}
 	if splits(seq, faults, cfg) {
 		// The unsplit oracle saw the whole sequence at once, so the merged
-		// detections and the continuation's final states must match it.
-		for _, k := range []fsim.Kernel{fsim.KernelDense, fsim.KernelSlab} {
-			merged := splitRun(c, seq, faults, cfg, fsim.Options{Kernel: k, Workers: cfg.Workers})
+		// detections and lines and the continuation's final states must
+		// match it.
+		for _, lanes := range []int{1, 0} {
+			merged := splitRun(c, seq, faults, cfg, lanes)
 			if err := CompareOutcomes(c, faults, refOut, merged, cfg.SaveStates); err != nil {
-				return work, fmt.Errorf("split continuation (%v, Workers=%d): %w", k, cfg.Workers, err)
+				return base.Work, fmt.Errorf("split continuation (SlabLanes=%d, Workers=%d): %w", lanes, cfg.Workers, err)
 			}
 		}
 	}
-	return work, nil
+	return base.Work, nil
 }
 
 // truncate returns seq cut after cfg.StopTime time units, if that is
@@ -247,16 +268,17 @@ func splits(seq *sim.Sequence, faults []fault.Fault, cfg Config) bool {
 // splitRun replays the fsim run split at the sequence midpoint — a prefix
 // run with SaveStates, then a continuation from its states, which carry the
 // prefix's length so the continuation reports absolute detection times —
-// under the kernel, worker and lane settings of run, and returns the merged
-// outcome: each fault's first detection over both halves and (when
-// cfg.SaveStates) the continuation's final states.
-func splitRun(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg Config, run fsim.Options) *fsim.Outcome {
+// at cfg.Workers and the given lane width, and returns the merged outcome:
+// each fault's first detection over both halves, the union of the lines
+// both halves observed (when cfg.ObserveLines), and (when cfg.SaveStates)
+// the continuation's final states.
+func splitRun(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg Config, lanes int) *fsim.Outcome {
 	split := seq.Len() / 2
-	pre := run
-	pre.Init, pre.SaveStates = cfg.Init, true
+	pre := options(cfg, cfg.Workers, lanes)
+	pre.SaveStates = true
 	preOut := fsim.Run(c, seq.Slice(0, split), faults, pre)
-	cont := run
-	cont.InitialStates, cont.SaveStates = preOut.FinalStates, cfg.SaveStates
+	cont := options(cfg, cfg.Workers, lanes)
+	cont.InitialStates = preOut.FinalStates
 	out := fsim.Run(c, seq.Slice(split, seq.Len()), faults, cont)
 	for i := range faults {
 		if preOut.Detected[i] {
@@ -265,82 +287,63 @@ func splitRun(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg C
 			}
 			out.Detected[i], out.DetTime[i] = true, preOut.DetTime[i]
 		}
+		if cfg.ObserveLines {
+			for k, w := range preOut.Lines[i] {
+				out.Lines[i][k] |= w
+			}
+		}
 	}
 	return out
 }
 
-// sameSplit demands a merged split outcome match the unsplit fsim outcome
-// want in its detections and (when saveStates) its final states.
-func sameSplit(want, merged *fsim.Outcome, saveStates bool) error {
-	if !reflect.DeepEqual(want.Detected, merged.Detected) || !reflect.DeepEqual(want.DetTime, merged.DetTime) ||
-		want.NumDetected != merged.NumDetected {
-		return fmt.Errorf("detections differ:\nunsplit: det=%v times=%v\nsplit:   det=%v times=%v",
-			want.Detected, want.DetTime, merged.Detected, merged.DetTime)
-	}
-	if saveStates && !reflect.DeepEqual(want.FinalStates, merged.FinalStates) {
-		return fmt.Errorf("final states differ")
-	}
-	return nil
-}
-
-// CheckSlab is the dense-vs-slab differential check for one triple, for
-// faults of any model: the sequential dense outcome is the baseline and the
-// slab kernel must reproduce it bit for bit — Detected, DetTime,
-// NumDetected, Lines (when cfg.ObserveLines), FinalStates with the launch
-// history (when cfg.SaveStates) — and do the same dense-equivalent work
-// (sameFsimOutcome) across Workers ∈ {1, 4, 8} × SlabLanes ∈ {1, 2, 8}
-// (multi-group batches, including tail batches narrower than W), under the
-// automatic width (SlabLanes=0) at Workers ∈ {1, 4}, across slab runs of
-// different widths on one reused simulator (the arena re-stride path)
-// interleaved with a dense run (the shared-scratch path). Its outcome must
-// also survive split continuation replays at every tested W, with both
-// halves on the slab kernel. It returns the dense baseline's work.
+// CheckSlab is the lane-width differential check of the slab kernel for one
+// triple, for faults of any model. The sequential one-lane run, where every
+// fault group runs alone and no repack ever fires, must match the ref
+// oracle bit for bit — Detected, DetTime, NumDetected, Lines (when
+// cfg.ObserveLines), FinalStates with the launch history (when
+// cfg.SaveStates) — and every other run must reproduce it, its per-group
+// work included (sameFsimOutcome): Workers ∈ {1, 4, 8} × SlabLanes ∈
+// {1, 2, 8} (multi-group batches, including tail batches narrower than W),
+// the automatic width (SlabLanes=0) at Workers ∈ {1, 4}, and runs of
+// different widths on one reused simulator (the arena re-stride path). Its
+// split continuation replays at every tested W must match the oracle too.
+// It returns the one-lane run's work.
 func CheckSlab(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg Config) (fsim.Work, error) {
 	seq = truncate(seq, cfg)
-	opts := func(k fsim.Kernel, workers, lanes int) fsim.Options {
-		return fsim.Options{
-			Init: cfg.Init, SaveStates: cfg.SaveStates,
-			ObserveLines: cfg.ObserveLines, Workers: workers, Kernel: k,
-			SlabLanes: lanes,
-		}
+	refOut := oracle(c, seq, faults, cfg)
+	want := fsim.Run(c, seq, faults, options(cfg, 1, 1))
+	if err := CompareOutcomes(c, faults, refOut, want, cfg.SaveStates); err != nil {
+		return want.Work, fmt.Errorf("ref vs slab(one lane, Workers=1): %w", err)
 	}
-	want := fsim.Run(c, seq, faults, opts(fsim.KernelDense, 1, 0))
-	// same runs seq on s under o and demands the dense baseline's outcome
-	// and work.
-	same := func(s *fsim.Simulator, o fsim.Options) error {
-		return sameFsimOutcome(want, s.Run(seq, faults, o))
+	// same runs seq on s at the given workers and lanes and demands the
+	// one-lane run's outcome and work.
+	same := func(s *fsim.Simulator, workers, lanes int) error {
+		return sameFsimOutcome(want, s.Run(seq, faults, options(cfg, workers, lanes)))
 	}
 	for _, workers := range []int{1, 4, 8} {
 		for _, lanes := range []int{1, 2, 8} {
-			if err := same(fsim.New(c), opts(fsim.KernelSlab, workers, lanes)); err != nil {
-				return want.Work, fmt.Errorf("dense vs slab(Workers=%d, W=%d): %w", workers, lanes, err)
+			if err := same(fsim.New(c), workers, lanes); err != nil {
+				return want.Work, fmt.Errorf("one lane vs slab(Workers=%d, W=%d): %w", workers, lanes, err)
 			}
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		if err := same(fsim.New(c), opts(fsim.KernelSlab, workers, 0)); err != nil {
-			return want.Work, fmt.Errorf("dense vs slab(Workers=%d, automatic W): %w", workers, err)
+		if err := same(fsim.New(c), workers, 0); err != nil {
+			return want.Work, fmt.Errorf("one lane vs slab(Workers=%d, automatic W): %w", workers, err)
 		}
 	}
-	// One reused simulator: the arena re-strides between widths, a dense
-	// run in the middle reuses the same simulator's scratch, and the slab
-	// must still match afterwards.
+	// One reused simulator: the arena re-strides between widths, down to
+	// one lane and back, and must still match.
 	s := fsim.New(c)
-	for round, lanes := range []int{2, 8, 2} {
-		if err := same(s, opts(fsim.KernelSlab, 1, lanes)); err != nil {
-			return want.Work, fmt.Errorf("reused simulator, slab round %d (W=%d): %w", round, lanes, err)
+	for round, lanes := range []int{2, 8, 2, 1, 4} {
+		if err := same(s, 1, lanes); err != nil {
+			return want.Work, fmt.Errorf("reused simulator, round %d (W=%d): %w", round, lanes, err)
 		}
-	}
-	if err := same(s, opts(fsim.KernelDense, 1, 0)); err != nil {
-		return want.Work, fmt.Errorf("reused simulator, dense after slab: %w", err)
-	}
-	if err := same(s, opts(fsim.KernelSlab, 1, 4)); err != nil {
-		return want.Work, fmt.Errorf("reused simulator, slab after dense: %w", err)
 	}
 	if splits(seq, faults, cfg) {
 		for _, lanes := range []int{1, 2, 8} {
-			merged := splitRun(c, seq, faults, cfg, fsim.Options{Kernel: fsim.KernelSlab, SlabLanes: lanes, Workers: cfg.Workers})
-			if err := sameSplit(want, merged, cfg.SaveStates); err != nil {
+			merged := splitRun(c, seq, faults, cfg, lanes)
+			if err := CompareOutcomes(c, faults, refOut, merged, cfg.SaveStates); err != nil {
 				return want.Work, fmt.Errorf("slab split continuation (W=%d, Workers=%d): %w", lanes, cfg.Workers, err)
 			}
 		}
@@ -349,36 +352,46 @@ func CheckSlab(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg 
 }
 
 // CheckTrace demands the detection-provenance trace (fsim.Options.Trace) be
-// byte-identical in its canonical form across both kernels and Workers
-// ∈ {1, 4, 8}, and consistent with the (equally bit-identical) outcome: one
-// event per detected fault. This is the determinism contract of
-// obsv.Trace.CanonicalBytes — worker and kernel are annotations only.
+// byte-identical in its canonical form at one lane and at the automatic
+// width, across Workers ∈ {1, 4, 8}, and consistent with the ref oracle:
+// exactly one event per fault the oracle detects, at the time it detects
+// it. This is the determinism contract of obsv.Trace.CanonicalBytes —
+// worker and kernel are annotations only.
 func CheckTrace(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg Config) error {
 	seq = truncate(seq, cfg)
-	run := func(k fsim.Kernel, workers int) (*obsv.Trace, *fsim.Outcome) {
+	run := func(workers, lanes int) (*obsv.Trace, *fsim.Outcome) {
 		tr := obsv.NewTrace()
 		out := fsim.Run(c, seq, faults, fsim.Options{
-			Init: cfg.Init, Workers: workers, Kernel: k, Trace: tr,
+			Init: cfg.Init, Workers: workers, SlabLanes: lanes, Trace: tr,
 		})
 		return tr, out
 	}
-	refTrace, refOut := run(fsim.KernelDense, 1)
-	want := refTrace.CanonicalBytes()
-	if n := refTrace.NumDetections(); n != refOut.NumDetected {
-		return fmt.Errorf("trace has %d detection events, outcome detected %d", n, refOut.NumDetected)
+	baseTrace, baseOut := run(1, 1)
+	refOut := ref.Run(c, seq, faults, ref.Options{Init: cfg.Init})
+	if n := baseTrace.NumDetections(); n != refOut.NumDetected {
+		return fmt.Errorf("trace has %d detection events, ref detects %d", n, refOut.NumDetected)
 	}
-	for _, k := range []fsim.Kernel{fsim.KernelDense, fsim.KernelSlab} {
+	seen := make([]bool, len(faults))
+	for _, ev := range baseTrace.Events() {
+		if seen[ev.Fault] || !refOut.Detected[ev.Fault] || refOut.DetTime[ev.Fault] != ev.Time {
+			return fmt.Errorf("trace event (fault %d, t=%d): ref detected=%v t=%d, repeated=%v",
+				ev.Fault, ev.Time, refOut.Detected[ev.Fault], refOut.DetTime[ev.Fault], seen[ev.Fault])
+		}
+		seen[ev.Fault] = true
+	}
+	want := baseTrace.CanonicalBytes()
+	for _, lanes := range []int{1, 0} {
 		for _, workers := range []int{1, 4, 8} {
-			if k == fsim.KernelDense && workers == 1 {
+			if lanes == 1 && workers == 1 {
 				continue // the reference run above
 			}
-			tr, out := run(k, workers)
-			if err := sameFsimOutcome(refOut, out); err != nil {
-				return fmt.Errorf("%v(Workers=%d): %w", k, workers, err)
+			tr, out := run(workers, lanes)
+			if err := sameFsimOutcome(baseOut, out); err != nil {
+				return fmt.Errorf("SlabLanes=%d, Workers=%d: %w", lanes, workers, err)
 			}
 			if got := tr.CanonicalBytes(); !bytes.Equal(want, got) {
-				return fmt.Errorf("%v(Workers=%d): canonical trace differs from dense(Workers=1):\nA:\n%s\nB:\n%s",
-					k, workers, want, got)
+				return fmt.Errorf("SlabLanes=%d, Workers=%d: canonical trace differs from one lane at Workers=1:\nA:\n%s\nB:\n%s",
+					lanes, workers, want, got)
 			}
 		}
 	}
@@ -388,8 +401,7 @@ func CheckTrace(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg
 // sameFsimOutcome demands two fsim outcomes be bit-identical (the
 // determinism guarantee of Options.Workers), their work included, except
 // for Work.Slab: the slab kernel's batch tallies follow its lane width, but
-// neither the kernel, its lane width nor Workers may change the
-// dense-equivalent work.
+// neither the lane width nor Workers may change the per-group work.
 func sameFsimOutcome(a, b *fsim.Outcome) error {
 	x, y := *a, *b
 	x.Work.Slab, y.Work.Slab = fsim.SlabWork{}, fsim.SlabWork{}

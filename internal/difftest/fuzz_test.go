@@ -20,8 +20,8 @@ import (
 // FuzzRefVsFsim is the main differential target: an arbitrary (circuit,
 // fault set, sequence, run configuration) quadruple, decoded from three
 // seeds, must produce bit-identical outcomes from the naive oracle and the
-// bit-parallel simulator — sequentially, with Workers>1, and as a split
-// continuation replay.
+// bit-parallel simulator — sequentially, with Workers>1, at one lane and at
+// the automatic width, and as a split continuation replay.
 func FuzzRefVsFsim(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint64(3))
 	f.Add(uint64(42), uint64(0), uint64(7))
@@ -39,15 +39,17 @@ func FuzzRefVsFsim(f *testing.F) {
 	})
 }
 
-// FuzzSlabVsDense is the slab-kernel differential target: for an arbitrary
-// decoded triple, the multi-group slab kernel must reproduce the dense
-// kernel bit for bit — Detected, DetTime, Lines, FinalStates and launch
-// history — and its work counters across Workers ∈ {1, 4, 8} × SlabLanes ∈ {1, 2, 8} plus the
-// automatic width, across re-strided and dense-interleaved runs on one
-// reused simulator, and through split InitialStates continuation
-// replays. Every input is checked under each fault model, the fault sample
-// drawn from that model's collapsed universe with the same stimulus seed
-// (so the stuck-at half decodes exactly as before models were added).
+// FuzzSlabVsDense is the slab-kernel differential target (CheckSlab): for
+// an arbitrary decoded triple, the one-lane run must match the ref oracle
+// bit for bit — Detected, DetTime, Lines, FinalStates and launch history —
+// and every wider run must reproduce it and its work counters across
+// Workers ∈ {1, 4, 8} × SlabLanes ∈ {1, 2, 8} plus the automatic width,
+// across re-strided runs on one reused simulator, and through split
+// InitialStates continuation replays. Every input is checked under each
+// fault model, the fault sample drawn from that model's collapsed universe
+// with the same stimulus seed (so the stuck-at half decodes exactly as
+// before models were added). The name is the one its committed corpus is
+// filed under; the dense kernel it was first checked against is gone.
 func FuzzSlabVsDense(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint64(3))
 	f.Add(uint64(42), uint64(0), uint64(7))

@@ -14,15 +14,15 @@ import (
 
 // The cross-model differential sweeps: the transition and bridging fault
 // models must agree with the independent scalar oracle (internal/ref) and be
-// bit-identical across kernels and worker counts, exactly like stuck-at.
+// bit-identical across lane widths and worker counts, exactly like stuck-at.
 // Each sweep walks random rcg triples and runs the expensive slab axes on
 // every third triple, so every axis is exercised many times without
 // multiplying the runtime by the product of all axes.
 
 // testModelRandom is the shared sweep body: triples random (circuit, fault
 // set, sequence) triples under model m, CheckTriple on every one (ref vs
-// dense vs slab, Workers pinned to the {1, 4} axis, split continuation),
-// with CheckSlab on every third triple.
+// one lane vs the automatic width, Workers pinned to the {1, 4} axis, split
+// continuation), with CheckSlab on every third triple.
 func testModelRandom(t *testing.T, m fault.Model, seedBase uint64, triples int) {
 	t.Helper()
 	if testing.Short() {
@@ -90,9 +90,10 @@ func TestDifferentialBridgeRandom(t *testing.T) {
 }
 
 // TestDifferentialModelSuiteCircuits runs the full cross-model check stack —
-// ref vs dense vs slab (CheckTriple) and the slab lane, worker, reuse and
-// continuation axes (CheckSlab) — on the experiment circuits with each
-// model's full collapsed universe under both initialisations.
+// ref vs one lane vs the automatic width (CheckTriple) and the slab lane,
+// worker, reuse and continuation axes (CheckSlab) — on the experiment
+// circuits with each model's full collapsed universe under both
+// initialisations.
 func TestDifferentialModelSuiteCircuits(t *testing.T) {
 	names := []string{"s27", "s298", "s344"}
 	if testing.Short() {
@@ -124,8 +125,9 @@ func TestDifferentialModelSuiteCircuits(t *testing.T) {
 }
 
 // TestDifferentialModelTraceDeterminism pins the detection-provenance trace
-// contract for the new models: canonical trace bytes identical across both
-// kernels and Workers ∈ {1, 4, 8}.
+// contract for the new models: canonical trace bytes identical at one lane
+// and at the automatic width and across Workers ∈ {1, 4, 8}, and events
+// equal to the ref oracle's detections.
 func TestDifferentialModelTraceDeterminism(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	for _, m := range []fault.Model{fault.Transition{}, fault.Bridging{}} {
@@ -161,8 +163,8 @@ func modelCheck(t *testing.T, m fault.Model, circSeed, stimSeed, cfgSeed uint64)
 
 // FuzzTransitionVsRef is the transition-model differential target: for an
 // arbitrary decoded triple carrying launch-on-capture transition faults, the
-// naive scalar oracle and the bit-parallel simulator (every kernel, Workers
-// axis, split continuation) must agree bit for bit. The launch-split corpus
+// naive scalar oracle and the bit-parallel simulator (one lane and the
+// automatic width, Workers axis, split continuation) must agree bit for bit. The launch-split corpus
 // entries split their sequence right after a launch, where a continuation
 // that dropped the launch history would diverge.
 func FuzzTransitionVsRef(f *testing.F) {
@@ -177,8 +179,7 @@ func FuzzTransitionVsRef(f *testing.F) {
 // FuzzBridgeVsRef is the bridging-model differential target: for an
 // arbitrary decoded triple carrying 2-node wired-AND/wired-OR bridge faults,
 // the naive scalar oracle and the bit-parallel simulator must agree bit for
-// bit (the dense two-pass injection and the slab kernel's two-walk batches
-// are both on this path).
+// bit (the slab kernel's two-walk batches are on this path).
 func FuzzBridgeVsRef(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint64(3))
 	f.Add(uint64(42), uint64(0), uint64(7))

@@ -429,9 +429,10 @@ func Table6(r *Run) Table6Row {
 	}
 }
 
-// ObsExperiment runs Tables 7-16's experiment with cfg's Workers and Telemetry.
-func ObsExperiment(r *Run, cfg Config) *obs.Result {
-	return obs.Experiment(r.Core, cfg.Workers, cfg.Telemetry.Root())
+// ObsExperiment runs Tables 7-16's experiment with cfg's Workers, Telemetry
+// and Ctx: a cancelled cfg.Ctx stops it with the context's error.
+func ObsExperiment(r *Run, cfg Config) (*obs.Result, error) {
+	return obs.Experiment(cfg.Ctx, r.Core, cfg.Workers, cfg.Telemetry.Root())
 }
 
 // SynthesizeGenerator builds the Figure 1 hardware for a run's compacted Ω

@@ -166,7 +166,10 @@ func TestObsExperimentIntegrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ObsExperiment(r, cfg)
+	res, err := ObsExperiment(r, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) == 0 {
 		t.Fatal("no obs rows")
 	}

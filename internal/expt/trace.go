@@ -14,18 +14,17 @@ import (
 // result is the data behind `wbist report` — which assignment detects which
 // fault, when, and at which output.
 //
-// The re-simulation reuses the run's Init and window length and runs at
-// cfg.Workers, the only field of cfg it reads; by the simulator's determinism
+// The re-simulation reuses the run's Init and window length, runs at
+// cfg.Workers and stops with the context's error once cfg.Ctx is cancelled;
+// it reads no other field of cfg. By the simulator's determinism
 // guarantee the outcome matches the original run bit for bit regardless of
-// worker count or kernel. The trace costs one extra simulation of T plus one
-// per compacted assignment. The recorded kernel is the one fsim resolves by
-// default (FSIM_KERNEL, else slab).
+// worker count. The trace costs one extra simulation of T plus one per
+// compacted assignment. The recorded kernel is the one the traces name.
 func TraceRun(r *Run, cfg Config) (*obsv.RunTrace, error) {
 	c := r.Circuit
 	rt := &obsv.RunTrace{
 		Schema:  obsv.TraceSchema,
 		Circuit: r.Name,
-		Kernel:  fsim.KernelAuto.Resolve().String(),
 		Targets: len(r.Targets),
 		TLen:    r.T.Len(),
 	}
@@ -44,8 +43,12 @@ func TraceRun(r *Run, cfg Config) (*obsv.RunTrace, error) {
 	rt.TotalFaults = len(universe)
 	tr := obsv.NewTrace()
 	out := simulator.Run(r.T, universe, fsim.Options{
-		Init: r.Init, Workers: cfg.Workers, Trace: tr,
+		Init: r.Init, Workers: cfg.Workers, Ctx: cfg.Ctx, Trace: tr,
 	})
+	if out.Cancelled() {
+		return nil, cfg.Ctx.Err()
+	}
+	rt.Kernel = tr.Kernel()
 	rt.Segments = append(rt.Segments, tr.Segment(r.T.Len(), len(universe), out.NumDetected))
 
 	// One segment per compacted assignment, in schedule order, against the
@@ -56,9 +59,12 @@ func TraceRun(r *Run, cfg Config) (*obsv.RunTrace, error) {
 	for j, a := range r.Compacted {
 		tr := obsv.NewTrace()
 		tr.Assignment = j
-		_, idx, det := pend.Simulate(simulator, a.GenSequence(lg), fsim.Options{
-			Init: r.Init, Workers: cfg.Workers, Trace: tr,
+		out, idx, det := pend.Simulate(simulator, a.GenSequence(lg), fsim.Options{
+			Init: r.Init, Workers: cfg.Workers, Ctx: cfg.Ctx, Trace: tr,
 		})
+		if out.Cancelled() {
+			return nil, cfg.Ctx.Err()
+		}
 		seg := tr.Segment(lg, len(idx), det)
 		// Remap the window's local fault indices to target indices so every
 		// assignment segment speaks the same fault space.

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/fsim"
 	"repro/internal/obsv"
 )
 
@@ -87,43 +86,38 @@ func TestTraceRunProvenance(t *testing.T) {
 	}
 }
 
-// TestTraceRunKernelInvariant pins the cross-kernel determinism of the
-// whole-run trace (events and bookkeeping, not annotations). The kernel is
-// steered through FSIM_KERNEL, which every fsim call of TraceRun honors.
+// TestTraceRunKernelInvariant pins the Workers invariance of the whole-run
+// trace (events and bookkeeping, not annotations) and the kernel name it
+// records.
 func TestTraceRunKernelInvariant(t *testing.T) {
 	r, err := RunCircuit("s298", Config{LG: 300, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	strip := func(rt *obsv.RunTrace) *obsv.RunTrace {
-		rt.Kernel = ""
 		for i := range rt.Segments {
 			for j := range rt.Segments[i].Events {
-				rt.Segments[i].Events[j].Kernel = ""
 				rt.Segments[i].Events[j].Worker = 0
 			}
 		}
 		return rt
 	}
 	var want *obsv.RunTrace
-	for _, k := range []fsim.Kernel{fsim.KernelDense, fsim.KernelSlab} {
-		t.Setenv("FSIM_KERNEL", k.String())
-		for _, workers := range []int{1, 4} {
-			rt, err := TraceRun(r, Config{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rt.Kernel != k.String() {
-				t.Fatalf("trace records kernel %q under FSIM_KERNEL=%v", rt.Kernel, k)
-			}
-			got := strip(rt)
-			if want == nil {
-				want = got
-				continue
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("run trace differs for kernel=%v workers=%d", k, workers)
-			}
+	for _, workers := range []int{1, 2, 4} {
+		rt, err := TraceRun(r, Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.Kernel != "slab" {
+			t.Fatalf("trace records kernel %q, want slab", rt.Kernel)
+		}
+		got := strip(rt)
+		if want == nil {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("run trace differs for workers=%d", workers)
 		}
 	}
 }

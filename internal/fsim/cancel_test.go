@@ -151,8 +151,8 @@ func (c *cutCtx) Done() <-chan struct{} {
 	return nil
 }
 
-// TestCancelAccounting cuts runs at the k-th cancellation check, for both
-// kernels, slab lane widths 1 and 4, Workers 1 and 4, with and without the
+// TestCancelAccounting cuts runs at the k-th cancellation check, for slab
+// lane widths 1 and 4, Workers 1 and 4, with and without the
 // Section 4.2 group-0 pass. Every fault group must be counted exactly once,
 // as a pass that ran or as a cancelled group, and Cancelled must say whether
 // any group was skipped. At Workers=1 the cut is exact: Run checks once on
@@ -170,23 +170,21 @@ func TestCancelAccounting(t *testing.T) {
 	}
 	seq := sim.RandomSequence(randutil.New(7), c.NumInputs(), 32)
 
-	kernels := []struct {
-		name   string
-		kernel Kernel
-		lanes  int
-		w      int // groups per batch
+	widths := []struct {
+		name  string
+		lanes int
+		w     int // groups per batch
 	}{
-		{"dense", KernelDense, 0, 1},
-		{"slab-w1", KernelSlab, 1, 1},
-		{"slab-w4", KernelSlab, 4, 4},
+		{"slab-w1", 1, 1},
+		{"slab-w4", 4, 4},
 	}
-	for _, kc := range kernels {
+	for _, kc := range widths {
 		for _, workers := range []int{1, 4} {
 			for _, abort := range []bool{false, true} {
 				for k := int64(1); k <= int64(groups)+2; k++ {
 					ctx := &cutCtx{Context: context.Background(), k: k}
 					out := Run(c, seq, faults, Options{
-						Init: logic.Zero, Kernel: kc.kernel, SlabLanes: kc.lanes,
+						Init: logic.Zero, SlabLanes: kc.lanes,
 						Workers: workers, AbortAfterFirstGroupIfNone: abort, Ctx: ctx,
 					})
 					ran, skipped := out.Work.GroupPasses, out.Work.GroupsCancelled

@@ -18,8 +18,8 @@ import (
 // TestBuildConePure is the purity property the shared output cone rests on:
 // computing the detectable nodes twice for the same circuit yields deeply
 // equal results, every pooled worker reads the receiver's slice, and
-// running simulations (both kernels, every fault model, sequential and
-// parallel) leaves it untouched.
+// running simulations (one lane and the automatic width, every fault model,
+// sequential and parallel) leaves it untouched.
 func TestBuildConePure(t *testing.T) {
 	for _, seed := range []uint64{3, 77, 512} {
 		c := rcg.FromSeed(seed)
@@ -41,9 +41,9 @@ func TestBuildConePure(t *testing.T) {
 			t.Fatal(err)
 		}
 		faults := fault.CollapsedUniverseFor(c, m)
-		for _, k := range []Kernel{KernelDense, KernelSlab} {
+		for _, lanes := range []int{1, 0} {
 			for _, workers := range []int{1, 4} {
-				s.Run(seq, faults, Options{Init: logic.Zero, Workers: workers, Kernel: k,
+				s.Run(seq, faults, Options{Init: logic.Zero, Workers: workers, SlabLanes: lanes,
 					SaveStates: true, ObserveLines: true})
 			}
 		}

@@ -30,9 +30,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"os"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -80,7 +78,7 @@ type Options struct {
 	// their run ended at, and the continued run starts there: its DetTime
 	// and trace times are absolute, directly comparable with the detection
 	// times u_det(f) of the unsplit sequence. Continuation is exact for every
-	// fault model and kernel: the states carry each transition fault's launch
+	// fault model: the states carry each transition fault's launch
 	// history along with the flip-flops, so the split run detects exactly
 	// what the unsplit run detects, at the same times. Run panics if the
 	// states describe a different number of faults or flip-flops than the
@@ -97,23 +95,16 @@ type Options struct {
 	// AbortAfterFirstGroupIfNone always simulates group 0 alone, before any
 	// fan-out, to preserve the Section 4.2 effort reduction.
 	Workers int
-	// Kernel selects the gate-evaluation strategy. It is test-facing only:
-	// every production caller leaves it at the zero value (KernelAuto),
-	// which honors the FSIM_KERNEL environment variable and defaults to the
-	// slab kernel. Tests set KernelDense to get the trusted reference that
-	// difftest, the golden pins and the fuzz targets compare slab against;
-	// both kernels produce bit-identical outcomes for every fault model, so
-	// the choice only affects speed and telemetry.
-	Kernel Kernel
 	// SlabLanes is the number of fault groups the slab kernel batches into
 	// one multi-group pass (W in the slab layout: W×64 machines per gate
 	// visit). It is test-facing only: production callers leave it 0, which
 	// picks 8 lanes, capped at ceil(groups/Workers) so every worker gets a
 	// batch. A positive value overrides that choice for the lane-invariance
 	// sweeps of difftest and the kernel benchmarks. Either is clamped to 16
-	// and to the number of groups. Ignored by the dense kernel. Like
-	// Workers, it never changes the outcome — only how the identical result
-	// is computed.
+	// and to the number of groups. Like Workers, it never changes the
+	// outcome — only how the identical result is computed. SlabLanes: 1 is
+	// the reference width the wider ones are checked against: a one-lane
+	// batch is one fault group, which no repack ever narrows.
 	SlabLanes int
 	// Ctx, if non-nil, cancels the run at fault-group granularity: the
 	// worker pool (and the sequential loop) checks it before claiming each
@@ -130,44 +121,29 @@ type Options struct {
 	// kernel, plus group 0's per-cycle fault-free activity curve and each
 	// group's simulated vector count. Events are buffered per group and
 	// merged in group order, so the canonical stream is bit-identical for
-	// any Workers count and either kernel. A nil Trace costs one nil check
+	// any Workers count and lane width. A nil Trace costs one nil check
 	// per group pass and one per detection — nothing on the per-gate paths.
 	Trace *obsv.Trace
 }
 
-// Kernel selects the gate-evaluation strategy of a run.
+// Kernel names a fault-simulation kernel. fsim has one, the slab kernel
+// (slab.go), so no option selects a kernel; the type stays only because the
+// benchmark module records KernelAuto.Resolve().String() as its host
+// block's default kernel, and it goes with the next change to the benchmark.
 type Kernel uint8
 
 const (
-	// KernelAuto resolves to the kernel named by the FSIM_KERNEL environment
-	// variable ("dense" or "slab"), or to KernelSlab when it is unset or
-	// unparsable. It is the zero value and the only kernel production code
-	// asks for: no command or config layer above fsim picks a kernel, so
-	// FSIM_KERNEL alone steers the whole test suite (CI's dense row) through
-	// either kernel, and benchmark and trace code read KernelAuto.Resolve()
-	// to record which one ran.
+	// KernelAuto is the kernel a run uses by default: always KernelSlab.
 	KernelAuto Kernel = iota
-	// KernelDense is the original kernel: every gate of the levelized
-	// netlist is evaluated on every time unit, one fault group per pass. It
-	// is the trusted baseline the slab kernel is differentially locked
-	// against.
-	KernelDense
-	// KernelSlab is the multi-group slab kernel: up to Options.SlabLanes
-	// fault groups are simulated per pass, with per-gate state held in a
-	// contiguous row-major slab so one levelized walk advances lanes×64
-	// machines per gate visit, and the live faults of a batch are repacked
-	// into fewer lanes as they thin out (see slab.go). It injects every
-	// fault model natively and is bit-identical to dense by construction.
+	// KernelSlab is the multi-group slab kernel (see slab.go).
 	KernelSlab
 )
 
-// String returns "auto", "dense" or "slab".
+// String returns "auto" or "slab".
 func (k Kernel) String() string {
 	switch k {
 	case KernelAuto:
 		return "auto"
-	case KernelDense:
-		return "dense"
 	case KernelSlab:
 		return "slab"
 	default:
@@ -175,32 +151,8 @@ func (k Kernel) String() string {
 	}
 }
 
-// ParseKernel maps an FSIM_KERNEL spelling to a Kernel ("" and "auto" mean
-// KernelAuto).
-func ParseKernel(s string) (Kernel, error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return KernelAuto, nil
-	case "dense":
-		return KernelDense, nil
-	case "slab":
-		return KernelSlab, nil
-	default:
-		return KernelAuto, fmt.Errorf("fsim: unknown kernel %q (want auto, dense or slab)", s)
-	}
-}
-
-// Resolve maps KernelAuto to a concrete kernel via the FSIM_KERNEL
-// environment variable, defaulting to the slab kernel.
-func (k Kernel) Resolve() Kernel {
-	if k != KernelAuto {
-		return k
-	}
-	if env, err := ParseKernel(os.Getenv("FSIM_KERNEL")); err == nil && env != KernelAuto {
-		return env
-	}
-	return KernelSlab
-}
+// Resolve returns the kernel a run uses: KernelSlab.
+func (k Kernel) Resolve() Kernel { return KernelSlab }
 
 // Outcome reports the result of a run over a fault list.
 type Outcome struct {
@@ -231,8 +183,9 @@ func (o *Outcome) Cancelled() bool { return o.Work.GroupsCancelled > 0 }
 
 // Work counts the simulation work of one run, each field on the telemetry
 // counter named beside it (fsim.faults_dropped is NumDetected). Neither the
-// kernel, its lane width nor Workers changes any field but Slab: both
-// kernels count dense-equivalent gate evaluations (vectors × gates).
+// lane width nor Workers changes any field but Slab: Vectors and GateEvals
+// count each fault group's vectors (× gates) as if it had run alone, so
+// they equal those of a SlabLanes: 1 run.
 type Work struct {
 	GateEvals       int64 // fsim.gate_evals
 	Vectors         int64 // fsim.vectors: time units simulated, over all group passes
@@ -308,13 +261,11 @@ func (b Bitset) Count() int {
 // over an internal pool of per-worker simulators (reused across runs) and
 // merges their results deterministically.
 type Simulator struct {
-	c    *circuit.Circuit
-	vals []logic.W
-	next []logic.W
+	c *circuit.Circuit
 
 	// pool holds the extra per-worker simulators of parallel runs, grown on
 	// demand and reused across runs. They share the receiver's immutable
-	// flattened netlist and own only scratch state.
+	// netlist tables and own only scratch state.
 	pool []*Simulator
 	// slots are Speculate's per-candidate simulators, built like pool and
 	// kept warm across calls. slot is set on a slot only: every call on it
@@ -323,52 +274,18 @@ type Simulator struct {
 	slots []*Simulator
 	slot  bool
 
-	// Flattened netlist (hot-loop friendly): for gate k in evaluation order,
-	// gateID[k] is its node id, gateType[k] its type, and its fanins are
-	// faninList[faninStart[k]:faninStart[k+1]].
-	gateID     []circuit.NodeID
-	gateType   []circuit.GateType
-	faninStart []int32
-	faninList  []circuit.NodeID
-
-	// per-group fault injection tables, rebuilt for each group
-	stemMask0 []uint64 // per node: slots forced to 0 at the node output
-	stemMask1 []uint64
-	// pinIdx[node] is -1 when the node has no pin faults in this group,
-	// otherwise an index into pinForces. A flat slice keeps the per-gate
-	// lookup in the hot loop branch-predictable and map-free.
-	pinIdx    []int32
-	pinNodes  []circuit.NodeID // nodes with pin faults (for cheap clearing)
-	pinForces [][]pinForce
-	poScratch []logic.W
-
-	// per-group transition/bridge fault sites (see model.go). special is set
-	// when the current group carries any transition or bridge fault, so
-	// stuck-at-only groups skip every model hook on the hot paths; hasBridge
-	// additionally arms the dense kernel's two-pass cycle.
-	transIdx    []int32
-	transNodes  []circuit.NodeID
-	transSites  [][]transSite
-	bridgeIdx   []int32
-	bridgeNodes []circuit.NodeID
-	bridgeSites [][]bridgeSite
-	special     bool
-	hasBridge   bool
-	// hist is the dense kernel's per-cycle scratch copy of its transition
-	// sites' launch history, one word per site, for the repeat exit.
-	hist []logic.W
-
 	// detectable[id] reports whether a fault effect at node id can reach a
-	// primary output (see detectableNodes). It is immutable and shared, like
-	// the flattened netlist, by every pooled worker.
+	// primary output (see detectableNodes). lay is the slab kernel's
+	// walk-order row layout. Both are immutable and shared by every pooled
+	// worker.
 	detectable []bool
-	// lay is the slab kernel's walk-order row layout, immutable and shared
-	// like the flattened netlist. slab is the slab kernel's scratch arena
-	// (multi-group value/state slabs, sparse injection tables, per-lane and
-	// per-group bookkeeping), allocated on first use and reused across
-	// batches and runs.
-	lay  *slabLayout
-	slab *slabState
+	lay        *slabLayout
+	// slab is the slab kernel's scratch arena (multi-group value/state
+	// slabs, sparse injection tables, per-lane and per-group bookkeeping),
+	// allocated on first use and reused across batches and runs. poScratch
+	// holds one group's primary-output words for the OutputHook.
+	slab      *slabState
+	poScratch []logic.W
 
 	// worker is this simulator's index in a parallel run's worker pool or
 	// among Speculate's slots (0 for the receiver). It is a trace and panic
@@ -380,58 +297,15 @@ type Simulator struct {
 	// only establishes the baseline.
 	actZ, actO []uint64
 	actValid   bool
-
-	// watch is the repeat exit's checkpoint of the dense kernel's current
-	// group pass (the slab kernel keeps one per lane).
-	watch repeatWatch
-}
-
-type pinForce struct {
-	pin  int
-	mask uint64
-	bit  bool
 }
 
 // New returns a simulator for c.
 func New(c *circuit.Circuit) *Simulator {
-	s := newScratch(c)
-	s.gateID = make([]circuit.NodeID, len(c.Order))
-	s.gateType = make([]circuit.GateType, len(c.Order))
-	s.faninStart = make([]int32, len(c.Order)+1)
-	for k, id := range c.Order {
-		n := &c.Nodes[id]
-		s.gateID[k] = id
-		s.gateType[k] = n.Type
-		s.faninStart[k+1] = s.faninStart[k] + int32(len(n.Fanins))
-		s.faninList = append(s.faninList, n.Fanins...)
-	}
-	s.detectable = detectableNodes(c)
-	s.lay = newSlabLayout(c)
-	return s
-}
-
-// newScratch allocates the mutable per-run state of a simulator for c.
-func newScratch(c *circuit.Circuit) *Simulator {
-	s := &Simulator{
-		c:         c,
-		vals:      make([]logic.W, len(c.Nodes)),
-		next:      make([]logic.W, len(c.DFFs)),
-		stemMask0: make([]uint64, len(c.Nodes)),
-		stemMask1: make([]uint64, len(c.Nodes)),
-		pinIdx:    make([]int32, len(c.Nodes)),
-		transIdx:  make([]int32, len(c.Nodes)),
-		bridgeIdx: make([]int32, len(c.Nodes)),
-	}
-	for i := range s.pinIdx {
-		s.pinIdx[i] = -1
-		s.transIdx[i] = -1
-		s.bridgeIdx[i] = -1
-	}
-	return s
+	return &Simulator{c: c, detectable: detectableNodes(c), lay: newSlabLayout(c)}
 }
 
 // workerSims returns n simulators over the receiver's circuit: the receiver
-// itself plus n-1 pooled workers sharing its immutable flattened netlist.
+// itself plus n-1 pooled workers sharing its immutable netlist tables.
 // The pool grows on demand and is reused across runs.
 func (s *Simulator) workerSims(n int) []*Simulator {
 	for len(s.pool) < n-1 {
@@ -457,16 +331,9 @@ func (s *Simulator) slotSims(n int) []*Simulator {
 }
 
 // sibling returns a simulator with its own scratch state that shares the
-// receiver's immutable flattened netlist.
+// receiver's immutable netlist tables.
 func (s *Simulator) sibling() *Simulator {
-	w := newScratch(s.c)
-	w.gateID = s.gateID
-	w.gateType = s.gateType
-	w.faninStart = s.faninStart
-	w.faninList = s.faninList
-	w.detectable = s.detectable
-	w.lay = s.lay
-	return w
+	return &Simulator{c: s.c, detectable: s.detectable, lay: s.lay}
 }
 
 // Run fault-simulates seq against faults and returns the outcome.
@@ -476,9 +343,9 @@ func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Optio
 
 // Run fault-simulates seq against faults and returns the outcome.
 //
-// Run alone decides how fault groups are dispatched, for both kernels: the
-// kernel only simulates a batch of consecutive groups in one pass (one group
-// for dense, up to slabWidth for slab). With Options.Workers > 1 the batches
+// Run alone decides how fault groups are dispatched: the slab kernel only
+// simulates a batch of up to slabWidth consecutive groups in one pass
+// (runSlabBatch). With Options.Workers > 1 the batches
 // are sharded over a worker pool; each batch writes a disjoint slice region
 // of the outcome, so the result is bit-identical to the sequential run
 // regardless of scheduling.
@@ -491,12 +358,11 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 }
 
 func (s *Simulator) run(seq *sim.Sequence, faults []fault.Fault, opts Options) *Outcome {
-	opts.Kernel = opts.Kernel.Resolve() // resolve env/default exactly once
 	if s.slot {
 		opts.Workers = 1 // a speculation slot runs one candidate's call alone
 	}
 	numGroups := (len(faults) + GroupSize - 1) / GroupSize
-	opts.Trace.Begin(numGroups, opts.Kernel.String())
+	opts.Trace.Begin(numGroups, "slab")
 	if opts.InitialStates != nil {
 		opts.InitialStates.check(len(faults), len(s.c.DFFs))
 	}
@@ -524,39 +390,23 @@ func (s *Simulator) run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 		out.Work.GroupsCancelled = int64(numGroups)
 		return out
 	}
-	// pass simulates the nl groups from g0 in one pass: the dense kernel's
-	// batch is always one group, the slab kernel's up to slabWidth groups,
-	// one per lane.
-	pass := func(ws *Simulator, g0, nl int, wk *Work) int {
-		lo := g0 * GroupSize
-		return ws.runGroupDense(seq, faults, lo, min(lo+GroupSize, len(faults)), opts, out, wk)
-	}
-	if opts.Kernel == KernelSlab {
-		pass = func(ws *Simulator, g0, nl int, wk *Work) int {
-			return ws.runSlabBatch(seq, faults, g0, nl, opts, out, wk)
-		}
-	}
-
 	first := 0
 	if opts.AbortAfterFirstGroupIfNone {
 		// The Section 4.2 effort reduction: the first group (target fault
 		// plus sample) always runs alone, in a one-lane pass before any
-		// fan-out, so the abort decision is the same for every kernel.
-		out.NumDetected = pass(s, 0, 1, &out.Work)
+		// fan-out.
+		out.NumDetected = s.runSlabBatch(seq, faults, 0, 1, opts, out, &out.Work)
 		if out.NumDetected == 0 {
 			return out
 		}
 		first = 1
 	}
 	rem := numGroups - first
-	w := 1
-	if opts.Kernel == KernelSlab {
-		w = slabWidth(opts, rem)
-	}
+	w := slabWidth(opts, rem)
 	numBatches := (rem + w - 1) / w
 	batch := func(ws *Simulator, b int, wk *Work) int {
 		g0 := first + b*w
-		return pass(ws, g0, min(w, numGroups-g0), wk)
+		return ws.runSlabBatch(seq, faults, g0, min(w, numGroups-g0), opts, out, wk)
 	}
 
 	workers := min(opts.Workers, numBatches)
@@ -794,173 +644,6 @@ func ctxDone(ctx context.Context) bool {
 	}
 }
 
-// runGroupDense is the dense kernel: it simulates faults[lo:hi] (at most
-// GroupSize of them) in slots 1..hi-lo alongside the fault-free machine in
-// slot 0, with one full pass over the levelized netlist per time unit (two
-// for a group with bridges). It writes only this group's disjoint regions
-// of out (Detected/DetTime/Lines and the saved states of faults[lo:hi]) and
-// returns the number of detections; never touching shared scalars is what
-// makes the parallel fan-out race-free. It is the trusted baseline the slab
-// kernel is differentially locked against, and its time unit stays
-// byte-for-byte unoptimized; only the early exits, which both kernels take
-// at the same point, shorten its passes.
-func (s *Simulator) runGroupDense(seq *sim.Sequence, faults []fault.Fault, lo, hi int, opts Options, out *Outcome, w *Work) int {
-	c := s.c
-	tg := opts.Trace.Group(lo / GroupSize)
-	tg.SetWorker(s.worker)
-	if tg != nil && lo == 0 {
-		s.actValid = false // activity baseline starts with this pass
-	}
-	// Build injection tables. Stem masks and pin indices are cleared only at
-	// the nodes touched by the previous group.
-	for i := range s.stemMask0 {
-		s.stemMask0[i] = 0
-		s.stemMask1[i] = 0
-	}
-	for _, n := range s.pinNodes {
-		s.pinIdx[n] = -1
-	}
-	s.pinNodes = s.pinNodes[:0]
-	s.pinForces = s.pinForces[:0]
-	s.clearModelInjection()
-	for k := lo; k < hi; k++ {
-		f := faults[k]
-		slot := uint(k - lo + 1)
-		switch {
-		case f.Kind == fault.KindTransition:
-			s.addTransSite(f.Node, 1<<slot, f.Stuck)
-		case f.Kind == fault.KindBridge:
-			s.addBridgeSite(f.Node, f.Node2, 1<<slot, f.Stuck == 1)
-			s.addBridgeSite(f.Node2, f.Node, 1<<slot, f.Stuck == 1)
-		case f.Pin < 0:
-			if f.Stuck == 0 {
-				s.stemMask0[f.Node] |= 1 << slot
-			} else {
-				s.stemMask1[f.Node] |= 1 << slot
-			}
-		default:
-			idx := s.pinIdx[f.Node]
-			if idx < 0 {
-				idx = int32(len(s.pinForces))
-				s.pinIdx[f.Node] = idx
-				s.pinForces = append(s.pinForces, nil)
-				s.pinNodes = append(s.pinNodes, f.Node)
-			}
-			s.pinForces[idx] = append(s.pinForces[idx],
-				pinForce{pin: f.Pin, mask: 1 << slot, bit: f.Stuck == 1})
-		}
-	}
-
-	units := 0
-	det := 0
-
-	state := s.next
-	if opts.InitialStates != nil {
-		copy(state, opts.InitialStates.groups[lo/GroupSize])
-		s.loadHistory(opts.InitialStates, lo)
-	} else {
-		for i := range state {
-			state[i] = logic.Broadcast(opts.Init)
-		}
-	}
-	vals := s.vals
-
-	activeMask := groupMask(hi - lo) // slots still undetected
-	eligible := earlyExitEligible(opts)
-	watched := s.repeatSlots(faults[lo:hi])
-	t0 := opts.InitialStates.start()
-
-	for u := 0; u < seq.Len(); u++ {
-		if eligible && s.watch.repeats(u, state, s.denseHistory, 0, 1, activeMask&watched|1, seq) {
-			w.RepeatExits++
-			break // the rest of the pass would replay an earlier stretch
-		}
-		units++
-		s.densePass(seq, state, u, false)
-		if s.hasBridge {
-			// Two-pass cycle: the first pass's nominal stem values resolve
-			// each bridge's wired value, the replay pass applies it at both
-			// stems so every downstream gate (at any level) sees it.
-			s.resolveBridges()
-			s.densePass(seq, state, u, true)
-		}
-		if tg != nil && lo == 0 {
-			s.traceActivity(tg, s.vals, 1)
-		}
-		// Detection at primary outputs.
-		for poi, id := range c.Outputs {
-			d := vals[id].DiffMask() & activeMask
-			for ; d != 0; d &= d - 1 {
-				slot := trailingZeros(d)
-				fi := lo + slot - 1
-				out.Detected[fi] = true
-				out.DetTime[fi] = t0 + u
-				det++
-				activeMask &^= 1 << uint(slot)
-				if tg != nil {
-					tg.Detect(fi, t0+u, poi)
-				}
-			}
-		}
-		if opts.OutputHook != nil {
-			po := s.poScratch[:0]
-			for _, id := range c.Outputs {
-				po = append(po, vals[id])
-			}
-			s.poScratch = po
-			opts.OutputHook(lo, hi, u, po)
-		}
-		// Observability recording on every node.
-		if opts.ObserveLines {
-			for id := range vals {
-				d := vals[id].DiffMask()
-				for ; d != 0; d &= d - 1 {
-					slot := trailingZeros(d)
-					if slot == 0 {
-						continue
-					}
-					out.Lines[lo+slot-1].Set(id)
-				}
-			}
-		}
-		if activeMask == 0 && eligible {
-			break // every fault in the group already detected
-		}
-		// Clock edge: next state, with DFF D-pin faults applied.
-		for k, id := range c.DFFs {
-			w := vals[c.Nodes[id].Fanins[0]]
-			if idx := s.pinIdx[id]; idx >= 0 {
-				for _, p := range s.pinForces[idx] {
-					w = w.ForceMask(p.mask, p.bit)
-				}
-			}
-			state[k] = w
-		}
-	}
-	if opts.SaveStates {
-		saved := make([]logic.W, len(state))
-		copy(saved, state)
-		out.FinalStates.groups[lo/GroupSize] = saved
-		s.saveHistory(out.FinalStates, lo)
-	}
-	tg.SetVectors(units)
-	w.GateEvals += int64(units) * int64(len(s.gateID))
-	w.Vectors += int64(units)
-	w.GroupPasses++
-	return det
-}
-
-// inject applies the group's stem faults at node id.
-func (s *Simulator) inject(id circuit.NodeID, w logic.W) logic.W {
-	if m := s.stemMask0[id]; m != 0 {
-		w = w.ForceMask(m, false)
-	}
-	if m := s.stemMask1[id]; m != 0 {
-		w = w.ForceMask(m, true)
-	}
-	return w
-}
-
 func groupMask(n int) uint64 {
 	// slots 1..n
 	if n >= 63 {
@@ -970,36 +653,6 @@ func groupMask(n int) uint64 {
 }
 
 func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
-
-// eval1 evaluates a 1-input gate.
-func eval1(t circuit.GateType, a logic.W) logic.W {
-	switch t {
-	case circuit.Not, circuit.Nand, circuit.Nor, circuit.Xnor:
-		return a.Not()
-	default:
-		return a
-	}
-}
-
-// eval2 evaluates a 2-input gate without touching the scratch buffer.
-func eval2(t circuit.GateType, a, b logic.W) logic.W {
-	switch t {
-	case circuit.And:
-		return a.And(b)
-	case circuit.Nand:
-		return a.And(b).Not()
-	case circuit.Or:
-		return a.Or(b)
-	case circuit.Nor:
-		return a.Or(b).Not()
-	case circuit.Xor:
-		return a.Xor(b)
-	case circuit.Xnor:
-		return a.Xor(b).Not()
-	default:
-		panic("fsim: eval2 on non-gate type")
-	}
-}
 
 // evalW evaluates a gate over dual-rail words.
 func evalW(t circuit.GateType, in []logic.W) logic.W {

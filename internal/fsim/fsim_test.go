@@ -1,9 +1,9 @@
 package fsim
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -332,7 +332,8 @@ func TestSaveStatesShape(t *testing.T) {
 // TestSelectContinuesSubset saves the states of a whole fault list, selects
 // every third fault and continues only those: the continuation must detect
 // exactly what an unsplit run over the subset detects, at the same times,
-// and end in the same states, for every model and kernel.
+// and end in the same states, for every model, at one lane and at the
+// automatic width.
 func TestSelectContinuesSubset(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	full := sim.RandomSequence(randutil.New(33), c.NumInputs(), 40)
@@ -346,15 +347,15 @@ func TestSelectContinuesSubset(t *testing.T) {
 				subset = append(subset, f)
 			}
 		}
-		for _, k := range []Kernel{KernelDense, KernelSlab} {
-			label := m.Name() + "/" + k.String()
-			whole := Run(c, full, subset, Options{Init: logic.Zero, SaveStates: true, Kernel: k})
-			pre := Run(c, prefix, all, Options{Init: logic.Zero, SaveStates: true, Kernel: k})
+		for _, lanes := range []int{1, 0} {
+			label := fmt.Sprintf("%s/SlabLanes=%d", m.Name(), lanes)
+			whole := Run(c, full, subset, Options{Init: logic.Zero, SaveStates: true, SlabLanes: lanes})
+			pre := Run(c, prefix, all, Options{Init: logic.Zero, SaveStates: true, SlabLanes: lanes})
 			st := pre.FinalStates.Select(keep)
 			if st.Len() != len(subset) {
 				t.Fatalf("%s: selected %d states for %d faults", label, st.Len(), len(subset))
 			}
-			post := Run(c, suffix, subset, Options{InitialStates: st, SaveStates: true, Workers: 2, Kernel: k})
+			post := Run(c, suffix, subset, Options{InitialStates: st, SaveStates: true, Workers: 2, SlabLanes: lanes})
 			for j, f := range subset {
 				i := slices.Index(all, f)
 				det, at := pre.Detected[i], pre.DetTime[i]
@@ -373,52 +374,10 @@ func TestSelectContinuesSubset(t *testing.T) {
 	}
 }
 
-func TestKernelParseAndString(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Kernel
-		ok   bool
-	}{
-		{"", KernelAuto, true},
-		{"auto", KernelAuto, true},
-		{"dense", KernelDense, true},
-		{"Dense", KernelDense, true},
-		{"SLAB", KernelSlab, true},
-		{"event", KernelAuto, false}, // deleted; the error names the kernels left
-		{"fast", KernelAuto, false},
-	}
-	for _, tc := range cases {
-		k, err := ParseKernel(tc.in)
-		if (err == nil) != tc.ok || k != tc.want {
-			t.Errorf("ParseKernel(%q) = %v, %v; want %v, ok=%v", tc.in, k, err, tc.want, tc.ok)
-		}
-		if err != nil && !strings.Contains(err.Error(), "auto, dense or slab") {
-			t.Errorf("ParseKernel(%q) error %q does not name the kernels", tc.in, err)
-		}
-	}
-	for _, k := range []Kernel{KernelAuto, KernelDense, KernelSlab} {
-		if r, err := ParseKernel(k.String()); err != nil || r != k {
-			t.Errorf("ParseKernel(%v.String()) = %v, %v; want round trip", k, r, err)
-		}
-	}
-}
-
+// TestKernelResolve pins the kernel name that traces and the benchmark's
+// host block record.
 func TestKernelResolve(t *testing.T) {
-	t.Setenv("FSIM_KERNEL", "")
-	if got := KernelAuto.Resolve(); got != KernelSlab {
-		t.Errorf("Resolve with unset env = %v, want slab", got)
-	}
-	t.Setenv("FSIM_KERNEL", "dense")
-	if got := KernelAuto.Resolve(); got != KernelDense {
-		t.Errorf("Resolve with FSIM_KERNEL=dense = %v, want dense", got)
-	}
-	if got := KernelSlab.Resolve(); got != KernelSlab {
-		t.Errorf("explicit kernel must beat the environment: got %v", got)
-	}
-	for _, env := range []string{"nonsense", "event"} {
-		t.Setenv("FSIM_KERNEL", env)
-		if got := KernelAuto.Resolve(); got != KernelSlab {
-			t.Errorf("Resolve with FSIM_KERNEL=%s = %v, want the slab default", env, got)
-		}
+	if got := KernelAuto.Resolve().String(); got != "slab" {
+		t.Errorf("KernelAuto.Resolve() = %q, want slab", got)
 	}
 }

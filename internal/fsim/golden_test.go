@@ -16,6 +16,7 @@ import (
 	"repro/internal/iscas"
 	"repro/internal/logic"
 	"repro/internal/randutil"
+	"repro/internal/ref"
 	"repro/internal/sim"
 )
 
@@ -23,8 +24,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 
 // goldenRecord is the pinned observable outcome of one fault-simulation
 // workload: total fault coverage plus the full detection-time histogram.
-// Any kernel change that shifts a single fault's detection or its detection
-// time shows up here.
+// Any simulator change that shifts a single fault's detection or its
+// detection time shows up here.
 type goldenRecord struct {
 	Circuit string `json:"circuit"`
 	// Model names the fault model of the pin; empty for the legacy stuck-at
@@ -66,8 +67,8 @@ func universeOf(c *circuit.Circuit, m fault.Model) []fault.Fault {
 //     stimulus, full collapsed fault universe.
 //   - *-transition / *-bridge: the same circuits and sequences under the
 //     launch-on-capture transition model and the 2-node bridging model (full
-//     collapsed universes), pinning the non-stuck-at injection paths of
-//     every kernel.
+//     collapsed universes), pinning the kernel's non-stuck-at injection
+//     paths.
 func goldenCases(t *testing.T) []goldenCase {
 	t.Helper()
 	table1, err := sim.ParseSequence(iscas.S27TestSequence)
@@ -92,44 +93,32 @@ func goldenCases(t *testing.T) []goldenCase {
 }
 
 // TestGoldenOutcomes locks the simulator's observable outcomes against the
-// committed golden files, under both kernels and both worker counts. Run
-// with -update to rewrite the files after an intentional behaviour change.
+// committed golden files: the record is the ref oracle's, and fsim must
+// reproduce it at both worker counts and at every lane width. Run with
+// -update to rewrite the files after an intentional behaviour change.
 func TestGoldenOutcomes(t *testing.T) {
 	for _, tc := range goldenCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := iscas.MustLoad(tc.circuit)
 			faults := universeOf(c, tc.model)
 
-			// The golden record is computed by the dense kernel; every
-			// other configuration must reproduce it exactly.
-			ref := fsim.Run(c, tc.seq, faults, fsim.Options{
-				Init: tc.init, Workers: 1, Kernel: fsim.KernelDense,
-			})
-			for _, kernel := range []fsim.Kernel{fsim.KernelDense, fsim.KernelSlab} {
+			want := ref.Run(c, tc.seq, faults, ref.Options{Init: tc.init})
+			// The lane width is outcome-invariant; pin the golden record at
+			// the automatic width and at explicit ones (1 = single-group
+			// batches, 2/8 = multi-group with tail batches).
+			for _, lanes := range []int{0, 1, 2, 8} {
 				for _, workers := range []int{1, 4} {
 					out := fsim.Run(c, tc.seq, faults, fsim.Options{
-						Init: tc.init, Workers: workers, Kernel: kernel,
+						Init: tc.init, Workers: workers, SlabLanes: lanes,
 					})
-					if !reflect.DeepEqual(out.Detected, ref.Detected) ||
-						!reflect.DeepEqual(out.DetTime, ref.DetTime) {
-						t.Fatalf("kernel=%v workers=%d: outcome differs from dense sequential run", kernel, workers)
+					if !reflect.DeepEqual(out.Detected, want.Detected) ||
+						!reflect.DeepEqual(out.DetTime, want.DetTime) {
+						t.Fatalf("SlabLanes=%d workers=%d: outcome differs from the ref oracle", lanes, workers)
 					}
 				}
 			}
-			// The slab kernel's lane width is outcome-invariant; pin the
-			// golden record across explicit widths too (1 = degenerate
-			// single-group batches, 2/8 = multi-group with tail batches).
-			for _, lanes := range []int{1, 2, 8} {
-				out := fsim.Run(c, tc.seq, faults, fsim.Options{
-					Init: tc.init, Workers: 1, Kernel: fsim.KernelSlab, SlabLanes: lanes,
-				})
-				if !reflect.DeepEqual(out.Detected, ref.Detected) ||
-					!reflect.DeepEqual(out.DetTime, ref.DetTime) {
-					t.Fatalf("slab W=%d: outcome differs from dense sequential run", lanes)
-				}
-			}
 
-			got := recordOf(tc, len(faults), ref)
+			got := recordOf(tc, len(faults), want.Detected, want.DetTime)
 
 			path := filepath.Join("testdata", "golden", tc.name+".json")
 			if *updateGolden {
@@ -168,20 +157,20 @@ func loadGolden(t *testing.T, name string) goldenRecord {
 
 // recordOf reduces an outcome to the golden observable (coverage plus the
 // detection-time histogram) for comparison against a committed pin.
-func recordOf(tc goldenCase, faults int, out *fsim.Outcome) goldenRecord {
+func recordOf(tc goldenCase, faults int, detected []bool, detTime []int) goldenRecord {
 	got := goldenRecord{
 		Circuit:     tc.circuit,
 		Sequence:    tc.seqDesc,
 		Faults:      faults,
-		Detected:    out.NumDetected,
 		DetTimeHist: map[string]int{},
 	}
 	if tc.model != nil {
 		got.Model = tc.model.Name()
 	}
-	for i, d := range out.Detected {
+	for i, d := range detected {
 		if d {
-			got.DetTimeHist[fmt.Sprintf("%d", out.DetTime[i])]++
+			got.Detected++
+			got.DetTimeHist[fmt.Sprintf("%d", detTime[i])]++
 		}
 	}
 	return got

@@ -14,13 +14,13 @@ import (
 	"repro/internal/sim"
 )
 
-// Kernel head-to-head benchmarks: the kernel layer's own yardstick, below
-// the end-to-end `bash benchmark/run.sh`. Each case fault-simulates a
-// weighted sequence (the paper's α^r on every input, the shape of a graded
-// BIST session) against a model's collapsed fault list at Workers=1 on one
-// reused simulator. Compare the kernels with
+// Kernel benchmarks: the kernel layer's own yardstick, below the end-to-end
+// `bash benchmark/run.sh`. Each case fault-simulates a weighted sequence
+// (the paper's α^r on every input, the shape of a graded BIST session)
+// against a model's collapsed fault list at Workers=1 on one reused
+// simulator. Time the kernel at its automatic width with
 //
-//	go test ./internal/fsim -run '^$' -bench 'Kernel(Dense|Slab)$'
+//	go test ./internal/fsim -run '^$' -bench 'KernelSlab$'
 //
 // and the slab lane widths behind the automatic width rule with
 //
@@ -106,12 +106,8 @@ func runKernelBenchmark(b *testing.B, opts fsim.Options, check func(b *testing.B
 	}
 }
 
-func BenchmarkKernelDense(b *testing.B) {
-	runKernelBenchmark(b, fsim.Options{Kernel: fsim.KernelDense}, nil)
-}
-
 func BenchmarkKernelSlab(b *testing.B) {
-	runKernelBenchmark(b, fsim.Options{Kernel: fsim.KernelSlab}, nil)
+	runKernelBenchmark(b, fsim.Options{}, nil)
 }
 
 // BenchmarkKernelSlabLanes sweeps the slab lane width W over 1, 2, 4, 8
@@ -123,7 +119,7 @@ func BenchmarkKernelSlabLanes(b *testing.B) {
 	ref := map[string]*fsim.Outcome{}
 	for _, w := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
-			runKernelBenchmark(b, fsim.Options{Kernel: fsim.KernelSlab, SlabLanes: w}, func(b *testing.B, name string, out *fsim.Outcome) {
+			runKernelBenchmark(b, fsim.Options{SlabLanes: w}, func(b *testing.B, name string, out *fsim.Outcome) {
 				out.Work.Slab = fsim.SlabWork{} // the batch tallies follow W
 				if w == 1 {
 					ref[name] = out

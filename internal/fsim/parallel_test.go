@@ -1,6 +1,7 @@
 package fsim
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -35,15 +36,14 @@ func outcomesEqual(t *testing.T, label string, want, got *Outcome) {
 }
 
 // TestParallelMatchesSequential is the determinism guarantee: for randomized
-// circuits and fault lists, a parallel run must be byte-identical to the
-// sequential run for every worker count, covering Workers=1 and workers >
-// groups, under both kernels. Run under -race it also proves the fan-out is
-// data-race free.
+// circuits and fault lists, a run must be byte-identical to the sequential
+// one-lane run for every worker count, covering Workers=1 and workers >
+// groups, at one lane and at the automatic width. Run under -race it also
+// proves the fan-out is data-race free.
 //
-// Outcome.Work is compared exactly under the dense kernel. The slab
-// kernel's automatic lane width follows the worker count, so its batch
-// tallies (Work.Slab) legitimately differ between the runs; there only the
-// dense-equivalent work is compared.
+// Outcome.Work is compared exactly at one lane. The automatic lane width
+// follows the worker count, so its batch tallies (Work.Slab) legitimately
+// differ between the runs; there only the per-group work is compared.
 func TestParallelMatchesSequential(t *testing.T) {
 	profiles := []iscas.Profile{
 		{Name: "p1", Inputs: 4, Outputs: 3, DFFs: 4, Gates: 40, Seed: 11, Synthetic: true},
@@ -67,19 +67,19 @@ func TestParallelMatchesSequential(t *testing.T) {
 		faults := fault.CollapsedUniverse(c)
 		seq := sim.RandomSequence(randutil.New(p.Seed+100), c.NumInputs(), 24)
 		groups := (len(faults) + GroupSize - 1) / GroupSize
-		for _, kernel := range []Kernel{KernelDense, KernelSlab} {
-			for _, v := range optVariants {
-				opts := v.opts
-				opts.Kernel = kernel
-				want := New(c).Run(seq, faults, opts)
+		for _, v := range optVariants {
+			one := v.opts
+			one.SlabLanes = 1
+			want := New(c).Run(seq, faults, one)
+			for _, lanes := range []int{1, 0} {
 				for _, workers := range []int{1, 2, 3, groups + 5} {
-					opts := opts
-					opts.Workers = workers
+					opts := v.opts
+					opts.SlabLanes, opts.Workers = lanes, workers
 					got := New(c).Run(seq, faults, opts)
-					label := p.Name + "/" + kernel.String() + "/" + v.name
+					label := fmt.Sprintf("%s/SlabLanes=%d/%s", p.Name, lanes, v.name)
 					outcomesEqual(t, label, want, got)
 					seqWork, parWork := want.Work, got.Work
-					if kernel == KernelSlab {
+					if lanes != 1 {
 						seqWork.Slab, parWork.Slab = SlabWork{}, SlabWork{}
 					}
 					if seqWork != parWork {
@@ -126,39 +126,39 @@ func hookStreams(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, op
 	return streams
 }
 
-// denseHookStreams is the reference for the hook tests: the dense kernel at
+// oneLaneHookStreams is the reference for the hook tests: one lane at
 // Workers=1, checked to call each group once per time unit in time order.
-func denseHookStreams(t *testing.T, c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault) [][]hookCall {
+func oneLaneHookStreams(t *testing.T, c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault) [][]hookCall {
 	t.Helper()
-	want := hookStreams(c, seq, faults, Options{Kernel: KernelDense, Workers: 1})
+	want := hookStreams(c, seq, faults, Options{SlabLanes: 1, Workers: 1})
 	for g, st := range want {
 		if len(st) != seq.Len() {
-			t.Fatalf("dense: group %d hooked %d times, want %d", g, len(st), seq.Len())
+			t.Fatalf("one lane: group %d hooked %d times, want %d", g, len(st), seq.Len())
 		}
 		for u, cl := range st {
 			if cl.u != u || cl.hi != min((g+1)*GroupSize, len(faults)) {
-				t.Fatalf("dense: group %d call %d has u=%d hi=%d", g, u, cl.u, cl.hi)
+				t.Fatalf("one lane: group %d call %d has u=%d hi=%d", g, u, cl.u, cl.hi)
 			}
 		}
 	}
 	return want
 }
 
-// TestOutputHookForcesSequential checks the hook contract on the dense
-// kernel: each group's calls come once per time unit, in time order, and may
-// run concurrently with other groups' calls. The hook no longer forces
+// TestOutputHookForcesSequential checks the hook contract at one lane: each
+// group's calls come once per time unit, in time order, and may run
+// concurrently with other groups' calls. The hook no longer forces
 // sequential execution; what it must still force is the sequential run's
 // result, so each group's (u, po) stream equals the Workers=1 run's for any
-// Workers count. TestSlabOutputHook checks the same on the slab kernel.
+// Workers count. TestSlabOutputHook checks the same at wider lanes.
 func TestOutputHookForcesSequential(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	faults := fault.CollapsedUniverse(c)
 	seq := sim.RandomSequence(randutil.New(5), c.NumInputs(), 10)
-	want := denseHookStreams(t, c, seq, faults)
+	want := oneLaneHookStreams(t, c, seq, faults)
 	for _, workers := range []int{4, 8} {
-		got := hookStreams(c, seq, faults, Options{Kernel: KernelDense, Workers: workers})
+		got := hookStreams(c, seq, faults, Options{SlabLanes: 1, Workers: workers})
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("dense, Workers=%d: per-group hook streams differ from Workers=1", workers)
+			t.Fatalf("one lane, Workers=%d: per-group hook streams differ from Workers=1", workers)
 		}
 	}
 }
@@ -249,7 +249,7 @@ func TestParallelAbortSemantics(t *testing.T) {
 
 func TestWorkerPoolReuse(t *testing.T) {
 	// workerSims must hand out the receiver plus pooled scratch simulators
-	// sharing the flattened netlist, and must not grow on repeated calls.
+	// sharing the netlist tables, and must not grow on repeated calls.
 	c := iscas.MustLoad("s27")
 	s := New(c)
 	a := s.workerSims(4)
@@ -263,8 +263,8 @@ func TestWorkerPoolReuse(t *testing.T) {
 	if a[1] != b[1] {
 		t.Fatal("pool not reused across runs")
 	}
-	if &a[1].gateID[0] != &s.gateID[0] {
-		t.Fatal("workers must share the flattened netlist")
+	if a[1].lay != s.lay {
+		t.Fatal("workers must share the slab layout")
 	}
 	if len(s.pool) != 3 {
 		t.Fatalf("pool grew to %d, want 3", len(s.pool))
@@ -274,27 +274,21 @@ func TestWorkerPoolReuse(t *testing.T) {
 // TestWorkerPanicReachesCaller injects a fault whose node id is out of
 // range into the second fault group of a Workers=2 run, so the panic
 // happens on a pool goroutine. It must be raised again on the calling
-// goroutine, where it can be recovered, instead of ending the process, on
-// every kernel.
+// goroutine, where it can be recovered, instead of ending the process.
 func TestWorkerPanicReachesCaller(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	faults := append([]fault.Fault(nil), fault.CollapsedUniverse(c)[:3*GroupSize]...)
 	faults[GroupSize+5].Node = circuit.NodeID(len(c.Nodes) + 7)
 	seq := sim.RandomSequence(randutil.New(4), c.NumInputs(), 10)
-	for _, k := range []Kernel{KernelDense, KernelSlab} {
-		func() {
-			defer func() {
-				p := recover()
-				if p == nil {
-					t.Fatalf("%v: Run returned normally over a fault with an out-of-range node", k)
-				}
-				if msg, ok := p.(string); !ok || !strings.Contains(msg, "index out of range") {
-					t.Fatalf("%v: panic %v does not carry the worker's panic", k, p)
-				}
-			}()
-			// SlabLanes 1 gives the slab kernel one batch per group, so it
-			// fans out too.
-			Run(c, seq, faults, Options{Init: logic.Zero, Workers: 2, Kernel: k, SlabLanes: 1})
-		}()
-	}
+	defer func() {
+		p := recover()
+		if p == nil {
+			t.Fatal("Run returned normally over a fault with an out-of-range node")
+		}
+		if msg, ok := p.(string); !ok || !strings.Contains(msg, "index out of range") {
+			t.Fatalf("panic %v does not carry the worker's panic", p)
+		}
+	}()
+	// SlabLanes 1 gives every group a batch of its own, so the run fans out.
+	Run(c, seq, faults, Options{Init: logic.Zero, Workers: 2, SlabLanes: 1})
 }

@@ -19,8 +19,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-var allKernels = []fsim.Kernel{fsim.KernelDense, fsim.KernelSlab}
-
 // periodicSequence is a weighted test sequence of length l (the paper's α^r
 // on every input, Section 3): each input repeats its own random 1-3 bit
 // subsequence, so the whole sequence has a period of at most 6.
@@ -50,7 +48,8 @@ func numGroups(faults []fault.Fault) int64 {
 }
 
 // TestRepeatExitMatchesRef fault-simulates s298 under a periodic weighted
-// sequence with every fault model, on every kernel at Workers 1 and 2. The
+// sequence with every fault model, at one lane and at the automatic width,
+// at Workers 1 and 2. The
 // machines settle into the sequence's period long before its end, so groups
 // stop at a repeat exit (fewer vectors than groups × length), and the
 // outcome must still equal the full-length one-fault-at-a-time oracle.
@@ -60,17 +59,17 @@ func TestRepeatExitMatchesRef(t *testing.T) {
 	for _, model := range fault.ModelNames() {
 		faults := modelUniverse(t, c, model)
 		want := ref.Run(c, seq, faults, ref.Options{Init: logic.Zero})
-		for _, kernel := range allKernels {
+		for _, lanes := range []int{1, 0} {
 			for _, workers := range []int{1, 2} {
-				got := fsim.Run(c, seq, faults, fsim.Options{Init: logic.Zero, Kernel: kernel, Workers: workers})
+				got := fsim.Run(c, seq, faults, fsim.Options{Init: logic.Zero, SlabLanes: lanes, Workers: workers})
 				if err := difftest.CompareOutcomes(c, faults, want, got, false); err != nil {
-					t.Errorf("%s/%v/Workers=%d: %v", model, kernel, workers, err)
+					t.Errorf("%s/SlabLanes=%d/Workers=%d: %v", model, lanes, workers, err)
 				}
 				if n := got.Work.RepeatExits; n == 0 {
-					t.Errorf("%s/%v/Workers=%d: no repeat exit fired", model, kernel, workers)
+					t.Errorf("%s/SlabLanes=%d/Workers=%d: no repeat exit fired", model, lanes, workers)
 				}
 				if v, full := got.Work.Vectors, numGroups(faults)*int64(seq.Len()); v >= full {
-					t.Errorf("%s/%v/Workers=%d: %d vectors, want fewer than %d", model, kernel, workers, v, full)
+					t.Errorf("%s/SlabLanes=%d/Workers=%d: %d vectors, want fewer than %d", model, lanes, workers, v, full)
 				}
 			}
 		}
@@ -103,20 +102,17 @@ Z = AND(Q0, Q1, Q2)
 	en, _ := c.Lookup("EN")
 	faults := []fault.Fault{{Node: en, Pin: -1, Stuck: 0}}
 	seq := core.Assignment{Subs: []string{"1"}}.GenSequence(20)
-	for _, kernel := range allKernels {
-		out := fsim.Run(c, seq, faults, fsim.Options{Init: logic.Zero, Kernel: kernel})
-		if !out.Detected[0] || out.DetTime[0] != 7 {
-			t.Errorf("%v: EN s-a-0 detected=%v at %d, want detected at 7", kernel, out.Detected[0], out.DetTime[0])
-		}
+	out := fsim.Run(c, seq, faults, fsim.Options{Init: logic.Zero})
+	if !out.Detected[0] || out.DetTime[0] != 7 {
+		t.Errorf("EN s-a-0 detected=%v at %d, want detected at 7", out.Detected[0], out.DetTime[0])
 	}
 }
 
-// TestRepeatExitIgnoresUndetectableFaults pins the kernel invariance of the
-// exit point. E s-a-1 starts a counter that reaches no primary output: the
-// fault can never be detected, yet both kernels inject it, and its faulty
-// slot counts while the fault-free machine stands still. Every kernel must
-// stop the group at time unit 1 all the same, where the fault-free state
-// first repeats.
+// TestRepeatExitIgnoresUndetectableFaults pins the exit point of a group
+// whose fault can never be detected. E s-a-1 starts a counter that reaches
+// no primary output: the kernel injects it, and its faulty slot counts
+// while the fault-free machine stands still. The group must stop at time
+// unit 1 all the same, where the fault-free state first repeats.
 func TestRepeatExitIgnoresUndetectableFaults(t *testing.T) {
 	const netlist = `
 INPUT(EN)
@@ -136,11 +132,9 @@ D1 = XOR(Q1, C0)
 	e, _ := c.Lookup("E")
 	faults := []fault.Fault{{Node: e, Pin: -1, Stuck: 1}}
 	seq := core.Assignment{Subs: []string{"1"}}.GenSequence(20)
-	for _, kernel := range allKernels {
-		out := fsim.Run(c, seq, faults, fsim.Options{Init: logic.Zero, Kernel: kernel})
-		if v, n := out.Work.Vectors, out.Work.RepeatExits; v != 1 || n != 1 {
-			t.Errorf("%v: %d vectors and %d repeat exits, want 1 and 1", kernel, v, n)
-		}
+	out := fsim.Run(c, seq, faults, fsim.Options{Init: logic.Zero})
+	if v, n := out.Work.Vectors, out.Work.RepeatExits; v != 1 || n != 1 {
+		t.Errorf("%d vectors and %d repeat exits, want 1 and 1", v, n)
 	}
 }
 
@@ -159,46 +153,44 @@ func TestRepeatExitNeedsWholeSequence(t *testing.T) {
 		"ObserveLines": {ObserveLines: true},
 		"OutputHook":   {OutputHook: func(lo, hi, u int, po []logic.W) {}},
 	}
-	for _, kernel := range allKernels {
-		want := fsim.Run(c, seq, faults, fsim.Options{Init: logic.Zero, Kernel: kernel})
-		for name, opts := range cases {
-			opts.Init, opts.Kernel = logic.Zero, kernel
-			got := fsim.Run(c, seq, faults, opts)
-			if v := got.Work.Vectors; v != full {
-				t.Errorf("%s/%v: %d vectors, want the whole sequence (%d)", name, kernel, v, full)
-			}
-			if n := got.Work.RepeatExits; n != 0 {
-				t.Errorf("%s/%v: %d repeat exits, want none", name, kernel, n)
-			}
-			if !reflect.DeepEqual(got.Detected, want.Detected) || !reflect.DeepEqual(got.DetTime, want.DetTime) {
-				t.Errorf("%s/%v: detections differ from the run without it", name, kernel)
-			}
+	want := fsim.Run(c, seq, faults, fsim.Options{Init: logic.Zero})
+	for name, opts := range cases {
+		opts.Init = logic.Zero
+		got := fsim.Run(c, seq, faults, opts)
+		if v := got.Work.Vectors; v != full {
+			t.Errorf("%s: %d vectors, want the whole sequence (%d)", name, v, full)
+		}
+		if n := got.Work.RepeatExits; n != 0 {
+			t.Errorf("%s: %d repeat exits, want none", name, n)
+		}
+		if !reflect.DeepEqual(got.Detected, want.Detected) || !reflect.DeepEqual(got.DetTime, want.DetTime) {
+			t.Errorf("%s: detections differ from the run without it", name)
 		}
 	}
 }
 
 // TestEarlyExitCountersKernelInvariant runs s298 without SaveStates and
-// requires the slab kernel to report exactly dense's work counters: the
-// same vectors, group passes, dropped faults, repeat exits and
-// dense-equivalent gate evaluations. Two cases
-// stop groups early:
+// requires the automatic lane width to report exactly the work counters of
+// one lane, where every group runs alone and never repacks: the same
+// vectors, group passes, dropped faults, repeat exits and gate
+// evaluations. Two cases stop groups early:
 //   - a random sequence against the stuck-at faults it detects (as the
 //     pipeline does with its targets): every group stops at its last
 //     detection;
 //   - a periodic weighted sequence against the whole fault universe: groups
 //     keeping undetected faults stop at a repeat exit.
 //
-// On the slab kernel the counters are kept per fault group, so a group that
-// has finished stops counting while the rest of its batch runs on, and the
-// next repack drops the lane that held it.
+// The counters are kept per fault group, so a group that has finished stops
+// counting while the rest of its batch runs on, and the next repack drops
+// the lane that held it.
 func TestEarlyExitCountersKernelInvariant(t *testing.T) {
 	checkEarlyExitKernelInvariant(t, "stuck-at")
 }
 
-// TestEarlyExitCountersPerModel repeats the early-exit kernel comparison of
+// TestEarlyExitCountersPerModel repeats the early-exit lane comparison of
 // TestEarlyExitCountersKernelInvariant for every other fault model, so the
 // transition and bridge fault lists also stop each group at the same vector
-// on every kernel.
+// at every width.
 func TestEarlyExitCountersPerModel(t *testing.T) {
 	for _, name := range fault.ModelNames() {
 		if name != "stuck-at" {
@@ -213,7 +205,7 @@ func checkEarlyExitKernelInvariant(t *testing.T, model string) {
 	universe := modelUniverse(t, c, model)
 	random := sim.RandomSequence(randutil.New(7), c.NumInputs(), 200)
 	var detected []fault.Fault
-	for i, det := range fsim.Run(c, random, universe, fsim.Options{Init: logic.Zero, Kernel: fsim.KernelDense}).Detected {
+	for i, det := range fsim.Run(c, random, universe, fsim.Options{Init: logic.Zero}).Detected {
 		if det {
 			detected = append(detected, universe[i])
 		}
@@ -223,17 +215,17 @@ func checkEarlyExitKernelInvariant(t *testing.T, model string) {
 	checkKernelWork(t, model+"/periodic", c, periodic, universe, true)
 }
 
-// checkKernelWork requires every kernel to report dense's vectors, group
-// passes, dropped faults, repeat exits and gate evaluations, and
-// the dense run to stop some group early (by a repeat exit when repeat is
-// set) so that the comparison means something.
+// checkKernelWork requires the automatic lane width to report the one-lane
+// run's vectors, group passes, dropped faults, repeat exits and gate
+// evaluations, and the one-lane run to stop some group early (by a repeat
+// exit when repeat is set) so that the comparison means something.
 func checkKernelWork(t *testing.T, name string, c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, repeat bool) {
 	t.Helper()
 	type work struct{ vectors, passes, dropped, repeats, evals int64 }
-	var dense work
-	for _, kernel := range allKernels {
+	var one work
+	for _, lanes := range []int{1, 0} {
 		before := telemetry.Counters()
-		fsim.Run(c, seq, faults, fsim.Options{Init: logic.Zero, Kernel: kernel})
+		fsim.Run(c, seq, faults, fsim.Options{Init: logic.Zero, SlabLanes: lanes})
 		d := telemetry.Counters().Sub(before)
 		got := work{
 			vectors: d.Get(telemetry.CtrVectors),
@@ -242,8 +234,8 @@ func checkKernelWork(t *testing.T, name string, c *circuit.Circuit, seq *sim.Seq
 			repeats: d.Get(telemetry.CtrRepeatExits),
 			evals:   d.Get(telemetry.CtrGateEvals),
 		}
-		if kernel == fsim.KernelDense {
-			dense = got
+		if lanes == 1 {
+			one = got
 			if got.vectors >= got.passes*int64(seq.Len()) {
 				t.Errorf("%s: no group exited early (%d vectors, %d passes)", name, got.vectors, got.passes)
 			}
@@ -252,8 +244,8 @@ func checkKernelWork(t *testing.T, name string, c *circuit.Circuit, seq *sim.Seq
 			}
 			continue
 		}
-		if got != dense {
-			t.Errorf("%s/%v: counters %+v, dense %+v", name, kernel, got, dense)
+		if got != one {
+			t.Errorf("%s: counters %+v, one lane %+v", name, got, one)
 		}
 	}
 }
@@ -271,9 +263,9 @@ func checkKernelWork(t *testing.T, name string, c *circuit.Circuit, seq *sim.Seq
 //     first half's saved states (InitialStates), so the continued
 //     flip-flop words and launch histories are what the repack moves.
 //
-// In both, the slab outcome must equal dense's and so must its
-// dense-equivalent work (Work without Work.Slab), while
-// Work.Slab.LaneCycles must fall below dense's lane-cycles, its vector
+// In both, the outcome must equal that of one lane at Workers=1, where no
+// repack runs, and so must its per-group work (Work without Work.Slab),
+// while Work.Slab.LaneCycles must fall below the one-lane run's, its vector
 // count: the test fails if packing never fires.
 func TestPackedLanesPerModel(t *testing.T) {
 	periodic := map[string]struct {
@@ -290,41 +282,39 @@ func TestPackedLanesPerModel(t *testing.T) {
 		checkPacked(t, model+"/periodic", c, seq, modelUniverse(t, c, model), fsim.Options{}, true)
 
 		universe := modelUniverse(t, s344, model)
-		pre := fsim.Run(s344, random.Slice(0, half), universe, fsim.Options{Init: logic.Zero, Kernel: fsim.KernelDense, SaveStates: true})
+		pre := fsim.Run(s344, random.Slice(0, half), universe, fsim.Options{Init: logic.Zero, SaveStates: true})
 		cont := fsim.Options{InitialStates: pre.FinalStates}
 		checkPacked(t, model+"/continued", s344, random.Slice(half, random.Len()), universe, cont, false)
 	}
 }
 
-// checkPacked runs seq on both kernels under opts at Workers=2 and requires equal
-// outcomes and dense-equivalent work, at least two slab batches, a repeat
-// exit when repeat is set, and fewer slab lane-cycles than dense vectors.
+// checkPacked runs seq under opts at one lane and Workers=1, then at the
+// automatic width and Workers=2, and requires equal outcomes and per-group
+// work, at least two slab batches, a repeat exit when repeat is set, and
+// fewer lane-cycles than the one-lane run's vectors.
 func checkPacked(t *testing.T, name string, c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts fsim.Options, repeat bool) {
 	t.Helper()
-	var want *fsim.Outcome
-	for _, kernel := range allKernels {
-		opts := opts
-		opts.Init, opts.Kernel, opts.Workers = logic.Zero, kernel, 2
-		got := fsim.Run(c, seq, faults, opts)
-		if kernel == fsim.KernelDense {
-			want = got
-			if repeat && got.Work.RepeatExits == 0 {
-				t.Errorf("%s: no repeat exit fired", name)
-			}
-			continue
-		}
-		slab := got.Work.Slab
-		// With the batch tallies cleared, DeepEqual also demands dense's
-		// vectors, group passes, repeat exits and gate evaluations.
-		got.Work.Slab = fsim.SlabWork{}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: slab outcome or work differs from dense: slab %+v, dense %+v", name, got.Work, want.Work)
-		}
-		if slab.Passes < 2 {
-			t.Errorf("%s: %d slab batches, want at least 2", name, slab.Passes)
-		}
-		if lc := slab.LaneCycles; lc >= want.Work.Vectors {
-			t.Errorf("%s: slab walked %d lane-cycles, dense %d: no live-fault packing", name, lc, want.Work.Vectors)
-		}
+	opts.Init = logic.Zero
+	one := opts
+	one.SlabLanes, one.Workers = 1, 1
+	want := fsim.Run(c, seq, faults, one)
+	want.Work.Slab = fsim.SlabWork{}
+	if repeat && want.Work.RepeatExits == 0 {
+		t.Errorf("%s: no repeat exit fired", name)
+	}
+	opts.Workers = 2
+	got := fsim.Run(c, seq, faults, opts)
+	slab := got.Work.Slab
+	// With the batch tallies cleared, DeepEqual also demands the one-lane
+	// run's vectors, group passes, repeat exits and gate evaluations.
+	got.Work.Slab = fsim.SlabWork{}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: outcome or work differs from one lane's: %+v, one lane %+v", name, got.Work, want.Work)
+	}
+	if slab.Passes < 2 {
+		t.Errorf("%s: %d slab batches, want at least 2", name, slab.Passes)
+	}
+	if lc := slab.LaneCycles; lc >= want.Work.Vectors {
+		t.Errorf("%s: slab walked %d lane-cycles, one lane %d: no live-fault packing", name, lc, want.Work.Vectors)
 	}
 }

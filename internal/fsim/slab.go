@@ -12,6 +12,27 @@ import (
 	"repro/internal/sim"
 )
 
+// The fault-model contract of the non-stuck-at models (fault.KindTransition,
+// fault.KindBridge) — shared with the independent scalar implementations in
+// internal/ref and documented in DESIGN.md ("FaultModel contract") — is:
+//
+// Transition (slow-to-rise d=1 / slow-to-fall d=0), per site and slot:
+// the site's nominal value cur is computed exactly once per time unit (the
+// value the node would carry without the transition fault, within that
+// slot's machine — which may already diverge from slot 0 through state).
+// The slot is forced to ¬d iff the previous time unit's nominal value was
+// binary ¬d and cur == d (the launch transition happened and the slow node
+// still shows the old value during the capture cycle); prev then advances
+// to cur. prev starts at X, so time unit 0 never forces.
+//
+// Bridge (wired-AND s=0 / wired-OR s=1), per pair (a, b) and slot: the
+// cycle's nominal values va, vb at the two stems are resolved first (model
+// enumeration guarantees neither stem is combinationally reachable from the
+// other, so the nominal driver values are independent of the bridge force),
+// then both stems are forced to the ternary wired value op(va, vb) for the
+// rest of the cycle — detection, output hooks and the state capture all see
+// the forced values.
+
 // The slab kernel simulates W fault groups per pass. Per-node state is a
 // contiguous row-major slab of W dual-rail words — vals[row*W + lane] — so
 // one levelized walk advances W×64 machines per gate visit: the W words of a
@@ -42,22 +63,25 @@ import (
 //     slow-to-fall slots f and a launch-history word prev. With cur the
 //     site's nominal word, force0 = r & prev.Zeros & cur.Ones and
 //     force1 = f & prev.Ones & cur.Zeros, and prev then takes cur in the
-//     site's slots: model.go's per-slot rule evaluated for 64 slots at once;
+//     site's slots: the contract's per-slot rule evaluated for 64 slots at
+//     once;
 //   - bridge: a batch holding any bridge walks every time unit twice. The
 //     first walk computes the nominal stem values, each (pair, lane) then
 //     resolves its wired-AND and wired-OR slots to one forced word, and the
 //     replay walk forces that word at both stems over the pair's slot mask
 //     while replaying, not re-deciding, the transition forces.
 //
-// Bit-identity with the dense kernel holds by construction: slots never
-// interact (each lane carries the fault-free machine in slot 0 and its own
-// injection tables), every slot's gate evaluation is exactly the dense
-// kernel's evaluation of that machine, and the bookkeeping of each fault
-// group (undetected mask, early exits, trace emission order, telemetry) is
-// the dense pass's, kept per group rather than per lane.
+// The lane width never changes the outcome: slots never interact (each lane
+// carries the fault-free machine in slot 0 and its own injection tables),
+// so every slot evaluates exactly its own machine, and the bookkeeping of
+// each fault group (undetected mask, early exits, trace emission order,
+// telemetry) is kept per group rather than per lane. A run at SlabLanes: 1,
+// one group per batch and never repacked, is what every wider run must
+// reproduce (package difftest), and internal/ref is the oracle for its
+// outcome.
 //
 // Live-fault packing. A batch starts with group g0+l in lane l. Where the
-// early exits apply (earlyExitEligible), a group stops counting at its dense
+// early exits apply (earlyExitEligible), a group stops counting at its own
 // exit point: once all its faults are detected, or at the repeat exit,
 // which is evaluated on the group's own machines wherever they sit. Its
 // lane words then carry nothing live, and detected faults leave holes in
@@ -70,8 +94,8 @@ import (
 // injection tables are rebuilt for the new layout. On grade-session's
 // seed-1 s5378 session (the kernel benchmark's session/s5378 cases) the
 // stuck-at, transition and bridge universes walk 25,379, 15,309 and 3,266
-// lane-cycles packed, against 50,114, 25,627 and 9,513 dense-equivalent
-// ones. Lane-cycles walked are counted on fsim.slab_lane_cycles, walked
+// lane-cycles packed, against the 50,114, 25,627 and 9,513 of one lane per
+// group. Lane-cycles walked are counted on fsim.slab_lane_cycles, walked
 // lane-cycles that held no machine of an unfinished group on
 // fsim.slab_lanes_idle.
 
@@ -308,7 +332,7 @@ type slabState struct {
 	bridges     []slabBridgeNode
 	pairs       []slabPair
 
-	// The repeat exit's checkpoint (see repeatWatch): the time unit at, the
+	// The repeat exit's checkpoint (see repeat.go): the time unit at, the
 	// Brent span, and the flip-flop and launch-history words of every slot
 	// at that time unit, in the layout of state and transPrev.
 	ckAt, ckSpan int
@@ -320,9 +344,9 @@ type slabState struct {
 	watched    []uint64 // slots per lane whose faults can be detected at all
 
 	// per fault group j of the batch (group g0+j)
-	gActive []uint64 // undetected faults, slot k-lo+1 for fault k (dense's mask)
-	gUnits  []int    // dense-equivalent simulated vector count
-	gDone   []bool   // the group reached its dense early-exit point
+	gActive []uint64 // undetected faults, slot k-lo+1 for fault k
+	gUnits  []int    // the group's simulated vector count, as if it ran alone
+	gDone   []bool   // the group reached its early-exit point
 	seg     []slabSeg
 	tgs     []*obsv.GroupTrace
 
@@ -623,7 +647,7 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 		s.slabHistory(opts.InitialStates, true)
 	}
 
-	// Both early exits follow the dense rule per group; the batch itself
+	// Both early exits apply per group; the batch itself
 	// only breaks when every group is done.
 	eligible := earlyExitEligible(opts)
 	active := nl
@@ -634,7 +658,7 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 		if eligible {
 			active -= s.slabRepeatExits(seq, u, w)
 			if active == 0 {
-				break // every group reached its dense early-exit point
+				break // every group reached its early-exit point
 			}
 			s.maybeRepack(faults, seq, u)
 		}
@@ -666,8 +690,8 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 		// Detection: word-parallel diff over each output's lane words. A
 		// group's faults sit in fault order across at most two ascending
 		// lanes, so for every group the emission order (time, then PO
-		// index, then fault) is exactly the dense kernel's, and per-group
-		// trace streams and DetTime/Detected are bit-identical.
+		// index, then fault) is the one-lane run's, and per-group trace
+		// streams and DetTime/Detected are bit-identical at any width.
 		for poi, r := range lay.po {
 			base := int(r) * lanes
 			for l := 0; l < lanes; l++ {
@@ -725,7 +749,7 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 				}
 			}
 			if active == 0 {
-				break // every group reached its dense early-exit point
+				break // every group reached its early-exit point
 			}
 		}
 		s.slabClock()
@@ -748,9 +772,10 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 		sl.tgs[j] = nil
 		vec += int64(sl.gUnits[j])
 	}
-	// GateEvals stays dense-equivalent, so the counter pins hold it exact;
-	// the batching and packing win shows up in wall clock and w.Slab.
-	w.GateEvals += vec * int64(len(s.gateID))
+	// GateEvals counts each group's vectors × gates whatever the width, so
+	// the counter pins hold it exact; the batching and packing win shows up
+	// in wall clock and w.Slab.
+	w.GateEvals += vec * int64(len(s.c.Order))
 	w.Vectors += vec
 	w.GroupPasses += int64(nl)
 	w.Slab.Passes++
@@ -761,11 +786,11 @@ func (s *Simulator) runSlabBatch(seq *sim.Sequence, faults []fault.Fault, g0, nl
 
 // slabRepeatExits applies the repeat exit at the top of time unit u to
 // every unfinished group of the batch and returns the number it finished.
-// It evaluates repeatWatch's rule on each group's own machines, wherever a
-// repack put them: slot 0 of the group's first lane and the group's live
-// watched slots must hold the flip-flop and launch-history words of the
-// checkpoint, and the input from u on must repeat the input from the
-// checkpoint on. The checkpoint then moves on Brent's schedule, which
+// It evaluates the exit's rule (repeat.go) on each group's own machines,
+// wherever a repack put them: slot 0 of the group's first lane and the
+// group's live watched slots must hold the flip-flop and launch-history
+// words of the checkpoint, and the input from u on must repeat the input
+// from the checkpoint on. The checkpoint then moves on Brent's schedule, which
 // depends on u alone, so one checkpoint of the whole slab serves every
 // group.
 func (s *Simulator) slabRepeatExits(seq *sim.Sequence, u int, w *Work) int {
@@ -1046,7 +1071,7 @@ func (s *Simulator) slabHistory(st *States, load bool) {
 // slabWalk evaluates one time unit over the slab's lanes: load the primary
 // inputs and the present state, then every run of gates in row order. A
 // run's type and fanin count are decided once, and each gate folds its
-// fanins in evalW's left-fold order, so every word is the dense kernel's.
+// fanins in evalW's left-fold order, as pins does.
 // The marked rows are visited after the run (or source block) that
 // computes them and before any later level reads them: pin forces
 // re-evaluate the lanes that carry them, then place applies the batch's
@@ -1190,11 +1215,10 @@ func (s *Simulator) slabWalk(seq *sim.Sequence, u int, replay bool) {
 	}
 }
 
-// pins re-evaluates gate row r in the lanes that carry pin forces there,
-// exactly as the dense kernel evaluates its one group: gather, force,
-// evalW. With W lanes a batch spans W groups' fault sites, so this slow
-// path stays per (gate, lane); per gate it would fire ~W× more often than
-// the dense kernel's.
+// pins re-evaluates gate row r in the lanes that carry pin forces there:
+// gather, force, evalW. With W lanes a batch spans W groups' fault sites, so
+// this slow path stays per (gate, lane); per gate it would fire ~W× more
+// often than with one lane.
 func (sl *slabState) pins(r int32, typ circuit.GateType, fanin []int32, ov []logic.W) {
 	var fan [8]logic.W
 	lanes := sl.lanes
@@ -1251,4 +1275,30 @@ func (s *Simulator) slabClock() {
 			state[k*lanes+l] = wv
 		}
 	}
+}
+
+// slotV extracts the ternary value of the (single-bit) mask's slot.
+func slotV(w logic.W, mask uint64) logic.V {
+	switch {
+	case w.Ones&mask != 0:
+		return logic.One
+	case w.Zeros&mask != 0:
+		return logic.Zero
+	default:
+		return logic.X
+	}
+}
+
+// forceV forces the slots of mask to the ternary value v — the ternary
+// generalisation of logic.W.ForceMask (an X force clears both rails).
+func forceV(w logic.W, mask uint64, v logic.V) logic.W {
+	w.Zeros &^= mask
+	w.Ones &^= mask
+	switch v {
+	case logic.Zero:
+		w.Zeros |= mask
+	case logic.One:
+		w.Ones |= mask
+	}
+	return w
 }

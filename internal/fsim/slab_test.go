@@ -10,22 +10,23 @@ import (
 	"repro/internal/iscas"
 	"repro/internal/logic"
 	"repro/internal/randutil"
+	"repro/internal/ref"
 	"repro/internal/sim"
 )
 
 // TestSlabWorkersBitIdentical shards batches-of-W over the worker pool and
-// checks the merged outcome against the sequential slab run and the dense
-// oracle, across lane widths that split the group count evenly and not.
+// checks the merged outcome against the ref oracle, across lane widths that
+// split the group count evenly and not.
 func TestSlabWorkersBitIdentical(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	faults := fault.CollapsedUniverse(c)
 	seq := sim.RandomSequence(randutil.New(11), c.NumInputs(), 48)
 	s := New(c)
-	want := s.Run(seq, faults, Options{Init: logic.Zero, Kernel: KernelDense})
+	want := ref.Run(c, seq, faults, ref.Options{Init: logic.Zero})
 	for _, lanes := range []int{1, 3, 8} {
 		for _, workers := range []int{1, 2, 7} {
 			got := s.Run(seq, faults, Options{
-				Init: logic.Zero, Kernel: KernelSlab, SlabLanes: lanes, Workers: workers,
+				Init: logic.Zero, SlabLanes: lanes, Workers: workers,
 			})
 			if got.NumDetected != want.NumDetected {
 				t.Fatalf("lanes=%d workers=%d: detected %d, want %d",
@@ -42,7 +43,7 @@ func TestSlabWorkersBitIdentical(t *testing.T) {
 
 // TestSlabAbortAfterFirstGroup: the Section 4.2 effort-reduction contract —
 // group 0 runs alone and, if it detects nothing, the remaining groups are
-// never simulated. Must match the dense kernel's abort decision exactly.
+// never simulated, and a run that goes on must match the ref oracle.
 func TestSlabAbortAfterFirstGroup(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	faults := fault.CollapsedUniverse(c)
@@ -59,7 +60,7 @@ func TestSlabAbortAfterFirstGroup(t *testing.T) {
 		blank.Append(vec)
 	}
 	out := Run(c, blank, faults, Options{
-		Init: logic.X, Kernel: KernelSlab, AbortAfterFirstGroupIfNone: true,
+		Init: logic.X, AbortAfterFirstGroupIfNone: true,
 	})
 	if passes := out.Work.GroupPasses; passes != 1 || out.NumDetected != 0 {
 		t.Fatalf("blank sequence: %d group passes, detected %d, want the abort after group 0's with 0",
@@ -67,11 +68,11 @@ func TestSlabAbortAfterFirstGroup(t *testing.T) {
 	}
 
 	// A real random sequence detects group-0 faults, so the run continues
-	// and must match the unaborted dense result.
+	// and must match the oracle's unaborted result.
 	seq := sim.RandomSequence(rng, c.NumInputs(), 32)
-	want := Run(c, seq, faults, Options{Init: logic.Zero, Kernel: KernelDense})
+	want := ref.Run(c, seq, faults, ref.Options{Init: logic.Zero})
 	got := Run(c, seq, faults, Options{
-		Init: logic.Zero, Kernel: KernelSlab, AbortAfterFirstGroupIfNone: true, SlabLanes: 4,
+		Init: logic.Zero, AbortAfterFirstGroupIfNone: true, SlabLanes: 4,
 	})
 	if passes := got.Work.GroupPasses; passes != int64(len(want.Detected)+GroupSize-1)/GroupSize {
 		t.Fatalf("%d group passes: aborted although group 0 detected faults", passes)
@@ -81,33 +82,33 @@ func TestSlabAbortAfterFirstGroup(t *testing.T) {
 	}
 	for fi := range want.Detected {
 		if got.Detected[fi] != want.Detected[fi] || got.DetTime[fi] != want.DetTime[fi] {
-			t.Fatalf("fault %d diverges after non-aborted slab run", fi)
+			t.Fatalf("fault %d diverges from the oracle after a non-aborted run", fi)
 		}
 	}
 }
 
 // TestSlabOutputHook: the slab kernel calls the hook once per lane's group
 // (a hook turns the early exits off, so no repack has run and lane j holds
-// group g0+j). Each group's (u, po) stream must equal the dense sequential
-// run's for any Workers count and lane width, and the hooked run's result
-// must match dense.
+// group g0+j). Each group's (u, po) stream must equal the one-lane
+// sequential run's for any Workers count and lane width, and the hooked
+// run's result must match the ref oracle.
 func TestSlabOutputHook(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	faults := fault.CollapsedUniverse(c)
 	seq := sim.RandomSequence(randutil.New(5), c.NumInputs(), 10)
-	want := denseHookStreams(t, c, seq, faults)
-	dense := Run(c, seq, faults, Options{Init: logic.Zero, Kernel: KernelDense})
+	want := oneLaneHookStreams(t, c, seq, faults)
+	oracle := ref.Run(c, seq, faults, ref.Options{Init: logic.Zero})
 	for _, workers := range []int{1, 4, 8} {
 		for _, lanes := range []int{0, 1, 2, 8} {
-			opts := Options{Kernel: KernelSlab, Workers: workers, SlabLanes: lanes}
+			opts := Options{Workers: workers, SlabLanes: lanes}
 			if got := hookStreams(c, seq, faults, opts); !reflect.DeepEqual(got, want) {
-				t.Fatalf("slab, Workers=%d, SlabLanes=%d: per-group hook streams differ from dense", workers, lanes)
+				t.Fatalf("Workers=%d, SlabLanes=%d: per-group hook streams differ from one lane's", workers, lanes)
 			}
 			opts.Init = logic.Zero
 			opts.OutputHook = func(lo, hi, u int, po []logic.W) {}
-			if out := Run(c, seq, faults, opts); out.NumDetected != dense.NumDetected {
-				t.Fatalf("slab, Workers=%d, SlabLanes=%d: hooked run detected %d, want %d",
-					workers, lanes, out.NumDetected, dense.NumDetected)
+			if out := Run(c, seq, faults, opts); out.NumDetected != oracle.NumDetected {
+				t.Fatalf("Workers=%d, SlabLanes=%d: hooked run detected %d, want %d",
+					workers, lanes, out.NumDetected, oracle.NumDetected)
 			}
 		}
 	}
@@ -126,7 +127,7 @@ func TestSlabCancel(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		out := Run(c, seq, faults, Options{
-			Init: logic.Zero, Kernel: KernelSlab, SlabLanes: 4, Workers: workers, Ctx: ctx,
+			Init: logic.Zero, SlabLanes: 4, Workers: workers, Ctx: ctx,
 		})
 		if !out.Cancelled() {
 			t.Fatalf("workers=%d: Cancelled = false", workers)
@@ -145,7 +146,7 @@ func TestSlabCancel(t *testing.T) {
 		rctx, rcancel := context.WithCancel(context.Background())
 		go rcancel()
 		out := Run(c, seq, faults, Options{
-			Init: logic.Zero, Kernel: KernelSlab, SlabLanes: 2, Workers: 4, Ctx: rctx,
+			Init: logic.Zero, SlabLanes: 2, Workers: 4, Ctx: rctx,
 		})
 		if out.Cancelled() {
 			for fi, det := range out.Detected {
@@ -189,7 +190,7 @@ func TestSlabWidthClamps(t *testing.T) {
 	c := iscas.MustLoad("s35932")
 	faults := fault.CollapsedUniverse(c)[:9*GroupSize]
 	seq := sim.RandomSequence(randutil.New(9), c.NumInputs(), 2)
-	out := Run(c, seq, faults, Options{Init: logic.X, Kernel: KernelSlab, SaveStates: true})
+	out := Run(c, seq, faults, Options{Init: logic.X, SaveStates: true})
 	if got := out.Work.Slab.Passes; got != 2 {
 		t.Errorf("s35932, 9 groups: %d slab passes, want 2 (8 + 1 lanes)", got)
 	}
@@ -202,7 +203,7 @@ func TestSlabWarmArenaAllocs(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	faults := fault.CollapsedUniverse(c)
 	seq := sim.RandomSequence(randutil.New(11), c.NumInputs(), 48)
-	opts := Options{Init: logic.Zero, Kernel: KernelSlab, Workers: 1}
+	opts := Options{Init: logic.Zero, Workers: 1}
 	const runs = 5
 	warmSim := New(c)
 	warm := testing.AllocsPerRun(runs, func() { warmSim.Run(seq, faults, opts) })
@@ -227,38 +228,34 @@ func TestSlabWarmArenaAllocs(t *testing.T) {
 // group 1's words come from a run started in all-one, group 0's from one
 // started in all-zero. A repack would put faults of both under one lane's
 // slot 0, so the slab kernel must find that the lanes disagree and not
-// repack the batch: the outcome and the dense-equivalent counters must
-// equal dense's, and the lanes walked must not fall below the groups'
-// vectors.
+// repack the batch: the outcome and the per-group counters must equal the
+// one-lane run's, where each group runs alone, and the lanes walked must
+// not fall below the groups' vectors.
 func TestSlabRepackNeedsOneFaultFreeMachine(t *testing.T) {
 	c := iscas.MustLoad("s344")
 	faults := fault.CollapsedUniverse(c)[:2*GroupSize]
 	seq := sim.RandomSequence(randutil.New(4), c.NumInputs(), 80)
 	pre := seq.Slice(0, 5)
-	zero := Run(c, pre, faults, Options{Init: logic.Zero, Kernel: KernelDense, SaveStates: true}).FinalStates
-	one := Run(c, pre, faults, Options{Init: logic.One, Kernel: KernelDense, SaveStates: true}).FinalStates
+	zero := Run(c, pre, faults, Options{Init: logic.Zero, SaveStates: true}).FinalStates
+	one := Run(c, pre, faults, Options{Init: logic.One, SaveStates: true}).FinalStates
 	mixed := *zero
 	mixed.groups = append([][]logic.W(nil), zero.groups...)
 	mixed.groups[1] = one.groups[1]
 	if slices.Equal(mixed.Good(0), mixed.Good(GroupSize)) {
 		t.Fatal("groups 0 and 1 start from the same fault-free state; the test needs them to differ")
 	}
-	var want *Outcome
-	for _, kernel := range []Kernel{KernelDense, KernelSlab} {
-		got := Run(c, seq.Slice(5, seq.Len()), faults, Options{Kernel: kernel, InitialStates: &mixed})
-		if kernel == KernelDense {
-			want = got
-			continue
-		}
-		lc, v := got.Work.Slab.LaneCycles, got.Work.Vectors
-		// With the batch tallies cleared, DeepEqual also demands dense's
-		// vectors, group passes, repeat exits and gate evaluations.
-		got.Work.Slab = SlabWork{}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("slab outcome or work differs from dense: slab %+v, dense %+v", got.Work, want.Work)
-		}
-		if lc < v {
-			t.Errorf("slab walked %d lane-cycles for %d group vectors: lanes with different fault-free machines were merged", lc, v)
-		}
+	rest := seq.Slice(5, seq.Len())
+	want := Run(c, rest, faults, Options{InitialStates: &mixed, SlabLanes: 1, Workers: 1})
+	want.Work.Slab = SlabWork{}
+	got := Run(c, rest, faults, Options{InitialStates: &mixed})
+	lc, v := got.Work.Slab.LaneCycles, got.Work.Vectors
+	// With the batch tallies cleared, DeepEqual also demands the one-lane
+	// run's vectors, group passes, repeat exits and gate evaluations.
+	got.Work.Slab = SlabWork{}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("outcome or work differs from one lane's: %+v, one lane %+v", got.Work, want.Work)
+	}
+	if lc < v {
+		t.Errorf("slab walked %d lane-cycles for %d group vectors: lanes with different fault-free machines were merged", lc, v)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // each transition fault's launch history (its site's nominal value in the
 // last simulated time unit). A run with Options.SaveStates returns it in
 // Outcome.FinalStates; a run given it as Options.InitialStates continues
-// every machine exactly where the saving run stopped, for every fault model
-// and kernel.
+// every machine exactly where the saving run stopped, for every fault
+// model.
 //
 // Fault i is stored in the slot a run over the same list gives it (slot
 // i%GroupSize+1 of group i/GroupSize, slot 0 holding the fault-free
@@ -152,32 +152,5 @@ func (st *States) check(nFaults, nff int) {
 	if st.nff != nff {
 		panic(fmt.Sprintf("fsim: InitialStates has %d flip-flops per machine for a circuit with %d flip-flops",
 			st.nff, nff))
-	}
-}
-
-// loadHistory seeds the launch history of the current group's transition
-// sites (faults[lo:...]) from a continued run's initial states; a run from
-// time 0 leaves them at X.
-func (s *Simulator) loadHistory(st *States, lo int) {
-	if st.hist == nil {
-		return
-	}
-	for _, sites := range s.transSites {
-		for i := range sites {
-			sites[i].prev = st.hist[lo+trailingZeros(sites[i].mask)-1]
-		}
-	}
-}
-
-// saveHistory records the launch history of the current group's transition
-// sites at the end of the pass.
-func (s *Simulator) saveHistory(st *States, lo int) {
-	if st.hist == nil {
-		return
-	}
-	for _, sites := range s.transSites {
-		for _, t := range sites {
-			st.hist[lo+trailingZeros(t.mask)-1] = t.prev
-		}
 	}
 }

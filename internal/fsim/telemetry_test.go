@@ -15,14 +15,12 @@ import (
 
 // TestHotPathCounters is the check that Run publishes exactly its own
 // Outcome.Work to the process-wide telemetry counters, field for field, and
-// the run's NumDetected on fsim.faults_dropped: on both kernels at Workers
-// 1 and 4, for a plain run, a Section 4.2 run whose group 0 detects nothing
+// the run's NumDetected on fsim.faults_dropped: at one lane and at the
+// automatic width, at Workers 1 and 4, for a plain run, a Section 4.2 run whose group 0 detects nothing
 // (an all-X sequence) and a run with a pre-cancelled Ctx. It also checks
-// the work itself under every fault model: gate_evals == vectors × gates
-// (both kernels count dense-equivalent evaluations), the deleted event
-// kernel's fsim.gates_skipped and fsim.sweep_fallbacks stay at 0, and slab
-// passes are counted exactly on the slab kernel, for model faults too, so a
-// silent fallback to dense cannot come back.
+// the work itself under every fault model: gate_evals == vectors × gates,
+// the deleted event kernel's fsim.gates_skipped and fsim.sweep_fallbacks
+// stay at 0, and slab passes are counted, for model faults too.
 func TestHotPathCounters(t *testing.T) {
 	s298 := iscas.MustLoad("s298")
 	random := sim.RandomSequence(randutil.New(7), s298.NumInputs(), 32)
@@ -47,11 +45,11 @@ func TestHotPathCounters(t *testing.T) {
 		{"cancelled", random, Options{Init: logic.Zero, Ctx: cancelled}},
 	}
 	for _, tc := range cases {
-		for _, kernel := range []Kernel{KernelDense, KernelSlab} {
+		for _, lanes := range []int{1, 0} {
 			for _, workers := range []int{1, 4} {
-				label := fmt.Sprintf("%s/%v/Workers=%d", tc.name, kernel, workers)
+				label := fmt.Sprintf("%s/SlabLanes=%d/Workers=%d", tc.name, lanes, workers)
 				opts := tc.opts
-				opts.Kernel, opts.Workers = kernel, workers
+				opts.SlabLanes, opts.Workers = lanes, workers
 				before := telemetry.Counters()
 				out := Run(s298, tc.seq, universe, opts)
 				checkPublished(t, label, telemetry.Counters().Sub(before), out)
@@ -66,10 +64,10 @@ func TestHotPathCounters(t *testing.T) {
 	seq := sim.RandomSequence(randutil.New(7), c.NumInputs(), 64)
 	for _, m := range []fault.Model{fault.StuckAt{}, fault.Transition{}, fault.Bridging{}} {
 		faults := fault.CollapsedUniverseFor(c, m)
-		for _, kernel := range []Kernel{KernelDense, KernelSlab} {
-			label := m.Name() + "/" + kernel.String()
+		for _, lanes := range []int{1, 0} {
+			label := fmt.Sprintf("%s/SlabLanes=%d", m.Name(), lanes)
 			before := telemetry.Counters()
-			out := Run(c, seq, faults, Options{Init: logic.X, SaveStates: true, Kernel: kernel})
+			out := Run(c, seq, faults, Options{Init: logic.X, SaveStates: true, SlabLanes: lanes})
 			d := telemetry.Counters().Sub(before)
 			checkPublished(t, label, d, out)
 
@@ -91,8 +89,8 @@ func TestHotPathCounters(t *testing.T) {
 					t.Errorf("%s: %s delta = %d, want 0", label, id.Name(), got)
 				}
 			}
-			if got := out.Work.Slab.Passes; (got > 0) != (kernel == KernelSlab) {
-				t.Errorf("%s: slab passes = %d, want > 0 only on the slab kernel", label, got)
+			if got := out.Work.Slab.Passes; got == 0 {
+				t.Errorf("%s: no slab pass counted", label)
 			}
 		}
 	}

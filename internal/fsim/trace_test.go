@@ -24,58 +24,59 @@ func TestTraceMatchesOutcome(t *testing.T) {
 	rng := randutil.New(0x7ace)
 	seq := sim.RandomSequence(rng, c.NumInputs(), 40)
 	faults := fault.CollapsedUniverse(c)
-	for _, k := range []Kernel{KernelDense, KernelSlab} {
+	for _, lanes := range []int{1, 0} {
 		tr := obsv.NewTrace()
-		out := Run(c, seq, faults, Options{Init: logic.Zero, Kernel: k, Trace: tr})
-		if tr.Kernel() != k.String() {
-			t.Fatalf("trace kernel = %q, want %q", tr.Kernel(), k)
+		out := Run(c, seq, faults, Options{Init: logic.Zero, SlabLanes: lanes, Trace: tr})
+		if tr.Kernel() != "slab" {
+			t.Fatalf("trace kernel = %q, want slab", tr.Kernel())
 		}
 		if want := (len(faults) + GroupSize - 1) / GroupSize; tr.NumGroups() != want {
 			t.Fatalf("trace groups = %d, want %d", tr.NumGroups(), want)
 		}
 		if tr.NumDetections() != out.NumDetected {
-			t.Fatalf("%v: %d events for %d detections", k, tr.NumDetections(), out.NumDetected)
+			t.Fatalf("SlabLanes=%d: %d events for %d detections", lanes, tr.NumDetections(), out.NumDetected)
 		}
 		seen := make(map[int]bool)
 		for _, ev := range tr.Events() {
 			if seen[ev.Fault] {
-				t.Fatalf("%v: fault %d has more than one event", k, ev.Fault)
+				t.Fatalf("SlabLanes=%d: fault %d has more than one event", lanes, ev.Fault)
 			}
 			seen[ev.Fault] = true
 			if !out.Detected[ev.Fault] || out.DetTime[ev.Fault] != ev.Time {
-				t.Fatalf("%v: event %+v disagrees with outcome (det=%v t=%d)",
-					k, ev, out.Detected[ev.Fault], out.DetTime[ev.Fault])
+				t.Fatalf("SlabLanes=%d: event %+v disagrees with outcome (det=%v t=%d)",
+					lanes, ev, out.Detected[ev.Fault], out.DetTime[ev.Fault])
 			}
 			if ev.Group != ev.Fault/GroupSize {
-				t.Fatalf("%v: event %+v in wrong group", k, ev)
+				t.Fatalf("SlabLanes=%d: event %+v in wrong group", lanes, ev)
 			}
 			if ev.PO < 0 || ev.PO >= len(c.Outputs) {
-				t.Fatalf("%v: event %+v has out-of-range PO", k, ev)
+				t.Fatalf("SlabLanes=%d: event %+v has out-of-range PO", lanes, ev)
 			}
 			if ev.Assignment != -1 {
-				t.Fatalf("%v: unattributed run stamped assignment %d", k, ev.Assignment)
+				t.Fatalf("SlabLanes=%d: unattributed run stamped assignment %d", lanes, ev.Assignment)
 			}
 		}
 		for fi, det := range out.Detected {
 			if det && !seen[fi] {
-				t.Fatalf("%v: detected fault %d has no event", k, fi)
+				t.Fatalf("SlabLanes=%d: detected fault %d has no event", lanes, fi)
 			}
 		}
 		// Group 0's activity curve has one sample per vector transition.
 		gv := tr.GroupVectors()
 		if len(gv) == 0 || gv[0] <= 0 {
-			t.Fatalf("%v: group 0 vectors = %v", k, gv)
+			t.Fatalf("SlabLanes=%d: group 0 vectors = %v", lanes, gv)
 		}
 		if got := len(tr.Activity()); got != gv[0]-1 {
-			t.Fatalf("%v: activity has %d samples for %d vectors", k, got, gv[0])
+			t.Fatalf("SlabLanes=%d: activity has %d samples for %d vectors", lanes, got, gv[0])
 		}
 	}
 }
 
-// TestTraceDeterministic is the core tentpole invariant: for a fixed circuit,
+// TestTraceDeterministic is the core tracing invariant: for a fixed circuit,
 // sequence and fault list, the canonical trace bytes are identical for every
-// worker count and both kernels, on a fresh and on a reused simulator. (The
-// difftest package sweeps the same property over 100 random triples.)
+// worker count at one lane and at the automatic width, on a fresh and on a
+// reused simulator. (The difftest package sweeps the same property over 100
+// random triples.)
 func TestTraceDeterministic(t *testing.T) {
 	rng := randutil.New(0xdead)
 	run := func(name string, c *circuit.Circuit) {
@@ -84,19 +85,19 @@ func TestTraceDeterministic(t *testing.T) {
 		faults := fault.CollapsedUniverse(c)
 		var want []byte
 		s := New(c)
-		for _, k := range []Kernel{KernelDense, KernelSlab} {
+		for _, lanes := range []int{1, 0} {
 			for _, workers := range []int{1, 4, 8} {
 				for pass := 0; pass < 2; pass++ { // second pass: warm scratch
 					tr := obsv.NewTrace()
-					s.Run(seq, faults, Options{Init: logic.X, Kernel: k, Workers: workers, Trace: tr})
+					s.Run(seq, faults, Options{Init: logic.X, SlabLanes: lanes, Workers: workers, Trace: tr})
 					got := tr.CanonicalBytes()
 					if want == nil {
 						want = got
 						continue
 					}
 					if !bytes.Equal(want, got) {
-						t.Fatalf("%s: trace differs for kernel=%v workers=%d pass=%d",
-							name, k, workers, pass)
+						t.Fatalf("%s: trace differs for SlabLanes=%d workers=%d pass=%d",
+							name, lanes, workers, pass)
 					}
 				}
 			}

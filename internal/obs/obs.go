@@ -8,6 +8,7 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 
@@ -147,22 +148,26 @@ func sortByCostDesc(cand []int, cost []int32) {
 // Experiment runs the Section 5 flow on a core procedure result with the
 // paper's greedy covering procedure. It uses Ω before reverse-order
 // simulation, exactly as the paper does. Its "obs" span goes under parent.
-func Experiment(r *core.Result, workers int, parent *telemetry.Span) *Result {
-	return ExperimentWithCover(r, GreedyCover, workers, parent)
+// A cancelled ctx (nil never cancels) stops it with ctx.Err().
+func Experiment(ctx context.Context, r *core.Result, workers int, parent *telemetry.Span) (*Result, error) {
+	return ExperimentWithCover(ctx, r, GreedyCover, workers, parent)
 }
 
 // ExperimentWithCover is Experiment with a custom observation-point
 // selection strategy.
-func ExperimentWithCover(r *core.Result, coverFn CoverFunc, workers int, parent *telemetry.Span) *Result {
+func ExperimentWithCover(ctx context.Context, r *core.Result, coverFn CoverFunc, workers int, parent *telemetry.Span) (*Result, error) {
 	sp := parent.Child("obs")
 	defer sp.End()
-	detSets := core.DetectionSets(r, workers)
+	detSets, err := core.DetectionSets(ctx, r, workers)
+	if err != nil {
+		return nil, err
+	}
 	nTargets := len(r.TargetFaults)
 	order := greedyOrder(detSets, nTargets)
 
 	res := &Result{Order: order}
 	if nTargets == 0 {
-		return res
+		return res, nil
 	}
 
 	simulator := fsim.New(r.Circuit)
@@ -185,7 +190,10 @@ func ExperimentWithCover(r *core.Result, coverFn CoverFunc, workers int, parent 
 		// undetected faults (it detects none of them).
 		if pend.Remaining() > 0 {
 			seq := r.Omega[j].GenSequence(r.WindowLen())
-			out, idx, _ := pend.Simulate(simulator, seq, fsim.Options{Init: r.Init, ObserveLines: true, Workers: workers})
+			out, idx, _ := pend.Simulate(simulator, seq, fsim.Options{Init: r.Init, ObserveLines: true, Workers: workers, Ctx: ctx})
+			if out.Cancelled() {
+				return nil, ctx.Err()
+			}
 			for k, i := range idx {
 				if opSets[i] == nil {
 					opSets[i] = fsim.NewBitset(len(r.Circuit.Nodes))
@@ -212,7 +220,7 @@ func ExperimentWithCover(r *core.Result, coverFn CoverFunc, workers int, parent 
 			break
 		}
 	}
-	return res
+	return res, nil
 }
 
 // greedyOrder picks assignments by maximum marginal coverage until every

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -43,7 +44,10 @@ func coreResultS27(t *testing.T) *core.Result {
 
 func TestExperimentS27Shape(t *testing.T) {
 	r := coreResultS27(t)
-	res := Experiment(r, 1, nil)
+	res, err := Experiment(context.Background(), r, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -84,9 +88,15 @@ func TestObservationPointsActuallyDetect(t *testing.T) {
 	// claimed extra faults: verify by re-simulating with ObserveLines and
 	// checking each covered fault differs at a chosen line.
 	r := coreResultS27(t)
-	res := Experiment(r, 1, nil)
+	res, err := Experiment(context.Background(), r, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lg := r.WindowLen()
-	detSets := core.DetectionSets(r, 1)
+	detSets, err := core.DetectionSets(context.Background(), r, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for k, row := range res.Rows {
 		if row.FEObs < 100 {
 			continue
@@ -151,7 +161,10 @@ func TestFilteredRows(t *testing.T) {
 
 func TestGreedyOrderCoversEverything(t *testing.T) {
 	r := coreResultS27(t)
-	detSets := core.DetectionSets(r, 1)
+	detSets, err := core.DetectionSets(context.Background(), r, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	order := greedyOrder(detSets, len(r.TargetFaults))
 	covered := fsim.NewBitset(len(r.TargetFaults))
 	for _, j := range order {
@@ -255,8 +268,14 @@ func TestRowString(t *testing.T) {
 func TestRankedCoverCoversSameFaults(t *testing.T) {
 	r := coreResultS27(t)
 	m := scoap.Analyze(r.Circuit, logic.X)
-	greedy := Experiment(r, 1, nil)
-	ranked := ExperimentWithCover(r, NewRankedCover(m.CO), 1, nil)
+	greedy, err := Experiment(context.Background(), r, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked, err := ExperimentWithCover(context.Background(), r, NewRankedCover(m.CO), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(greedy.Rows) != len(ranked.Rows) {
 		t.Fatalf("row counts differ: %d vs %d", len(greedy.Rows), len(ranked.Rows))
 	}

@@ -5,12 +5,12 @@
 // into coverage-vs-vector curves, and renders whole-run reports.
 //
 // The package sits below fsim in the import graph (it knows nothing about
-// circuits or simulators), so both fault-simulation kernels can feed a
-// *Trace directly. The contract mirrors the simulator's determinism
-// guarantee: for a fixed circuit, sequence and fault list the canonical
-// stream (CanonicalBytes) is byte-identical for every Workers count and for
-// both kernels — events are buffered per fault group and merged in group
-// order, exactly like the simulator's result merge. Worker and kernel are
+// circuits or simulators), so the fault simulator can feed a *Trace
+// directly. The contract mirrors the simulator's determinism guarantee: for
+// a fixed circuit, sequence and fault list the canonical stream
+// (CanonicalBytes) is byte-identical for every Workers count and lane
+// width — events are buffered per fault group and merged in group order,
+// exactly like the simulator's result merge. Worker and kernel are
 // carried as annotations only and excluded from the canonical form.
 package obsv
 
@@ -238,7 +238,7 @@ func (t *Trace) GroupVectors() []int {
 // vector count, the assignment stamp and group 0's activity curve. Worker
 // and kernel annotations are excluded. Two traced runs over the same
 // circuit, sequence and fault list must produce byte-identical canonical
-// forms for every Workers count and both kernels; internal/difftest enforces
+// forms for every Workers count and lane width; internal/difftest enforces
 // this.
 func (t *Trace) CanonicalBytes() []byte {
 	if t == nil {

@@ -13,10 +13,11 @@ import (
 // enumeration guarantees neither stem combinationally reaches the other, so
 // the nominal driver values are independent of the bridge force); the
 // second pass re-evaluates the whole cycle with both stems held at that
-// wired value, and detection plus the state capture read the second pass.
+// wired value, and detection, line observation and the state capture read
+// the second pass.
 // This restates the fsim two-pass contract independently of fsim.
 func simulateBridge(c *circuit.Circuit, seq *sim.Sequence, init logic.V,
-	f fault.Fault, golden [][]logic.V, keepGoing bool) (detTime int, final []logic.V) {
+	f fault.Fault, golden [][]logic.V, lines []bool, keepGoing bool) (detTime int, final []logic.V) {
 
 	vals := make([]logic.V, len(c.Nodes))
 	state := make([]logic.V, len(c.DFFs))
@@ -58,17 +59,12 @@ func simulateBridge(c *circuit.Circuit, seq *sim.Sequence, init logic.V,
 			wired = andT[vals[a]][vals[b]]
 		}
 		pass(u, true, wired)
-		if detTime < 0 {
-			for k, id := range c.Outputs {
-				g, v := golden[u][k], vals[id]
-				if g != logic.X && v != logic.X && g != v {
-					detTime = u
-					break
-				}
-			}
-			if detTime >= 0 && !keepGoing {
-				return detTime, nil
-			}
+		observe(lines, golden[u], vals)
+		if detTime < 0 && detects(c, golden[u], vals) {
+			detTime = u
+		}
+		if detTime >= 0 && !keepGoing {
+			return detTime, nil
 		}
 		// Clock edge (bridge faults are stem-only: no D-pin forcing).
 		for k, id := range c.DFFs {

@@ -12,10 +12,10 @@
 //
 // The oracle contract (see DESIGN.md): for the same circuit, sequence,
 // fault list and flip-flop initialisation, ref and fsim must report
-// bit-identical Detected, DetTime and final machine states (flip-flops and
-// transition launch history). Features that
-// exist purely for performance or orchestration (fault grouping, Workers,
-// ObserveLines, OutputHook, AbortAfterFirstGroupIfNone, InitialStates) are
+// bit-identical Detected, DetTime, final machine states (flip-flops and
+// transition launch history) and observed lines (ObserveLines). Features
+// that exist purely for performance or orchestration (fault grouping,
+// Workers, OutputHook, AbortAfterFirstGroupIfNone, InitialStates) are
 // deliberately out of ref's scope: the continuation features are instead
 // validated differentially by replaying a split fsim run against an unsplit
 // ref run.
@@ -38,6 +38,9 @@ type Options struct {
 	// SaveStates records final flip-flop states (and forces every machine to
 	// simulate the whole sequence even after detection).
 	SaveStates bool
+	// ObserveLines records Outcome.Lines (and, like SaveStates, forces every
+	// machine to simulate the whole sequence).
+	ObserveLines bool
 }
 
 // Outcome reports a reference run. It matches fsim.Outcome fault for fault;
@@ -60,6 +63,10 @@ type Outcome struct {
 	// (only when SaveStates was set): the rest of the machine's state, which
 	// a continuation must carry besides the flip-flops.
 	LaunchHistory []logic.V
+	// Lines[i][n] reports whether, at some time unit, node n carried a
+	// binary value in the fault-free machine and the opposite binary value
+	// in faults[i]'s machine (only when ObserveLines was set).
+	Lines [][]bool
 }
 
 // Ternary truth tables, indexed by logic.V (Zero=0, One=1, X=2). These are
@@ -136,11 +143,12 @@ func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Optio
 		out.FinalStates = make([][]logic.V, len(faults))
 		out.LaunchHistory = make([]logic.V, len(faults))
 	}
+	keepGoing := opts.SaveStates || opts.ObserveLines
 
-	// Fault-free pass: record the golden primary-output trace (the detection
-	// reference) and, if asked, the golden final state.
+	// Fault-free pass: record the golden trace of every node (the detection
+	// and line-observation reference) and, if asked, the golden final state.
 	golden := make([][]logic.V, seq.Len())
-	_, ffFinal := simulate(c, seq, opts.Init, nil, golden, opts.SaveStates)
+	_, ffFinal := simulate(c, seq, opts.Init, nil, golden, nil, opts.SaveStates)
 	if opts.SaveStates {
 		out.FaultFreeFinal = ffFinal
 	}
@@ -148,14 +156,19 @@ func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Optio
 	for i := range faults {
 		var det int
 		var final []logic.V
+		var lines []bool
+		if opts.ObserveLines {
+			lines = make([]bool, len(c.Nodes))
+			out.Lines = append(out.Lines, lines)
+		}
 		history := logic.X
 		switch faults[i].Kind {
 		case fault.KindTransition:
-			det, final, history = simulateTransition(c, seq, opts.Init, faults[i], golden, opts.SaveStates)
+			det, final, history = simulateTransition(c, seq, opts.Init, faults[i], golden, lines, keepGoing)
 		case fault.KindBridge:
-			det, final = simulateBridge(c, seq, opts.Init, faults[i], golden, opts.SaveStates)
+			det, final = simulateBridge(c, seq, opts.Init, faults[i], golden, lines, keepGoing)
 		default:
-			det, final = simulate(c, seq, opts.Init, &faults[i], golden, opts.SaveStates)
+			det, final = simulate(c, seq, opts.Init, &faults[i], golden, lines, keepGoing)
 		}
 		if det >= 0 {
 			out.Detected[i] = true
@@ -171,16 +184,17 @@ func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Optio
 }
 
 // simulate runs one machine. With f == nil it is the fault-free machine:
-// golden (len seq.Len()) receives a copy of the primary-output values of every
-// time unit. With f != nil the machine carries that single fault and golden
-// is read as the fault-free trace; detTime is the first time unit at which
+// golden (len seq.Len()) receives a copy of every node's value at every time
+// unit. With f != nil the machine carries that single fault and golden is
+// read as the fault-free trace; detTime is the first time unit at which
 // some primary output is binary in both machines with opposite values (-1 if
-// never). The run stops at the first detection unless keepGoing is set.
-// final is the flip-flop state after the last clock edge (nil if the run
-// stopped early — it is only meaningful when the whole sequence was applied,
-// and keepGoing guarantees that).
+// never), and lines, if non-nil, records every node at which the two ever
+// differ so (see observe). The run stops at the first detection unless
+// keepGoing is set. final is the flip-flop state after the last clock edge
+// (nil if the run stopped early — it is only meaningful when the whole
+// sequence was applied, and keepGoing guarantees that).
 func simulate(c *circuit.Circuit, seq *sim.Sequence, init logic.V,
-	f *fault.Fault, golden [][]logic.V, keepGoing bool) (detTime int, final []logic.V) {
+	f *fault.Fault, golden [][]logic.V, lines []bool, keepGoing bool) (detTime int, final []logic.V) {
 
 	vals := make([]logic.V, len(c.Nodes))
 	state := make([]logic.V, len(c.DFFs))
@@ -218,18 +232,11 @@ func simulate(c *circuit.Circuit, seq *sim.Sequence, init logic.V,
 			vals[id] = stuck(id, eval(n.Type, in))
 		}
 		if f == nil {
-			po := make([]logic.V, len(c.Outputs))
-			for k, id := range c.Outputs {
-				po[k] = vals[id]
-			}
-			golden[u] = po
-		} else if detTime < 0 {
-			for k, id := range c.Outputs {
-				g, v := golden[u][k], vals[id]
-				if g != logic.X && v != logic.X && g != v {
-					detTime = u
-					break
-				}
+			golden[u] = append([]logic.V(nil), vals...)
+		} else {
+			observe(lines, golden[u], vals)
+			if detTime < 0 && detects(c, golden[u], vals) {
+				detTime = u
 			}
 			if detTime >= 0 && !keepGoing {
 				return detTime, nil
@@ -246,4 +253,34 @@ func simulate(c *circuit.Circuit, seq *sim.Sequence, init logic.V,
 		}
 	}
 	return detTime, state
+}
+
+// differs reports whether a faulty value v shows against the fault-free
+// value g: both binary and opposite.
+func differs(g, v logic.V) bool {
+	return g != logic.X && v != logic.X && g != v
+}
+
+// detects reports whether some primary output differs (see differs) between
+// the fault-free node values golden and the faulty machine's vals.
+func detects(c *circuit.Circuit, golden, vals []logic.V) bool {
+	for _, id := range c.Outputs {
+		if differs(golden[id], vals[id]) {
+			return true
+		}
+	}
+	return false
+}
+
+// observe marks in lines (nil: not observed) every node whose faulty value
+// differs from its fault-free value in this time unit.
+func observe(lines []bool, golden, vals []logic.V) {
+	if lines == nil {
+		return
+	}
+	for id, v := range vals {
+		if differs(golden[id], v) {
+			lines[id] = true
+		}
+	}
 }

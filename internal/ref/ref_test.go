@@ -1,6 +1,7 @@
 package ref
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -83,6 +84,53 @@ func TestHandComputedPipeline(t *testing.T) {
 	}
 	if out.NumDetected != 5 {
 		t.Errorf("NumDetected = %d, want 5", out.NumDetected)
+	}
+}
+
+// TestObserveLines checks Outcome.Lines by hand on the pipeline out =
+// NOT(ff), ff' = in under the input 1, 1, 1: a node counts once the faulty
+// machine shows the opposite binary value of a binary fault-free one, and
+// an X on either side never counts.
+func TestObserveLines(t *testing.T) {
+	b := circuit.NewBuilder("pipe")
+	b.Input("in")
+	b.DFF("ff", "in")
+	b.Gate("out", circuit.Not, "ff")
+	b.Output("out")
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, _ := sim.ParseSequence("1\n1\n1")
+	inID, _ := c.Lookup("in")
+	ffID, _ := c.Lookup("ff")
+	outID, _ := c.Lookup("out")
+	faults := []fault.Fault{
+		{Node: ffID, Pin: -1, Stuck: 1},  // ff 1 against 0 at t0, and out with it
+		{Node: inID, Pin: -1, Stuck: 0},  // in at every t, ff and out from t1
+		{Node: outID, Pin: -1, Stuck: 1}, // out from t1
+	}
+	cases := []struct {
+		init logic.V
+		want [][]circuit.NodeID
+	}{
+		{logic.Zero, [][]circuit.NodeID{{ffID, outID}, {inID, ffID, outID}, {outID}}},
+		// From X, the fault-free ff is X at t0 and 1 later, as ff s-a-1's.
+		{logic.X, [][]circuit.NodeID{nil, {inID, ffID, outID}, {outID}}},
+	}
+	for _, tc := range cases {
+		out := Run(c, seq, faults, Options{Init: tc.init, ObserveLines: true})
+		for i, want := range tc.want {
+			for id := range c.Nodes {
+				if got, w := out.Lines[i][id], slices.Contains(want, circuit.NodeID(id)); got != w {
+					t.Errorf("init %v, fault %s, node %s: observed %v, want %v",
+						tc.init, faults[i].String(c), c.Nodes[id].Name, got, w)
+				}
+			}
+		}
+	}
+	if out := Run(c, seq, faults, Options{Init: logic.Zero}); out.Lines != nil {
+		t.Errorf("Lines recorded without ObserveLines")
 	}
 }
 

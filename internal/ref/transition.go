@@ -19,7 +19,7 @@ import (
 // state a continuation would need besides final; like final it is only
 // meaningful when keepGoing applied the whole sequence.
 func simulateTransition(c *circuit.Circuit, seq *sim.Sequence, init logic.V,
-	f fault.Fault, golden [][]logic.V, keepGoing bool) (detTime int, final []logic.V, history logic.V) {
+	f fault.Fault, golden [][]logic.V, lines []bool, keepGoing bool) (detTime int, final []logic.V, history logic.V) {
 
 	vals := make([]logic.V, len(c.Nodes))
 	state := make([]logic.V, len(c.DFFs))
@@ -59,17 +59,12 @@ func simulateTransition(c *circuit.Circuit, seq *sim.Sequence, init logic.V,
 			}
 			vals[id] = slow(id, eval(n.Type, in))
 		}
-		if detTime < 0 {
-			for k, id := range c.Outputs {
-				g, v := golden[u][k], vals[id]
-				if g != logic.X && v != logic.X && g != v {
-					detTime = u
-					break
-				}
-			}
-			if detTime >= 0 && !keepGoing {
-				return detTime, nil, prev
-			}
+		observe(lines, golden[u], vals)
+		if detTime < 0 && detects(c, golden[u], vals) {
+			detTime = u
+		}
+		if detTime >= 0 && !keepGoing {
+			return detTime, nil, prev
 		}
 		// Clock edge (transition faults are stem-only: no D-pin forcing).
 		for k, id := range c.DFFs {

@@ -438,7 +438,7 @@ func TestPoolPanicFailsJob(t *testing.T) {
 	seq := sim.RandomSequence(randutil.New(4), big.NumInputs(), 10)
 	injections := []func(){
 		func() {
-			fsim.Run(big, seq, faults, fsim.Options{Init: logic.Zero, Workers: 2, Kernel: fsim.KernelSlab, SlabLanes: 1})
+			fsim.Run(big, seq, faults, fsim.Options{Init: logic.Zero, Workers: 2, SlabLanes: 1})
 		},
 		func() {
 			n := 0
@@ -449,7 +449,7 @@ func TestPoolPanicFailsJob(t *testing.T) {
 					if k == 1 {
 						fl = faults[fsim.GroupSize:]
 					}
-					return ws.Run(seq, fl, fsim.Options{Init: logic.Zero, Kernel: fsim.KernelSlab})
+					return ws.Run(seq, fl, fsim.Options{Init: logic.Zero})
 				},
 				func(int) bool { return false })
 		},

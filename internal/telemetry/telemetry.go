@@ -35,10 +35,10 @@ const (
 	// CtrBacktracks counts PODEM decision backtracks.
 	CtrBacktracks
 	// CtrGatesSkipped counted the gate evaluations the deleted event-driven
-	// kernel avoided relative to a dense pass. Both remaining kernels count
-	// every dense-equivalent evaluation in CtrGateEvals, so it always reads
-	// 0; it stays defined because gate_evals + gates_skipped is the
-	// kernel-invariant evaluation count that pins and reports already use.
+	// kernel avoided relative to a full pass. The slab kernel counts every
+	// evaluation of a full pass in CtrGateEvals, so it always reads 0; it
+	// stays defined because gate_evals + gates_skipped is the evaluation
+	// count that pins and reports already use.
 	CtrGatesSkipped
 	// CtrGroupsCancelled counts fault groups skipped because the run's
 	// context was cancelled (the observable footprint of job cancellation:
@@ -72,10 +72,10 @@ const (
 	CtrSpeculativeVectors
 	// CtrSlabLaneCycles counts the lane-cycles the slab kernel walked: one
 	// per lane per time unit (a bridge batch's two walks of one time unit
-	// count once). Against fsim.vectors, the dense kernel's lane-cycles, it
-	// shows what batching and live-fault packing saved: a repack moves the
+	// count once). Against fsim.vectors, the lane-cycles of one lane per
+	// group, it shows what live-fault packing saved: a repack moves the
 	// live faults of a batch into fewer lanes, so a packed batch walks
-	// fewer lane-cycles than its groups' dense passes.
+	// fewer lane-cycles than its groups would alone.
 	CtrSlabLaneCycles
 	// CtrProvenRedundant counts the faults podem.Prove proved redundant: in
 	// the pipeline, the PODEM targets whose sequential search was skipped

@@ -41,7 +41,10 @@ func TestShapeClaims(t *testing.T) {
 		}
 
 		// Claims on the observation-point trade-off (Tables 7-16 shape).
-		res := ObsExperiment(r, cfg)
+		res, err := ObsExperiment(r, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(res.Rows) == 0 {
 			t.Fatalf("%s: no obs rows", name)
 		}

@@ -185,8 +185,9 @@ func RunPipeline(c *Circuit, init Value, cfg Config) (*Run, error) {
 func Table6(r *Run) Table6Row { return expt.Table6(r) }
 
 // ObsExperiment runs the Section 5 observation-point insertion experiment
-// (the paper's Tables 7-16) on a run with cfg's Workers and Telemetry.
-func ObsExperiment(r *Run, cfg Config) *ObsResult { return expt.ObsExperiment(r, cfg) }
+// (the paper's Tables 7-16) on a run with cfg's Workers, Telemetry and Ctx
+// (a cancelled cfg.Ctx stops it with the context's error).
+func ObsExperiment(r *Run, cfg Config) (*ObsResult, error) { return expt.ObsExperiment(r, cfg) }
 
 // Synthesize builds the Figure 1 test-sequence generator netlist for a run's
 // compacted weight assignments; the result is an ordinary circuit that can
@@ -238,9 +239,10 @@ type BISTReport = bist.Report
 // (every assignment window back to back, as the Figure 1 hardware does) to
 // the circuit and compacts the responses in a MISR of the given width,
 // returning signature-based fault coverage including aliasing and
-// unknown-poisoning accounting, with cfg's Workers and Telemetry.
+// unknown-poisoning accounting, with cfg's Workers, Telemetry and Ctx (a
+// cancelled cfg.Ctx stops it with the context's error).
 func RunBISTSession(r *Run, misrWidth int, cfg Config) (*BISTReport, error) {
-	return bist.RunWeightedSession(r.Core, r.Compacted, misrWidth, cfg.Workers, cfg.Telemetry.Root())
+	return bist.RunWeightedSession(cfg.Ctx, r.Core, r.Compacted, misrWidth, cfg.Workers, cfg.Telemetry.Root())
 }
 
 // ConcatSession builds the continuous test session a set of weight
@@ -323,7 +325,8 @@ type DetectionEvent = obsv.Event
 type RunReport = obsv.Report
 
 // TraceRun re-simulates a completed run with detection tracing at cfg.Workers
-// and returns its provenance record (the data behind `wbist report`).
+// and returns its provenance record (the data behind `wbist report`); a
+// cancelled cfg.Ctx stops it with the context's error.
 func TraceRun(r *Run, cfg Config) (*RunTrace, error) { return expt.TraceRun(r, cfg) }
 
 // WriteTrace serialises a run trace as JSON lines (schema wbist-trace/v1).

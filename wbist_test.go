@@ -2,6 +2,8 @@ package wbist
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -131,9 +133,34 @@ func TestRunCircuitAndSynthesizePublic(t *testing.T) {
 	if g.Circuit.NumOutputs() != r.Circuit.NumInputs() {
 		t.Fatal("generator output count mismatch")
 	}
-	res := ObsExperiment(r, cfg)
+	res, err := ObsExperiment(r, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) == 0 {
 		t.Fatal("obs experiment empty")
+	}
+}
+
+// TestPostRunStagesStopOnCtx: the facade's stages on a finished run pass
+// the caller's Config.Ctx down, so a cancelled context stops each with
+// context.Canceled.
+func TestPostRunStagesStopOnCtx(t *testing.T) {
+	r, err := RunCircuit("s27", Config{LG: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := Config{Ctx: ctx}
+	if _, err := ObsExperiment(r, cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("ObsExperiment: error %v, want context.Canceled", err)
+	}
+	if _, err := RunBISTSession(r, 16, cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunBISTSession: error %v, want context.Canceled", err)
+	}
+	if _, err := TraceRun(r, cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("TraceRun: error %v, want context.Canceled", err)
 	}
 }
 
